@@ -1,6 +1,6 @@
 .PHONY: all build test check bench fault-check timeline-check report-check \
-  stream-check perf-check sweep-check sched-check meter-check serve-check \
-  clean
+  stream-check perf-check core-check sweep-check sched-check meter-check \
+  serve-check clean
 
 all: build
 
@@ -83,6 +83,28 @@ stream-check: build
 perf-check: build
 	dune exec bench/main.exe -- throughput --json _build/throughput.json \
 	  --baseline test/golden/bench_baseline.json
+
+# Replay-core differential on real traces: the six committed
+# compiler-inserted traces (perfbench/data, read-only; 1,344 directives
+# between them) replay through the CLI on the fast and the reference
+# core, with and without the fault spec, and both the results table and
+# the %.17g timeline JSONL must be byte-identical across cores.  The
+# qcheck suite and perf-check only see synthetic traces.
+core-check: build
+	set -e; for t in perfbench/data/*.trc; do \
+	  b=_build/core_$$(basename $$t .trc); \
+	  for core in fast reference; do \
+	    _build/default/bin/dpmsim.exe simulate --trace-file $$t \
+	      --core $$core --timeline $$b.$$core.jsonl > $$b.$$core.out; \
+	    _build/default/bin/dpmsim.exe simulate --trace-file $$t \
+	      --core $$core --faults "$(FAULT_SPEC)" \
+	      --timeline $$b.$$core.faults.jsonl > $$b.$$core.faults.out; \
+	  done; \
+	  for f in out jsonl faults.out faults.jsonl; do \
+	    cmp $$b.fast.$$f $$b.reference.$$f; \
+	  done; \
+	  rm -f $$b.*.jsonl; \
+	done
 
 # Scheduler smoke: every request-scheduling discipline replays the same
 # faulty mixed-fleet workload (a fast 36Z15 round-robined with a flash

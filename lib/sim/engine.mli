@@ -28,8 +28,9 @@ type mode = [ `Open | `Closed ]
 
 type core = [ `Fast | `Reference ]
 (** Replay core selection.  [`Fast] (the default) runs the specialized
-    structure-of-arrays loop ({!Fastpath}) whenever the policy's shape
-    supports it, falling back to the reference body otherwise;
+    structure-of-arrays loop ({!Fastpath}) for every policy under the
+    FCFS scheduler, falling back to the reference body for the deferred
+    disciplines;
     [`Reference] forces the record-at-a-time reference body.  The two
     produce byte-identical results — energies, execution times, fault
     counters, gap choices, timelines, telemetry histograms — which the

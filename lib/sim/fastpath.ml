@@ -1,47 +1,40 @@
 (* Specialized zero-allocation replay core.
 
-   Mirrors [Engine.replay] (the reference body) with three mechanical
-   transformations, none of which changes a single float operation or
-   its order:
+   Mirrors the eager FCFS reference body ({!Sched.fcfs_step}) with
+   three mechanical transformations, none of which changes a single
+   float operation or its order:
 
    - events are read by index out of structure-of-arrays chunks
      ([Trace.Stream.next_soa]) instead of destructuring
      [Request.event] records;
-   - the policy's hook sites are specialized out of the inner loop:
-     one monomorphic loop per [Policy.kind], selected once per run, so
-     the common kinds ([Passive], [Directive_only], [Timer]) make no
-     closure calls per event;
-   - the application clock is threaded as an unboxed loop argument
-     (the reference's [float ref] boxes a float per assignment), the
-     per-request service arithmetic for the dominant disk state
-     ([Ready], not failed, no recorder) is inlined against the
-     [Disk_state] record using the per-level tables precomputed at
-     [Disk_state.create], and telemetry/fault [option] checks are
-     hoisted so the [None] cases make no calls at all.
+   - the policy's hook sites are resolved once per replay into values
+     the one inner loop branches on (whether directives apply, the
+     [Timer] threshold of the inlined TPM catch-up, whether the
+     [Hooked] closures run), so [Passive], [Directive_only] and [Timer]
+     policies make no closure calls per event;
+   - the application clock lives in a one-element float array (the
+     reference threads a boxed float), the per-request service
+     arithmetic for the dominant disk state ([Ready], not failed, no
+     recorder) is inlined against the [Disk_state] record using the
+     per-level tables precomputed at [Disk_state.create], and
+     telemetry/fault [option] checks are hoisted so the [None] cases
+     make no calls at all.
 
-   The reference body stays authoritative: every behavioural claim here
-   is pinned by the differential suite (test/test_fastpath.ml), which
-   asserts byte-identical results, timelines, fault counters and
+   Per-disk setup, directive application and result assembly are
+   {!Sched}'s own, so only the per-event body is re-implemented here.
+   The reference body stays authoritative: every behavioural claim
+   here is pinned by the differential suite (test/test_fastpath.ml),
+   which asserts byte-identical results, timelines, fault counters and
    histograms across both cores. *)
 
-module Request = Dpm_trace.Request
 module Stream = Dpm_trace.Trace.Stream
 module Chunk = Stream.Chunk
-module Service = Dpm_disk.Service
 module A1 = Bigarray.Array1
 
-let supported ~config (policy : Policy.t) =
-  (* Deferred queue disciplines reorder dispatches; only the eager FCFS
-     order has a specialized loop, everything else takes the reference
-     body in {!Sched}. *)
-  config.Config.sched = Config.Fcfs
-  &&
-  match policy.Policy.kind with
-  | Policy.Passive | Policy.Directive_only | Policy.Timer _ -> true
-  (* A hooked policy that also accepted directives would need a fifth
-     loop; no current policy is shaped that way, so it falls back to
-     the reference body instead. *)
-  | Policy.Hooked -> not policy.Policy.accepts_directives
+(* Deferred queue disciplines reorder dispatches; only the eager FCFS
+   order runs here, everything else takes the reference body in
+   {!Sched}. *)
+let supported ~config = config.Config.sched = Config.Fcfs
 
 (* [Disk_state.serve] with the overwhelmingly common case — [Ready],
    alive, no timeline recorder — inlined as straight-line arithmetic.
@@ -110,540 +103,149 @@ let serve_fast (st : Disk_state.t) ~fbuf ~bytes =
 
 let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
     (stream : Stream.t) =
-  if not (supported ~config policy) then
-    invalid_arg "Fastpath.replay: unsupported policy shape";
+  if not (supported ~config) then
+    invalid_arg "Fastpath.replay: only the FCFS scheduler is supported";
   let ndisks = Stream.ndisks stream in
-  (* Per-disk models (round-robin fleet, or the homogeneous specs): the
-     specialized loops index every model-derived constant by disk, so a
-     homogeneous fleet reads the same values the scalar constants held
-     and stays bit-identical. *)
-  let models = Array.init ndisks (fun d -> Config.model config ~disk:d) in
-  let tops = Array.map Dpm_disk.Rpm.max_level models in
-  let disks =
-    Array.init ndisks (fun id ->
-        Disk_state.create ?recorder:timeline
-          ~retain_busy:config.Config.retain_busy models.(id) ~id)
-  in
-  let gap_choices = ref [] in
-  let backlog = Array.make ndisks 0.0 in
-  let depth = max 1 config.Config.queue_depth in
-  let recent = Array.init ndisks (fun _ -> Array.make depth 0.0) in
-  let recent_pos = Array.make ndisks 0 in
-  (* Flat cell (not a [ref]): float-array stores stay unboxed. *)
-  let makespan = [| 0.0 |] in
+  let s = Sched.create ~config ~mode ~fault ~timeline ~obs policy ~ndisks in
+  let { Sched.tops; disks; backlog; depth; recent; recent_pos; _ } = s in
+  let makespan = s.Sched.makespan in
   let open_mode = match mode with `Open -> true | `Closed -> false in
-  let pm_overhead = config.Config.pm_call_overhead in
-  (* Full-speed service-time constants, per disk:
-     [nom_base.(d) +. bytes /. nom_denom.(d)] is float-identical to
-     [Service.request_time models.(d) ~level:tops.(d)]. *)
-  let nom_base =
-    Array.init ndisks (fun d ->
-        Service.seek_time models.(d)
-        +. Service.rotation_time models.(d) ~level:tops.(d))
+  let accepts = policy.Policy.accepts_directives in
+  let timer, threshold, hooked =
+    match policy.Policy.kind with
+    | Policy.Timer threshold -> (true, threshold, false)
+    | Policy.Hooked -> (false, 0.0, true)
+    | Policy.Passive | Policy.Directive_only -> (false, 0.0, false)
   in
-  let nom_denom =
-    Array.init ndisks (fun d ->
-        Service.transfer_denom models.(d) ~level:tops.(d))
-  in
+  let catch_up = policy.Policy.catch_up in
+  let on_complete = policy.Policy.on_complete in
   let kill d at = Disk_state.fail disks.(d) ~at in
-  (* Directive application (Directive_only loop), cold relative to IOs:
-     mirrors [Sched]'s apply_directive, including the per-disk ladder
-     clamp. *)
-  let pm_apply tag d lvl clock =
-    let clock = clock +. pm_overhead in
-    if tag = Chunk.tag_spin_down then begin
-      Disk_state.record disks.(d) ~at:clock Timeline.Directive_spin_down;
-      Disk_state.spin_down disks.(d) ~now:clock
-    end
-    else if tag = Chunk.tag_spin_up then begin
-      Disk_state.record disks.(d) ~at:clock Timeline.Directive_spin_up;
-      match fault with
-      | None -> Disk_state.spin_up disks.(d) ~now:clock
-      | Some fs -> Fault.spin_up fs disks.(d) ~now:clock
-    end
-    else begin
-      let top = Array.unsafe_get tops d in
-      let lvl = if lvl > top then top else lvl in
-      if lvl < top then gap_choices := (d, clock, lvl) :: !gap_choices;
-      Disk_state.record disks.(d) ~at:clock (Timeline.Directive_set_rpm lvl);
-      Disk_state.set_level disks.(d) ~now:clock lvl
-    end;
-    clock
-  in
-
-  (* --- Monomorphic per-kind loops ---
-
-     Each loop is the reference per-event body with the policy's hook
-     sites resolved at compile time.  The application clock lives in
-     [clockc] — a one-element float array, so updates are raw unboxed
-     stores (a [float ref] would allocate a box per assignment, and a
-     float loop argument would be boxed at every non-inlined call) —
-     and service times cross [serve_fast] through the [fbuf] mailbox.
-     The bodies are intentionally textually parallel; any edit here
-     must be mirrored across all four and checked against
-     [Engine.replay]. *)
-  let run_passive () =
-    let clockc = [| 0.0 |] and fbuf = [| 0.0 |] in
-    (* Per-disk one-entry cache of the full-speed transfer quotient
-       [bytes /. nom_denom.(d)] (see Disk_state.ix_svc_bytes): a hit is
-       bit-identical to dividing and skips the second serial divide
-       per event. *)
-    let nomk = Array.make ndisks (-1.0) and nomv = Array.make ndisks 0.0 in
-    let running = ref true in
-    while !running do
-      match Stream.next_soa stream with
-      | None -> running := false
-      | Some c ->
-          let len = c.Chunk.len in
-          let thinkc = c.Chunk.think and tagc = c.Chunk.tag in
-          let diskc = c.Chunk.disk and bytesc = c.Chunk.bytes in
-          let blockc = c.Chunk.block in
-          for i = 0 to len - 1 do
-            let clock = Array.unsafe_get clockc 0 +. A1.unsafe_get thinkc i in
-            (match fault with
-            | None -> ()
-            | Some fs -> Fault.sweep fs ~now:clock ~kill);
-            let tag = A1.unsafe_get tagc i in
-            if tag > Chunk.tag_write then Array.unsafe_set clockc 0 clock
-            else begin
-              let disk0 = A1.unsafe_get diskc i in
-              let d =
-                match fault with
-                | None -> disk0
-                | Some fs -> Fault.serving_disk fs ~disk:disk0 ~now:clock
-              in
-              if d <> disk0 then
-                Disk_state.record
-                  (Array.unsafe_get disks d)
-                  ~at:clock (Timeline.Redirect disk0);
-              let st = Array.unsafe_get disks d in
-              let ring = Array.unsafe_get recent d in
-              let pos = Array.unsafe_get recent_pos d in
-              let oldest = Array.unsafe_get ring pos in
-              let clock = if oldest > clock then oldest else clock in
-              let arrival = clock in
-              (match obs with
-              | None -> ()
-              | Some o -> Observe.arrival o ~ring ~arrival);
-              let b = Array.unsafe_get backlog d in
-              let issue = if arrival >= b then arrival else b in
-              let before =
-                match obs with
-                | None -> 0
-                | Some _ -> (
-                    match fault with
-                    | Some fs -> Fault.retries_so_far fs
-                    | None -> 0)
-              in
-              let bytes = A1.unsafe_get bytesc i in
-              (match fault with
-              | None ->
-                  Array.unsafe_set fbuf 0 issue;
-                  serve_fast st ~fbuf ~bytes
-              | Some fs ->
-                  Array.unsafe_set fbuf 0
-                    (Fault.serve fs st ~now:issue ~bytes
-                       ~block:(A1.unsafe_get blockc i)));
-              let completion = Array.unsafe_get fbuf 0 in
-              Array.unsafe_set backlog d completion;
-              Array.unsafe_set ring pos completion;
-              Array.unsafe_set recent_pos d
-                (let p = pos + 1 in
-                 if p = depth then 0 else p);
-              if completion > Array.unsafe_get makespan 0 then
-                Array.unsafe_set makespan 0 completion;
-              (match obs with
-              | None -> ()
-              | Some o ->
-                  let response = completion -. arrival in
-                  Observe.service o ~fault ~retries_before:before ~response);
-              Array.unsafe_set clockc 0
-                (if open_mode then
-                   let fbytes = float_of_int bytes in
-                   let quot =
-                     if fbytes = Array.unsafe_get nomk d then
-                       Array.unsafe_get nomv d
-                     else begin
-                       let q = fbytes /. Array.unsafe_get nom_denom d in
-                       Array.unsafe_set nomk d fbytes;
-                       Array.unsafe_set nomv d q;
-                       q
-                     end
-                   in
-                   arrival +. (Array.unsafe_get nom_base d +. quot)
-                 else completion)
-            end
-          done
-    done;
-    Array.unsafe_get clockc 0
-  in
-
-  let run_directive () =
-    let clockc = [| 0.0 |] and fbuf = [| 0.0 |] in
-    (* Per-disk one-entry cache of the full-speed transfer quotient
-       [bytes /. nom_denom.(d)] (see Disk_state.ix_svc_bytes): a hit is
-       bit-identical to dividing and skips the second serial divide
-       per event. *)
-    let nomk = Array.make ndisks (-1.0) and nomv = Array.make ndisks 0.0 in
-    let running = ref true in
-    while !running do
-      match Stream.next_soa stream with
-      | None -> running := false
-      | Some c ->
-          let len = c.Chunk.len in
-          let thinkc = c.Chunk.think and tagc = c.Chunk.tag in
-          let diskc = c.Chunk.disk and bytesc = c.Chunk.bytes in
-          let blockc = c.Chunk.block in
-          for i = 0 to len - 1 do
-            let clock = Array.unsafe_get clockc 0 +. A1.unsafe_get thinkc i in
-            (match fault with
-            | None -> ()
-            | Some fs -> Fault.sweep fs ~now:clock ~kill);
-            let tag = A1.unsafe_get tagc i in
-            if tag > Chunk.tag_write then
-              Array.unsafe_set clockc 0
-                (pm_apply tag
+  (* The application clock lives in [clockc] — a one-element float
+     array, so updates are raw unboxed stores (a [float ref] would
+     allocate a box per assignment, and a float loop argument would be
+     boxed at every non-inlined call) — and service times cross
+     [serve_fast] through the [fbuf] mailbox. *)
+  let clockc = [| 0.0 |] and fbuf = [| 0.0 |] in
+  (* The nominal (full-speed) service time is read off the serving
+     disk's per-level tables at its top level:
+     [svc_base.(top) +. bytes /. svc_denom.(top)] is float-identical to
+     [Service.request_time models.(d) ~level:top].  [nomk]/[nomv] are a
+     per-disk one-entry cache of that transfer quotient (see
+     Disk_state.ix_svc_bytes): a hit is bit-identical to dividing and
+     skips the second serial divide per event. *)
+  let nomk = Array.make ndisks (-1.0) and nomv = Array.make ndisks 0.0 in
+  let running = ref true in
+  while !running do
+    match Stream.next_soa stream with
+    | None -> running := false
+    | Some c ->
+        let len = c.Chunk.len in
+        let thinkc = c.Chunk.think and tagc = c.Chunk.tag in
+        let diskc = c.Chunk.disk and bytesc = c.Chunk.bytes in
+        let blockc = c.Chunk.block in
+        for i = 0 to len - 1 do
+          let clock = Array.unsafe_get clockc 0 +. A1.unsafe_get thinkc i in
+          (match fault with
+          | None -> ()
+          | Some fs -> Fault.sweep fs ~now:clock ~kill);
+          let tag = A1.unsafe_get tagc i in
+          if tag > Chunk.tag_write then
+            Array.unsafe_set clockc 0
+              (if accepts then
+                 Sched.apply_directive s tag
                    (A1.unsafe_get diskc i)
                    (A1.unsafe_get blockc i)
-                   clock)
-            else begin
-              let disk0 = A1.unsafe_get diskc i in
-              let d =
-                match fault with
-                | None -> disk0
-                | Some fs -> Fault.serving_disk fs ~disk:disk0 ~now:clock
-              in
-              if d <> disk0 then
-                Disk_state.record
-                  (Array.unsafe_get disks d)
-                  ~at:clock (Timeline.Redirect disk0);
-              let st = Array.unsafe_get disks d in
-              let ring = Array.unsafe_get recent d in
-              let pos = Array.unsafe_get recent_pos d in
-              let oldest = Array.unsafe_get ring pos in
-              let clock = if oldest > clock then oldest else clock in
-              let arrival = clock in
-              (match obs with
-              | None -> ()
-              | Some o -> Observe.arrival o ~ring ~arrival);
-              let b = Array.unsafe_get backlog d in
-              let issue = if arrival >= b then arrival else b in
-              let before =
-                match obs with
-                | None -> 0
-                | Some _ -> (
-                    match fault with
-                    | Some fs -> Fault.retries_so_far fs
-                    | None -> 0)
-              in
-              let bytes = A1.unsafe_get bytesc i in
-              (match fault with
-              | None ->
-                  Array.unsafe_set fbuf 0 issue;
-                  serve_fast st ~fbuf ~bytes
-              | Some fs ->
-                  Array.unsafe_set fbuf 0
-                    (Fault.serve fs st ~now:issue ~bytes
-                       ~block:(A1.unsafe_get blockc i)));
-              let completion = Array.unsafe_get fbuf 0 in
-              Array.unsafe_set backlog d completion;
-              Array.unsafe_set ring pos completion;
-              Array.unsafe_set recent_pos d
-                (let p = pos + 1 in
-                 if p = depth then 0 else p);
-              if completion > Array.unsafe_get makespan 0 then
-                Array.unsafe_set makespan 0 completion;
-              (match obs with
-              | None -> ()
-              | Some o ->
-                  let response = completion -. arrival in
-                  Observe.service o ~fault ~retries_before:before ~response);
-              Array.unsafe_set clockc 0
-                (if open_mode then
-                   let fbytes = float_of_int bytes in
-                   let quot =
-                     if fbytes = Array.unsafe_get nomk d then
-                       Array.unsafe_get nomv d
-                     else begin
-                       let q = fbytes /. Array.unsafe_get nom_denom d in
-                       Array.unsafe_set nomk d fbytes;
-                       Array.unsafe_set nomv d q;
-                       q
-                     end
-                   in
-                   arrival +. (Array.unsafe_get nom_base d +. quot)
-                 else completion)
-            end
-          done
-    done;
-    Array.unsafe_get clockc 0
-  in
-
-  let run_timer threshold =
-    let clockc = [| 0.0 |] and fbuf = [| 0.0 |] in
-    (* Per-disk one-entry cache of the full-speed transfer quotient
-       [bytes /. nom_denom.(d)] (see Disk_state.ix_svc_bytes): a hit is
-       bit-identical to dividing and skips the second serial divide
-       per event. *)
-    let nomk = Array.make ndisks (-1.0) and nomv = Array.make ndisks 0.0 in
-    let running = ref true in
-    while !running do
-      match Stream.next_soa stream with
-      | None -> running := false
-      | Some c ->
-          let len = c.Chunk.len in
-          let thinkc = c.Chunk.think and tagc = c.Chunk.tag in
-          let diskc = c.Chunk.disk and bytesc = c.Chunk.bytes in
-          let blockc = c.Chunk.block in
-          for i = 0 to len - 1 do
-            let clock = Array.unsafe_get clockc 0 +. A1.unsafe_get thinkc i in
-            (match fault with
+                   clock
+               else clock)
+          else begin
+            let disk0 = A1.unsafe_get diskc i in
+            let d =
+              match fault with
+              | None -> disk0
+              | Some fs -> Fault.serving_disk fs ~disk:disk0 ~now:clock
+            in
+            if d <> disk0 then
+              Disk_state.record
+                (Array.unsafe_get disks d)
+                ~at:clock (Timeline.Redirect disk0);
+            let st = Array.unsafe_get disks d in
+            let ring = Array.unsafe_get recent d in
+            let pos = Array.unsafe_get recent_pos d in
+            let oldest = Array.unsafe_get ring pos in
+            let arrival = if oldest > clock then oldest else clock in
+            (match obs with
             | None -> ()
-            | Some fs -> Fault.sweep fs ~now:clock ~kill);
-            let tag = A1.unsafe_get tagc i in
-            if tag > Chunk.tag_write then Array.unsafe_set clockc 0 clock
-            else begin
-              let disk0 = A1.unsafe_get diskc i in
-              let d =
-                match fault with
-                | None -> disk0
-                | Some fs -> Fault.serving_disk fs ~disk:disk0 ~now:clock
-              in
-              if d <> disk0 then
-                Disk_state.record
-                  (Array.unsafe_get disks d)
-                  ~at:clock (Timeline.Redirect disk0);
-              let st = Array.unsafe_get disks d in
-              let ring = Array.unsafe_get recent d in
-              let pos = Array.unsafe_get recent_pos d in
-              let oldest = Array.unsafe_get ring pos in
-              let clock = if oldest > clock then oldest else clock in
-              let arrival = clock in
-              (match obs with
-              | None -> ()
-              | Some o -> Observe.arrival o ~ring ~arrival);
-              let b = Array.unsafe_get backlog d in
-              let issue = if arrival >= b then arrival else b in
+            | Some o -> Observe.arrival o ~ring ~arrival);
+            let b = Array.unsafe_get backlog d in
+            let issue = if arrival >= b then arrival else b in
+            if timer then begin
               (* [Policy.tpm]'s catch_up, inlined: fixed-threshold
                  spin-down fired retroactively at its expiry. *)
-              (match st.Disk_state.phase with
+              match st.Disk_state.phase with
               | Disk_state.Ready _ ->
                   let fire_at =
                     Array.unsafe_get st.Disk_state.hot
                       Disk_state.ix_idle_start
                     +. threshold
                   in
-                  if issue >= fire_at then
-                    Disk_state.spin_down st ~now:fire_at
+                  if issue >= fire_at then Disk_state.spin_down st ~now:fire_at
               | Disk_state.Changing _ | Disk_state.Spinning_down _
               | Disk_state.Standby | Disk_state.Spinning_up _ ->
-                  ());
-              let before =
-                match obs with
-                | None -> 0
-                | Some _ -> (
-                    match fault with
-                    | Some fs -> Fault.retries_so_far fs
-                    | None -> 0)
-              in
-              let bytes = A1.unsafe_get bytesc i in
-              (match fault with
-              | None ->
-                  Array.unsafe_set fbuf 0 issue;
-                  serve_fast st ~fbuf ~bytes
-              | Some fs ->
-                  Array.unsafe_set fbuf 0
-                    (Fault.serve fs st ~now:issue ~bytes
-                       ~block:(A1.unsafe_get blockc i)));
-              let completion = Array.unsafe_get fbuf 0 in
-              Array.unsafe_set backlog d completion;
-              Array.unsafe_set ring pos completion;
-              Array.unsafe_set recent_pos d
-                (let p = pos + 1 in
-                 if p = depth then 0 else p);
-              if completion > Array.unsafe_get makespan 0 then
-                Array.unsafe_set makespan 0 completion;
-              (match obs with
-              | None -> ()
-              | Some o ->
-                  let response = completion -. arrival in
-                  Observe.service o ~fault ~retries_before:before ~response);
-              Array.unsafe_set clockc 0
-                (if open_mode then
-                   let fbytes = float_of_int bytes in
-                   let quot =
-                     if fbytes = Array.unsafe_get nomk d then
-                       Array.unsafe_get nomv d
-                     else begin
-                       let q = fbytes /. Array.unsafe_get nom_denom d in
-                       Array.unsafe_set nomk d fbytes;
-                       Array.unsafe_set nomv d q;
-                       q
-                     end
-                   in
-                   arrival +. (Array.unsafe_get nom_base d +. quot)
-                 else completion)
+                  ()
             end
-          done
-    done;
-    Array.unsafe_get clockc 0
-  in
-
-  let run_hooked () =
-    let catch_up = policy.Policy.catch_up in
-    let on_complete = policy.Policy.on_complete in
-    let clockc = [| 0.0 |] and fbuf = [| 0.0 |] in
-    (* Per-disk one-entry cache of the full-speed transfer quotient
-       [bytes /. nom_denom.(d)] (see Disk_state.ix_svc_bytes): a hit is
-       bit-identical to dividing and skips the second serial divide
-       per event. *)
-    let nomk = Array.make ndisks (-1.0) and nomv = Array.make ndisks 0.0 in
-    let running = ref true in
-    while !running do
-      match Stream.next_soa stream with
-      | None -> running := false
-      | Some c ->
-          let len = c.Chunk.len in
-          let thinkc = c.Chunk.think and tagc = c.Chunk.tag in
-          let diskc = c.Chunk.disk and bytesc = c.Chunk.bytes in
-          let blockc = c.Chunk.block in
-          for i = 0 to len - 1 do
-            let clock = Array.unsafe_get clockc 0 +. A1.unsafe_get thinkc i in
+            else if hooked then catch_up st ~now:issue;
+            let before =
+              match obs with
+              | None -> 0
+              | Some _ -> (
+                  match fault with
+                  | Some fs -> Fault.retries_so_far fs
+                  | None -> 0)
+            in
+            let bytes = A1.unsafe_get bytesc i in
             (match fault with
+            | None ->
+                Array.unsafe_set fbuf 0 issue;
+                serve_fast st ~fbuf ~bytes
+            | Some fs ->
+                Array.unsafe_set fbuf 0
+                  (Fault.serve fs st ~now:issue ~bytes
+                     ~block:(A1.unsafe_get blockc i)));
+            let completion = Array.unsafe_get fbuf 0 in
+            Array.unsafe_set backlog d completion;
+            Array.unsafe_set ring pos completion;
+            Array.unsafe_set recent_pos d
+              (let p = pos + 1 in
+               if p = depth then 0 else p);
+            if completion > Array.unsafe_get makespan 0 then
+              Array.unsafe_set makespan 0 completion;
+            let response = completion -. arrival in
+            (match obs with
             | None -> ()
-            | Some fs -> Fault.sweep fs ~now:clock ~kill);
-            let tag = A1.unsafe_get tagc i in
-            if tag > Chunk.tag_write then Array.unsafe_set clockc 0 clock
-            else begin
-              let disk0 = A1.unsafe_get diskc i in
-              let d =
-                match fault with
-                | None -> disk0
-                | Some fs -> Fault.serving_disk fs ~disk:disk0 ~now:clock
-              in
-              if d <> disk0 then
-                Disk_state.record
-                  (Array.unsafe_get disks d)
-                  ~at:clock (Timeline.Redirect disk0);
-              let st = Array.unsafe_get disks d in
-              let ring = Array.unsafe_get recent d in
-              let pos = Array.unsafe_get recent_pos d in
-              let oldest = Array.unsafe_get ring pos in
-              let clock = if oldest > clock then oldest else clock in
-              let arrival = clock in
-              (match obs with
-              | None -> ()
-              | Some o -> Observe.arrival o ~ring ~arrival);
-              let b = Array.unsafe_get backlog d in
-              let issue = if arrival >= b then arrival else b in
-              catch_up st ~now:issue;
-              let before =
-                match obs with
-                | None -> 0
-                | Some _ -> (
-                    match fault with
-                    | Some fs -> Fault.retries_so_far fs
-                    | None -> 0)
-              in
-              let bytes = A1.unsafe_get bytesc i in
-              (match fault with
-              | None ->
-                  Array.unsafe_set fbuf 0 issue;
-                  serve_fast st ~fbuf ~bytes
-              | Some fs ->
-                  Array.unsafe_set fbuf 0
-                    (Fault.serve fs st ~now:issue ~bytes
-                       ~block:(A1.unsafe_get blockc i)));
-              let completion = Array.unsafe_get fbuf 0 in
-              Array.unsafe_set backlog d completion;
-              Array.unsafe_set ring pos completion;
-              Array.unsafe_set recent_pos d
-                (let p = pos + 1 in
-                 if p = depth then 0 else p);
-              if completion > Array.unsafe_get makespan 0 then
-                Array.unsafe_set makespan 0 completion;
-              let response = completion -. arrival in
-              (match obs with
-              | None -> ()
-              | Some o ->
-                  Observe.service o ~fault ~retries_before:before ~response);
-              let fbytes = float_of_int bytes in
-              let quot =
-                if fbytes = Array.unsafe_get nomk d then
-                  Array.unsafe_get nomv d
-                else begin
-                  let q = fbytes /. Array.unsafe_get nom_denom d in
-                  Array.unsafe_set nomk d fbytes;
-                  Array.unsafe_set nomv d q;
-                  q
-                end
-              in
-              let nominal = Array.unsafe_get nom_base d +. quot in
-              on_complete st ~now:completion ~response ~nominal;
-              Array.unsafe_set clockc 0
-                (if open_mode then arrival +. nominal else completion)
-            end
-          done
-    done;
-    Array.unsafe_get clockc 0
-  in
-
-  let clock =
-    match policy.Policy.kind with
-    | Policy.Passive -> run_passive ()
-    | Policy.Directive_only -> run_directive ()
-    | Policy.Timer threshold -> run_timer threshold
-    | Policy.Hooked -> run_hooked ()
-  in
-  (* Cold tail: identical to the reference result assembly. *)
-  let clock = clock +. Stream.tail_think stream in
-  let ms = Array.unsafe_get makespan 0 in
-  let exec_time = if clock >= ms then clock else ms in
-  (match fault with
-  | None -> ()
-  | Some fs -> Fault.sweep fs ~now:exec_time ~kill);
-  Array.iter
-    (fun st ->
-      policy.Policy.catch_up st ~now:exec_time;
-      Disk_state.finalize st ~at:exec_time)
-    disks;
-  (match timeline with
-  | None -> ()
-  | Some sink ->
-      Timeline.set_label sink ~scheme:policy.Policy.name
-        ~program:(Stream.program stream);
-      if Array.length config.Config.fleet > 0 then
-        Timeline.set_fleet sink
-          (List.map Dpm_disk.Specs.name_of
-             (Array.to_list config.Config.fleet));
-      Timeline.emit sink (Timeline.Sim_end exec_time));
-  let disk_stats =
-    Array.map
-      (fun st ->
-        {
-          Result.energy = Disk_state.energy st;
-          busy = Disk_state.busy_intervals st;
-          requests = Disk_state.requests_served st;
-          transitions = Disk_state.transition_count st;
-          spin_downs = Disk_state.spin_down_count st;
-          level_residency = Disk_state.level_residency st;
-          standby_time = Disk_state.standby_residency st;
-          transition_time = Disk_state.transition_residency st;
-        })
-      disks
-  in
-  {
-    Result.scheme = policy.Policy.name;
-    program = Stream.program stream;
-    exec_time;
-    energy =
-      Array.fold_left
-        (fun acc (d : Result.disk_stats) -> acc +. d.Result.energy)
-        0.0 disk_stats;
-    disks = disk_stats;
-    gap_choices = List.rev !gap_choices;
-    faults =
-      (match fault with
-      | None -> Result.no_faults
-      | Some fs -> Fault.stats fs ~exec_time);
-  }
+            | Some o ->
+                Observe.service o ~fault ~retries_before:before ~response);
+            Array.unsafe_set clockc 0
+              (if open_mode || hooked then begin
+                 let top = Array.unsafe_get tops d in
+                 let fbytes = float_of_int bytes in
+                 let quot =
+                   if fbytes = Array.unsafe_get nomk d then
+                     Array.unsafe_get nomv d
+                   else begin
+                     let q = fbytes /. Array.unsafe_get st.svc_denom top in
+                     Array.unsafe_set nomk d fbytes;
+                     Array.unsafe_set nomv d q;
+                     q
+                   end
+                 in
+                 let nominal = Array.unsafe_get st.svc_base top +. quot in
+                 if hooked then
+                   on_complete st ~now:completion ~response ~nominal;
+                 if open_mode then arrival +. nominal else completion
+               end
+               else completion)
+          end
+        done
+  done;
+  Sched.finish s ~program:(Stream.program stream)
+    ~clock:(Array.unsafe_get clockc 0 +. Stream.tail_think stream)

@@ -1,22 +1,21 @@
 (** Specialized zero-allocation replay core.
 
-    The semantics are defined by [Engine]'s reference body; this module
-    re-implements the single-stream replay over structure-of-arrays
-    chunks ({!Dpm_trace.Trace.Stream.next_soa}) with one monomorphic
-    inner loop per {!Policy.kind} and the dominant-case service
-    arithmetic inlined.  Results — energies, execution times, fault
-    counters, gap choices, timelines, telemetry histograms — are
-    byte-identical to the reference for every supported policy, pinned
-    by the differential suite (test/test_fastpath.ml).  Reach it
-    through [Engine.run_stream ?core] rather than calling it directly. *)
+    The semantics are defined by the eager FCFS reference body
+    ({!Sched.fcfs_step}); this module re-implements it over
+    structure-of-arrays chunks ({!Dpm_trace.Trace.Stream.next_soa}) in
+    one inner loop whose policy-specific sites are branches on values
+    read once per replay, with the dominant-case service arithmetic
+    inlined.  Setup, directive application and result assembly are
+    {!Sched}'s.  Results — energies, execution times, fault counters,
+    gap choices, timelines, telemetry histograms — are byte-identical
+    to the reference for every policy shape, pinned by the differential
+    suite (test/test_fastpath.ml).  Reach it through
+    [Engine.run_stream ?core] rather than calling it directly. *)
 
-val supported : config:Config.t -> Policy.t -> bool
-(** Whether this core can replay the configuration/policy pair.  True
-    for every policy the simulator currently defines under the eager
-    FCFS order (heterogeneous fleets included); false for the
-    unoccupied shape [Hooked] + [accepts_directives] and for every
-    deferred queue discipline ([config.sched <> Fcfs]) — the engine
-    then falls back to the reference body in {!Sched}. *)
+val supported : config:Config.t -> bool
+(** Whether this core can replay under [config]: exactly when
+    [config.sched = Fcfs], for every policy and fleet.  The deferred
+    queue disciplines fall back to the reference body in {!Sched}. *)
 
 val replay :
   config:Config.t ->
@@ -28,5 +27,4 @@ val replay :
   Dpm_trace.Trace.Stream.t ->
   Result.t
 (** Drain the stream and return the outcome (the stream is consumed).
-    Raises [Invalid_argument] if {!supported} is false for the
-    policy. *)
+    Raises [Invalid_argument] if {!supported} is false. *)

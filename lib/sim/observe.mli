@@ -1,5 +1,5 @@
 (** Per-replay telemetry histograms, shared by the reference replay
-    body ({!Engine}) and the specialized one ({!Fastpath}).
+    body ({!Sched}) and the specialized one ({!Fastpath}).
 
     A replay accumulates service latency, queue depth and retry counts
     into its own local histograms and merges them into

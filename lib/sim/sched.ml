@@ -19,6 +19,7 @@
 
 module Request = Dpm_trace.Request
 module Stream = Dpm_trace.Trace.Stream
+module Chunk = Stream.Chunk
 module Rpm = Dpm_disk.Rpm
 module Service = Dpm_disk.Service
 module Specs = Dpm_disk.Specs
@@ -37,172 +38,218 @@ type req = { arrival : float; pos : int; block : int; bytes : int; seq : int }
 
 let no_req = { arrival = 0.0; pos = 0; block = 0; bytes = 0; seq = -1 }
 
+(* --- Replay scaffold ---
+
+   Shared by every replay body: the eager FCFS and deferred bodies
+   below, the structure-of-arrays core in {!Fastpath}, and the
+   multiprogrammed merge in {!Engine.run_many_stream}. *)
+
+type state = {
+  config : Config.t;
+  mode : [ `Open | `Closed ];
+  fault : Fault.state option;
+  timeline : Timeline.sink option;
+  obs : Observe.t option;
+  policy : Policy.t;
+  models : Specs.t array;
+  tops : int array;
+  disks : Disk_state.t array;
+  backlog : float array;
+  depth : int;
+  recent : float array array;
+  recent_pos : int array;
+  makespan : float array;
+  mutable gap_choices : (int * float * int) list;
+}
+
+let create ~config ~mode ~fault ~timeline ~obs policy ~ndisks =
+  (* Per-disk models: the round-robin fleet, or the homogeneous specs.
+     Every per-request float comes from the serving disk's own model,
+     so an all-[specs] fleet computes the identical bits the
+     homogeneous engine always has. *)
+  let models = Array.init ndisks (fun d -> Config.model config ~disk:d) in
+  let depth = max 1 config.Config.queue_depth in
+  {
+    config;
+    mode;
+    fault;
+    timeline;
+    obs;
+    policy;
+    models;
+    tops = Array.map Rpm.max_level models;
+    disks =
+      Array.init ndisks (fun id ->
+          Disk_state.create ?recorder:timeline
+            ~retain_busy:config.Config.retain_busy models.(id) ~id);
+    backlog = Array.make ndisks 0.0;
+    depth;
+    recent = Array.init ndisks (fun _ -> Array.make depth 0.0);
+    recent_pos = Array.make ndisks 0;
+    makespan = [| 0.0 |];
+    gap_choices = [];
+  }
+
+let sweep_failures s now =
+  match s.fault with
+  | None -> ()
+  | Some fs ->
+      Fault.sweep fs ~now ~kill:(fun d at -> Disk_state.fail s.disks.(d) ~at)
+
+let apply_directive s tag d level clock =
+  (* Boxed once, here, and shared by every call below: a plain float
+     let would be unboxed and re-boxed at each use. *)
+  let clock =
+    Sys.opaque_identity (clock +. s.config.Config.pm_call_overhead)
+  in
+  let st = s.disks.(d) in
+  if tag = Chunk.tag_spin_down then begin
+    Disk_state.record st ~at:clock Timeline.Directive_spin_down;
+    Disk_state.spin_down st ~now:clock
+  end
+  else if tag = Chunk.tag_spin_up then begin
+    Disk_state.record st ~at:clock Timeline.Directive_spin_up;
+    match s.fault with
+    | None -> Disk_state.spin_up st ~now:clock
+    | Some fs -> Fault.spin_up fs st ~now:clock
+  end
+  else begin
+    (* A directive planned against a taller ladder (the compiler plans
+       with the primary specs) clamps to this disk's top. *)
+    let top = s.tops.(d) in
+    let level = if level > top then top else level in
+    if level < top then s.gap_choices <- (d, clock, level) :: s.gap_choices;
+    Disk_state.record st ~at:clock (Timeline.Directive_set_rpm level);
+    Disk_state.set_level st ~now:clock level
+  end;
+  clock
+
+let apply_pm s directive clock =
+  match directive with
+  | Request.Spin_down d -> apply_directive s Chunk.tag_spin_down d 0 clock
+  | Request.Spin_up d -> apply_directive s Chunk.tag_spin_up d 0 clock
+  | Request.Set_rpm { level; disk } ->
+      apply_directive s Chunk.tag_set_rpm disk level clock
+
+let finish s ~program ~clock =
+  let makespan = s.makespan.(0) in
+  let exec_time = if clock >= makespan then clock else makespan in
+  sweep_failures s exec_time;
+  Array.iter
+    (fun st ->
+      s.policy.Policy.catch_up st ~now:exec_time;
+      Disk_state.finalize st ~at:exec_time)
+    s.disks;
+  (match s.timeline with
+  | None -> ()
+  | Some sink ->
+      Timeline.set_label sink ~scheme:s.policy.Policy.name ~program;
+      if Array.length s.config.Config.fleet > 0 then
+        Timeline.set_fleet sink
+          (List.map Specs.name_of (Array.to_list s.config.Config.fleet));
+      Timeline.emit sink (Timeline.Sim_end exec_time));
+  let disk_stats =
+    Array.map
+      (fun st ->
+        {
+          Result.energy = Disk_state.energy st;
+          busy = Disk_state.busy_intervals st;
+          requests = Disk_state.requests_served st;
+          transitions = Disk_state.transition_count st;
+          spin_downs = Disk_state.spin_down_count st;
+          level_residency = Disk_state.level_residency st;
+          standby_time = Disk_state.standby_residency st;
+          transition_time = Disk_state.transition_residency st;
+        })
+      s.disks
+  in
+  {
+    Result.scheme = s.policy.Policy.name;
+    program;
+    exec_time;
+    energy =
+      Array.fold_left
+        (fun acc (d : Result.disk_stats) -> acc +. d.Result.energy)
+        0.0 disk_stats;
+    disks = disk_stats;
+    gap_choices = List.rev s.gap_choices;
+    faults =
+      (match s.fault with
+      | None -> Result.no_faults
+      | Some fs -> Fault.stats fs ~exec_time);
+  }
+
+(* The eager reference body: a request issues the moment it arrives, in
+   trace order.  Identical whatever chunking the stream delivers, so
+   replays are byte-identical to the materialized path at any batch
+   size. *)
+let fcfs_step s clock event =
+  clock := !clock +. Request.think event;
+  sweep_failures s !clock;
+  match event with
+  | Request.Pm { directive; _ } ->
+      if s.policy.Policy.accepts_directives then
+        clock := apply_pm s directive !clock
+  | Request.Io io ->
+      (* A failed disk sheds its load onto the next survivor. *)
+      let d =
+        match s.fault with
+        | None -> io.disk
+        | Some fs -> Fault.serving_disk fs ~disk:io.disk ~now:!clock
+      in
+      if d <> io.disk then
+        Disk_state.record s.disks.(d) ~at:!clock (Timeline.Redirect io.disk);
+      let st = s.disks.(d) in
+      (* Bounded queue: wait until the oldest of the last [depth]
+         requests on this disk has completed. *)
+      let ring = s.recent.(d) and pos = s.recent_pos.(d) in
+      if ring.(pos) > !clock then clock := ring.(pos);
+      let arrival = !clock in
+      Observe.observe_arrival s.obs ~ring ~arrival;
+      let issue = max arrival s.backlog.(d) in
+      s.policy.Policy.catch_up st ~now:issue;
+      let before = Observe.retries_before s.obs s.fault in
+      let completion =
+        match s.fault with
+        | None -> Disk_state.serve st ~now:issue ~bytes:io.bytes
+        | Some fs ->
+            Fault.serve fs st ~now:issue ~bytes:io.bytes ~block:io.block
+      in
+      s.backlog.(d) <- completion;
+      ring.(pos) <- completion;
+      s.recent_pos.(d) <- (pos + 1) mod s.depth;
+      if completion > s.makespan.(0) then s.makespan.(0) <- completion;
+      let response = completion -. arrival in
+      Observe.observe_service s.obs ~fault:s.fault ~retries_before:before
+        ~response;
+      let nominal =
+        Service.request_time s.models.(d) ~level:s.tops.(d) ~bytes:io.bytes
+      in
+      s.policy.Policy.on_complete st ~now:completion ~response ~nominal;
+      clock :=
+        match s.mode with
+        | `Open ->
+            (* The traced application proceeds on its own clock: the
+               base-run service time elapses before the next think. *)
+            arrival +. nominal
+        | `Closed -> completion
+
 let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
     (stream : Stream.t) =
   let sched = config.Config.sched in
   let ndisks = Stream.ndisks stream in
-  (* Per-disk models: the round-robin fleet, or the homogeneous specs.
-     Every per-request float below comes from the serving disk's own
-     model, so an all-[specs] fleet computes the identical bits the
-     homogeneous engine always has. *)
-  let models = Array.init ndisks (fun d -> Config.model config ~disk:d) in
-  let tops = Array.map Rpm.max_level models in
-  let disks =
-    Array.init ndisks (fun id ->
-        Disk_state.create ?recorder:timeline
-          ~retain_busy:config.Config.retain_busy models.(id) ~id)
-  in
-  let gap_choices = ref [] in
-  (* Application clock: in open mode it advances along the traced (base)
-     timeline; in closed mode it advances to each actual completion. *)
-  let clock = ref 0.0 in
-  (* Completion time of the last request issued to each disk. *)
-  let backlog = Array.make ndisks 0.0 in
-  (* Ring of the last [queue_depth] completions per disk: the traced
-     application stalls rather than queue more than that. *)
-  let depth = max 1 config.Config.queue_depth in
-  let recent = Array.init ndisks (fun _ -> Array.make depth 0.0) in
-  let recent_pos = Array.make ndisks 0 in
-  let makespan = ref 0.0 in
-  let sweep_failures now =
-    match fault with
-    | None -> ()
-    | Some fs ->
-        Fault.sweep fs ~now ~kill:(fun d at -> Disk_state.fail disks.(d) ~at)
-  in
-  let apply_directive directive =
-    clock := !clock +. config.Config.pm_call_overhead;
-    match directive with
-    | Request.Spin_down d ->
-        Disk_state.record disks.(d) ~at:!clock Timeline.Directive_spin_down;
-        Disk_state.spin_down disks.(d) ~now:!clock
-    | Request.Spin_up d -> (
-        Disk_state.record disks.(d) ~at:!clock Timeline.Directive_spin_up;
-        match fault with
-        | None -> Disk_state.spin_up disks.(d) ~now:!clock
-        | Some fs -> Fault.spin_up fs disks.(d) ~now:!clock)
-    | Request.Set_rpm { level; disk } ->
-        (* A directive planned against a taller ladder (the compiler
-           plans with the primary specs) clamps to this disk's top. *)
-        let level = if level > tops.(disk) then tops.(disk) else level in
-        if level < tops.(disk) then
-          gap_choices := (disk, !clock, level) :: !gap_choices;
-        Disk_state.record disks.(disk) ~at:!clock
-          (Timeline.Directive_set_rpm level);
-        Disk_state.set_level disks.(disk) ~now:!clock level
-  in
-  let finish exec_time =
-    sweep_failures exec_time;
-    Array.iter
-      (fun st ->
-        policy.Policy.catch_up st ~now:exec_time;
-        Disk_state.finalize st ~at:exec_time)
-      disks;
-    (match timeline with
-    | None -> ()
-    | Some sink ->
-        Timeline.set_label sink ~scheme:policy.Policy.name
-          ~program:(Stream.program stream);
-        if Array.length config.Config.fleet > 0 then
-          Timeline.set_fleet sink
-            (List.map Specs.name_of (Array.to_list config.Config.fleet));
-        Timeline.emit sink (Timeline.Sim_end exec_time));
-    let disk_stats =
-      Array.map
-        (fun st ->
-          {
-            Result.energy = Disk_state.energy st;
-            busy = Disk_state.busy_intervals st;
-            requests = Disk_state.requests_served st;
-            transitions = Disk_state.transition_count st;
-            spin_downs = Disk_state.spin_down_count st;
-            level_residency = Disk_state.level_residency st;
-            standby_time = Disk_state.standby_residency st;
-            transition_time = Disk_state.transition_residency st;
-          })
-        disks
-    in
-    {
-      Result.scheme = policy.Policy.name;
-      program = Stream.program stream;
-      exec_time;
-      energy =
-        Array.fold_left
-          (fun acc (d : Result.disk_stats) -> acc +. d.Result.energy)
-          0.0 disk_stats;
-      disks = disk_stats;
-      gap_choices = List.rev !gap_choices;
-      faults =
-        (match fault with
-        | None -> Result.no_faults
-        | Some fs -> Fault.stats fs ~exec_time);
-    }
-  in
+  let s = create ~config ~mode ~fault ~timeline ~obs policy ~ndisks in
+  let program = Stream.program stream in
   match sched with
   | Fcfs ->
-      (* The eager reference body: requests issue in trace order the
-         moment they arrive.  Identical whatever chunking the stream
-         delivers, so replays are byte-identical to the materialized
-         path at any batch size. *)
-      Stream.iter
-        (fun event ->
-          clock := !clock +. Request.think event;
-          sweep_failures !clock;
-          match event with
-          | Request.Pm { directive; _ } ->
-              if policy.Policy.accepts_directives then apply_directive directive
-          | Request.Io io ->
-              (* A failed disk sheds its load onto the next survivor. *)
-              let d =
-                match fault with
-                | None -> io.disk
-                | Some fs -> Fault.serving_disk fs ~disk:io.disk ~now:!clock
-              in
-              if d <> io.disk then
-                Disk_state.record disks.(d) ~at:!clock
-                  (Timeline.Redirect io.disk);
-              let st = disks.(d) in
-              (* Bounded queue: wait until the oldest of the last [depth]
-                 requests on this disk has completed. *)
-              let oldest = recent.(d).(recent_pos.(d)) in
-              if oldest > !clock then clock := oldest;
-              let arrival = !clock in
-              Observe.observe_arrival obs ~ring:recent.(d) ~arrival;
-              let issue = max arrival backlog.(d) in
-              policy.Policy.catch_up st ~now:issue;
-              let before = Observe.retries_before obs fault in
-              let completion =
-                match fault with
-                | None -> Disk_state.serve st ~now:issue ~bytes:io.bytes
-                | Some fs ->
-                    Fault.serve fs st ~now:issue ~bytes:io.bytes
-                      ~block:io.block
-              in
-              backlog.(d) <- completion;
-              recent.(d).(recent_pos.(d)) <- completion;
-              recent_pos.(d) <- (recent_pos.(d) + 1) mod depth;
-              if completion > !makespan then makespan := completion;
-              let response = completion -. arrival in
-              Observe.observe_service obs ~fault ~retries_before:before
-                ~response;
-              let nominal =
-                Service.request_time models.(d) ~level:tops.(d) ~bytes:io.bytes
-              in
-              policy.Policy.on_complete st ~now:completion ~response ~nominal;
-              (match mode with
-              | `Open ->
-                  (* The traced application proceeds on its own clock:
-                     the base-run service time elapses before the next
-                     think. *)
-                  clock := arrival +. nominal
-              | `Closed -> clock := completion))
-        stream;
-      clock := !clock +. Stream.tail_think stream;
-      finish (max !clock !makespan)
+      let clock = ref 0.0 in
+      Stream.iter (fcfs_step s clock) stream;
+      finish s ~program ~clock:(!clock +. Stream.tail_think stream)
   | Sstf | Scan | Clook | Sstf_remap ->
       (* Deferred dispatch: requests park in their disk's bounded queue
          and issue by discipline at max(disk free, earliest arrival). *)
-      let pend = Array.init ndisks (fun _ -> Array.make depth no_req) in
+      let clock = ref 0.0 in
+      let pend = Array.init ndisks (fun _ -> Array.make s.depth no_req) in
       let pend_n = Array.make ndisks 0 in
       let head = Array.make ndisks 0 in
       let dirup = Array.make ndisks true in
@@ -232,7 +279,7 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
           for i = 1 to n - 1 do
             if q.(i).arrival < !m then m := q.(i).arrival
           done;
-          Float.max backlog.(d) !m
+          Float.max s.backlog.(d) !m
         end
       in
       (* Pick the queue index to serve at time [at] (at least one queued
@@ -284,14 +331,14 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
       in
       let dispatch d =
         let t_disp = next_t d in
-        sweep_failures t_disp;
+        sweep_failures s t_disp;
         let i = pick d ~at:t_disp in
         let q = pend.(d) in
         let r = q.(i) in
         pend_n.(d) <- pend_n.(d) - 1;
         q.(i) <- q.(pend_n.(d));
         q.(pend_n.(d)) <- no_req;
-        let st = disks.(d) in
+        let st = s.disks.(d) in
         let seek = r.pos - head.(d) in
         head.(d) <- r.pos;
         Disk_state.record st ~at:t_disp
@@ -304,16 +351,16 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
           | Some fs ->
               Fault.serve fs st ~now:t_disp ~bytes:r.bytes ~block:r.block
         in
-        backlog.(d) <- completion;
-        recent.(d).(issued.(d) mod depth) <- completion;
+        s.backlog.(d) <- completion;
+        s.recent.(d).(issued.(d) mod s.depth) <- completion;
         issued.(d) <- issued.(d) + 1;
-        if completion > !makespan then makespan := completion;
+        if completion > s.makespan.(0) then s.makespan.(0) <- completion;
         let response = completion -. r.arrival in
         Observe.observe_service obs ~fault ~retries_before:before ~response;
         Observe.observe_dispatch obs ~wait:(t_disp -. r.arrival)
           ~seek_blocks:seek;
         let nominal =
-          Service.request_time models.(d) ~level:tops.(d) ~bytes:r.bytes
+          Service.request_time s.models.(d) ~level:s.tops.(d) ~bytes:r.bytes
         in
         policy.Policy.on_complete st ~now:completion ~response ~nominal
       in
@@ -344,10 +391,11 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
         (fun event ->
           clock := !clock +. Request.think event;
           drain_until !clock;
-          sweep_failures !clock;
+          sweep_failures s !clock;
           match event with
           | Request.Pm { directive; _ } ->
-              if policy.Policy.accepts_directives then apply_directive directive
+              if policy.Policy.accepts_directives then
+                clock := apply_pm s directive !clock
           | Request.Io io ->
               let d =
                 match fault with
@@ -355,20 +403,21 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
                 | Some fs -> Fault.serving_disk fs ~disk:io.disk ~now:!clock
               in
               if d <> io.disk then
-                Disk_state.record disks.(d) ~at:!clock
+                Disk_state.record s.disks.(d) ~at:!clock
                   (Timeline.Redirect io.disk);
               (* Bounded queue: a full queue stalls the application
                  until the next dispatch frees a slot. *)
-              while pend_n.(d) >= depth do
+              while pend_n.(d) >= s.depth do
                 let t = next_t d in
                 dispatch d;
                 if t > !clock then clock := t
               done;
               let arrival = !clock in
-              Observe.observe_arrival obs ~ring:recent.(d) ~arrival;
+              Observe.observe_arrival obs ~ring:s.recent.(d) ~arrival;
               enqueue d ~arrival ~block:io.block ~bytes:io.bytes;
               let nominal =
-                Service.request_time models.(d) ~level:tops.(d) ~bytes:io.bytes
+                Service.request_time s.models.(d) ~level:s.tops.(d)
+                  ~bytes:io.bytes
               in
               (match mode with
               | `Open -> clock := arrival +. nominal
@@ -378,10 +427,9 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
                   while pend_n.(d) > 0 do
                     dispatch d
                   done;
-                  clock := backlog.(d)))
+                  clock := s.backlog.(d)))
         stream;
       (* End of trace: the queues flush — every request completes, so
          the disciplines cannot starve anything. *)
       drain_until infinity;
-      clock := !clock +. Stream.tail_think stream;
-      finish (max !clock !makespan)
+      finish s ~program ~clock:(!clock +. Stream.tail_think stream)

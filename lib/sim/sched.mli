@@ -32,6 +32,62 @@ val all : t list
 val name : t -> string
 val of_name_opt : string -> t option
 
+(** {1 Replay scaffold}
+
+    The per-disk setup, directive application and result assembly that
+    every replay body shares: the reference bodies here, the
+    structure-of-arrays core ({!Fastpath}) and the multiprogrammed merge
+    ({!Engine.run_many_stream}).  Engine-internal. *)
+
+type state = {
+  config : Config.t;
+  mode : [ `Open | `Closed ];
+  fault : Fault.state option;
+  timeline : Timeline.sink option;
+  obs : Observe.t option;
+  policy : Policy.t;
+  models : Dpm_disk.Specs.t array;  (** Per-disk model ({!Config.model}). *)
+  tops : int array;  (** Per-disk top RPM level. *)
+  disks : Disk_state.t array;
+  backlog : float array;
+      (** Completion time of the last request issued to each disk. *)
+  depth : int;  (** [max 1 config.queue_depth]. *)
+  recent : float array array;
+      (** Per disk, a ring of the last [depth] completions: the traced
+          application stalls rather than queue more than that. *)
+  recent_pos : int array;  (** Each ring's oldest slot. *)
+  makespan : float array;
+      (** One cell: the latest completion so far (a float array, so
+          stores stay unboxed). *)
+  mutable gap_choices : (int * float * int) list;  (** Newest first. *)
+}
+
+val create :
+  config:Config.t ->
+  mode:[ `Open | `Closed ] ->
+  fault:Fault.state option ->
+  timeline:Timeline.sink option ->
+  obs:Observe.t option ->
+  Policy.t ->
+  ndisks:int ->
+  state
+
+val apply_directive : state -> int -> int -> int -> float -> float
+(** [apply_directive s tag disk level clock] applies one directive given
+    in the structure-of-arrays encoding ({!Dpm_trace.Trace.Stream.Chunk}
+    tag, disk, and level for [Set_rpm]) at the application clock, and
+    returns the clock after the power-management call overhead. *)
+
+val fcfs_step : state -> float ref -> Dpm_trace.Request.event -> unit
+(** [fcfs_step s clock event] is the eager FCFS reference body: it
+    replays one event and advances the application clock [clock] past
+    it.  Directives apply only when the policy accepts them. *)
+
+val finish : state -> program:string -> clock:float -> Result.t
+(** End of replay at [max clock makespan]: the last failures are swept,
+    the policy catches up and every disk closes, the timeline gets its
+    label, fleet and [Sim_end], and the result is assembled. *)
+
 val replay :
   config:Config.t ->
   mode:[ `Open | `Closed ] ->

@@ -1,6 +1,7 @@
 module Power = Dpm_disk.Power
 module Rpm = Dpm_disk.Rpm
 module Specs = Dpm_disk.Specs
+module Json = Dpm_util.Json
 
 type state =
   | Ready of int
@@ -970,15 +971,15 @@ let event_json = function
   | Sim_end t -> Printf.sprintf {|{"ev":"end","t":%s}|} (fstr t)
 
 let write_jsonl t oc =
+  let jstr s = Json.to_string (Json.Str s) in
   (* The fleet rides in the meta line only when heterogeneous, so
      legacy logs round-trip byte-identically. *)
   let fleet_field =
     if t.t_fleet = [] then ""
-    else Printf.sprintf {|,"fleet":"%s"|} (String.concat ";" t.t_fleet)
+    else Printf.sprintf {|,"fleet":%s|} (jstr (String.concat ";" t.t_fleet))
   in
-  Printf.fprintf oc
-    {|{"ev":"meta","scheme":"%s","program":"%s","analytic":%b%s}|} t.t_scheme
-    t.t_program t.t_analytic fleet_field;
+  Printf.fprintf oc {|{"ev":"meta","scheme":%s,"program":%s,"analytic":%b%s}|}
+    (jstr t.t_scheme) (jstr t.t_program) t.t_analytic fleet_field;
   output_char oc '\n';
   List.iter
     (fun ev ->
@@ -1045,63 +1046,16 @@ let write_csv t oc =
       | Sim_end t -> row ~ev:"end" ~t:(fstr t) ())
     t.t_events
 
-(* --- JSONL parsing (only what write_jsonl emits: one flat object per
-   line, string/number/bool values, no escapes) --- *)
+(* --- JSONL parsing: one JSON object per line --- *)
 
-let parse_flat line =
-  let n = String.length line in
-  let fields = ref [] in
-  let i = ref 0 in
-  let fail m = failwith (Printf.sprintf "Timeline.read_jsonl: %s in %S" m line) in
-  let skip_ws () = while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done in
-  skip_ws ();
-  if !i >= n || line.[!i] <> '{' then fail "expected '{'";
-  incr i;
-  let read_string () =
-    if !i >= n || line.[!i] <> '"' then fail "expected '\"'";
-    incr i;
-    let start = !i in
-    while !i < n && line.[!i] <> '"' do incr i done;
-    if !i >= n then fail "unterminated string";
-    let s = String.sub line start (!i - start) in
-    incr i;
-    s
-  in
-  let rec entries () =
-    skip_ws ();
-    if !i < n && line.[!i] = '}' then ()
-    else begin
-      let key = read_string () in
-      skip_ws ();
-      if !i >= n || line.[!i] <> ':' then fail "expected ':'";
-      incr i;
-      skip_ws ();
-      let value =
-        if !i < n && line.[!i] = '"' then read_string ()
-        else begin
-          let start = !i in
-          while !i < n && line.[!i] <> ',' && line.[!i] <> '}' do incr i done;
-          String.trim (String.sub line start (!i - start))
-        end
-      in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      if !i < n && line.[!i] = ',' then begin
-        incr i;
-        entries ()
-      end
-    end
-  in
-  entries ();
-  List.rev !fields
-
-let get fields key =
-  match List.assoc_opt key fields with
+let field fields key conv =
+  match Option.bind (Json.member key fields) conv with
   | Some v -> v
   | None -> failwith ("Timeline.read_jsonl: missing field " ^ key)
 
-let geti fields key = int_of_string (get fields key)
-let getf fields key = float_of_string (get fields key)
+let get fields key = field fields key Json.to_str
+let geti fields key = field fields key Json.to_int
+let getf fields key = field fields key Json.to_float
 
 let event_of_fields fields =
   match get fields "ev" with
@@ -1165,7 +1119,7 @@ let event_of_fields fields =
               {
                 predicted = getf fields "predicted";
                 level = geti fields "level";
-                spin_down = bool_of_string (get fields "spin_down");
+                spin_down = field fields "spin_down" Json.to_bool;
               }
         | "dispatch" ->
             let name = get fields "sched" in
@@ -1209,12 +1163,17 @@ let read_jsonl ic =
      while true do
        let line = input_line ic in
        if String.trim line <> "" then begin
-         let fields = parse_flat line in
+         let fields =
+           match Json.parse_string line with
+           | Ok j -> j
+           | Error e ->
+               failwith (Printf.sprintf "Timeline.read_jsonl: %s in %S" e line)
+         in
          match get fields "ev" with
          | "meta" ->
              flush ();
              let fleet =
-               match List.assoc_opt "fleet" fields with
+               match Option.bind (Json.member "fleet" fields) Json.to_str with
                | None | Some "" -> []
                | Some names -> String.split_on_char ';' names
              in
@@ -1222,7 +1181,7 @@ let read_jsonl ic =
                Some
                  ( get fields "scheme",
                    get fields "program",
-                   bool_of_string (get fields "analytic"),
+                   field fields "analytic" Json.to_bool,
                    fleet,
                    [] )
          | _ ->

@@ -95,11 +95,15 @@ let run pool f xs =
       let batch_mutex = Mutex.create () in
       let batch_done = Condition.create () in
       let remaining = ref n in
-      let cancelled = ref false in
+      (* Lowest index that has failed so far ([n] while none has).  A
+         task is skipped only when a lower-indexed one already failed,
+         so the lowest-indexed failure always runs and is the one
+         re-raised, whatever order the workers pick tasks in. *)
+      let first_failed = ref n in
       let task i () =
         let cancel =
           Mutex.lock batch_mutex;
-          let c = !cancelled in
+          let c = !first_failed < i in
           Mutex.unlock batch_mutex;
           c
         in
@@ -114,7 +118,9 @@ let run pool f xs =
         in
         Mutex.lock batch_mutex;
         slots.(i) <- outcome;
-        (match outcome with Failed _ -> cancelled := true | _ -> ());
+        (match outcome with
+        | Failed _ -> first_failed := min !first_failed i
+        | _ -> ());
         decr remaining;
         if !remaining = 0 then Condition.signal batch_done;
         Mutex.unlock batch_mutex
@@ -130,8 +136,7 @@ let run pool f xs =
         Condition.wait batch_done batch_mutex
       done;
       Mutex.unlock batch_mutex;
-      (* Deterministic error choice: the lowest-indexed failure wins,
-         whatever order the workers actually hit them in. *)
+      (* Deterministic error choice: the lowest-indexed failure wins. *)
       Array.iter
         (function
           | Failed (e, bt) -> Printexc.raise_with_backtrace e bt | _ -> ())

@@ -25,9 +25,9 @@ val size : t -> int
 val run : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [run pool f xs] applies [f] to every element of [xs] on the pool's
     workers and returns the results in input order.  If one or more
-    applications raise, the remaining queued tasks are cancelled, every
-    in-flight task is drained, and the exception of the {e
-    lowest-indexed} failing element is re-raised on the calling domain
+    applications raise, queued tasks above the lowest failed index are
+    cancelled, every in-flight task is drained, and the exception of the
+    {e lowest-indexed} failing element is re-raised on the calling domain
     (with its backtrace) — so the surfaced error is deterministic too.
     The pool stays usable after a failed batch. *)
 

@@ -2,7 +2,7 @@
    acceptance property.  [Engine.run_stream ~core:`Fast] must be
    byte-identical to [~core:`Reference] on results, timeline event
    lists, fault counters and telemetry histograms, for every policy
-   shape, batch size and fault setting; and the specialized loops must
+   shape, batch size and fault setting; and the specialized loop must
    not allocate per event.  The SoA chunk representation itself is
    pinned by lossless round-trip tests against the record events. *)
 
@@ -26,7 +26,7 @@ module Telemetry = Dpm_util.Telemetry
 (* Policies are built fresh per replay: the reactive ones carry mutable
    controller state (DRPM windows, adaptive thresholds) that must not
    leak across runs. *)
-let policies config ~ndisks =
+let builtin_policies config ~ndisks =
   [
     ("base", fun () -> Policy.base);
     ("tpm", fun () -> Policy.tpm config);
@@ -36,6 +36,25 @@ let policies config ~ndisks =
     ("cm_tpm", fun () -> Policy.cm_tpm);
     ("cm_drpm", fun () -> Policy.cm_drpm);
   ]
+
+(* Artificial policies that take request-driven hooks AND trace
+   directives: a [Hooked] kind with CMDRPM's directives, and the
+   Adaptive auto-tuner made to accept directives. *)
+let hooked_directive_policies config ~ndisks =
+  [
+    ( "hooked_cm",
+      fun () ->
+        { Policy.cm_drpm with Policy.kind = Policy.Hooked; name = "weird" } );
+    ( "directive_adaptive",
+      fun () ->
+        {
+          (Policy.adaptive config ~ndisks) with
+          Policy.accepts_directives = true;
+        } );
+  ]
+
+let policies config ~ndisks =
+  builtin_policies config ~ndisks @ hooked_directive_policies config ~ndisks
 
 let replay_pair ?(config = Config.default) ~faults ~batch mk trace =
   let sink_r = Timeline.sink () and sink_f = Timeline.sink () in
@@ -53,7 +72,7 @@ let replay_pair ?(config = Config.default) ~faults ~batch mk trace =
 
 (* --- The core differential property --- *)
 
-(* The fleet varies too: the specialized loops carry per-disk service
+(* The fleet varies too: the specialized loop reads per-disk service
    tables and nominal-time caches, and heterogeneous fleets (FCFS, so
    the fast path genuinely engages) must not break the differential. *)
 let qcheck_core_equiv =
@@ -80,54 +99,34 @@ let qcheck_core_equiv =
             [ 1; 7; 4096 ])
         (policies config ~ndisks))
 
-(* An artificial policy of the one unsupported shape (request-driven
-   hooks AND trace directives): `Fast must detect it and fall back to
-   the reference body rather than misreplay. *)
-let test_unsupported_shape_falls_back () =
-  let hooked_cm =
-    { Policy.cm_drpm with Policy.kind = Policy.Hooked; name = "weird" }
-  in
-  Alcotest.(check bool)
-    "shape rejected by Fastpath.supported" false
-    (Fastpath.supported ~config:Config.default hooked_cm);
-  let trace = Gen.sample_trace () in
-  let r_ref =
-    Engine.run_stream ~core:`Reference hooked_cm (Stream.of_trace trace)
-  in
-  let r_fast =
-    Engine.run_stream ~core:`Fast hooked_cm (Stream.of_trace trace)
-  in
-  Alcotest.(check bool) "fallback result identical" true (r_ref = r_fast);
-  (* Same property for the Adaptive auto-tuner forced into the
-     unsupported shape: the fast core must fall back, and because the
-     controller's learned state is rebuilt per replay the fallback is
-     still bit-identical. *)
-  let directive_adaptive () =
-    {
-      (Policy.adaptive Config.default ~ndisks:(Trace.ndisks trace)) with
-      Policy.accepts_directives = true;
-    }
-  in
-  Alcotest.(check bool)
-    "directive-accepting adaptive rejected by Fastpath.supported" false
-    (Fastpath.supported ~config:Config.default (directive_adaptive ()));
-  let r_ref =
-    Engine.run_stream ~core:`Reference (directive_adaptive ())
-      (Stream.of_trace trace)
-  in
-  let r_fast =
-    Engine.run_stream ~core:`Fast (directive_adaptive ())
-      (Stream.of_trace trace)
-  in
-  Alcotest.(check bool) "adaptive fallback result identical" true
-    (r_ref = r_fast)
+(* [Fastpath.replay] itself, with no fallback to the reference body:
+   it raises on a configuration it cannot replay. *)
+let fast_direct policy trace =
+  Fastpath.replay ~config:Config.default ~mode:`Open ~fault:None
+    ~timeline:None ~obs:None policy (Stream.of_trace trace)
 
-let test_supported_shapes () =
+(* Every policy shape replays on the fast core (no fallback) and
+   matches the reference body. *)
+let check_fast_direct policies =
+  let trace = Gen.sample_trace () in
   List.iter
     (fun (name, mk) ->
-      Alcotest.(check bool) (name ^ " supported") true
-        (Fastpath.supported ~config:Config.default (mk ())))
-    (policies Config.default ~ndisks:4)
+      let r_ref =
+        Engine.run_stream ~core:`Reference (mk ()) (Stream.of_trace trace)
+      in
+      Alcotest.(check bool) (name ^ " replays on the fast core") true
+        (fast_direct (mk ()) trace = r_ref))
+    (policies Config.default ~ndisks:(Trace.ndisks trace))
+
+(* The Hooked + directives shapes, which [Fastpath.supported] used to
+   reject: they now replay on the fast core. *)
+let test_unsupported_shape_falls_back () =
+  check_fast_direct hooked_directive_policies
+
+let test_supported_shapes () =
+  Alcotest.(check bool) "FCFS supported" true
+    (Fastpath.supported ~config:Config.default);
+  check_fast_direct builtin_policies
 
 (* --- Experiment level: all seven schemes, both cores, 1 vs 4 domains --- *)
 
@@ -199,7 +198,7 @@ let words_per_event core policy trace =
 
 let test_allocation_regression () =
   let trace = Gen.busy_trace ~think:0.02 ~n:20_000 ~ndisks:4 () in
-  (* Specialized non-hooked loops: a handful of words per *chunk*
+  (* Non-hooked policies: a handful of words per *chunk*
      (stream bookkeeping), so well under one word per event. *)
   List.iter
     (fun (name, policy) ->

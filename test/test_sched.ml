@@ -250,7 +250,7 @@ let test_fastpath_fallback () =
   List.iter
     (fun sched ->
       let config = Config.with_sched sched Config.default in
-      let supported = Fastpath.supported ~config Policy.base in
+      let supported = Fastpath.supported ~config in
       Alcotest.(check bool)
         (Config.sched_name sched ^ " fastpath support")
         (sched = Config.Fcfs) supported;

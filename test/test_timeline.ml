@@ -280,26 +280,34 @@ let test_directive_marks () =
     (Timeline.pre_activation_totals tl)
 
 (* JSONL round-trip: what write_jsonl emits, read_jsonl restores —
-   events, labels and the analytic flag, for several logs per file. *)
+   events, labels and the analytic flag, for several logs per file,
+   including a label that needs JSON escaping. *)
 let test_jsonl_round_trip () =
   let p, plan = phased_workload () in
   let logged =
     logged_run_all ~schemes:[ Scheme.Cmdrpm; Scheme.Idrpm ] p plan
   in
+  let escaped =
+    let sink = Timeline.sink () in
+    Timeline.set_label sink ~scheme:"Base" ~program:"my\"prog\\x";
+    Timeline.emit sink (Timeline.Sim_end 1.5);
+    Timeline.contents sink
+  in
+  let logs = List.map (fun (_, _, tl) -> tl) logged @ [ escaped ] in
   let path = Filename.temp_file "dpm_timeline" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      List.iter (fun (_, _, tl) -> Timeline.write_jsonl tl oc) logged;
+      List.iter (fun tl -> Timeline.write_jsonl tl oc) logs;
       close_out oc;
       let ic = open_in path in
       let back = Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
           Timeline.read_jsonl ic)
       in
-      Alcotest.(check int) "two sections" 2 (List.length back);
+      Alcotest.(check int) "three sections" 3 (List.length back);
       List.iter2
-        (fun (_, _, tl) tl' ->
+        (fun tl tl' ->
           Alcotest.(check string) "scheme" (Timeline.scheme tl)
             (Timeline.scheme tl');
           Alcotest.(check string) "program" (Timeline.program tl)
@@ -308,7 +316,7 @@ let test_jsonl_round_trip () =
             (Timeline.is_analytic tl');
           Alcotest.(check bool) "events round-trip" true
             (Timeline.events tl = Timeline.events tl'))
-        logged back)
+        logs back)
 
 (* CSV export: one data row per event under a fixed header. *)
 let test_csv_shape () =
