@@ -1,6 +1,6 @@
 .PHONY: all build test check bench fault-check timeline-check report-check \
-  stream-check perf-check core-check sweep-check sched-check meter-check \
-  serve-check clean
+  metrics-check stream-check perf-check core-check sweep-check sched-check \
+  meter-check serve-check clean
 
 all: build
 
@@ -56,6 +56,23 @@ report-check: build
 	  --trace _build/report_trace.json --schema > _build/report_schema.out
 	cmp _build/report_schema.out test/golden/report_schema.expected
 	dune exec bench/main.exe -- table1 --json _build/bench.json > /dev/null
+
+# Collector smoke: which stages (with call counts), counters and
+# throughput lines --metrics prints for a fixed faulty run and for a
+# figure fanned out over two pool domains must reproduce the checked-in
+# golden.  The filter keeps only the metrics sections and drops what
+# varies run to run: the total/mean timing columns, the rule lines
+# (their width follows the timings) and the throughput values.
+METRICS_FILTER = awk '/^== Metrics: / { m = 1; s = /per-stage/ } \
+  !m || /^-[- ]*$$/ { next } s && /^[a-z]/ { $$0 = $$1 " " $$2 } \
+  /\/s: / { sub(/: .*/, ":") } { print }'
+metrics-check: build
+	dune exec bin/dpmsim.exe -- simulate -b swim -s Base,DRPM,CMDRPM \
+	  --faults "$(FAULT_SPEC)" --metrics | $(METRICS_FILTER) \
+	  > _build/metrics_smoke.out
+	dune exec bin/dpmsim.exe -- figure table2 --metrics --domains 2 \
+	  | $(METRICS_FILTER) >> _build/metrics_smoke.out
+	cmp _build/metrics_smoke.out test/golden/metrics_smoke.expected
 
 # Streaming smoke: the fused generate→replay pipeline must be
 # byte-identical to the materialized path through the CLI — against the

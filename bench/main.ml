@@ -13,7 +13,7 @@
 
 open Cmdliner
 module Figures = Dpm_core.Figures
-module Metrics = Dpm_util.Metrics
+module Telemetry = Dpm_util.Telemetry
 module Pool = Dpm_util.Pool
 
 let available =
@@ -40,12 +40,12 @@ let available =
 let timings : (string * float) list ref = ref []
 
 let print_figure name f =
-  let t0 = Metrics.now () in
-  let figure = Figures.traced name f in
-  let dt = Metrics.now () -. t0 in
-  timings := (name, dt) :: !timings;
-  if Metrics.enabled Metrics.global then
-    Metrics.record_span Metrics.global ("figure." ^ name) dt;
+  let t0 = Telemetry.now () in
+  let figure =
+    Telemetry.span Telemetry.global ("figure." ^ name) (fun () ->
+        Figures.traced name f)
+  in
+  timings := (name, Telemetry.now () -. t0) :: !timings;
   print_string figure.Figures.rendered;
   print_newline ()
 
@@ -96,22 +96,22 @@ let stream_mode () =
   let p = Dpm_ir.Parser.program ~name:"stream-synthetic" stream_source in
   let plan = Dpm_workloads.Suite.default_plan p in
   let config = Dpm_sim.Config.make ~retain_busy:false () in
-  let t_total0 = Metrics.now () in
+  let t_total0 = Telemetry.now () in
   Gc.compact ();
   let heap0 = (Gc.quick_stat ()).Gc.top_heap_words in
-  let t0 = Metrics.now () in
+  let t0 = Telemetry.now () in
   let r_stream =
     Dpm_sim.Engine.run_stream ~config Dpm_sim.Policy.base
       (Dpm_trace.Generate.stream p plan)
   in
-  let stream_s = Metrics.now () -. t0 in
+  let stream_s = Telemetry.now () -. t0 in
   let heap1 = (Gc.quick_stat ()).Gc.top_heap_words in
-  let t1 = Metrics.now () in
+  let t1 = Telemetry.now () in
   let trace = Dpm_trace.Generate.run p plan in
   let r_mat = Dpm_sim.Engine.run ~config Dpm_sim.Policy.base trace in
-  let mat_s = Metrics.now () -. t1 in
+  let mat_s = Telemetry.now () -. t1 in
   let heap2 = (Gc.quick_stat ()).Gc.top_heap_words in
-  timings := ("stream", Metrics.now () -. t_total0) :: !timings;
+  timings := ("stream", Telemetry.now () -. t_total0) :: !timings;
   let word = Sys.word_size / 8 in
   let stream_bytes = (heap1 - heap0) * word in
   let mat_bytes = (heap2 - heap1) * word in
@@ -254,14 +254,14 @@ let throughput_mode ~baseline () =
         (Dpm_trace.Trace.Stream.of_trace trace)
   in
   let time_runs n ?meter config core policy =
-    let t0 = Metrics.now () in
+    let t0 = Telemetry.now () in
     let last = ref (replay ?meter config core policy) in
     for _ = 2 to n do
       last := replay ?meter config core policy
     done;
-    ((Metrics.now () -. t0) /. float_of_int n, !last)
+    ((Telemetry.now () -. t0) /. float_of_int n, !last)
   in
-  let t_total0 = Metrics.now () in
+  let t_total0 = Telemetry.now () in
   print_endline
     "== Replay core throughput (synthetic 262144-event workload) ==";
   Printf.printf "  %-10s %12s %12s %9s %12s %10s\n" "scheme" "ref-ev/s"
@@ -297,7 +297,7 @@ let throughput_mode ~baseline () =
             ] ))
       schemes
   in
-  timings := ("throughput", Metrics.now () -. t_total0) :: !timings;
+  timings := ("throughput", Telemetry.now () -. t_total0) :: !timings;
   throughput_section :=
     [
       ( "throughput",
@@ -398,7 +398,7 @@ let sweep_mode () =
     ]
   in
   let workloads = [ "swim"; "galgel" ] in
-  let t0 = Metrics.now () in
+  let t0 = Telemetry.now () in
   match Sweep.run ~axes ~workloads () with
   | Error e ->
       Dpm_util.Log.error ~scope:"bench"
@@ -447,7 +447,7 @@ let sweep_mode () =
            oracle bound on all %d cells)\n"
           (String.concat ", " adaptive_beats_tpm)
           (List.length outcome.Sweep.cells);
-      timings := ("sweep", Metrics.now () -. t0) :: !timings;
+      timings := ("sweep", Telemetry.now () -. t0) :: !timings;
       sweep_section :=
         [
           ( "sweep",
@@ -586,9 +586,9 @@ let run names domains metrics json trace log_level baseline =
   Option.iter Pool.set_default_domains domains;
   Option.iter Dpm_util.Log.set_level log_level;
   (* The snapshot embeds the stage table, so --json implies --metrics. *)
-  if metrics || json <> None then Metrics.set_enabled Metrics.global true;
-  if trace <> None then Dpm_util.Telemetry.(set_tracing global true);
-  let total0 = Metrics.now () in
+  if metrics || json <> None then Telemetry.(set_enabled global true);
+  if trace <> None then Telemetry.(set_tracing global true);
+  let total0 = Telemetry.now () in
   let rc =
     match names with
     | [] ->
@@ -631,9 +631,9 @@ let run names domains metrics json trace log_level baseline =
   in
   if metrics then begin
     Printf.printf "total wall time: %.3f s (domains=%d)\n"
-      (Metrics.now () -. total0)
+      (Telemetry.now () -. total0)
       (Pool.default_domains ());
-    print_string (Metrics.report Metrics.global)
+    print_string Telemetry.(report global)
   end;
   (match json with
   | None -> ()
@@ -658,7 +658,7 @@ let run names domains metrics json trace log_level baseline =
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      Dpm_util.Telemetry.(write_chrome_trace global) oc;
+      Telemetry.(write_chrome_trace global) oc;
       close_out oc;
       Dpm_util.Log.info ~scope:"bench"
         ~kv:[ ("file", path) ]

@@ -113,12 +113,12 @@ let log_level_arg =
 type instrument = { metrics : bool; trace : string option }
 
 (* Evaluates before the command body: applies the domain override and
-   switches the global collectors on; [finish_instrumentation] drains
-   them after the command. *)
+   switches the global collector's stage table and tracing on;
+   [finish_instrumentation] drains it after the command. *)
 let instrument_term =
   let apply domains metrics trace log_level =
     Option.iter Dpm_util.Pool.set_default_domains domains;
-    if metrics then Dpm_util.Metrics.(set_enabled global true);
+    if metrics then Dpm_util.Telemetry.(set_enabled global true);
     if trace <> None then Dpm_util.Telemetry.(set_tracing global true);
     Option.iter Dpm_util.Log.set_level log_level;
     { metrics; trace }
@@ -126,7 +126,7 @@ let instrument_term =
   Term.(const apply $ domains_arg $ metrics_arg $ trace_arg $ log_level_arg)
 
 let finish_instrumentation inst =
-  if inst.metrics then print_string Dpm_util.Metrics.(report global);
+  if inst.metrics then print_string Dpm_util.Telemetry.(report global);
   match inst.trace with
   | None -> ()
   | Some path -> (
@@ -146,8 +146,6 @@ let finish_instrumentation inst =
             "wrote Chrome trace"
       | exception Sys_error m ->
           Dpm_util.Log.error ~scope:"dpmsim" ~kv:[ ("file", path) ] m)
-
-let report_metrics inst = finish_instrumentation inst
 
 (* --- list --- *)
 
@@ -501,7 +499,7 @@ let simulate_cmd =
                                  m ))
                              (Hashtbl.find_opt metered s))
                          results));
-                report_metrics inst;
+                finish_instrumentation inst;
                 0))
     | None -> (
     let workload =
@@ -632,7 +630,7 @@ let simulate_cmd =
              print_newline ();
              print_string rendered
            end);
-        report_metrics inst;
+        finish_instrumentation inst;
         0))
   in
   Cmd.v
@@ -839,7 +837,7 @@ let figure_cmd =
               2)
         0 ids
     in
-    report_metrics inst;
+    finish_instrumentation inst;
     rc
   in
   Cmd.v
@@ -893,7 +891,7 @@ let report_cmd =
                 Dpm_util.Log.info ~scope:"dpmsim"
                   ~kv:[ ("file", path) ]
                   "wrote markdown digest");
-            report_metrics inst;
+            finish_instrumentation inst;
             0)
   in
   Cmd.v
@@ -1207,7 +1205,7 @@ let sweep_cmd =
                               rc := 1
                             end)
                       (Dpm_core.Sweep.winners outcome));
-                report_metrics inst;
+                finish_instrumentation inst;
                 !rc))
   in
   Cmd.v
@@ -1280,7 +1278,7 @@ let serve_cmd =
                   ("rejected", string_of_int st.Dpm_core.Service.rejected);
                 ]
               "drained and stopped";
-            report_metrics inst;
+            finish_instrumentation inst;
             0
         | exception Unix.Unix_error (e, fn, arg) ->
             Dpm_util.Log.error ~scope:"serve"
@@ -1471,7 +1469,7 @@ let submit_cmd =
                    Dpm_util.Log.error ~scope:"submit"
                      (Dpm_core.Run.error_message e);
                    rc := 1);
-            report_metrics inst;
+            finish_instrumentation inst;
             !rc)
   in
   Cmd.v

@@ -3,7 +3,7 @@
    idle-gap structure, and prints the per-scheme normalized energy and
    execution time (the Figure 3/4 shape, via [Sweep.normalized_table]). *)
 
-module Metrics = Dpm_util.Metrics
+module Telemetry = Dpm_util.Telemetry
 module Run = Dpm_core.Run
 module Scheme = Dpm_core.Scheme
 module Sweep = Dpm_core.Sweep
@@ -17,7 +17,7 @@ let () =
   let rows = ref [] in
   List.iter
     (fun (spec : Dpm_workloads.Suite.spec) ->
-      let t0 = Metrics.now () in
+      let t0 = Telemetry.now () in
       let p, plan = Dpm_core.Experiment.workload spec in
       let setup = Dpm_core.Experiment.make_setup ~noise:spec.noise () in
       let results =
@@ -29,9 +29,7 @@ let () =
             Dpm_util.Log.error ~scope:"tune" (Run.error_message e);
             exit 2
       in
-      let wall = Metrics.now () -. t0 in
-      if Metrics.enabled Metrics.global then
-        Metrics.record_span Metrics.global ("tune." ^ spec.name) wall;
+      let wall = Telemetry.now () -. t0 in
       let base = List.assoc Scheme.Base results in
       let mb =
         Dpm_util.Units.mb_of_bytes (Dpm_ir.Program.total_data_bytes p)

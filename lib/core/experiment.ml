@@ -2,7 +2,6 @@ module Sim = Dpm_sim
 module Compiler = Dpm_compiler
 module Trace = Dpm_trace
 module Workloads = Dpm_workloads
-module Metrics = Dpm_util.Metrics
 module Telemetry = Dpm_util.Telemetry
 
 type setup = {
@@ -317,7 +316,7 @@ let misprediction_pct ?(setup = default_setup) p plan =
   if !total = 0 then 0.0
   else 100.0 *. float_of_int !wrong /. float_of_int !total
 
-let workload ?(setup = default_setup) spec =
+let workload spec =
   Telemetry.span
     ~args:(fun () -> [ ("workload", spec.Workloads.Suite.name) ])
     Telemetry.global "workload.build" (fun () ->
@@ -326,7 +325,6 @@ let workload ?(setup = default_setup) spec =
         (* The subsystem is as large as the default stripe factor. *)
         Dpm_layout.Striping.default.Dpm_layout.Striping.stripe_factor
       in
-      ignore setup;
       let plan = Workloads.Suite.default_plan ~ndisks p in
       let calibrated =
         Workloads.Suite.calibrate ~specs:Sim.Config.default.Sim.Config.specs

@@ -98,5 +98,5 @@ val misprediction_pct :
     the oracle would leave alone, both count as mispredictions). *)
 
 val workload :
-  ?setup:setup -> Dpm_workloads.Suite.spec -> Dpm_ir.Program.t * Dpm_layout.Plan.t
+  Dpm_workloads.Suite.spec -> Dpm_ir.Program.t * Dpm_layout.Plan.t
 (** Calibrated program and default plan for a suite benchmark. *)

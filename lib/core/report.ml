@@ -1,5 +1,4 @@
 module Json = Dpm_util.Json
-module Metrics = Dpm_util.Metrics
 module Telemetry = Dpm_util.Telemetry
 module Sim = Dpm_sim
 
@@ -75,35 +74,52 @@ let scheme_json ~base (scheme, (r : Sim.Result.t)) tl =
       ("timeline", timeline_json tl r);
     ]
 
-let stages_json metrics =
-  Json.Arr
-    (List.map
-       (fun (name, total, calls) ->
-         Json.Obj
-           [
-             ("stage", Json.Str name);
-             ("calls", Json.Int calls);
-             ("total_s", Json.Float total);
-           ])
-       (Metrics.spans metrics))
+let stage_rows tele =
+  List.map
+    (fun (name, total, calls) ->
+      Json.Obj
+        [
+          ("stage", Json.Str name);
+          ("calls", Json.Int calls);
+          ("total_s", Json.Float total);
+        ])
+    (Telemetry.stages tele)
 
-let counters_json metrics =
-  Json.Arr
-    (List.map
-       (fun (name, v) ->
-         Json.Obj [ ("counter", Json.Str name); ("value", Json.Int v) ])
-       (Metrics.counters metrics))
+let counter_rows tele =
+  List.map
+    (fun (name, v) ->
+      Json.Obj [ ("counter", Json.Str name); ("value", Json.Int v) ])
+    (Telemetry.counters tele)
+
+let histogram_rows tele =
+  List.map
+    (fun (name, h) ->
+      Json.Obj
+        [
+          ("name", Json.Str name);
+          ("count", Json.Int (Dpm_util.Histo.count h));
+          ("mean", Json.Float (Dpm_util.Histo.mean h));
+          ("min", Json.Float (Dpm_util.Histo.min_value h));
+          ("p50", Json.Float (Dpm_util.Histo.quantile h 50.0));
+          ("p90", Json.Float (Dpm_util.Histo.quantile h 90.0));
+          ("p99", Json.Float (Dpm_util.Histo.quantile h 99.0));
+          ("max", Json.Float (Dpm_util.Histo.max_value h));
+          (* The mergeable wire form: `dpmsim aggregate` combines a
+             sweep's per-run histograms from these. *)
+          ("buckets", Dpm_util.Histo.to_json h);
+        ])
+    (Telemetry.histograms tele)
 
 let mode_name = function `Open -> "open" | `Closed -> "closed"
 
 (* Assemble a dpm-report/1 document from already-executed results.  The
    shape is identical however the run happened — CLI report command,
    sweep cell, or service job — only the collector inputs differ: the
-   CLI passes the process-wide histogram/metrics collectors, the service
-   passes none (concurrent jobs share those collectors, and service
-   responses must be a deterministic function of the job alone). *)
-let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t)
-    ?(histograms = []) ?metrics ~timeline_of results =
+   CLI passes the process-wide collector, the service passes none
+   (concurrent jobs share that collector, and service responses must be
+   a deterministic function of the job alone). *)
+let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t) ?telemetry
+    ~timeline_of results =
   (* Base anchors the normalized columns when present; otherwise the
      first result does (a service job need not include Base). *)
   let base =
@@ -111,24 +127,8 @@ let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t)
     | Some b -> Some b
     | None -> ( match results with (_, r) :: _ -> Some r | [] -> None)
   in
-  let histo_rows =
-    List.map
-      (fun (name, h) ->
-        Json.Obj
-          [
-            ("name", Json.Str name);
-            ("count", Json.Int (Dpm_util.Histo.count h));
-            ("mean", Json.Float (Dpm_util.Histo.mean h));
-            ("min", Json.Float (Dpm_util.Histo.min_value h));
-            ("p50", Json.Float (Dpm_util.Histo.quantile h 50.0));
-            ("p90", Json.Float (Dpm_util.Histo.quantile h 90.0));
-            ("p99", Json.Float (Dpm_util.Histo.quantile h 99.0));
-            ("max", Json.Float (Dpm_util.Histo.max_value h));
-            (* The mergeable wire form: `dpmsim aggregate` combines a
-               sweep's per-run histograms from these. *)
-            ("buckets", Dpm_util.Histo.to_json h);
-          ])
-      histograms
+  let collected rows =
+    Json.Arr (match telemetry with None -> [] | Some t -> rows t)
   in
   let scheme_rows =
     match base with
@@ -155,11 +155,9 @@ let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t)
                 (Array.map Dpm_disk.Specs.name_of sim.Sim.Config.fleet))) );
       ("domains", Json.Int (Dpm_util.Pool.default_domains ()));
       ("schemes", Json.Arr scheme_rows);
-      ("histograms", Json.Arr histo_rows);
-      ( "stages",
-        match metrics with None -> Json.Arr [] | Some m -> stages_json m );
-      ( "counters",
-        match metrics with None -> Json.Arr [] | Some m -> counters_json m );
+      ("histograms", collected histogram_rows);
+      ("stages", collected stage_rows);
+      ("counters", collected counter_rows);
     ]
 
 let of_spec ?(force_base = false) spec =
@@ -174,18 +172,18 @@ let of_spec ?(force_base = false) spec =
   let sinks = List.map (fun s -> (s, Sim.Timeline.sink ())) schemes in
   let spec = Run.with_timeline (fun s -> List.assoc_opt s sinks) spec in
   (* The stage table and the histograms both live on the process-wide
-     collectors; switch them on for the duration and restore the flags
+     collector; switch them on for the duration and restore the flags
      afterwards (recording is observational, so leaving earlier contents
      in place only adds rows — the report of a fresh CLI process is
      exactly this run's). *)
   let tele = Telemetry.global in
+  let was_enabled = Telemetry.enabled tele in
   let had_histos = Telemetry.histograms_enabled tele in
-  let had_metrics = Metrics.enabled Metrics.global in
+  Telemetry.set_enabled tele true;
   Telemetry.set_histograms tele true;
-  Metrics.set_enabled Metrics.global true;
   let restore () =
-    Telemetry.set_histograms tele had_histos;
-    Metrics.set_enabled Metrics.global had_metrics
+    Telemetry.set_enabled tele was_enabled;
+    Telemetry.set_histograms tele had_histos
   in
   let result = Fun.protect ~finally:restore (fun () -> Run.exec_all spec) in
   match result with
@@ -196,8 +194,7 @@ let of_spec ?(force_base = false) spec =
         (document ~label ~mode:setup.Experiment.mode
            ~version:setup.Experiment.version ~faults:setup.Experiment.faults
            ~sim:setup.Experiment.sim
-           ~histograms:(Telemetry.histograms tele)
-           ~metrics:Metrics.global
+           ~telemetry:tele
            ~timeline_of:(fun s ->
              Sim.Timeline.contents (List.assoc s sinks))
            results)
@@ -366,7 +363,7 @@ let validate doc =
           | None -> err "scheme %d: missing timeline verdict" i)
         schemes);
   (* Histograms and stages may be empty — service-built documents carry
-     none (the process-wide collectors are shared across concurrent
+     none (the process-wide collector is shared across concurrent
      jobs) — but the arrays must be present. *)
   (match Option.bind (Json.member "histograms" doc) Json.to_list with
   | Some _ -> ()
@@ -378,28 +375,22 @@ let validate doc =
 
 (* --- benchmark snapshots --- *)
 
-let bench_snapshot ?(histograms = false) ?(extra = []) ~figures () =
-  let fields =
-    [
-      ("schema", Json.Str bench_schema_version);
-      ("domains", Json.Int (Dpm_util.Pool.default_domains ()));
-      ( "figures",
-        Json.Arr
-          (List.map
-             (fun (id, seconds) ->
-               Json.Obj
-                 [ ("id", Json.Str id); ("seconds", Json.Float seconds) ])
-             figures) );
-      ("stages", stages_json Metrics.global);
-      ("counters", counters_json Metrics.global);
-    ]
-  in
-  let fields =
-    if histograms then
-      fields @ [ ("histograms", Telemetry.histograms_json Telemetry.global) ]
-    else fields
-  in
-  Json.Obj (fields @ extra)
+let bench_snapshot ?(extra = []) ~figures () =
+  Json.Obj
+    ([
+       ("schema", Json.Str bench_schema_version);
+       ("domains", Json.Int (Dpm_util.Pool.default_domains ()));
+       ( "figures",
+         Json.Arr
+           (List.map
+              (fun (id, seconds) ->
+                Json.Obj
+                  [ ("id", Json.Str id); ("seconds", Json.Float seconds) ])
+              figures) );
+       ("stages", Json.Arr (stage_rows Telemetry.global));
+       ("counters", Json.Arr (counter_rows Telemetry.global));
+     ]
+    @ extra)
 
 let validate_bench doc =
   let errors = ref [] in

@@ -1,13 +1,13 @@
 (** Machine-readable run reports and benchmark snapshots.
 
     One {!run} executes a benchmark under a set of schemes with timeline
-    recording and telemetry histograms switched on, and condenses
-    everything the pipeline knows about the run into a single JSON
-    document (schema {!schema_version}): per-scheme energies and
-    normalized ratios, fault counters, per-disk timeline summaries with
-    the independently re-integrated energy and the invariant-check
-    verdict, the registered latency/queue/gap histograms, and the flat
-    stage timings.  The same document renders as a markdown digest
+    recording and the {!Dpm_util.Telemetry} stage table and histograms
+    switched on, and condenses everything the pipeline knows about the
+    run into a single JSON document (schema {!schema_version}):
+    per-scheme energies and normalized ratios, fault counters, per-disk
+    timeline summaries with the independently re-integrated energy and
+    the invariant-check verdict, the registered latency/queue/gap
+    histograms, and the flat stage timings and counters.  The same document renders as a markdown digest
     ({!markdown}) and validates structurally ({!validate}) — the golden
     check in [make report-check] compares its
     {!Dpm_util.Json.schema_outline}, so values may change freely while
@@ -29,29 +29,28 @@ val document :
   version:Dpm_compiler.Pipeline.version ->
   faults:Dpm_sim.Fault.spec ->
   sim:Dpm_sim.Config.t ->
-  ?histograms:(string * Dpm_util.Histo.t) list ->
-  ?metrics:Dpm_util.Metrics.t ->
+  ?telemetry:Dpm_util.Telemetry.t ->
   timeline_of:(Scheme.t -> Dpm_sim.Timeline.t) ->
   (Scheme.t * Dpm_sim.Result.t) list ->
   Dpm_util.Json.t
 (** Assemble a {!schema_version} document from already-executed results
     plus their per-scheme timelines.  [Base] anchors the normalized
-    columns when present, otherwise the first result does.  [histograms]
-    (default none) and [metrics] (default none → empty [stages] /
-    [counters] arrays) supply the collector-backed sections — the
-    service omits them because the process-wide collectors are shared
-    across concurrent jobs, and a job's response must be a function of
-    the job alone.  The document shape is identical either way. *)
+    columns when present, otherwise the first result does.  [telemetry]
+    (default none → empty [histograms] / [stages] / [counters] arrays)
+    supplies the collector-backed sections — the service omits it
+    because the process-wide collector is shared across concurrent
+    jobs, and a job's response must be a function of the job alone.
+    The document shape is identical either way. *)
 
 val of_spec :
   ?force_base:bool -> Run.spec -> (Dpm_util.Json.t, Run.error) result
 (** Execute an arbitrary {!Run.spec} with per-scheme timeline sinks and
-    the process-wide histogram/metrics collectors enabled (flags
-    restored afterwards), and build its report document.  [force_base]
+    {!Dpm_util.Telemetry.global}'s stage table and histograms enabled
+    (both switches restored afterwards), and build its report document.  [force_base]
     (default false) adds [Base] to the scheme set first.  This is the
     single report path: {!run} is [of_spec ~force_base:true] of a
     benchmark spec, and a daemon job is the same value reported without
-    the shared collectors (see {!document}). *)
+    the shared collector (see {!document}). *)
 
 val run :
   ?schemes:Scheme.t list ->
@@ -63,7 +62,7 @@ val run :
   (Dpm_util.Json.t, Run.error) result
 (** [run benchmark] simulates the benchmark under [schemes] (default:
     all seven; Base joins the set either way, it anchors the normalized
-    columns) and builds the report document.  Metrics and telemetry
+    columns) and builds the report document.  The stage table and the
     histograms are enabled for the duration and restored afterwards;
     recording is observational, so the simulated numbers are the ones
     every other entry point produces.  [sim] replaces the simulator
@@ -85,15 +84,13 @@ val validate : Dpm_util.Json.t -> (unit, string list) result
     carry no collector sections).  Used by [dpmsim report-check]. *)
 
 val bench_snapshot :
-  ?histograms:bool ->
   ?extra:(string * Dpm_util.Json.t) list ->
   figures:(string * float) list ->
   unit ->
   Dpm_util.Json.t
 (** [bench_snapshot ~figures ()] packages per-figure wall-clock seconds
-    with the global stage/counter tables (and, when [histograms], the
-    registered histogram quantiles) as a {!bench_schema_version}
-    document.  [extra] fields are appended verbatim (the harness's
+    with {!Dpm_util.Telemetry.global}'s stage and counter tables as a
+    {!bench_schema_version} document.  [extra] fields are appended verbatim (the harness's
     streaming-vs-materialized memory comparison rides along there). *)
 
 val validate_bench : Dpm_util.Json.t -> (unit, string list) result

@@ -1,12 +1,11 @@
 (** The single non-raising entry point for running experiments.
 
     The layers underneath grew organically and raise on misuse
-    ([Scheme.of_name], [Workloads.Suite.find], [Fault.plan], the replay
-    engine itself): fine for library code holding values it constructed,
-    wrong for drivers handling user input.  [Run] closes the gap: build a
-    {!spec} from labelled optional arguments, {!exec} it, and get either
-    results or a typed {!error} with a printable message — no exception
-    escapes.  [bin/dpmsim] and [bin/tune] go through this module.
+    ([Workloads.Suite.find], [Fault.plan], the replay engine itself):
+    fine for library code holding values it constructed, wrong for
+    drivers handling user input.  [Run] closes the gap: build a {!spec}
+    from labelled optional arguments, {!exec} it, and get either results
+    or a typed {!error} with a printable message — no exception escapes.  [bin/dpmsim] and [bin/tune] go through this module.
 
     {[
       match Run.exec_all (Run.spec ~scheme_names:[ "Base"; "CMDRPM" ]

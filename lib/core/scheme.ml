@@ -22,9 +22,6 @@ let of_name_opt s =
     (fun t -> String.equal (String.lowercase_ascii (name t)) s)
     extended
 
-let of_name s =
-  match of_name_opt s with Some t -> t | None -> raise Not_found
-
 let conv =
   let parse s =
     match of_name_opt s with

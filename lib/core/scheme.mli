@@ -33,12 +33,6 @@ val extended_names : string list
 val of_name_opt : string -> t option
 (** Case-insensitive lookup over {!extended}. *)
 
-val of_name : string -> t
-  [@@ocaml.deprecated "Use of_name_opt (or Scheme.conv on the CLI)."]
-(** Case-insensitive; raises [Not_found].  Deprecated: user-facing
-    lookups should go through {!of_name_opt} or {!conv} so unknown names
-    produce a readable error. *)
-
 val conv : t Cmdliner.Arg.conv
 (** Cmdliner converter; an unknown name errors with the valid list. *)
 

@@ -287,15 +287,23 @@ module Net = struct
   (* One frame = one JSON object on one line.  The per-connection mutex
      serializes handler-thread frames against worker-thread sample
      frames (their writes are also ordered by the job's lifecycle, but
-     the lock keeps the invariant local and obvious). *)
-  let write_frame mu oc j =
-    Mutex.lock mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock mu)
-      (fun () ->
-        output_string oc (Json.to_string j);
-        output_char oc '\n';
-        flush oc)
+     the lock keeps the invariant local and obvious).  Once the peer
+     hangs up a write raises [Sys_error] (EPIPE: [serve] ignores
+     SIGPIPE) and the connection goes quiet, so its job still runs to
+     completion instead of failing inside a sample callback. *)
+  let write_frame oc =
+    let mu = Mutex.create () and live = ref true in
+    fun j ->
+      Mutex.lock mu;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock mu)
+        (fun () ->
+          if !live then
+            try
+              output_string oc (Json.to_string j);
+              output_char oc '\n';
+              flush oc
+            with Sys_error _ -> live := false)
 
   let sample_frame ~job ~scheme (s : Sim.Meter.sample) =
     Json.Obj
@@ -367,8 +375,7 @@ module Net = struct
   let handle_conn service stop fd =
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr (Unix.dup fd) in
-    let mu = Mutex.create () in
-    let write = write_frame mu oc in
+    let write = write_frame oc in
     let rec loop () =
       match input_line ic with
       | exception (End_of_file | Sys_error _) -> ()
@@ -411,6 +418,9 @@ module Net = struct
       loop
 
   let serve ?(backlog = 16) service address =
+    (* A client that hangs up must cost only its own frames, not the
+       process and every other client's jobs with it. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (match address with
     | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
     | Tcp _ -> ());

@@ -118,8 +118,9 @@ module Net : sig
   val serve : ?backlog:int -> t -> address -> unit
   (** Bind, listen and serve until a client sends the [shutdown] op;
       drains the service ({!shutdown}) before returning.  A stale Unix
-      socket path is replaced.  Raises [Unix.Unix_error] on bind
-      failures. *)
+      socket path is replaced.  SIGPIPE is ignored process-wide: a
+      client that hangs up only stops receiving frames, and its job
+      still completes.  Raises [Unix.Unix_error] on bind failures. *)
 
   type client
 

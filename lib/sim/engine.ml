@@ -3,53 +3,50 @@ module Stream = Dpm_trace.Trace.Stream
 
 type mode = [ `Open | `Closed ]
 
-let record_replay metrics (result : Result.t) =
-  Dpm_util.Metrics.add metrics "sim.requests" (Result.requests result);
-  Dpm_util.Metrics.count metrics "sim.runs";
+let record_replay (result : Result.t) =
+  let add = Dpm_util.Telemetry.(add global) in
+  add "sim.requests" (Result.requests result);
+  add "sim.runs" 1;
   let f = result.Result.faults in
   if f.Result.read_retries > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.retries" f.Result.read_retries;
-  if f.Result.remaps > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.remaps" f.Result.remaps;
+    add "sim.fault.retries" f.Result.read_retries;
+  if f.Result.remaps > 0 then add "sim.fault.remaps" f.Result.remaps;
   if f.Result.spin_up_recoveries > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.spinup_recoveries"
-      f.Result.spin_up_recoveries;
-  if f.Result.redirects > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.redirects" f.Result.redirects
+    add "sim.fault.spinup_recoveries" f.Result.spin_up_recoveries;
+  if f.Result.redirects > 0 then add "sim.fault.redirects" f.Result.redirects
 
 type core = [ `Fast | `Reference ]
 
 (* Fault setup, replay observation and the [sim.replay] span around one
    replay body. *)
-let observed ~config ~mode ~metrics ~faults ~timeline ~ndisks ~nblocks
+let observed ~config ~mode ~faults ~timeline ~ndisks ~nblocks
     ~program replay (policy : Policy.t) input =
   let fault = Fault.init faults ~ndisks ~nblocks in
   let obs = Observe.make () in
   let result =
-    Dpm_util.Telemetry.span ~metrics
+    Dpm_util.Telemetry.span
       ~args:(fun () -> [ ("scheme", policy.Policy.name); ("program", program) ])
       Dpm_util.Telemetry.global "sim.replay"
       (fun () -> replay ~config ~mode ~fault ~timeline ~obs policy input)
   in
   Observe.flush obs result;
-  record_replay metrics result;
+  record_replay result;
   result
 
 let run_stream ?(config = Config.default) ?(mode = `Open)
-    ?(metrics = Dpm_util.Metrics.global) ?(faults = Fault.none) ?timeline
-    ?(core = `Fast) policy stream =
+    ?(faults = Fault.none) ?timeline ?(core = `Fast) policy stream =
   let replay =
     match core with
     | `Fast when Fastpath.supported ~config -> Fastpath.replay
     | `Fast | `Reference -> Sched.replay
   in
-  observed ~config ~mode ~metrics ~faults ~timeline
+  observed ~config ~mode ~faults ~timeline
     ~ndisks:(Stream.ndisks stream)
     ~nblocks:(lazy (Stream.nblocks stream))
     ~program:(Stream.program stream) replay policy stream
 
-let run ?config ?mode ?metrics ?faults ?timeline ?core policy trace =
-  run_stream ?config ?mode ?metrics ?faults ?timeline ?core policy
+let run ?config ?mode ?faults ?timeline ?core policy trace =
+  run_stream ?config ?mode ?faults ?timeline ?core policy
     (Stream.of_trace trace)
 
 (* --- Multiprogrammed replay --- *)
@@ -125,8 +122,7 @@ let replay_many ~config ~mode ~fault ~timeline ~obs policy streams =
     ~clock:(List.fold_left (fun acc a -> Float.max acc !(a.clock)) 0.0 apps)
 
 let run_many_stream ?(config = Config.default) ?(mode = `Open)
-    ?(metrics = Dpm_util.Metrics.global) ?(faults = Fault.none) ?timeline
-    policy streams =
+    ?(faults = Fault.none) ?timeline policy streams =
   let ndisks =
     match streams with
     | [] -> invalid_arg "Engine.run_many: no traces"
@@ -142,9 +138,9 @@ let run_many_stream ?(config = Config.default) ?(mode = `Open)
   let nblocks =
     lazy (List.fold_left (fun acc s -> max acc (Stream.nblocks s)) 0 streams)
   in
-  observed ~config ~mode ~metrics ~faults ~timeline ~ndisks ~nblocks
+  observed ~config ~mode ~faults ~timeline ~ndisks ~nblocks
     ~program:(program_of streams) replay_many policy streams
 
-let run_many ?config ?mode ?metrics ?faults ?timeline policy traces =
-  run_many_stream ?config ?mode ?metrics ?faults ?timeline policy
+let run_many ?config ?mode ?faults ?timeline policy traces =
+  run_many_stream ?config ?mode ?faults ?timeline policy
     (List.map Stream.of_trace traces)

@@ -40,7 +40,6 @@ type core = [ `Fast | `Reference ]
 val run_stream :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   ?core:core ->
@@ -62,7 +61,6 @@ val run_stream :
 val run_many_stream :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   Policy.t ->
@@ -75,7 +73,6 @@ val run_many_stream :
 val run :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   ?core:core ->
@@ -84,16 +81,16 @@ val run :
   Result.t
 (** Replays the whole trace and returns the outcome.  Wall time is
     recorded under the [sim.replay] span and the served request count
-    under the [sim.requests] counter of [metrics] (default
-    {!Dpm_util.Metrics.global}, a no-op unless enabled) — together they
-    give the requests-simulated/sec throughput the harness reports.
+    under the [sim.requests] counter of {!Dpm_util.Telemetry.global}
+    (no-ops unless enabled) — together they give the
+    requests-simulated/sec throughput the harness reports.
 
     [faults] (default {!Fault.none}) injects deterministic faults at
     service time: transient read errors retry with exponential backoff,
     bad-sector hits pay a remap penalty, spin-ups from standby can stick
     and re-attempt (burning aborted spin-up energy), and whole-disk
     failures redirect load to the surviving disks.  The counters land in
-    [Result.faults] and under the [sim.fault.*] metrics counters; a spec
+    [Result.faults] and under the [sim.fault.*] telemetry counters; a spec
     for which {!Fault.is_zero} holds takes the exact fault-free code
     path, so results are byte-identical to omitting it.  Raises
     [Invalid_argument] on a spec {!Fault.validate} rejects.
@@ -109,7 +106,6 @@ val run :
 val run_many :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   Policy.t ->

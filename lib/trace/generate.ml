@@ -75,15 +75,15 @@ let generate ~config (p : Dpm_ir.Program.t) plan =
     ~ndisks:(Dpm_layout.Plan.ndisks plan)
     (List.rev !events)
 
-let run ?(config = default_config) ?(metrics = Dpm_util.Metrics.global) p plan
-    =
+let run ?(config = default_config) p plan =
+  let tele = Dpm_util.Telemetry.global in
   let trace =
-    Dpm_util.Telemetry.span ~metrics
+    Dpm_util.Telemetry.span
       ~args:(fun () -> [ ("program", p.Dpm_ir.Program.name) ])
-      Dpm_util.Telemetry.global "trace.gen"
+      tele "trace.gen"
       (fun () -> generate ~config p plan)
   in
-  Dpm_util.Metrics.add metrics "trace.events" (Trace.event_count trace);
+  Dpm_util.Telemetry.add tele "trace.events" (Trace.event_count trace);
   trace
 
 (* Re-runs the walk with a max-tracking sink: the exact block-address
@@ -99,8 +99,7 @@ let max_block ?(config = default_config) p plan =
   in
   !acc
 
-let stream ?(config = default_config) ?(metrics = Dpm_util.Metrics.global)
-    ?batch p plan =
+let stream ?(config = default_config) ?batch p plan =
   (* No span here: the walk runs interleaved with the consumer's replay,
      so its wall time is not a meaningful stage on its own.  The event
      count is still recorded, once, when the producer finishes. *)
@@ -115,7 +114,7 @@ let stream ?(config = default_config) ?(metrics = Dpm_util.Metrics.global)
             incr count;
             emit e)
       in
-      Dpm_util.Metrics.add metrics "trace.events" !count;
+      Dpm_util.Telemetry.(add global) "trace.events" !count;
       tail)
 
 let request_count ?config p plan = Trace.io_count (run ?config p plan)

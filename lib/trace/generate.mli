@@ -20,21 +20,15 @@ val default_config : config
 (** Default cost model and a 1,024-block (64 MB at default striping)
     cache. *)
 
-val run :
-  ?config:config ->
-  ?metrics:Dpm_util.Metrics.t ->
-  Dpm_ir.Program.t ->
-  Dpm_layout.Plan.t ->
-  Trace.t
+val run : ?config:config -> Dpm_ir.Program.t -> Dpm_layout.Plan.t -> Trace.t
 (** Generates the trace for one run.  Raises [Invalid_argument] if the
     program references arrays missing from the plan.  Wall time is
     recorded under the [trace.gen] span and the event count under the
-    [trace.events] counter of [metrics] (default
-    {!Dpm_util.Metrics.global}, a no-op unless enabled). *)
+    [trace.events] counter of {!Dpm_util.Telemetry.global} (no-ops
+    unless enabled). *)
 
 val stream :
   ?config:config ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?batch:int ->
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->

@@ -1,3 +1,5 @@
+external now : unit -> float = "dpm_metrics_monotonic_s"
+
 type span = {
   id : int;
   parent : int;
@@ -8,11 +10,16 @@ type span = {
   args : (string * string) list;
 }
 
+type stage = { mutable total : float; mutable calls : int }
+
 type t = {
   mutex : Mutex.t;
+  stages : (string, stage) Hashtbl.t;
+  counters : (string, int ref) Hashtbl.t;
   mutable completed : span list; (* reverse completion order *)
   histos : (string, Histo.t) Hashtbl.t;
   next_id : int Atomic.t;
+  mutable on : bool;
   mutable on_tracing : bool;
   mutable on_histograms : bool;
 }
@@ -25,14 +32,19 @@ let current_parent : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 let create () =
   {
     mutex = Mutex.create ();
+    stages = Hashtbl.create 16;
+    counters = Hashtbl.create 16;
     completed = [];
     histos = Hashtbl.create 16;
     next_id = Atomic.make 0;
+    on = false;
     on_tracing = false;
     on_histograms = false;
   }
 
 let global = create ()
+let set_enabled t b = t.on <- b
+let enabled t = t.on
 let set_tracing t b = t.on_tracing <- b
 let tracing t = t.on_tracing
 let set_histograms t b = t.on_histograms <- b
@@ -42,24 +54,49 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let span ?(metrics = Metrics.global) ?args t name f =
-  if not t.on_tracing then Metrics.span metrics name f
+(* The stage row and the span record are both written at close, under
+   one lock acquisition: the switches are read once at open, so a span
+   that straddles a switch flip is either fully recorded or not at
+   all. *)
+let span ?args t name f =
+  let on = t.on and tracing = t.on_tracing in
+  if not (on || tracing) then f ()
   else begin
-    let id = Atomic.fetch_and_add t.next_id 1 in
     let parent = Domain.DLS.get current_parent in
-    Domain.DLS.set current_parent id;
-    let track = (Domain.self () :> int) in
-    let t0 = Metrics.now () in
+    let id = if tracing then Atomic.fetch_and_add t.next_id 1 else -1 in
+    if tracing then Domain.DLS.set current_parent id;
+    let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
-        let t1 = Metrics.now () in
-        Domain.DLS.set current_parent parent;
-        if Metrics.enabled metrics then Metrics.record_span metrics name (t1 -. t0);
-        let args = match args with None -> [] | Some f -> f () in
-        let record = { id; parent; track; name; t0; t1; args } in
-        locked t (fun () -> t.completed <- record :: t.completed))
+        let t1 = now () in
+        let record =
+          if not tracing then None
+          else begin
+            Domain.DLS.set current_parent parent;
+            let track = (Domain.self () :> int) in
+            let args = match args with None -> [] | Some f -> f () in
+            Some { id; parent; track; name; t0; t1; args }
+          end
+        in
+        let dt = t1 -. t0 in
+        locked t (fun () ->
+            if on then begin
+              match Hashtbl.find_opt t.stages name with
+              | Some s ->
+                  s.total <- s.total +. dt;
+                  s.calls <- s.calls + 1
+              | None -> Hashtbl.add t.stages name { total = dt; calls = 1 }
+            end;
+            Option.iter (fun r -> t.completed <- r :: t.completed) record))
       f
   end
+
+let add t name n =
+  if t.on then
+    locked t (fun () ->
+        match Hashtbl.find_opt t.counters name with
+        | Some r -> r := !r + n
+        | None -> Hashtbl.add t.counters name (ref n))
 
 let observe t name x =
   if t.on_histograms then
@@ -78,6 +115,17 @@ let merge_histogram t name src =
         | Some h -> Histo.merge_into ~into:h src
         | None -> Hashtbl.add t.histos name (Histo.copy src))
 
+let by_name key l = List.sort (fun a b -> String.compare (key a) (key b)) l
+
+let stages t =
+  locked t (fun () ->
+      Hashtbl.fold (fun k s acc -> (k, s.total, s.calls) :: acc) t.stages [])
+  |> by_name (fun (n, _, _) -> n)
+
+let counters t =
+  locked t (fun () -> Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters [])
+  |> by_name fst
+
 let spans t =
   locked t (fun () -> t.completed)
   |> List.sort (fun a b -> compare a.id b.id)
@@ -85,23 +133,92 @@ let spans t =
 let histograms t =
   locked t (fun () ->
       Hashtbl.fold (fun k h acc -> (k, Histo.copy h) :: acc) t.histos [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> by_name fst
 
 let reset t =
   locked t (fun () ->
+      Hashtbl.reset t.stages;
+      Hashtbl.reset t.counters;
       t.completed <- [];
       Hashtbl.reset t.histos)
 
 (* --- rendering --- *)
 
+(* Conventional counter/stage pairs reported as throughputs. *)
+let throughputs =
+  [
+    ("requests simulated/s", "sim.requests", "sim.replay");
+    ("trace events generated/s", "trace.events", "trace.gen");
+  ]
+
+let report t =
+  let stages = stages t and counters = counters t in
+  if stages = [] && counters = [] then ""
+  else begin
+    let buf = Buffer.create 256 in
+    (if stages <> [] then begin
+       let tbl =
+         Table.create
+           ~title:"Metrics: per-stage wall time"
+           ~columns:
+             [
+               ("stage", Table.Left);
+               ("calls", Table.Right);
+               ("total(s)", Table.Right);
+               ("mean(ms)", Table.Right);
+             ]
+       in
+       (* Already name-sorted: rows must not depend on merge order or
+          relative timings, so --metrics output is stable across
+          --domains values. *)
+       List.iter
+         (fun (name, total, calls) ->
+           Table.add_row tbl
+             [
+               name;
+               string_of_int calls;
+               Table.cell_f3 total;
+               Table.cell_f3 (1000.0 *. total /. float_of_int calls);
+             ])
+         stages;
+       Buffer.add_string buf (Table.render tbl)
+     end);
+    (if counters <> [] then begin
+       let tbl =
+         Table.create
+           ~title:"Metrics: counters"
+           ~columns:[ ("counter", Table.Left); ("value", Table.Right) ]
+       in
+       List.iter
+         (fun (name, v) -> Table.add_row tbl [ name; string_of_int v ])
+         counters;
+       Buffer.add_char buf '\n';
+       Buffer.add_string buf (Table.render tbl)
+     end);
+    let total stage =
+      List.find_map
+        (fun (name, total, _) -> if name = stage then Some total else None)
+        stages
+    in
+    List.iter
+      (fun (label, counter, stage) ->
+        match (List.assoc_opt counter counters, total stage) with
+        | Some n, Some dt when n <> 0 && dt > 0.0 ->
+            Buffer.add_string buf
+              (Printf.sprintf "%s: %.0f\n" label (float_of_int n /. dt))
+        | _ -> ())
+      throughputs;
+    Buffer.contents buf
+  end
+
 let qty = Printf.sprintf "%.6g"
 
-let histogram_report ?(title = "Histograms") t =
+let histogram_report t =
   match histograms t with
   | [] -> ""
   | hs ->
       let tbl =
-        Table.create ~title
+        Table.create ~title:"Histograms"
           ~columns:
             [
               ("histogram", Table.Left);
@@ -127,31 +244,13 @@ let histogram_report ?(title = "Histograms") t =
             ])
         hs;
       Table.render tbl
-
-let histograms_json t =
-  Json.Arr
-    (List.map
-       (fun (name, h) ->
-         Json.Obj
-           [
-             ("name", Json.Str name);
-             ("count", Json.Int (Histo.count h));
-             ("mean", Json.Float (Histo.mean h));
-             ("min", Json.Float (Histo.min_value h));
-             ("p50", Json.Float (Histo.quantile h 50.0));
-             ("p90", Json.Float (Histo.quantile h 90.0));
-             ("p99", Json.Float (Histo.quantile h 99.0));
-             ("max", Json.Float (Histo.max_value h));
-           ])
-       (histograms t))
-
 (* --- Chrome trace export ---
 
    Events are emitted by a tree walk per track (children under their
    recorded parent, siblings in start order), so B/E pairs nest
    correctly by construction even when float timestamps tie. *)
 
-let chrome_json ?(process_name = "dpm") t =
+let chrome_json t =
   let all = spans t in
   let t_min =
     List.fold_left (fun acc s -> Float.min acc s.t0) infinity all
@@ -203,7 +302,7 @@ let chrome_json ?(process_name = "dpm") t =
          ("name", Json.Str "process_name");
          ("pid", Json.Int 1);
          ("tid", Json.Int 0);
-         ("args", Json.Obj [ ("name", Json.Str process_name) ]);
+         ("args", Json.Obj [ ("name", Json.Str "dpm") ]);
        ]);
   List.iter
     (fun track ->
@@ -231,8 +330,8 @@ let chrome_json ?(process_name = "dpm") t =
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-let write_chrome_trace ?process_name t oc =
-  Json.to_channel ~indent:1 oc (chrome_json ?process_name t);
+let write_chrome_trace t oc =
+  Json.to_channel ~indent:1 oc (chrome_json t);
   output_char oc '\n'
 
 let validate_chrome doc =

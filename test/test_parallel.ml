@@ -5,7 +5,7 @@
    acceptance test). *)
 
 module Pool = Dpm_util.Pool
-module Metrics = Dpm_util.Metrics
+module Telemetry = Dpm_util.Telemetry
 module Scheme = Dpm_core.Scheme
 module Experiment = Dpm_core.Experiment
 
@@ -96,31 +96,51 @@ let test_fig3_grid_deterministic () =
     (Digest.to_hex (Digest.string (Marshal.to_string d1 [])))
     (Digest.to_hex (Digest.string (Marshal.to_string d4 [])))
 
-(* Metrics: domain-safe accumulation and report rendering. *)
+(* Telemetry's stage table and counters: domain-safe accumulation and
+   report rendering. *)
 let test_metrics_concurrent () =
-  let m = Metrics.create () in
+  let t = Telemetry.create () in
+  Telemetry.set_enabled t true;
   ignore
     (Pool.map ~domains:4
        (fun i ->
-         Metrics.span m "work" (fun () -> Metrics.add m "items" i))
+         Telemetry.span t "work" (fun () -> Telemetry.add t "items" i))
        (List.init 100 (fun i -> i)));
-  Alcotest.(check int) "span calls" 100 (Metrics.span_calls m "work");
-  Alcotest.(check int) "counter total" 4950 (Metrics.counter m "items");
+  Alcotest.(check (list (pair string int)))
+    "span calls" [ ("work", 100) ]
+    (List.map (fun (name, _, calls) -> (name, calls)) (Telemetry.stages t));
+  Alcotest.(check (list (pair string int)))
+    "counter total" [ ("items", 4950) ] (Telemetry.counters t);
+  Alcotest.(check int) "no span records without tracing" 0
+    (List.length (Telemetry.spans t));
   Alcotest.(check bool) "report renders" true
-    (String.length (Metrics.report m) > 0)
+    (String.length (Telemetry.report t) > 0)
 
 let test_metrics_disabled_is_noop () =
-  let m = Metrics.create ~enabled:false () in
+  let t = Telemetry.create () in
   Alcotest.(check int) "disabled span runs thunk" 3
-    (Metrics.span m "x" (fun () -> 3));
-  Metrics.count m "x";
-  Alcotest.(check int) "disabled counter" 0 (Metrics.counter m "x");
-  Alcotest.(check string) "empty report" "" (Metrics.report m);
-  Metrics.set_enabled m true;
-  Metrics.count m "x";
-  Alcotest.(check int) "re-enabled counter" 1 (Metrics.counter m "x");
-  Alcotest.(check bool) "rate needs both sides" true
-    (Metrics.rate m ~counter:"x" ~span:"missing" = None)
+    (Telemetry.span t "x" (fun () -> 3));
+  Telemetry.add t "x" 1;
+  Alcotest.(check (list (pair string int)))
+    "disabled counter" [] (Telemetry.counters t);
+  Alcotest.(check string) "empty report" "" (Telemetry.report t);
+  Telemetry.set_enabled t true;
+  Telemetry.add t "sim.requests" 1;
+  Alcotest.(check (list (pair string int)))
+    "re-enabled counter" [ ("sim.requests", 1) ] (Telemetry.counters t);
+  (* A throughput line needs both its counter and its stage. *)
+  let throughput () =
+    List.exists
+      (String.starts_with ~prefix:"requests simulated/s: ")
+      (String.split_on_char '\n' (Telemetry.report t))
+  in
+  Alcotest.(check bool) "rate needs both sides" false (throughput ());
+  Telemetry.span t "sim.replay" (fun () ->
+      let t0 = Telemetry.now () in
+      while Telemetry.now () = t0 do
+        ()
+      done);
+  Alcotest.(check bool) "rate once both sides exist" true (throughput ())
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

@@ -4,7 +4,8 @@
    (and Shutting_down after shutdown begins), a metered job's streamed
    sample integral must reproduce Result.energy to 1e-6 relative, the
    typed service errors must round-trip through JSON, and the Net layer
-   must carry a spec to a report over a real Unix socket. *)
+   must carry a spec to a report over a real Unix socket — and keep
+   serving after clients hang up mid-job. *)
 
 module Service = Dpm_core.Service
 module Run = Dpm_core.Run
@@ -248,6 +249,58 @@ let test_net_round_trip () =
   Thread.join server;
   checkb "socket file removed" false (Sys.file_exists path)
 
+(* --- clients that hang up mid-job must not take the daemon down --- *)
+
+let test_net_dropped_clients () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dpm-serve-drop-%d.sock" (Unix.getpid ()))
+  in
+  let address = Service.Net.Unix_path path in
+  let svc = Service.create ~domains:1 ~queue:4 () in
+  let server = Thread.create (fun () -> Service.Net.serve svc address) () in
+  let client = ok (Service.Net.connect address) in
+  ignore (ok (Service.Net.ping client));
+  (* A raw client: one submit frame, then hang up after [linger] s. *)
+  let drop ?meter ~linger spec =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    let oc = Unix.out_channel_of_descr fd in
+    let meter =
+      match meter with None -> [] | Some r -> [ ("meter", Json.Float r) ]
+    in
+    output_string oc
+      (Json.to_string
+         (Json.Obj
+            ([ ("op", Json.Str "submit"); ("spec", ok (Run.to_json spec)) ]
+            @ meter)));
+    output_char oc '\n';
+    flush oc;
+    Thread.delay linger;
+    close_out oc
+  in
+  drop ~meter:0.01 ~linger:0.05
+    (job_spec ~schemes:[ Scheme.Base; Scheme.Cmdrpm ] "galgel");
+  drop ~linger:0.0 (job_spec "swim");
+  (* Both orphaned jobs run to completion, writing into closed sockets. *)
+  let deadline = Unix.gettimeofday () +. 120.0 in
+  while (Service.stats svc).Service.completed < 2 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "orphaned jobs never completed";
+    Thread.delay 0.01
+  done;
+  let spec = job_spec "mgrid" in
+  let _, report = ok (Service.Net.submit client spec) in
+  let svc2 = Service.create ~domains:1 ~queue:4 () in
+  let outcome = ok (Service.await svc2 (ok (Service.submit svc2 spec))) in
+  Service.shutdown svc2;
+  check Alcotest.string "third client's report"
+    (Json.to_string outcome.Service.report)
+    (Json.to_string report);
+  check Alcotest.int "drained every job" 3 (ok (Service.Net.shutdown client));
+  Service.Net.close client;
+  Thread.join server
+
 let test_address_strings () =
   (match Service.Net.address_of_string "127.0.0.1:4000" with
   | Service.Net.Tcp { host = "127.0.0.1"; port = 4000 } -> ()
@@ -278,6 +331,8 @@ let suite =
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "net round-trip over a Unix socket" `Slow
           test_net_round_trip;
+        Alcotest.test_case "daemon survives clients that hang up" `Slow
+          test_net_dropped_clients;
         Alcotest.test_case "address strings" `Quick test_address_strings;
       ] );
   ]

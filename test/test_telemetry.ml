@@ -8,7 +8,6 @@ module Histo = Dpm_util.Histo
 module Telemetry = Dpm_util.Telemetry
 module Json = Dpm_util.Json
 module Log = Dpm_util.Log
-module Metrics = Dpm_util.Metrics
 module Stats = Dpm_util.Stats
 module Pool = Dpm_util.Pool
 module Scheme = Dpm_core.Scheme
@@ -330,20 +329,19 @@ let test_level_of_string () =
 (* --- metrics determinism (satellite: name-sorted report rows) --- *)
 
 let test_metrics_sorted () =
-  let m = Metrics.create () in
-  Metrics.record_span m "zeta" 0.5;
-  Metrics.record_span m "alpha" 0.25;
-  Metrics.record_span m "mid" 1.0;
-  Metrics.count m "z.counter";
-  Metrics.count m "a.counter";
+  let t = Telemetry.create () in
+  Telemetry.set_enabled t true;
+  List.iter (fun name -> Telemetry.span t name ignore) [ "zeta"; "alpha"; "mid" ];
+  Telemetry.add t "z.counter" 1;
+  Telemetry.add t "a.counter" 1;
   Alcotest.(check (list string))
     "spans sorted by name"
     [ "alpha"; "mid"; "zeta" ]
-    (List.map (fun (n, _, _) -> n) (Metrics.spans m));
+    (List.map (fun (n, _, _) -> n) (Telemetry.stages t));
   Alcotest.(check (list string))
     "counters sorted by name"
     [ "a.counter"; "z.counter" ]
-    (List.map fst (Metrics.counters m))
+    (List.map fst (Telemetry.counters t))
 
 (* --- the governing invariant: telemetry never changes results --- *)
 
@@ -361,13 +359,13 @@ let test_observer_effect () =
   Telemetry.reset t;
   Telemetry.set_tracing t true;
   Telemetry.set_histograms t true;
-  let was_metrics = Metrics.enabled Metrics.global in
-  Metrics.set_enabled Metrics.global true;
+  let was_enabled = Telemetry.enabled t in
+  Telemetry.set_enabled t true;
   Fun.protect
     ~finally:(fun () ->
       Telemetry.set_tracing t false;
       Telemetry.set_histograms t false;
-      Metrics.set_enabled Metrics.global was_metrics;
+      Telemetry.set_enabled t was_enabled;
       Telemetry.reset t)
     (fun () ->
       let on = results_for () in
@@ -420,6 +418,47 @@ let test_report () =
         done;
         !found)
 
+(* Report.run switches the global collector's stage table and
+   histograms on for its duration only, and its document carries what
+   they recorded. *)
+let test_report_collector () =
+  let t = Telemetry.global in
+  let flags () =
+    (Telemetry.enabled t, Telemetry.tracing t, Telemetry.histograms_enabled t)
+  in
+  let enabled0, tracing0, histograms0 = flags () in
+  let names doc field key =
+    List.filter_map
+      (fun row -> Option.bind (Json.member key row) Json.to_str)
+      (Option.value ~default:[]
+         (Option.bind (Json.member field doc) Json.to_list))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled t enabled0;
+      Telemetry.set_histograms t histograms0)
+    (fun () ->
+      List.iter
+        (fun (enabled, histograms) ->
+          Telemetry.set_enabled t enabled;
+          Telemetry.set_histograms t histograms;
+          match Dpm_core.Report.run ~schemes:[ Scheme.Base ] "galgel" with
+          | Error e -> Alcotest.fail (Dpm_core.Run.error_message e)
+          | Ok doc ->
+              Alcotest.(check (triple bool bool bool))
+                "collector flags restored"
+                (enabled, tracing0, histograms)
+                (flags ());
+              Alcotest.(check bool) "stages carry sim.replay" true
+                (List.mem "sim.replay" (names doc "stages" "stage"));
+              Alcotest.(check bool) "counters carry sim.requests" true
+                (List.mem "sim.requests" (names doc "counters" "counter"));
+              Alcotest.(check bool) "histograms carry sim.service_latency_s"
+                true
+                (List.mem "sim.service_latency_s"
+                   (names doc "histograms" "name")))
+        [ (false, false); (true, false); (false, true) ])
+
 let test_bench_snapshot () =
   let doc =
     Dpm_core.Report.bench_snapshot
@@ -468,6 +507,8 @@ let suite =
           test_observer_effect;
         Alcotest.test_case "run report validates and round-trips" `Slow
           test_report;
+        Alcotest.test_case "report restores collector flags" `Quick
+          test_report_collector;
         Alcotest.test_case "bench snapshot validates" `Quick
           test_bench_snapshot;
       ] );
