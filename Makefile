@@ -29,7 +29,8 @@ fault-check: build
 	cmp _build/fault_smoke.out test/golden/fault_smoke.expected
 
 # Timeline smoke: the per-scheme event-log summary of a fixed run must
-# reproduce the checked-in golden byte-for-byte; recording must not
+# reproduce the checked-in golden byte-for-byte, from flags and from the
+# same run's dpm-spec/1 file; recording must not
 # change the results table (the observer-effect guarantee, end-to-end
 # through the CLI); and the JSONL export must read back cleanly with
 # zero invariant violations.
@@ -37,6 +38,10 @@ timeline-check: build
 	dune exec bin/dpmsim.exe -- simulate -b galgel -s Base,CMDRPM \
 	  --timeline - > _build/timeline_smoke.out
 	cmp _build/timeline_smoke.out test/golden/timeline_smoke.expected
+	dune exec bin/dpmsim.exe -- simulate \
+	  --spec test/specs/serve-metered.spec.json --timeline - \
+	  > _build/timeline_spec.out
+	cmp _build/timeline_spec.out test/golden/timeline_smoke.expected
 	dune exec bin/dpmsim.exe -- simulate -b galgel -s CMDRPM \
 	  --timeline _build/timeline_smoke.jsonl > _build/timeline_on.out
 	dune exec bin/dpmsim.exe -- simulate -b galgel -s CMDRPM \

@@ -339,22 +339,35 @@ let fleet_arg =
   Arg.(
     value & opt (list disk_model_conv) [] & info [ "fleet" ] ~doc ~docv:"MODELS")
 
-let sim_config_of ~fleet ~sched =
-  let c = Dpm_sim.Config.default in
-  let c =
-    if fleet = [] then c
-    else Dpm_sim.Config.with_fleet (Array.of_list fleet) c
+(* The job a flag-driven [simulate] or [report] runs.  Base joins the
+   requested schemes: it anchors the normalized columns. *)
+let flag_spec ~schemes ~version ~mode ?faults ~fleet ~sched ?stream ?batch
+    ?core workload =
+  let schemes =
+    if List.mem Dpm_core.Scheme.Base schemes then schemes
+    else Dpm_core.Scheme.Base :: schemes
   in
-  match sched with None -> c | Some s -> Dpm_sim.Config.with_sched s c
+  let sim =
+    let c = Dpm_sim.Config.default in
+    let c =
+      if fleet = [] then c
+      else Dpm_sim.Config.with_fleet (Array.of_list fleet) c
+    in
+    match sched with None -> c | Some s -> Dpm_sim.Config.with_sched s c
+  in
+  Dpm_core.Run.spec ~schemes ~sim ~mode ~version ?faults ?stream ?batch ?core
+    workload
 
 let spec_file_arg =
   let doc =
     "Replay a saved $(b,dpm-spec/1) run-spec file (the format $(b,dpmsim \
      sweep) persists for each winning configuration, or \
      [Dpm_core.Run.to_file]).  The spec is self-contained — workload, \
-     schemes, simulator configuration, faults, mode, core — so it is \
-     mutually exclusive with $(b,-b)/$(b,--trace-file) and ignores the \
-     per-run tuning flags."
+     schemes and the whole setup (simulator configuration, faults, mode, \
+     transform, stream, core) — so it is mutually exclusive with \
+     $(b,-b)/$(b,--trace-file)/$(b,--open-loop) and ignores the tuning \
+     flags; the observational flags ($(b,--timeline), $(b,--histograms), \
+     $(b,--meter)) apply as on any run."
   in
   Arg.(value & opt (some string) None & info [ "spec" ] ~doc ~docv:"FILE")
 
@@ -428,142 +441,90 @@ let simulate_cmd =
   let run inst name trace_file open_loop spec_file schemes version mode faults
       timeline histograms stream batch core fleet sched meter resolution =
     if histograms then Dpm_util.Telemetry.(set_histograms global true);
-    if
-      meter <> None
-      && not (Float.is_finite resolution && resolution > 0.0)
-    then begin
-      Dpm_util.Log.error ~scope:"dpmsim"
-        "--resolution must be positive and finite";
-      2
-    end
-    else
-    match spec_file with
-    | Some f when name <> None || trace_file <> None || open_loop <> None ->
-        ignore f;
-        Dpm_util.Log.error ~scope:"dpmsim"
-          "--spec is self-contained; don't combine it with \
-           -b/--benchmark, --trace-file or --open-loop";
-        2
-    | Some f -> (
-        match Dpm_core.Run.of_file f with
-        | Error e ->
-            Dpm_util.Log.error ~scope:"dpmsim" (Dpm_core.Run.error_message e);
-            2
-        | Ok rspec -> (
-            (* The spec is self-contained, but meters are live state a
-               file cannot carry: allocate one sink+meter per scheme the
-               run asks for, resolving power models from the spec's own
-               simulator config. *)
-            let metered = Hashtbl.create 8 in
-            let rspec =
-              match meter with
-              | None -> rspec
-              | Some _ ->
-                  let cfg = Dpm_core.Run.sim_config rspec in
-                  Dpm_core.Run.with_timeline
-                    (fun s ->
-                      match Hashtbl.find_opt metered s with
-                      | Some (sink, _) -> Some sink
-                      | None ->
-                          let sink = Dpm_sim.Timeline.sink () in
-                          let m =
-                            Dpm_sim.Meter.create ~resolution
-                              ~specs:cfg.Dpm_sim.Config.specs
-                              ~fleet:cfg.Dpm_sim.Config.fleet ()
-                          in
-                          Dpm_sim.Meter.attach m sink;
-                          Hashtbl.add metered s (sink, m);
-                          Some sink)
-                    rspec
-            in
-            match Dpm_core.Run.exec_all rspec with
-            | Error e ->
-                Dpm_util.Log.error ~scope:"dpmsim"
-                  (Dpm_core.Run.error_message e);
-                2
-            | Ok results ->
-                ignore (print_results_table results ~schemes:None);
-                Hashtbl.iter
-                  (fun _ (_, m) -> Dpm_sim.Meter.finish m)
-                  metered;
-                (match meter with
-                | None -> ()
-                | Some dest ->
-                    emit_meters ~dest
-                      (List.filter_map
-                         (fun (s, (r : Dpm_sim.Result.t)) ->
-                           Option.map
-                             (fun (_, m) ->
-                               ( Dpm_core.Scheme.name s,
-                                 r.Dpm_sim.Result.program,
-                                 m ))
-                             (Hashtbl.find_opt metered s))
-                         results));
-                finish_instrumentation inst;
-                0))
-    | None -> (
-    let workload =
-      match (name, trace_file, open_loop) with
-      | Some n, None, None -> Ok (Dpm_core.Run.Benchmark n)
-      | None, Some f, None -> Ok (Dpm_core.Run.Trace_file f)
-      | None, None, Some ol -> (
-          match Dpm_trace.Openloop.of_string ol with
-          | Ok (load, sources) -> Ok (Dpm_core.Run.Open_loop { load; sources })
-          | Error m -> Error ("bad --open-loop descriptor: " ^ m))
-      | None, None, None ->
-          Error
-            "one of -b/--benchmark, --trace-file, --open-loop or --spec is \
-             required"
-      | _ ->
-          Error
-            "pass exactly one of -b/--benchmark, --trace-file or --open-loop"
+    let ( let* ) = Result.bind in
+    let flag_job workload =
+      Ok
+        ( flag_spec ~schemes ~version ~mode ?faults ~fleet ~sched ~stream
+            ?batch ~core workload,
+          Some schemes )
     in
-    match workload with
+    (* The job, plus the schemes whose rows to show: a flag run hides the
+       Base it joined for normalization; a spec file shows every row. *)
+    let job =
+      if meter <> None && not (Float.is_finite resolution && resolution > 0.0)
+      then Error "--resolution must be positive and finite"
+      else
+        match (spec_file, name, trace_file, open_loop) with
+        | Some f, None, None, None ->
+            Result.map
+              (fun rspec -> (rspec, None))
+              (Result.map_error Dpm_core.Run.error_message
+                 (Dpm_core.Run.of_file f))
+        | Some _, _, _, _ ->
+            Error
+              "--spec is self-contained; don't combine it with \
+               -b/--benchmark, --trace-file or --open-loop"
+        | None, Some n, None, None -> flag_job (Dpm_core.Run.Benchmark n)
+        | None, None, Some f, None -> flag_job (Dpm_core.Run.Trace_file f)
+        | None, None, None, Some ol -> (
+            match Dpm_trace.Openloop.of_string ol with
+            | Ok (load, sources) ->
+                flag_job (Dpm_core.Run.Open_loop { load; sources })
+            | Error m -> Error ("bad --open-loop descriptor: " ^ m))
+        | None, None, None, None ->
+            Error
+              "one of -b/--benchmark, --trace-file, --open-loop or --spec is \
+               required"
+        | None, _, _, _ ->
+            Error
+              "pass exactly one of -b/--benchmark, --trace-file or --open-loop"
+    in
+    let ran =
+      let* rspec, shown = job in
+      Result.map_error Dpm_core.Run.error_message
+        (let* run_schemes = Dpm_core.Run.schemes_of rspec in
+         let sinks =
+           match (timeline, meter) with
+           | None, None -> []
+           | _ ->
+               List.map (fun s -> (s, Dpm_sim.Timeline.sink ())) run_schemes
+         in
+         let cfg = Dpm_core.Run.sim_config rspec in
+         let meters =
+           match meter with
+           | None -> []
+           | Some _ ->
+               List.map
+                 (fun (s, sink) ->
+                   let m =
+                     Dpm_sim.Meter.create ~resolution
+                       ~specs:cfg.Dpm_sim.Config.specs
+                       ~fleet:cfg.Dpm_sim.Config.fleet ()
+                   in
+                   Dpm_sim.Meter.attach m sink;
+                   (s, m))
+                 sinks
+         in
+         let* results =
+           Dpm_core.Run.exec_all
+             (Dpm_core.Run.with_timeline
+                (fun s -> List.assoc_opt s sinks)
+                rspec)
+         in
+         let* _, setup = Dpm_core.Run.describe rspec in
+         Ok (results, shown, sinks, meters, setup))
+    in
+    match ran with
     | Error m ->
         Dpm_util.Log.error ~scope:"dpmsim" m;
         2
-    | Ok workload -> (
-    (* Base joins the run for normalization even when not requested. *)
-    let run_schemes =
-      if List.mem Dpm_core.Scheme.Base schemes then schemes
-      else Dpm_core.Scheme.Base :: schemes
-    in
-    let sinks =
-      match (timeline, meter) with
-      | None, None -> []
-      | _ -> List.map (fun s -> (s, Dpm_sim.Timeline.sink ())) run_schemes
-    in
-    let cfg = sim_config_of ~fleet ~sched in
-    let meters =
-      match meter with
-      | None -> []
-      | Some _ ->
-          List.map
-            (fun (s, sink) ->
-              let m =
-                Dpm_sim.Meter.create ~resolution
-                  ~specs:cfg.Dpm_sim.Config.specs
-                  ~fleet:cfg.Dpm_sim.Config.fleet ()
-              in
-              Dpm_sim.Meter.attach m sink;
-              (s, m))
-            sinks
-    in
-    let rspec =
-      Dpm_core.Run.spec ~schemes:run_schemes ~sim:cfg ~mode ~version ?faults
-        ?timeline:
-          (match sinks with
-          | [] -> None
-          | _ -> Some (fun s -> List.assoc_opt s sinks))
-        ~stream ?batch ~core workload
-    in
-    match Dpm_core.Run.exec_all rspec with
-    | Error e ->
-        Dpm_util.Log.error ~scope:"dpmsim" (Dpm_core.Run.error_message e);
-        2
-    | Ok results ->
-        let shown = print_results_table results ~schemes:(Some schemes) in
-        (if faults <> None then begin
+    | Ok (results, shown, sinks, meters, setup) ->
+        let shown = print_results_table results ~schemes:shown in
+        (* A --faults flag, or a spec that injects faults. *)
+        (if
+           faults <> None
+           || setup.Dpm_core.Experiment.faults <> Dpm_sim.Fault.none
+         then begin
            Printf.printf "\n%-8s %8s %10s %8s %11s %10s %7s\n" "scheme"
              "retries" "delay(s)" "remaps" "spinup-rec" "redirects" "failed";
            List.iter
@@ -631,7 +592,7 @@ let simulate_cmd =
              print_string rendered
            end);
         finish_instrumentation inst;
-        0))
+        0
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -857,9 +818,9 @@ let report_cmd =
   in
   let run inst name schemes version mode faults fleet sched out md =
     match
-      Dpm_core.Report.run ~schemes ~mode ~version ?faults
-        ~sim:(sim_config_of ~fleet ~sched)
-        name
+      Dpm_core.Report.of_spec
+        (flag_spec ~schemes ~version ~mode ?faults ~fleet ~sched
+           (Dpm_core.Run.Benchmark name))
     with
     | Error e ->
         Dpm_util.Log.error ~scope:"dpmsim" (Dpm_core.Run.error_message e);

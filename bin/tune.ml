@@ -21,9 +21,7 @@ let () =
       let p, plan = Dpm_core.Experiment.workload spec in
       let setup = Dpm_core.Experiment.make_setup ~noise:spec.noise () in
       let results =
-        match
-          Run.exec_all (Run.of_experiment ~setup (Run.Program (p, plan)))
-        with
+        match Run.exec_all (Run.spec ~setup (Run.Program (p, plan))) with
         | Ok results -> results
         | Error e ->
             Dpm_util.Log.error ~scope:"tune" (Run.error_message e);

@@ -42,15 +42,7 @@ let transformed setup p plan =
     Telemetry.global "compile.transform"
     (fun () -> Compiler.Pipeline.transform setup.version p plan)
 
-let compile_cm setup scheme p plan =
-  let ischeme =
-    match scheme with
-    | Scheme.Cmtpm -> Compiler.Insertion.Tpm
-    | Scheme.Cmdrpm -> Compiler.Insertion.Drpm
-    | Scheme.Base | Scheme.Tpm | Scheme.Itpm | Scheme.Drpm | Scheme.Idrpm
-    | Scheme.Adaptive ->
-        invalid_arg "Experiment.compile_cm: not a compiler-managed scheme"
-  in
+let compile_cm setup scheme ischeme p plan =
   Telemetry.span
     ~args:(fun () ->
       [ ("program", p.Dpm_ir.Program.name); ("scheme", Scheme.name scheme) ])
@@ -63,139 +55,57 @@ let compile_cm setup scheme p plan =
         ~serve_slow:(match setup.mode with `Open -> true | `Closed -> false)
         ~specs:setup.sim.Sim.Config.specs p plan)
 
-let run_cm ?timeline setup scheme p plan =
-  let compiled = compile_cm setup scheme p plan in
-  let policy =
-    match scheme with
-    | Scheme.Cmtpm -> Sim.Policy.cm_tpm
-    | Scheme.Cmdrpm | Scheme.Base | Scheme.Tpm | Scheme.Itpm | Scheme.Drpm
-    | Scheme.Idrpm | Scheme.Adaptive ->
-        Sim.Policy.cm_drpm
-  in
-  let stream =
-    if setup.stream then
-      Trace.Generate.stream ~config:(gen_config setup) ~batch:setup.batch
-        compiled.Compiler.Pipeline.program plan
-    else
-      Trace.Trace.Stream.of_trace ~batch:setup.batch
-        (Trace.Generate.run ~config:(gen_config setup)
-           compiled.Compiler.Pipeline.program plan)
-  in
-  Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-    ~faults:setup.faults ?timeline ~core:setup.core policy stream
+(* Non-streaming setups materialize the trace once and hand out slices
+   of it; [setup.stream] trades that sharing for a fresh producer per
+   call in O(batch) peak memory. *)
+let source setup ~fresh ~whole =
+  if setup.stream then fun () -> fresh ~batch:setup.batch
+  else
+    let trace = lazy (whole ()) in
+    fun () -> Trace.Trace.Stream.of_trace ~batch:setup.batch (Lazy.force trace)
 
-let run_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all) p plan =
+let generated setup p plan =
+  let config = gen_config setup in
+  source setup
+    ~fresh:(fun ~batch -> Trace.Generate.stream ~config ~batch p plan)
+    ~whole:(fun () -> Trace.Generate.run ~config p plan)
+
+(* The one per-scheme body.  Every replay consumes a fresh stream from
+   [source]; [cm] yields the stream a compiler-managed scheme replays;
+   the oracle schemes derive from the Base replay, which runs at most
+   once. *)
+let replay_schemes ?timeline ~setup ~schemes ~args ~cm source =
   let sink_for scheme =
     match timeline with None -> None | Some f -> f scheme
   in
-  let p, plan = transformed setup p plan in
-  (* Non-streaming setups generate the trace once and share slices of it
-     across schemes; [setup.stream] trades that sharing for a fused
-     generate→replay per scheme in O(batch) peak memory. *)
-  let trace = lazy (Trace.Generate.run ~config:(gen_config setup) p plan) in
-  let stream_of () =
-    if setup.stream then
-      Trace.Generate.stream ~config:(gen_config setup) ~batch:setup.batch p
-        plan
-    else Trace.Trace.Stream.of_trace ~batch:setup.batch (Lazy.force trace)
+  let replay scheme policy_of stream =
+    Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
+      ~faults:setup.faults ?timeline:(sink_for scheme) ~core:setup.core
+      (policy_of (Trace.Trace.Stream.ndisks stream))
+      stream
   in
-  let base =
-    lazy
-      (Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-         ~faults:setup.faults ?timeline:(sink_for Scheme.Base)
-         ~core:setup.core Sim.Policy.base (stream_of ()))
-  in
+  let base = lazy (replay Scheme.Base (fun _ -> Sim.Policy.base) (source ())) in
   List.map
     (fun scheme ->
       let result =
         Telemetry.span
-          ~args:(fun () ->
-            [
-              ("scheme", Scheme.name scheme);
-              ("program", p.Dpm_ir.Program.name);
-            ])
+          ~args:(fun () -> ("scheme", Scheme.name scheme) :: args)
           Telemetry.global "experiment.scheme"
         @@ fun () ->
         match scheme with
         | Scheme.Base -> Lazy.force base
         | Scheme.Tpm ->
-            Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-              ~faults:setup.faults ?timeline:(sink_for scheme)
-              ~core:setup.core
-              (Sim.Policy.tpm setup.sim)
-              (stream_of ())
+            replay scheme (fun _ -> Sim.Policy.tpm setup.sim) (source ())
         | Scheme.Drpm ->
-            Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-              ~faults:setup.faults ?timeline:(sink_for scheme)
-              ~core:setup.core
-              (Sim.Policy.drpm setup.sim
-                 ~ndisks:(Dpm_layout.Plan.ndisks plan))
-              (stream_of ())
+            replay scheme
+              (fun ndisks -> Sim.Policy.drpm setup.sim ~ndisks)
+              (source ())
         | Scheme.Adaptive ->
             (* A fresh policy per replay: the controller's learned state
                must not leak across runs (share-nothing determinism). *)
-            Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-              ~faults:setup.faults ?timeline:(sink_for scheme)
-              ~core:setup.core
-              (Sim.Policy.adaptive setup.sim
-                 ~ndisks:(Dpm_layout.Plan.ndisks plan))
-              (stream_of ())
-        | Scheme.Itpm ->
-            Sim.Oracle.itpm ~config:setup.sim ?timeline:(sink_for scheme)
-              (Lazy.force base)
-        | Scheme.Idrpm ->
-            Sim.Oracle.idrpm ~config:setup.sim ?timeline:(sink_for scheme)
-              (Lazy.force base)
-        | Scheme.Cmtpm | Scheme.Cmdrpm ->
-            run_cm ?timeline:(sink_for scheme) setup scheme p plan
-      in
-      (scheme, result))
-    schemes
-
-(* Replay externally-produced streams (trace files, pre-generated
-   traces) under each scheme.  [source] must yield a fresh stream per
-   call — each replay consumes one.  CM schemes replay whatever
-   directives the trace embeds; oracle schemes derive from the shared
-   Base replay as usual. *)
-let replay_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all)
-    source =
-  let sink_for scheme =
-    match timeline with None -> None | Some f -> f scheme
-  in
-  let replay ?timeline policy =
-    Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-      ~faults:setup.faults ?timeline ~core:setup.core policy (source ())
-  in
-  let base =
-    lazy (replay ?timeline:(sink_for Scheme.Base) Sim.Policy.base)
-  in
-  List.map
-    (fun scheme ->
-      let result =
-        Telemetry.span
-          ~args:(fun () -> [ ("scheme", Scheme.name scheme) ])
-          Telemetry.global "experiment.scheme"
-        @@ fun () ->
-        match scheme with
-        | Scheme.Base -> Lazy.force base
-        | Scheme.Tpm ->
-            replay ?timeline:(sink_for scheme) (Sim.Policy.tpm setup.sim)
-        | Scheme.Drpm ->
-            let s = source () in
-            Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-              ~faults:setup.faults ?timeline:(sink_for scheme)
-              ~core:setup.core
-              (Sim.Policy.drpm setup.sim
-                 ~ndisks:(Trace.Trace.Stream.ndisks s))
-              s
-        | Scheme.Adaptive ->
-            let s = source () in
-            Sim.Engine.run_stream ~config:setup.sim ~mode:setup.mode
-              ~faults:setup.faults ?timeline:(sink_for scheme)
-              ~core:setup.core
-              (Sim.Policy.adaptive setup.sim
-                 ~ndisks:(Trace.Trace.Stream.ndisks s))
-              s
+            replay scheme
+              (fun ndisks -> Sim.Policy.adaptive setup.sim ~ndisks)
+              (source ())
         | Scheme.Itpm ->
             Sim.Oracle.itpm ~config:setup.sim ?timeline:(sink_for scheme)
               (Lazy.force base)
@@ -203,12 +113,33 @@ let replay_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all)
             Sim.Oracle.idrpm ~config:setup.sim ?timeline:(sink_for scheme)
               (Lazy.force base)
         | Scheme.Cmtpm ->
-            replay ?timeline:(sink_for scheme) Sim.Policy.cm_tpm
+            replay scheme
+              (fun _ -> Sim.Policy.cm_tpm)
+              (cm scheme Compiler.Insertion.Tpm)
         | Scheme.Cmdrpm ->
-            replay ?timeline:(sink_for scheme) Sim.Policy.cm_drpm
+            replay scheme
+              (fun _ -> Sim.Policy.cm_drpm)
+              (cm scheme Compiler.Insertion.Drpm)
       in
       (scheme, result))
     schemes
+
+let run_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all) p plan =
+  let p, plan = transformed setup p plan in
+  let cm scheme ischeme =
+    let compiled = compile_cm setup scheme ischeme p plan in
+    generated setup compiled.Compiler.Pipeline.program plan ()
+  in
+  replay_schemes ?timeline ~setup ~schemes
+    ~args:[ ("program", p.Dpm_ir.Program.name) ]
+    ~cm (generated setup p plan)
+
+(* CM schemes replay whatever directives the external trace embeds. *)
+let replay_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all)
+    source =
+  replay_schemes ?timeline ~setup ~schemes ~args:[]
+    ~cm:(fun _ _ -> source ())
+    source
 
 let run ?setup ?timeline scheme p plan =
   let timeline = Option.map (fun sink _scheme -> Some sink) timeline in
@@ -225,7 +156,9 @@ let misprediction_pct ?(setup = default_setup) p plan =
     Sim.Engine.run ~config:setup.sim ~mode:setup.mode ~faults:setup.faults
       ~core:setup.core Sim.Policy.base trace
   in
-  let compiled = compile_cm setup Scheme.Cmdrpm p plan in
+  let compiled =
+    compile_cm setup Scheme.Cmdrpm Compiler.Insertion.Drpm p plan
+  in
   let top = Dpm_disk.Rpm.max_level setup.sim.Sim.Config.specs in
   (* Decisions are anchored at code positions; place them on the actual
      timeline through the exact profile so that only the *speed* choice

@@ -1,7 +1,11 @@
-(** One benchmark × scheme × configuration run — the public entry point
-    that ties the whole pipeline together (paper Figure 1): compile (for
-    CM schemes), generate the trace, replay it under the scheme's policy,
-    and report energy and execution time. *)
+(** One benchmark × scheme × configuration run — the pipeline of the
+    paper's Figure 1: compile (for CM schemes), generate the trace,
+    replay it under the scheme's policy, and report energy and execution
+    time.  {!run_all} and {!replay_all} share one per-scheme body (one
+    place maps a scheme to its policy) and differ only in where the
+    streams come from; {!source} is the one stream-or-materialize choice.
+    Drivers handling user input go through {!Run}, whose [spec] carries a
+    {!setup}. *)
 
 type setup = {
   sim : Dpm_sim.Config.t;
@@ -49,6 +53,27 @@ val default_setup : setup
 (** Default simulator config, open-loop replay, the suite's 192-unit
     cache, no estimation error, untransformed code, no faults
     ([make_setup ()]). *)
+
+val source :
+  setup ->
+  fresh:(batch:int -> Dpm_trace.Trace.Stream.t) ->
+  whole:(unit -> Dpm_trace.Trace.t) ->
+  unit ->
+  Dpm_trace.Trace.Stream.t
+(** [source setup ~fresh ~whole] yields a fresh stream per call.  Under
+    [setup.stream] every call is a new [fresh] producer (regenerate or
+    re-parse, O(batch) memory); otherwise [whole] runs once, on the
+    first call, and each call slices the shared trace.  Results are
+    byte-identical either way. *)
+
+val generated :
+  setup ->
+  Dpm_ir.Program.t ->
+  Dpm_layout.Plan.t ->
+  unit ->
+  Dpm_trace.Trace.Stream.t
+(** {!source} over the program's generated trace ([Generate.stream] /
+    [Generate.run] with the setup's cache). *)
 
 val run :
   ?setup:setup ->

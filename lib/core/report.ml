@@ -160,15 +160,9 @@ let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t) ?telemetry
       ("counters", collected counter_rows);
     ]
 
-let of_spec ?(force_base = false) spec =
+let of_spec spec =
   let ( let* ) = Result.bind in
   let* schemes = Run.schemes_of spec in
-  let schemes =
-    if force_base && not (List.mem Scheme.Base schemes) then
-      Scheme.Base :: schemes
-    else schemes
-  in
-  let spec = Run.with_schemes schemes spec in
   let sinks = List.map (fun s -> (s, Sim.Timeline.sink ())) schemes in
   let spec = Run.with_timeline (fun s -> List.assoc_opt s sinks) spec in
   (* The stage table and the histograms both live on the process-wide
@@ -185,25 +179,14 @@ let of_spec ?(force_base = false) spec =
     Telemetry.set_enabled tele was_enabled;
     Telemetry.set_histograms tele had_histos
   in
-  let result = Fun.protect ~finally:restore (fun () -> Run.exec_all spec) in
-  match result with
-  | Error e -> Error e
-  | Ok results ->
-      let* label, setup = Run.describe spec in
-      Ok
-        (document ~label ~mode:setup.Experiment.mode
-           ~version:setup.Experiment.version ~faults:setup.Experiment.faults
-           ~sim:setup.Experiment.sim
-           ~telemetry:tele
-           ~timeline_of:(fun s ->
-             Sim.Timeline.contents (List.assoc s sinks))
-           results)
-
-let run ?(schemes = Scheme.all) ?(mode = `Open)
-    ?(version = Dpm_compiler.Pipeline.Orig) ?(faults = Sim.Fault.none)
-    ?(sim = Sim.Config.default) benchmark =
-  of_spec ~force_base:true
-    (Run.spec ~schemes ~sim ~mode ~version ~faults (Run.Benchmark benchmark))
+  let* results = Fun.protect ~finally:restore (fun () -> Run.exec_all spec) in
+  let* label, setup = Run.describe spec in
+  Ok
+    (document ~label ~mode:setup.Experiment.mode
+       ~version:setup.Experiment.version ~faults:setup.Experiment.faults
+       ~sim:setup.Experiment.sim ~telemetry:tele
+       ~timeline_of:(fun s -> Sim.Timeline.contents (List.assoc s sinks))
+       results)
 
 (* --- markdown digest --- *)
 

@@ -1,15 +1,16 @@
 (** Machine-readable run reports and benchmark snapshots.
 
-    One {!run} executes a benchmark under a set of schemes with timeline
-    recording and the {!Dpm_util.Telemetry} stage table and histograms
-    switched on, and condenses everything the pipeline knows about the
-    run into a single JSON document (schema {!schema_version}):
-    per-scheme energies and normalized ratios, fault counters, per-disk
-    timeline summaries with the independently re-integrated energy and
-    the invariant-check verdict, the registered latency/queue/gap
-    histograms, and the flat stage timings and counters.  The same document renders as a markdown digest
-    ({!markdown}) and validates structurally ({!validate}) — the golden
-    check in [make report-check] compares its
+    {!of_spec} executes a {!Run.spec} with timeline recording and the
+    {!Dpm_util.Telemetry} stage table and histograms switched on, and
+    condenses everything the pipeline knows about the run into a single
+    JSON document (schema {!schema_version}): per-scheme energies and
+    normalized ratios, fault counters, per-disk timeline summaries with
+    the independently re-integrated energy and the invariant-check
+    verdict, the registered latency/queue/gap histograms (each row with
+    its mergeable {!Dpm_util.Histo.to_json} buckets), and the flat stage
+    timings and counters.  The same document renders as a markdown
+    digest ({!markdown}) and validates structurally ({!validate}) — the
+    golden check in [make report-check] compares its
     {!Dpm_util.Json.schema_outline}, so values may change freely while
     the shape is pinned.
 
@@ -42,35 +43,15 @@ val document :
     jobs, and a job's response must be a function of the job alone.
     The document shape is identical either way. *)
 
-val of_spec :
-  ?force_base:bool -> Run.spec -> (Dpm_util.Json.t, Run.error) result
-(** Execute an arbitrary {!Run.spec} with per-scheme timeline sinks and
-    {!Dpm_util.Telemetry.global}'s stage table and histograms enabled
-    (both switches restored afterwards), and build its report document.  [force_base]
-    (default false) adds [Base] to the scheme set first.  This is the
-    single report path: {!run} is [of_spec ~force_base:true] of a
-    benchmark spec, and a daemon job is the same value reported without
-    the shared collector (see {!document}). *)
-
-val run :
-  ?schemes:Scheme.t list ->
-  ?mode:Dpm_sim.Engine.mode ->
-  ?version:Dpm_compiler.Pipeline.version ->
-  ?faults:Dpm_sim.Fault.spec ->
-  ?sim:Dpm_sim.Config.t ->
-  string ->
-  (Dpm_util.Json.t, Run.error) result
-(** [run benchmark] simulates the benchmark under [schemes] (default:
-    all seven; Base joins the set either way, it anchors the normalized
-    columns) and builds the report document.  The stage table and the
-    histograms are enabled for the duration and restored afterwards;
-    recording is observational, so the simulated numbers are the ones
-    every other entry point produces.  [sim] replaces the simulator
-    configuration (default {!Dpm_sim.Config.default}): a non-FCFS
-    scheduler populates the [sim.sched.wait_s]/[sim.sched.seek_blocks]
-    histogram rows, a heterogeneous fleet shows up in the [fleet]
-    field.  Every histogram row carries its mergeable
-    {!Dpm_util.Histo.to_json} buckets for [dpmsim aggregate]. *)
+val of_spec : Run.spec -> (Dpm_util.Json.t, Run.error) result
+(** The one report entry point: execute the spec with per-scheme
+    timeline sinks and {!Dpm_util.Telemetry.global}'s stage table and
+    histograms enabled (both switches restored afterwards), and build
+    its document.  Recording is observational, so the simulated numbers
+    are the ones every other entry point produces.  [dpmsim report]
+    passes a spec with [Base] joined (it anchors the normalized
+    columns); a daemon job is the same value reported without the
+    shared collector (see {!document}). *)
 
 val markdown : Dpm_util.Json.t -> string
 (** Renders a report document as a human-readable markdown digest

@@ -41,138 +41,79 @@ let error_message = function
 let pp_error fmt e = Format.pp_print_string fmt (error_message e)
 
 type spec = {
-  schemes : Scheme.t list;
-  scheme_names : string list;
   workload : workload;
-  setup : Experiment.setup option;
-  sim : Sim.Config.t option;
-  mode : Sim.Engine.mode option;
-  version : Dpm_compiler.Pipeline.version option;
-  faults : Sim.Fault.spec option;
+  schemes : string list;
+  setup : Experiment.setup;
   timeline : (Scheme.t -> Sim.Timeline.sink option) option;
-  stream : bool option;
-  batch : int option;
-  core : Sim.Engine.core option;
 }
 
-let spec ?(schemes = Scheme.all) ?(scheme_names = []) ?setup ?sim ?mode
-    ?version ?faults ?timeline ?stream ?batch ?core workload =
+let find_bench name =
+  List.find_opt
+    (fun (b : Workloads.Suite.spec) -> String.equal b.name name)
+    Workloads.Suite.all
+
+(* The setup a workload runs under by default: a benchmark keeps its
+   calibrated compiler noise.  An unknown name falls back to the plain
+   default; [validate] reports it. *)
+let workload_setup = function
+  | Benchmark name -> (
+      match find_bench name with
+      | Some b -> Experiment.make_setup ~noise:b.noise ()
+      | None -> Experiment.default_setup)
+  | Program _ | Trace_file _ | Open_loop _ -> Experiment.default_setup
+
+let spec ?(schemes = Scheme.all) ?scheme_names ?setup ?sim ?mode ?version
+    ?faults ?timeline ?stream ?batch ?core workload =
+  let base = match setup with Some s -> s | None -> workload_setup workload in
+  let ( |? ) o default = Option.value o ~default in
   {
-    schemes;
-    scheme_names;
     workload;
-    setup;
-    sim;
-    mode;
-    version;
-    faults;
+    schemes =
+      (match scheme_names with
+      | Some names -> names
+      | None -> List.map Scheme.name schemes);
+    setup =
+      {
+        base with
+        Experiment.sim = sim |? base.sim;
+        mode = mode |? base.mode;
+        version = version |? base.version;
+        faults = faults |? base.faults;
+        stream = stream |? base.stream;
+        batch = batch |? base.batch;
+        core = core |? base.core;
+      };
     timeline;
-    stream;
-    batch;
-    core;
   }
 
 let with_timeline timeline s = { s with timeline = Some timeline }
-
-let with_schemes schemes s = { s with schemes; scheme_names = [] }
-
-let sim_config s =
-  match s.sim with
-  | Some c -> c
-  | None -> (
-      match s.setup with
-      | Some st -> st.Experiment.sim
-      | None -> Sim.Config.default)
+let sim_config s = s.setup.Experiment.sim
 
 let ( let* ) = Result.bind
 
-let resolve_schemes s =
-  match s.scheme_names with
-  | [] -> Ok s.schemes
-  | names ->
-      List.fold_left
-        (fun acc name ->
-          let* acc = acc in
-          match Scheme.of_name_opt name with
-          | Some scheme -> Ok (scheme :: acc)
-          | None -> Error (Unknown_scheme name))
-        (Ok []) names
-      |> Result.map List.rev
+let schemes_of s =
+  List.fold_left
+    (fun acc name ->
+      let* acc = acc in
+      match Scheme.of_name_opt name with
+      | Some scheme -> Ok (scheme :: acc)
+      | None -> Error (Unknown_scheme name))
+    (Ok []) s.schemes
+  |> Result.map List.rev
 
-let schemes_of s = resolve_schemes s
+let validate s =
+  match Sim.Fault.validate s.setup.Experiment.faults with
+  | Error m -> Error (Invalid_faults m)
+  | Ok _ -> (
+      match s.workload with
+      | Benchmark name when find_bench name = None ->
+          Error (Unknown_benchmark name)
+      | Benchmark _ | Program _ | Trace_file _ | Open_loop _ -> Ok ())
 
-let resolve_faults s =
-  match s.faults with
-  | None -> Ok None
-  | Some f -> (
-      match Sim.Fault.validate f with
-      | Ok f -> Ok (Some f)
-      | Error m -> Error (Invalid_faults m))
-
-(* The benchmark spec (for its calibrated noise) when the workload names
-   one; the program is built later, inside the trapped section, because
-   calibration replays the workload. *)
-let resolve_bench s =
-  match s.workload with
-  | Program _ | Trace_file _ | Open_loop _ -> Ok None
-  | Benchmark name -> (
-      match
-        List.find_opt
-          (fun (b : Workloads.Suite.spec) -> String.equal b.name name)
-          Workloads.Suite.all
-      with
-      | Some bench -> Ok (Some bench)
-      | None -> Error (Unknown_benchmark name))
-
-let resolve_setup s bench faults =
-  let base =
-    match s.setup with
-    | Some setup -> setup
-    | None ->
-        Experiment.make_setup
-          ?noise:(Option.map (fun (b : Workloads.Suite.spec) -> b.noise) bench)
-          ()
-  in
-  let base =
-    match s.sim with
-    | None -> base
-    | Some sim -> { base with Experiment.sim }
-  in
-  let base = match s.mode with None -> base | Some mode -> { base with mode } in
-  let base =
-    match s.version with None -> base | Some version -> { base with version }
-  in
-  let base =
-    match faults with None -> base | Some faults -> { base with faults }
-  in
-  let base =
-    match s.stream with None -> base | Some stream -> { base with stream }
-  in
-  let base =
-    match s.batch with None -> base | Some batch -> { base with batch }
-  in
-  match s.core with None -> base | Some core -> { base with core }
-
-(* Replaying a saved trace: the streaming setup re-parses the file per
-   scheme in O(batch) memory; otherwise it is loaded once and sliced.
-   [Trace.Parse_error] is the expected user-input failure here, so it
-   gets its own typed error rather than the generic trap. *)
-let exec_trace_file s (setup : Experiment.setup) schemes path =
-  match
-    let source =
-      if setup.Experiment.stream then fun () ->
-        Trace.Stream.of_file ~batch:setup.Experiment.batch path
-      else begin
-        let trace = Trace.load path in
-        fun () -> Trace.Stream.of_trace ~batch:setup.Experiment.batch trace
-      end
-    in
-    Experiment.replay_all ~setup ?timeline:s.timeline ~schemes source
-  with
-  | results -> Ok results
-  | exception Trace.Parse_error m -> Error (Malformed_trace m)
-  | exception Sys_error m -> Error (Run_failure m)
-  | exception exn -> Error (Run_failure (Printexc.to_string exn))
+let file_source setup path =
+  Experiment.source setup
+    ~fresh:(fun ~batch -> Trace.Stream.of_file ~batch path)
+    ~whole:(fun () -> Trace.load path)
 
 (* Open-loop sources resolve by name: a suite benchmark if the name
    matches one, otherwise an existing trace file.  Resolution happens
@@ -185,11 +126,7 @@ let resolve_sources sources =
     List.fold_left
       (fun acc name ->
         let* acc = acc in
-        match
-          List.find_opt
-            (fun (b : Workloads.Suite.spec) -> String.equal b.name name)
-            Workloads.Suite.all
-        with
+        match find_bench name with
         | Some bench -> Ok (`Bench bench :: acc)
         | None ->
             if Sys.file_exists name then Ok (`File name :: acc)
@@ -197,97 +134,61 @@ let resolve_sources sources =
       (Ok []) sources
     |> Result.map (fun l -> Array.of_list (List.rev l))
 
-(* Replay an open-loop multi-tenant workload: expand the load descriptor
-   into a (start, source) plan, build one fresh stream per tenant, and
-   merge them onto the shared clock ({!Dpm_trace.Openloop}).  Each
-   distinct source is built (and, in non-streaming setups, generated or
-   loaded) at most once per replay; tenants then cursor independently
-   over the shared trace.  Streaming setups instead regenerate/re-parse
-   per tenant in O(batch × tenants) peak memory. *)
-let exec_open_loop s (setup : Experiment.setup) schemes load sources =
-  let* resolved = resolve_sources sources in
-  match
-    let gen =
-      {
-        Dpm_trace.Generate.cost = Dpm_ir.Cost.default;
-        cache_blocks = setup.Experiment.cache_blocks;
-      }
-    in
-    let thunk_of = function
-      | `Bench bench ->
-          let built =
-            lazy
-              (let p, plan = Experiment.workload bench in
-               Dpm_compiler.Pipeline.transform setup.Experiment.version p plan)
-          in
-          if setup.Experiment.stream then fun () ->
-            let p, plan = Lazy.force built in
-            Dpm_trace.Generate.stream ~config:gen ~batch:setup.Experiment.batch
-              p plan
-          else
-            let trace =
-              lazy
-                (let p, plan = Lazy.force built in
-                 Dpm_trace.Generate.run ~config:gen p plan)
-            in
-            fun () ->
-              Trace.Stream.of_trace ~batch:setup.Experiment.batch
-                (Lazy.force trace)
-      | `File path ->
-          if setup.Experiment.stream then fun () ->
-            Trace.Stream.of_file ~batch:setup.Experiment.batch path
-          else
-            let trace = lazy (Trace.load path) in
-            fun () ->
-              Trace.Stream.of_trace ~batch:setup.Experiment.batch
-                (Lazy.force trace)
-    in
-    let thunks = Array.map thunk_of resolved in
-    let plan = Dpm_trace.Openloop.plan load ~nsources:(Array.length thunks) in
-    let source () =
-      Dpm_trace.Openloop.merge ~batch:setup.Experiment.batch
-        (Array.to_list plan
-        |> List.map (fun (start, k) -> (start, thunks.(k) ())))
-    in
-    Experiment.replay_all ~setup ?timeline:s.timeline ~schemes source
-  with
+(* An open-loop multi-tenant stream: expand the load descriptor into a
+   (start, source) plan and merge one fresh stream per tenant onto the
+   shared clock ({!Dpm_trace.Openloop}).  Each distinct source is built
+   at most once, on first use; tenants then draw from its
+   {!Experiment.source}. *)
+let open_loop_source setup load resolved =
+  let source_of = function
+    | `Bench bench ->
+        let src =
+          lazy
+            (let p, plan = Experiment.workload bench in
+             let p, plan =
+               Dpm_compiler.Pipeline.transform setup.Experiment.version p plan
+             in
+             Experiment.generated setup p plan)
+        in
+        fun () -> Lazy.force src ()
+    | `File path -> file_source setup path
+  in
+  let sources = Array.map source_of resolved in
+  let plan = Dpm_trace.Openloop.plan load ~nsources:(Array.length sources) in
+  fun () ->
+    Dpm_trace.Openloop.merge ~batch:setup.Experiment.batch
+      (Array.to_list plan
+      |> List.map (fun (start, k) -> (start, sources.(k) ())))
+
+let exec_all s =
+  let* schemes = schemes_of s in
+  let* () = validate s in
+  let setup = s.setup and timeline = s.timeline in
+  let run_all (p, plan) = Experiment.run_all ~setup ?timeline ~schemes p plan
+  and replay_all source =
+    Experiment.replay_all ~setup ?timeline ~schemes source
+  in
+  let* job =
+    match s.workload with
+    | Benchmark name ->
+        Ok (fun () -> run_all (Experiment.workload (Workloads.Suite.find name)))
+    | Program (p, plan) -> Ok (fun () -> run_all (p, plan))
+    | Trace_file path -> Ok (fun () -> replay_all (file_source setup path))
+    | Open_loop { load; sources } ->
+        let* resolved = resolve_sources sources in
+        Ok (fun () -> replay_all (open_loop_source setup load resolved))
+  in
+  match job () with
   | results -> Ok results
   | exception Trace.Parse_error m -> Error (Malformed_trace m)
   | exception Sys_error m -> Error (Run_failure m)
   | exception exn -> Error (Run_failure (Printexc.to_string exn))
-
-let exec_all s =
-  let* schemes = resolve_schemes s in
-  let* faults = resolve_faults s in
-  let* bench = resolve_bench s in
-  let setup = resolve_setup s bench faults in
-  match s.workload with
-  | Trace_file path -> exec_trace_file s setup schemes path
-  | Open_loop { load; sources } -> exec_open_loop s setup schemes load sources
-  | Program _ | Benchmark _ -> (
-      match
-        let p, plan =
-          match (s.workload, bench) with
-          | Program (p, plan), _ -> (p, plan)
-          | Benchmark _, Some bench -> Experiment.workload bench
-          | (Benchmark _ | Trace_file _ | Open_loop _), _ -> assert false
-        in
-        Experiment.run_all ~setup ?timeline:s.timeline ~schemes p plan
-      with
-      | results -> Ok results
-      | exception exn -> Error (Run_failure (Printexc.to_string exn)))
 
 let exec s =
   let* results = exec_all s in
   match results with
   | (_, r) :: _ -> Ok r
   | [] -> Error (Run_failure "no schemes requested")
-
-(* The Experiment→spec bridge: an [Experiment.setup] plus a workload is
-   a complete job description, so the sweep harness, the CLI and the
-   service all speak the same value.  The setup is carried verbatim (no
-   overrides), which is what makes the mapping faithful. *)
-let of_experiment ?schemes ~setup workload = spec ?schemes ~setup workload
 
 let workload_label = function
   | Benchmark name -> name
@@ -297,9 +198,8 @@ let workload_label = function
       Printf.sprintf "open-loop(%s)" (String.concat "+" sources)
 
 let describe s =
-  let* faults = resolve_faults s in
-  let* bench = resolve_bench s in
-  Ok (workload_label s.workload, resolve_setup s bench faults)
+  let* () = validate s in
+  Ok (workload_label s.workload, s.setup)
 
 (* --- dpm-spec/1: serializable run specs ---
 
@@ -393,18 +293,23 @@ let config_of_json j =
     | None | Some Json.Null -> None
     | Some v -> Json.to_float v
   in
-  Ok
-    (Sim.Config.make ~specs ~fleet ~sched ?tpm_threshold
-       ?drpm_lower:(field "drpm_lower" Json.to_float)
-       ?drpm_upper:(field "drpm_upper" Json.to_float)
-       ?drpm_window:(field "drpm_window" Json.to_int)
-       ?drpm_idle_interval:(field "drpm_idle_interval" Json.to_float)
-       ?drpm_floor_depth:(field "drpm_floor_depth" Json.to_int)
-       ?queue_depth:(field "queue_depth" Json.to_int)
-       ?pm_call_overhead:(field "pm_call_overhead" Json.to_float)
-       ?pre_activation_lead:(field "pre_activation_lead" Json.to_float)
-       ?retain_busy:(field "retain_busy" Json.to_bool)
-       ())
+  (* [Config.make] enforces the invariants; a violation is a bad
+     document, not an exception. *)
+  match
+    Sim.Config.make ~specs ~fleet ~sched ?tpm_threshold
+      ?drpm_lower:(field "drpm_lower" Json.to_float)
+      ?drpm_upper:(field "drpm_upper" Json.to_float)
+      ?drpm_window:(field "drpm_window" Json.to_int)
+      ?drpm_idle_interval:(field "drpm_idle_interval" Json.to_float)
+      ?drpm_floor_depth:(field "drpm_floor_depth" Json.to_int)
+      ?queue_depth:(field "queue_depth" Json.to_int)
+      ?pm_call_overhead:(field "pm_call_overhead" Json.to_float)
+      ?pre_activation_lead:(field "pre_activation_lead" Json.to_float)
+      ?retain_busy:(field "retain_busy" Json.to_bool)
+      ()
+  with
+  | c -> Ok c
+  | exception Invalid_argument m -> Error m
 
 let mode_name = function `Open -> "open" | `Closed -> "closed"
 
@@ -445,41 +350,60 @@ let setup_to_json (setup : Experiment.setup) =
       ("core", Json.Str (core_name setup.Experiment.core));
     ]
 
-let setup_of_json j =
-  let ( let* ) = Result.bind in
-  let enum name of_name what =
+(* The one reader of setup fields: those present in [j] replace their
+   field of [base].  It reads a document's "setup" object and, for
+   documents written before the whole setup was, its top-level
+   overrides. *)
+let setup_fields (base : Experiment.setup) j =
+  let get name conv default =
+    Option.value ~default (Option.bind (Json.member name j) conv)
+  in
+  let enum name of_name default =
     match Option.bind (Json.member name j) Json.to_str with
-    | None -> Ok None
-    | Some s -> (
-        match of_name s with
-        | Some v -> Ok (Some v)
-        | None -> Error (Printf.sprintf "unknown %s %S" what s))
+    | None -> Ok default
+    | Some v -> (
+        match of_name v with
+        | Some x -> Ok x
+        | None ->
+            Error (Malformed_spec (Printf.sprintf "unknown %s %S" name v)))
   in
   let* sim =
     match Json.member "sim" j with
-    | None -> Ok None
-    | Some c -> Result.map Option.some (config_of_json c)
+    | None -> Ok base.sim
+    | Some c -> Result.map_error (fun m -> Malformed_spec m) (config_of_json c)
   in
-  let* mode = enum "mode" mode_of_name "mode" in
-  let* version = enum "version" version_of_name "version" in
-  let* core = enum "core" core_of_name "core" in
+  let* mode = enum "mode" mode_of_name base.mode in
+  let* version = enum "version" version_of_name base.version in
+  let* core = enum "core" core_of_name base.core in
   let* faults =
     match Option.bind (Json.member "faults" j) Json.to_str with
-    | None -> Ok None
-    | Some s -> (
-        match Sim.Fault.of_string s with
-        | Ok f -> Ok (Some f)
-        | Error m -> Error ("faults: " ^ m))
+    | None -> Ok base.faults
+    | Some v ->
+        Result.map_error (fun m -> Invalid_faults m) (Sim.Fault.of_string v)
   in
   Ok
-    (Experiment.make_setup ?sim ?mode
-       ?cache_blocks:(Option.bind (Json.member "cache_blocks" j) Json.to_int)
-       ?noise:(Option.bind (Json.member "noise" j) Json.to_float)
-       ?seed:(Option.bind (Json.member "seed" j) Json.to_int)
-       ?version ?faults
-       ?stream:(Option.bind (Json.member "stream" j) Json.to_bool)
-       ?batch:(Option.bind (Json.member "batch" j) Json.to_int)
-       ?core ())
+    {
+      Experiment.sim;
+      mode;
+      cache_blocks = get "cache_blocks" Json.to_int base.cache_blocks;
+      noise = get "noise" Json.to_float base.noise;
+      seed = get "seed" Json.to_int base.seed;
+      version;
+      faults;
+      stream = get "stream" Json.to_bool base.stream;
+      batch = get "batch" Json.to_int base.batch;
+      core;
+    }
+
+let strings what l =
+  List.fold_left
+    (fun acc v ->
+      let* acc = acc in
+      match Json.to_str v with
+      | Some n -> Ok (n :: acc)
+      | None -> Error (Malformed_spec (what ^ ": expected strings")))
+    (Ok []) l
+  |> Result.map List.rev
 
 let to_json s =
   let* workload =
@@ -508,34 +432,17 @@ let to_json s =
                 "in-memory Program workload %S is not serializable"
                 p.Dpm_ir.Program.name))
   in
-  let scheme_names =
-    match s.scheme_names with
-    | [] -> List.map Scheme.name s.schemes
-    | names -> names
-  in
-  let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Ok
     (Json.Obj
-       ([
-          ("schema", Json.Str spec_schema_version);
-          ("workload", workload);
-          ( "schemes",
-            Json.Arr (List.map (fun n -> Json.Str n) scheme_names) );
-        ]
-       @ opt "setup" setup_to_json s.setup
-       @ opt "sim" config_to_json s.sim
-       @ opt "mode" (fun m -> Json.Str (mode_name m)) s.mode
-       @ opt "version"
-           (fun v -> Json.Str (Dpm_compiler.Pipeline.version_name v))
-           s.version
-       @ opt "faults" (fun f -> Json.Str (Sim.Fault.to_string f)) s.faults
-       @ opt "stream" (fun b -> Json.Bool b) s.stream
-       @ opt "batch" (fun b -> Json.Int b) s.batch
-       @ opt "core" (fun c -> Json.Str (core_name c)) s.core))
+       [
+         ("schema", Json.Str spec_schema_version);
+         ("workload", workload);
+         ("schemes", Json.Arr (List.map (fun n -> Json.Str n) s.schemes));
+         ("setup", setup_to_json s.setup);
+       ])
 
 let of_json j =
   let malformed m = Error (Malformed_spec m) in
-  let lift = function Ok v -> Ok v | Error m -> malformed m in
   let* () =
     match Option.bind (Json.member "schema" j) Json.to_str with
     | Some v when String.equal v spec_schema_version -> Ok ()
@@ -572,79 +479,27 @@ let of_json j =
                         Option.bind (Json.member "sources" w) Json.to_list
                       with
                       | None -> Ok inline_sources
-                      | Some l ->
-                          List.fold_left
-                            (fun acc v ->
-                              let* acc = acc in
-                              match Json.to_str v with
-                              | Some n -> Ok (n :: acc)
-                              | None ->
-                                  malformed
-                                    "workload: sources: expected strings")
-                            (Ok []) l
-                          |> Result.map List.rev
+                      | Some l -> strings "workload: sources" l
                     in
                     Ok (Open_loop { load; sources })))
         | Some k -> malformed (Printf.sprintf "workload: unknown kind %S" k)
         | None -> malformed "workload: missing kind")
   in
-  let* scheme_names =
+  let* schemes =
     match Option.bind (Json.member "schemes" j) Json.to_list with
     | None -> malformed "missing schemes array"
-    | Some l ->
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match Json.to_str v with
-            | Some n -> Ok (n :: acc)
-            | None -> malformed "schemes: expected strings")
-          (Ok []) l
-        |> Result.map List.rev
+    | Some [] -> malformed "schemes: empty array"
+    | Some l -> strings "schemes" l
   in
+  (* The "setup" object reads over the plain default, as it was written;
+     top-level fields then override whichever base applies. *)
   let* setup =
     match Json.member "setup" j with
-    | None -> Ok None
-    | Some sj -> lift (Result.map Option.some (setup_of_json sj))
+    | None -> Ok (workload_setup workload)
+    | Some sj -> setup_fields Experiment.default_setup sj
   in
-  let* sim =
-    match Json.member "sim" j with
-    | None -> Ok None
-    | Some cj -> lift (Result.map Option.some (config_of_json cj))
-  in
-  let enum name of_name =
-    match Option.bind (Json.member name j) Json.to_str with
-    | None -> Ok None
-    | Some s -> (
-        match of_name s with
-        | Some v -> Ok (Some v)
-        | None -> malformed (Printf.sprintf "unknown %s %S" name s))
-  in
-  let* mode = enum "mode" mode_of_name in
-  let* version = enum "version" version_of_name in
-  let* core = enum "core" core_of_name in
-  let* faults =
-    match Option.bind (Json.member "faults" j) Json.to_str with
-    | None -> Ok None
-    | Some s -> (
-        match Sim.Fault.of_string s with
-        | Ok f -> Ok (Some f)
-        | Error m -> Error (Invalid_faults m))
-  in
-  Ok
-    {
-      schemes = Scheme.all;
-      scheme_names;
-      workload;
-      setup;
-      sim;
-      mode;
-      version;
-      faults;
-      timeline = None;
-      stream = Option.bind (Json.member "stream" j) Json.to_bool;
-      batch = Option.bind (Json.member "batch" j) Json.to_int;
-      core;
-    }
+  let* setup = setup_fields setup j in
+  Ok { workload; schemes; setup; timeline = None }
 
 let of_file path =
   match

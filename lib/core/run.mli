@@ -1,11 +1,13 @@
 (** The single non-raising entry point for running experiments.
 
-    The layers underneath grew organically and raise on misuse
-    ([Workloads.Suite.find], [Fault.plan], the replay engine itself):
-    fine for library code holding values it constructed, wrong for
-    drivers handling user input.  [Run] closes the gap: build a {!spec}
-    from labelled optional arguments, {!exec} it, and get either results
-    or a typed {!error} with a printable message — no exception escapes.  [bin/dpmsim] and [bin/tune] go through this module.
+    The layers underneath raise on misuse ([Workloads.Suite.find],
+    [Fault.plan], the replay engine itself): fine for library code
+    holding values it constructed, wrong for drivers handling user
+    input.  A {!spec} is the one job value — a workload, scheme names
+    and one {!Experiment.setup} — shared by [bin/dpmsim], [bin/tune],
+    the sweep harness and the daemon.  {!exec_all} runs it and returns
+    either results or a typed {!error} with a printable message; no
+    exception escapes.
 
     {[
       match Run.exec_all (Run.spec ~scheme_names:[ "Base"; "CMDRPM" ]
@@ -72,7 +74,8 @@ val error_of_json : Dpm_util.Json.t -> (error, string) result
 (** Inverse of {!error_to_json} (exact round-trip). *)
 
 type spec
-(** A fully described run: schemes × workload × setup. *)
+(** A fully described run: workload, scheme names, the setup it runs
+    under, and optional observational timeline sinks. *)
 
 val spec :
   ?schemes:Scheme.t list ->
@@ -88,28 +91,17 @@ val spec :
   ?core:Dpm_sim.Engine.core ->
   workload ->
   spec
-(** [spec workload] runs all seven schemes under a default setup.
-    [scheme_names] (checked at {!exec} time) takes precedence over
-    [schemes]; [setup] replaces the default setup — for a [Benchmark]
-    workload the default inherits the benchmark's calibrated compiler
-    noise — and [sim]/[mode]/[version]/[faults]/[stream]/[batch]/[core]
-    override the corresponding setup fields either way ([sim] replaces
-    the whole simulator configuration: the sweep harness injects its
-    per-point configs here without disturbing the calibrated noise).  [stream] selects the fused
-    O(batch)-memory pipeline (per-scheme regeneration or incremental
-    file parse instead of one shared materialized trace; results are
-    byte-identical).  [timeline] supplies a per-scheme
+(** [spec workload] runs all seven schemes under the workload's default
+    setup: {!Experiment.default_setup}, with a [Benchmark]'s calibrated
+    compiler noise.  [setup] replaces that base; each of
+    [sim]/[mode]/[version]/[faults]/[stream]/[batch]/[core] then
+    replaces its field of the base, once, here ([sim] replaces the whole
+    simulator configuration: the sweep harness injects its per-point
+    configs this way without disturbing the calibrated noise).
+    [scheme_names] (resolved by {!schemes_of}, checked at {!exec} time)
+    takes precedence over [schemes].  [timeline] supplies a per-scheme
     {!Dpm_sim.Timeline.sink} (as in [Experiment.run_all]); the caller
     keeps the sinks and reads the logs back after {!exec_all}. *)
-
-val of_experiment :
-  ?schemes:Scheme.t list -> setup:Experiment.setup -> workload -> spec
-(** The [Experiment]→[spec] bridge: package a fully-resolved
-    {!Experiment.setup} and a workload as one job value, carrying the
-    setup verbatim (no overrides).  This is the canonical direction of
-    [Experiment.to_spec] — it lives here because [Run] sits above
-    [Experiment] in the library — and makes a CLI invocation, a sweep
-    cell and a daemon job the same value on the wire. *)
 
 val workload_label : workload -> string
 (** Stable display name: the benchmark or program name, the trace-file
@@ -117,10 +109,9 @@ val workload_label : workload -> string
     [benchmark] field. *)
 
 val describe : spec -> (string * Experiment.setup, error) result
-(** The workload label and the fully-resolved setup this spec will run
-    under (defaults filled, overrides folded in, fault spec validated) —
-    what a report header or a service log needs without executing
-    anything. *)
+(** The workload label and the setup this spec runs under, once the
+    fault spec and the benchmark name validate — what a report header
+    or a service log needs without executing anything. *)
 
 val with_timeline :
   (Scheme.t -> Dpm_sim.Timeline.sink option) -> spec -> spec
@@ -129,24 +120,19 @@ val with_timeline :
     carry sinks: they are live mutable state, not data). *)
 
 val schemes_of : spec -> (Scheme.t list, error) result
-(** The schemes this spec will run, in order ([scheme_names] resolved —
-    the one place {!Unknown_scheme} can surface without executing). *)
-
-val with_schemes : Scheme.t list -> spec -> spec
-(** Replace the scheme list (clearing any pending [scheme_names]) — how
-    the report path forces [Base] into the set to anchor normalized
-    columns. *)
+(** The schemes this spec will run, in order (names resolved — the one
+    place {!Unknown_scheme} can surface without executing). *)
 
 val sim_config : spec -> Dpm_sim.Config.t
-(** The simulator configuration this spec will run under ([sim]
-    override, else the [setup]'s config, else the default) — what a
-    meter needs to resolve per-disk power models before the run. *)
+(** The setup's simulator configuration — what a meter needs to resolve
+    per-disk power models before the run. *)
 
 val exec_all : spec -> ((Scheme.t * Dpm_sim.Result.t) list, error) result
-(** Resolve names, validate the fault spec, build the workload and run
-    every requested scheme (sharing trace generation and the Base replay
-    like [Experiment.run_all]).  Never raises: failures inside the
-    pipeline come back as [Error (Run_failure _)]. *)
+(** Resolve names, validate the setup, build the workload and run every
+    requested scheme (sharing trace generation and the Base replay like
+    [Experiment.run_all]).  Never raises: a trace that fails to parse is
+    {!Malformed_trace}, any other failure inside the pipeline
+    {!Run_failure}. *)
 
 val exec : spec -> (Dpm_sim.Result.t, error) result
 (** [exec s] is {!exec_all} reduced to the first requested scheme's
@@ -155,23 +141,31 @@ val exec : spec -> (Dpm_sim.Result.t, error) result
 (** {1 Serializable specs — schema [dpm-spec/1]}
 
     Everything but the observational [timeline] sinks round-trips
-    through {!Dpm_util.Json}: workload (benchmark name or trace-file
-    path — in-memory [Program]s are rejected), scheme names, the full
-    setup, simulator-config overrides, faults (the {!Dpm_sim.Fault}
-    CLI syntax), mode/version/stream/batch/core.  Floats print with
-    [%.17g], so [of_json] of a written document reproduces the run
-    bit-for-bit; optional fields missing from the document fall back to
-    their defaults. *)
+    through {!Dpm_util.Json}: the workload (benchmark name, trace-file
+    path or open-loop descriptor — in-memory [Program]s are rejected),
+    the scheme names and the whole setup (simulator configuration,
+    faults in the {!Dpm_sim.Fault} CLI syntax, mode, version, stream,
+    batch, core).  Floats print with [%.17g], so [of_json] of a written
+    document reproduces the run bit-for-bit. *)
 
 val spec_schema_version : string
 (** ["dpm-spec/1"]. *)
 
 val to_json : spec -> (Dpm_util.Json.t, error) result
-(** Fails with {!Malformed_spec} on a [Program] workload (in-memory IR
-    has no wire form).  [timeline] is observational and never
-    serialized. *)
+(** Writes [schema], [workload], [schemes] and the whole [setup] object.
+    Fails with {!Malformed_spec} on a [Program] workload (in-memory IR
+    has no wire form). *)
 
 val of_json : Dpm_util.Json.t -> (spec, error) result
+(** Reads a document's [setup] object over {!Experiment.default_setup},
+    then its top-level [sim]/[mode]/[version]/[faults]/[stream]/
+    [batch]/[core] fields (what documents written before the whole
+    setup carry) over that — or over the workload's default setup when
+    there is no [setup] — so a top-level field wins.  Missing fields
+    keep their base value.  A malformed document, an empty scheme list
+    or a simulator configuration that breaks a {!Dpm_sim.Config}
+    invariant is {!Malformed_spec}; a bad fault spec is
+    {!Invalid_faults}.  Never raises. *)
 
 val to_file : spec -> string -> (unit, error) result
 (** {!to_json} pretty-printed to a file (the sweep harness's replayable

@@ -447,11 +447,39 @@ let test_run_errors () =
   check_err "unknown scheme"
     (function Run.Unknown_scheme "NOSUCH" -> true | _ -> false)
     (Run.spec ~scheme_names:[ "Base"; "NOSUCH" ] (Run.Benchmark "galgel"));
-  check_err "invalid faults"
-    (function Run.Invalid_faults _ -> true | _ -> false)
+  let invalid_faults = function Run.Invalid_faults _ -> true | _ -> false in
+  let bad = Fault.make ~read_error_rate:2.0 () in
+  check_err "invalid faults" invalid_faults
+    (Run.spec ~faults:bad (Run.Benchmark "galgel"));
+  check_err "invalid faults inside a setup" invalid_faults
     (Run.spec
-       ~faults:(Fault.make ~read_error_rate:2.0 ())
-       (Run.Benchmark "galgel"))
+       ~setup:(Dpm_core.Experiment.make_setup ~faults:bad ())
+       (Run.Benchmark "galgel"));
+  (* A document gives the same error wherever the faults sit. *)
+  let module Json = Dpm_util.Json in
+  List.iter
+    (fun (label, fields) ->
+      match
+        Run.of_json
+          (Json.Obj
+             ([
+                ("schema", Json.Str Run.spec_schema_version);
+                ( "workload",
+                  Json.Obj
+                    [
+                      ("kind", Json.Str "benchmark"); ("name", Json.Str "galgel");
+                    ] );
+                ("schemes", Json.Arr [ Json.Str "Base" ]);
+              ]
+             @ fields))
+      with
+      | Ok _ -> Alcotest.fail (label ^ ": expected an error")
+      | Error e -> Alcotest.(check bool) label true (invalid_faults e))
+    [
+      ( "document setup faults",
+        [ ("setup", Json.Obj [ ("faults", Json.Str "read=2") ]) ] );
+      ("document top-level faults", [ ("faults", Json.Str "read=2") ]);
+    ]
 
 let test_run_exec () =
   let exec faults =

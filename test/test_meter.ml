@@ -440,7 +440,10 @@ let test_aggregate () =
       (* One dpm-report/1 document... *)
       let report =
         match
-          Dpm_core.Report.run ~schemes:[ Scheme.Base; Scheme.Cmdrpm ] "galgel"
+          Dpm_core.Report.of_spec
+            (Dpm_core.Run.spec
+               ~schemes:[ Scheme.Base; Scheme.Cmdrpm ]
+               (Dpm_core.Run.Benchmark "galgel"))
         with
         | Ok doc -> doc
         | Error e ->

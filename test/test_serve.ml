@@ -301,6 +301,64 @@ let test_net_dropped_clients () =
   Service.Net.close client;
   Thread.join server
 
+(* --- a spec the parser rejects is an error frame, not a dead connection --- *)
+
+let test_net_malformed_spec () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dpm-serve-bad-%d.sock" (Unix.getpid ()))
+  in
+  let address = Service.Net.Unix_path path in
+  let svc = Service.create ~domains:1 ~queue:4 () in
+  let server = Thread.create (fun () -> Service.Net.serve svc address) () in
+  let client = ok (Service.Net.connect address) in
+  ignore (ok (Service.Net.ping client));
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let submit spec =
+    output_string oc
+      (Json.to_string (Json.Obj [ ("op", Json.Str "submit"); ("spec", spec) ]));
+    output_char oc '\n';
+    flush oc
+  in
+  let rec frame ~until =
+    match input_line ic with
+    | exception End_of_file -> Alcotest.fail "connection closed"
+    | line -> (
+        match Json.parse_string line with
+        | Error m -> Alcotest.fail m
+        | Ok j -> if until j then j else frame ~until)
+  in
+  let spec = ok (Run.to_json (job_spec ~schemes:[ Scheme.Base ] "galgel")) in
+  let broken =
+    match spec with
+    | Json.Obj fields ->
+        Json.Obj (fields @ [ ("sim", Json.Obj [ ("queue_depth", Json.Int 0) ]) ])
+    | j -> j
+  in
+  submit broken;
+  let err = frame ~until:(fun _ -> true) in
+  check
+    Alcotest.(option string)
+    "malformed-spec frame" (Some "malformed-spec")
+    (Option.bind (Json.member "error" err) Json.to_str);
+  (* The same connection still serves the next job. *)
+  submit spec;
+  let last =
+    frame ~until:(fun j ->
+        Json.member "report" j <> None || Json.member "error" j <> None)
+  in
+  checkb "valid job reported" true
+    (match Json.member "report" last with
+    | Some r -> Dpm_core.Report.validate r = Ok ()
+    | None -> false);
+  close_in ic;
+  check Alcotest.int "drained" 1 (ok (Service.Net.shutdown client));
+  Service.Net.close client;
+  Thread.join server
+
 let test_address_strings () =
   (match Service.Net.address_of_string "127.0.0.1:4000" with
   | Service.Net.Tcp { host = "127.0.0.1"; port = 4000 } -> ()
@@ -333,6 +391,8 @@ let suite =
           test_net_round_trip;
         Alcotest.test_case "daemon survives clients that hang up" `Slow
           test_net_dropped_clients;
+        Alcotest.test_case "malformed spec keeps the connection" `Slow
+          test_net_malformed_spec;
         Alcotest.test_case "address strings" `Quick test_address_strings;
       ] );
   ]

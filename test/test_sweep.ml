@@ -86,50 +86,74 @@ let test_apply () =
 (* --- dpm-spec/1 round-trip --- *)
 
 (* The spec JSON is a fixpoint of serialize/parse: comparing documents
-   (rather than specs) sidesteps the parser's legitimate Float->Int
-   narrowing of whole floats while still proving the run is reproduced
-   bit-for-bit. *)
+   sidesteps the parser's legitimate Float->Int narrowing of whole
+   floats while still proving the run is reproduced bit-for-bit.  The
+   parsed spec must also describe the same setup and resolve the same
+   schemes, so a field that both writer and reader drop cannot pass.  An
+   empty scheme list is refused rather than widened to the seven. *)
 let spec_json_fixpoint s =
+  let fail e = Alcotest.fail (Run.error_message e) in
   match Run.to_json s with
-  | Error e -> Alcotest.fail (Run.error_message e)
+  | Error e -> fail e
   | Ok j -> (
-      match Run.of_json j with
-      | Error e -> Alcotest.fail (Run.error_message e)
-      | Ok s' -> (
+      match (Run.of_json j, Run.schemes_of s) with
+      | Error (Run.Malformed_spec _), Ok [] -> true
+      | Error e, _ -> fail e
+      | Ok s', _ -> (
+          Run.describe s' = Run.describe s
+          && Run.schemes_of s' = Run.schemes_of s
+          &&
           match Run.to_json s' with
-          | Error e -> Alcotest.fail (Run.error_message e)
+          | Error e -> fail e
           | Ok j' -> String.equal (Json.to_string j) (Json.to_string j')))
+
+let gen_setup =
+  QCheck2.Gen.(
+    map
+      (fun (noise, seed, cache_blocks, version) ->
+        Experiment.make_setup ~noise ~seed ~cache_blocks ~version ())
+      (tup4 (float_bound_inclusive 0.5) nat (int_range 1 512)
+         (oneofl Dpm_compiler.Pipeline.all_versions)))
 
 let gen_spec =
   QCheck2.Gen.(
     map
-      (fun (bench, mask, (tpm, lower, window), (mode, core, stream), batch) ->
+      (fun ( (bench, mask, empty),
+             (tpm, lower, window),
+             (mode, core, stream),
+             batch,
+             setup ) ->
         let scheme_names =
-          let picked =
+          match
             List.filteri
               (fun i _ -> (mask lsr i) land 1 = 1)
               Scheme.extended_names
-          in
-          if picked = [] then [ "Base" ] else picked
+          with
+          | _ when empty -> None
+          | [] -> Some [ "Base" ]
+          | picked -> Some picked
         in
         let sim =
           Config.make
             ?tpm_threshold:(if tpm > 0.0 then Some tpm else None)
             ~drpm_lower:lower ~drpm_window:window ()
         in
-        Run.spec ~scheme_names ~sim
+        Run.spec ~schemes:[] ?scheme_names ?setup ~sim
           ?mode:(if mode then Some `Closed else None)
           ?core:(if core then Some `Reference else None)
           ?stream:(if stream then Some true else None)
           ?batch:(if batch > 0 then Some batch else None)
           (Run.Benchmark bench))
       (tup5
-         (oneofl [ "swim"; "galgel"; "mesa" ])
-         (int_range 0 255)
+         (tup3
+            (oneofl [ "swim"; "galgel"; "mesa" ])
+            (int_range 0 255)
+            (map (fun n -> n = 0) (int_range 0 9)))
          (tup3 (float_bound_inclusive 20.0) (float_bound_inclusive 0.1)
             (int_range 1 64))
          (tup3 bool bool bool)
-         (int_range 0 512)))
+         (int_range 0 512)
+         (option gen_setup)))
 
 let qcheck_spec_roundtrip =
   QCheck2.Test.make ~count:100 ~name:"dpm-spec/1 JSON round-trip fixpoint"
@@ -193,7 +217,98 @@ let test_spec_rejections () =
                );
                ("schemes", Json.Arr [ Json.Str "Base" ]);
                ("sim", Json.Obj [ ("specs", Json.Str "Maxtor 1000") ]);
-             ])))
+             ])));
+  let doc fields =
+    Json.Obj
+      ([
+         ("schema", Json.Str "dpm-spec/1");
+         ( "workload",
+           Json.Obj [ ("kind", Json.Str "benchmark"); ("name", Json.Str "swim") ]
+         );
+       ]
+      @ fields)
+  in
+  let base = Json.Arr [ Json.Str "Base" ] in
+  Alcotest.(check bool) "empty scheme array" true
+    (malformed (Run.of_json (doc [ ("schemes", Json.Arr []) ])));
+  (* A simulator configuration that breaks a Config invariant is a bad
+     document, not an exception out of the parser. *)
+  List.iter
+    (fun (label, sim) ->
+      Alcotest.(check bool) label true
+        (malformed
+           (Run.of_json (doc [ ("schemes", base); ("sim", Json.Obj sim) ]))))
+    [
+      ("queue_depth 0", [ ("queue_depth", Json.Int 0) ]);
+      ( "drpm tolerances out of order",
+        [ ("drpm_lower", Json.Int 5); ("drpm_upper", Json.Float 0.1) ] );
+      ("negative drpm_window", [ ("drpm_window", Json.Int (-1)) ]);
+    ]
+
+(* Documents written before the whole setup was carry top-level
+   overrides; the reader folds them exactly as [Run.spec]'s labelled
+   arguments do, and over a "setup" object the top-level field wins. *)
+let test_spec_legacy_fields () =
+  let describe s =
+    match Run.describe s with
+    | Ok d -> d
+    | Error e -> Alcotest.fail (Run.error_message e)
+  in
+  let parse fields =
+    match
+      Run.of_json
+        (Json.Obj
+           ([
+              ("schema", Json.Str "dpm-spec/1");
+              ( "workload",
+                Json.Obj
+                  [ ("kind", Json.Str "benchmark"); ("name", Json.Str "swim") ]
+              );
+              ("schemes", Json.Arr [ Json.Str "Base"; Json.Str "CMDRPM" ]);
+            ]
+           @ fields))
+    with
+    | Ok s -> describe s
+    | Error e -> Alcotest.fail (Run.error_message e)
+  in
+  let same = Alcotest.(check bool) in
+  let sim = Config.make ~tpm_threshold:7.5 ~queue_depth:16 () in
+  same "top-level fields = Run.spec overrides" true
+    (parse
+       [
+         ( "sim",
+           Json.Obj
+             [ ("tpm_threshold", Json.Float 7.5); ("queue_depth", Json.Int 16) ]
+         );
+         ("mode", Json.Str "closed");
+         ("version", Json.Str "TL+DL");
+         ("faults", Json.Str (Dpm_sim.Fault.to_string Gen.fault_spec));
+         ("stream", Json.Bool true);
+         ("batch", Json.Int 64);
+         ("core", Json.Str "reference");
+       ]
+    = describe
+        (Run.spec ~sim ~mode:`Closed ~version:Dpm_compiler.Pipeline.TL_DL
+           ~faults:Gen.fault_spec ~stream:true ~batch:64 ~core:`Reference
+           (Run.Benchmark "swim")));
+  same "top-level field wins over setup" true
+    (parse
+       [
+         ( "setup",
+           Json.Obj
+             [
+               ("noise", Json.Float 0.3);
+               ("version", Json.Str "LF");
+               ("batch", Json.Int 9);
+             ] );
+         ("version", Json.Str "TL+DL");
+       ]
+    = describe
+        (Run.spec
+           ~setup:
+             (Experiment.make_setup ~noise:0.3
+                ~version:Dpm_compiler.Pipeline.LF ~batch:9 ())
+           ~version:Dpm_compiler.Pipeline.TL_DL (Run.Benchmark "swim")))
 
 (* --- Adaptive policy invariants --- *)
 
@@ -357,6 +472,8 @@ let suite =
           test_spec_roundtrip_full;
         Alcotest.test_case "malformed specs rejected" `Quick
           test_spec_rejections;
+        Alcotest.test_case "legacy top-level fields" `Quick
+          test_spec_legacy_fields;
       ] );
     ( "sweep.adaptive",
       [

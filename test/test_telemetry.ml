@@ -392,7 +392,10 @@ let test_observer_effect () =
 
 let test_report () =
   match
-    Dpm_core.Report.run ~schemes:[ Scheme.Base; Scheme.Cmdrpm ] "wupwise"
+    Dpm_core.Report.of_spec
+      (Dpm_core.Run.spec
+         ~schemes:[ Scheme.Base; Scheme.Cmdrpm ]
+         (Dpm_core.Run.Benchmark "wupwise"))
   with
   | Error e -> Alcotest.fail (Dpm_core.Run.error_message e)
   | Ok doc ->
@@ -418,7 +421,7 @@ let test_report () =
         done;
         !found)
 
-(* Report.run switches the global collector's stage table and
+(* Report.of_spec switches the global collector's stage table and
    histograms on for its duration only, and its document carries what
    they recorded. *)
 let test_report_collector () =
@@ -442,7 +445,11 @@ let test_report_collector () =
         (fun (enabled, histograms) ->
           Telemetry.set_enabled t enabled;
           Telemetry.set_histograms t histograms;
-          match Dpm_core.Report.run ~schemes:[ Scheme.Base ] "galgel" with
+          match
+            Dpm_core.Report.of_spec
+              (Dpm_core.Run.spec ~schemes:[ Scheme.Base ]
+                 (Dpm_core.Run.Benchmark "galgel"))
+          with
           | Error e -> Alcotest.fail (Dpm_core.Run.error_message e)
           | Ok doc ->
               Alcotest.(check (triple bool bool bool))
