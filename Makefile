@@ -1,6 +1,6 @@
 .PHONY: all build test check bench fault-check timeline-check report-check \
   metrics-check stream-check perf-check core-check sweep-check sched-check \
-  meter-check serve-check clean
+  meter-check serve-check examples-check clean
 
 all: build
 
@@ -221,6 +221,16 @@ serve-check: build
 	  grep -Fxq "$$line" _build/serve_smoke.out \
 	    || { echo "daemon output missing: $$line"; exit 1; }; \
 	done < _build/serve_direct.out
+
+# Examples smoke: the four examples are deterministic and are the
+# callers of the compiler's default cache (no ~cache_blocks), so each
+# must print its checked-in golden byte-for-byte.
+EXAMPLES = quickstart swim_schemes fission_layout tiling_layout
+examples-check: build
+	set -e; for e in $(EXAMPLES); do \
+	  _build/default/examples/$$e.exe > _build/example_$$e.out; \
+	  cmp _build/example_$$e.out test/golden/example_$$e.expected; \
+	done
 
 clean:
 	dune clean

@@ -53,136 +53,65 @@ let body_disks plan ranges nodes mark =
   in
   List.iter walk nodes
 
-let of_loop plan ~item (l : Ir.Loop.t) =
-  let closed x = invalid_arg ("Access: unbound iterator " ^ x) in
-  let lo = Ir.Expr.eval closed l.lo and hi = Ir.Expr.eval closed l.hi in
-  let iterations = if hi < lo then 0 else ((hi - lo) / l.step) + 1 in
-  let ndisks = Layout.Plan.ndisks plan in
-  let flags = Array.init ndisks (fun _ -> Array.make iterations false) in
-  let ranges = Hashtbl.create 8 in
-  for ord = 0 to iterations - 1 do
-    let v = lo + (ord * l.step) in
-    Hashtbl.replace ranges l.var (v, v);
-    body_disks plan ranges l.body (fun d -> flags.(d).(ord) <- true)
-  done;
+let of_counts ~item ~var ~lo ~step counts =
   {
     item;
-    var = l.var;
+    var;
     lo;
-    step = l.step;
-    iterations;
-    per_disk = Array.map runs_of_bools flags;
-    miss_counts =
-      Array.map (fun fl -> Array.map (fun b -> if b then 1 else 0) fl) flags;
+    step;
+    iterations = Array.length counts.(0);
+    per_disk =
+      Array.map (fun cs -> runs_of_bools (Array.map (fun c -> c > 0) cs)) counts;
+    miss_counts = counts;
   }
-
-let of_stmt plan ~item (s : Ir.Stmt.t) =
-  let ndisks = Layout.Plan.ndisks plan in
-  let flags = Array.init ndisks (fun _ -> Array.make 1 false) in
-  let ranges = Hashtbl.create 1 in
-  body_disks plan ranges [ Ir.Loop.Stmt s ] (fun d -> flags.(d).(0) <- true);
-  {
-    item;
-    var = Printf.sprintf "<item%d>" item;
-    lo = 0;
-    step = 1;
-    iterations = 1;
-    per_disk = Array.map runs_of_bools flags;
-    miss_counts =
-      Array.map (fun fl -> Array.map (fun b -> if b then 1 else 0) fl) flags;
-  }
-
-let of_call plan ~item =
-  {
-    item;
-    var = Printf.sprintf "<item%d>" item;
-    lo = 0;
-    step = 1;
-    iterations = 1;
-    per_disk = Array.make (Layout.Plan.ndisks plan) [];
-    miss_counts = Array.make_matrix (Layout.Plan.ndisks plan) 1 0;
-  }
-
-let of_item (p : Ir.Program.t) plan ~item =
-  match List.nth p.body item with
-  | Ir.Loop.For l -> of_loop plan ~item l
-  | Ir.Loop.Stmt s -> of_stmt plan ~item s
-  | Ir.Loop.Call _ -> of_call plan ~item
 
 let of_program (p : Ir.Program.t) plan =
-  List.mapi (fun item _ -> of_item p plan ~item) p.body
-
-let of_program_cached ?(cache_blocks = 192) (p : Ir.Program.t) plan =
-  let ndisks = Layout.Plan.ndisks plan in
   let closed x = invalid_arg ("Access: unbound iterator " ^ x) in
-  (* Shape of each item: (lo, step, iterations). *)
-  let shapes =
-    Array.of_list
-      (List.map
-         (fun node ->
-           match node with
-           | Ir.Loop.For l ->
-               let lo = Ir.Expr.eval closed l.lo
-               and hi = Ir.Expr.eval closed l.hi in
-               let trips = if hi < lo then 0 else ((hi - lo) / l.step) + 1 in
-               (l.var, lo, l.step, max trips 1)
-           | Ir.Loop.Stmt _ | Ir.Loop.Call _ ->
-               (Printf.sprintf "<item>", 0, 1, 1))
-         p.body)
-  in
+  let ndisks = Layout.Plan.ndisks plan in
+  List.mapi
+    (fun item node ->
+      let ranges = Hashtbl.create 8 in
+      match node with
+      | Ir.Loop.For l ->
+          let lo = Ir.Expr.eval closed l.lo and hi = Ir.Expr.eval closed l.hi in
+          let trips = if hi < lo then 0 else ((hi - lo) / l.step) + 1 in
+          let counts = Array.make_matrix ndisks trips 0 in
+          for ord = 0 to trips - 1 do
+            let v = lo + (ord * l.step) in
+            Hashtbl.replace ranges l.var (v, v);
+            body_disks plan ranges l.body (fun d -> counts.(d).(ord) <- 1)
+          done;
+          of_counts ~item ~var:l.var ~lo ~step:l.step counts
+      | Ir.Loop.Stmt _ | Ir.Loop.Call _ ->
+          let counts = Array.make_matrix ndisks 1 0 in
+          body_disks plan ranges [ node ] (fun d -> counts.(d).(0) <- 1);
+          of_counts ~item ~var:(Printf.sprintf "<item%d>" item) ~lo:0 ~step:1
+            counts)
+    p.body
+
+let of_program_cached
+    ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
+    (p : Ir.Program.t) plan =
+  let ndisks = Layout.Plan.ndisks plan in
+  let items = Dpm_trace.Walk.items p in
   let counts =
     Array.map
-      (fun (_, _, _, n) -> Array.init ndisks (fun _ -> Array.make n 0))
-      shapes
+      (fun (i : Dpm_trace.Walk.item) -> Array.make_matrix ndisks i.slots 0)
+      items
   in
-  let cache = Dpm_cache.Lru.create ~capacity:cache_blocks in
-  let cur_ord = ref 0 in
-  let touch ~nest (r : Ir.Reference.t) env =
-    let idx = Ir.Reference.eval env r in
-    let u = Layout.Plan.element_unit plan r.array idx in
-    match Dpm_cache.Lru.access cache (r.array, u) with
-    | `Hit -> ()
-    | `Miss _ ->
-        let disk = Layout.Plan.unit_disk plan r.array u in
-        counts.(nest).(disk).(!cur_ord) <- counts.(nest).(disk).(!cur_ord) + 1
+  let ord = ref 0 in
+  let (_ : int) =
+    Dpm_trace.Walk.run ~cost:Ir.Cost.default ~cache_blocks
+      ~iteration:(fun ~cycles:_ ~item:_ ~ordinal ~iter:_ -> ord := ordinal)
+      ~miss:(fun ~cycles:_ ~item ~array ~unit ~kind:_ ->
+        let c = counts.(item).(Layout.Plan.unit_disk plan array unit) in
+        c.(!ord) <- c.(!ord) + 1)
+      ~call:(fun ~cycles:_ _ -> ())
+      p plan
   in
-  let callbacks =
-    {
-      Ir.Enumerate.on_enter =
-        (fun ~nest ~depth ~var:_ ~value ->
-          if depth = 0 then begin
-            let _, lo, step, _ = shapes.(nest) in
-            cur_ord := (value - lo) / step
-          end);
-      on_stmt =
-        (fun ~nest s env ->
-          if
-            (match List.nth p.body nest with
-            | Ir.Loop.Stmt _ -> true
-            | Ir.Loop.For _ | Ir.Loop.Call _ -> false)
-          then cur_ord := 0;
-          List.iter (fun r -> touch ~nest r env) s.Ir.Stmt.reads;
-          Option.iter (fun w -> touch ~nest w env) s.Ir.Stmt.write);
-      on_call = (fun ~nest:_ _ _ -> ());
-    }
-  in
-  Ir.Enumerate.run callbacks p;
-  List.mapi
-    (fun item _ ->
-      let var, lo, step, iterations = shapes.(item) in
-      {
-        item;
-        var;
-        lo;
-        step;
-        iterations;
-        per_disk =
-          Array.map
-            (fun cs -> runs_of_bools (Array.map (fun c -> c > 0) cs))
-            counts.(item);
-        miss_counts = counts.(item);
-      })
-    p.body
+  List.init (Array.length items) (fun item ->
+      let { Dpm_trace.Walk.var; lo; step; slots = _ } = items.(item) in
+      of_counts ~item ~var ~lo ~step counts.(item))
 
 let window_requests t ~disk ~lo ~hi =
   let cs = t.miss_counts.(disk) in
@@ -192,14 +121,5 @@ let window_requests t ~disk ~lo ~hi =
     total := !total + cs.(o)
   done;
   !total
-
-let disks_active t ~ordinal =
-  let active = ref [] in
-  Array.iteri
-    (fun d runs ->
-      if List.exists (fun (a, b) -> ordinal >= a && ordinal <= b) runs then
-        active := d :: !active)
-    t.per_disk;
-  List.rev !active
 
 let value_of_ordinal t ord = t.lo + (ord * t.step)

@@ -25,12 +25,9 @@ type t = {
           footprint analysis marks one request per active iteration. *)
 }
 
-val of_item : Dpm_ir.Program.t -> Dpm_layout.Plan.t -> item:int -> t
-(** Analyze one top-level item.  Calls yield an all-idle activity of one
-    "iteration". *)
-
 val of_program : Dpm_ir.Program.t -> Dpm_layout.Plan.t -> t list
-(** One activity record per top-level item, in order. *)
+(** One activity record per top-level item, in order.  Calls yield an
+    all-idle activity of one "iteration". *)
 
 val of_program_cached :
   ?cache_blocks:int -> Dpm_ir.Program.t -> Dpm_layout.Plan.t -> t list
@@ -41,13 +38,15 @@ val of_program_cached :
     and the cache policy (the paper's compiler likewise folds locality
     analysis and profiled execution into its DAP).  The purely static
     footprint of {!of_program} stays available for comparison and for
-    programs whose access sequence is not statically enumerable. *)
+    programs whose access sequence is not statically enumerable.
+
+    A fold over the one loop-nest walk ({!Dpm_trace.Walk}): each miss
+    counts against the current outer iteration.  [cache_blocks] defaults
+    to the trace generator's ({!Dpm_trace.Generate.default_config}), so
+    the access pattern and {!Estimate.profile} plan from one cache. *)
 
 val window_requests : t -> disk:int -> lo:int -> hi:int -> int
 (** Total requests a disk receives over an inclusive ordinal range. *)
-
-val disks_active : t -> ordinal:int -> int list
-(** Disks possibly touched at one outer iteration. *)
 
 val value_of_ordinal : t -> int -> int
 (** Outer iterator value at an ordinal. *)

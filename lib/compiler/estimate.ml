@@ -22,85 +22,47 @@ let rebuild_starts durations =
   in
   (starts, !clock)
 
-let item_slots (p : Ir.Program.t) =
-  let closed x = invalid_arg ("Estimate: unbound iterator " ^ x) in
-  List.map
-    (fun node ->
-      match node with
-      | Ir.Loop.For l ->
-          let lo = Ir.Expr.eval closed l.lo and hi = Ir.Expr.eval closed l.hi in
-          let trips = if hi < lo then 0 else ((hi - lo) / l.step) + 1 in
-          (max trips 1, lo, l.step)
-      | Ir.Loop.Stmt _ | Ir.Loop.Call _ -> (1, 0, 1))
-    p.body
-
-let profile ?(cost = Ir.Cost.default) ?(cache_blocks = 1024) ~specs
-    (p : Ir.Program.t) plan =
-  let slots = Array.of_list (item_slots p) in
+(* A fold over the one loop-nest walk.  Cycles become seconds when a
+   slot closes (each top-level iteration start and the end) and before
+   each miss adds its full-speed service time; a call only accumulates. *)
+let profile ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
+    ~specs (p : Ir.Program.t) plan =
+  let cost = Ir.Cost.default in
   let durations =
-    Array.map (fun (n, _, _) -> Array.make n 0.0) slots
+    Array.map
+      (fun (i : Dpm_trace.Walk.item) -> Array.make i.slots 0.0)
+      (Dpm_trace.Walk.items p)
   in
-  let cache = Dpm_cache.Lru.create ~capacity:cache_blocks in
   let top = Dpm_disk.Rpm.max_level specs in
-  let clock = ref 0.0 in
-  let pending_cycles = ref 0 in
+  let clock = ref 0.0 and pending = ref 0 in
   (* Slot currently accumulating time. *)
   let cur_item = ref 0 and cur_ord = ref 0 and slot_start = ref 0.0 in
-  let flush_cycles () =
-    clock := !clock +. Ir.Cost.seconds cost !pending_cycles;
-    pending_cycles := 0
+  let flush cycles =
+    clock := !clock +. Ir.Cost.seconds cost (!pending + cycles);
+    pending := 0
   in
-  let close_slot () =
-    flush_cycles ();
+  let close_slot cycles =
+    flush cycles;
     durations.(!cur_item).(!cur_ord) <-
       durations.(!cur_item).(!cur_ord) +. (!clock -. !slot_start);
     slot_start := !clock
   in
-  let unit_bytes name u =
-    let entry = Layout.Plan.entry plan name in
-    let ss = entry.Layout.Plan.striping.Layout.Striping.stripe_size in
-    let file = Ir.Array_decl.size_bytes entry.Layout.Plan.decl in
-    min ss (file - (u * ss))
-  in
-  let touch (r : Ir.Reference.t) env =
-    let idx = Ir.Reference.eval env r in
-    let u = Layout.Plan.element_unit plan r.array idx in
-    match Dpm_cache.Lru.access cache (r.array, u) with
-    | `Hit -> ()
-    | `Miss _ ->
-        flush_cycles ();
+  let tail =
+    Dpm_trace.Walk.run ~cost ~cache_blocks
+      ~iteration:(fun ~cycles ~item ~ordinal ~iter:_ ->
+        close_slot cycles;
+        cur_item := item;
+        cur_ord := ordinal)
+      ~miss:(fun ~cycles ~item:_ ~array ~unit ~kind:_ ->
+        flush cycles;
         clock :=
           !clock
           +. Dpm_disk.Service.request_time specs ~level:top
-               ~bytes:(unit_bytes r.array u)
+               ~bytes:(Layout.Plan.unit_bytes plan array unit))
+      ~call:(fun ~cycles _ -> pending := !pending + cycles)
+      p plan
   in
-  let callbacks =
-    {
-      Ir.Enumerate.on_enter =
-        (fun ~nest ~depth ~var:_ ~value ->
-          if depth = 0 then begin
-            close_slot ();
-            let _, lo, step = slots.(nest) in
-            cur_item := nest;
-            cur_ord := (value - lo) / step
-          end;
-          pending_cycles := !pending_cycles + cost.loop_overhead);
-      on_stmt =
-        (fun ~nest s env ->
-          if nest <> !cur_item then begin
-            (* Top-level statement item. *)
-            close_slot ();
-            cur_item := nest;
-            cur_ord := 0
-          end;
-          pending_cycles := !pending_cycles + Ir.Cost.stmt_cycles cost s;
-          List.iter (fun r -> touch r env) s.Ir.Stmt.reads;
-          Option.iter (fun w -> touch w env) s.Ir.Stmt.write);
-      on_call = (fun ~nest:_ _ _ -> ());
-    }
-  in
-  Ir.Enumerate.run callbacks p;
-  close_slot ();
+  close_slot tail;
   let starts, total = rebuild_starts durations in
   { durations; starts; total }
 

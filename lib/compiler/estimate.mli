@@ -22,14 +22,16 @@ type t = {
 }
 
 val profile :
-  ?cost:Dpm_ir.Cost.model ->
   ?cache_blocks:int ->
   specs:Dpm_disk.Specs.t ->
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->
   t
-(** Exact instrumented walk (the calibration run).  [cache_blocks]
-    defaults to the trace generator's default. *)
+(** Exact instrumented walk (the calibration run): a fold over the one
+    loop-nest walk ({!Dpm_trace.Walk}) under the default cost model.
+    [cache_blocks] defaults to the trace generator's
+    ({!Dpm_trace.Generate.default_config}), as for
+    {!Access.of_program_cached}. *)
 
 val perturb : noise:float -> seed:int -> t -> t
 (** Multiplies every item's durations by a deterministic factor in

@@ -35,7 +35,7 @@ type compiled = {
   profile : Estimate.t;
 }
 
-let compile ~scheme ?(noise = 0.0) ?(seed = 42) ?cost ?cache_blocks
+let compile ~scheme ?(noise = 0.0) ?(seed = 42) ?cache_blocks
     ?pm_overhead ?pre_lead ?serve_slow ~specs (p : Dpm_ir.Program.t) plan =
   let tele = Dpm_util.Telemetry.global in
   let span name f = Dpm_util.Telemetry.span tele name f in
@@ -49,7 +49,7 @@ let compile ~scheme ?(noise = 0.0) ?(seed = 42) ?cost ?cache_blocks
       in
       let exact =
         span "compile.estimate" (fun () ->
-            Estimate.profile ?cost ?cache_blocks ~specs p plan)
+            Estimate.profile ?cache_blocks ~specs p plan)
       in
       let estimate =
         if noise = 0.0 then exact else Estimate.perturb ~noise ~seed exact

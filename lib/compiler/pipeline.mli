@@ -44,7 +44,6 @@ val compile :
   scheme:Insertion.scheme ->
   ?noise:float ->
   ?seed:int ->
-  ?cost:Dpm_ir.Cost.model ->
   ?cache_blocks:int ->
   ?pm_overhead:float ->
   ?pre_lead:float ->
@@ -55,4 +54,6 @@ val compile :
   compiled
 (** The full proactive pipeline of paper Figure 1: footprint analysis →
     profiling estimate (perturbed by [noise], default 0) → DAP →
-    power-call insertion. *)
+    power-call insertion.  The analysis and the estimate walk the same
+    cache: [cache_blocks], by default the trace generator's
+    ({!Dpm_trace.Generate.default_config}). *)

@@ -163,7 +163,7 @@ let candidates (p : Ir.Program.t) =
     p.body;
   List.map fst (List.sort (fun (_, a) (_, b) -> compare b a) !all)
 
-let tile_item ~dl (p : Ir.Program.t) plan ~item ~touched =
+let tile_item ~dl (p : Ir.Program.t) plan ~item ~planned =
   match List.nth p.Ir.Program.body item with
   | Ir.Loop.Stmt _ | Ir.Loop.Call _ -> (p, plan)
   | Ir.Loop.For l ->
@@ -181,9 +181,9 @@ let tile_item ~dl (p : Ir.Program.t) plan ~item ~touched =
         let plan' =
           List.fold_left
             (fun plan name ->
-              if Hashtbl.mem touched name then plan
+              if Hashtbl.mem planned name then plan
               else begin
-                Hashtbl.add touched name ();
+                Hashtbl.add planned name ();
                 let decl = Ir.Program.find_array p name in
                 let entry = Layout.Plan.entry plan name in
                 let ds = t1 * t2 * decl.Ir.Array_decl.elem_size in
@@ -205,12 +205,12 @@ let tile_item ~dl (p : Ir.Program.t) plan ~item ~touched =
         (p', plan')
 
 let apply_all ~dl (p : Ir.Program.t) plan =
-  let touched = Hashtbl.create 16 in
+  let planned = Hashtbl.create 16 in
   List.fold_left
-    (fun (p, plan) item -> tile_item ~dl p plan ~item ~touched)
+    (fun (p, plan) item -> tile_item ~dl p plan ~item ~planned)
     (p, plan) (candidates p)
 
 let apply ~dl (p : Ir.Program.t) plan =
   match candidate p plan with
   | None -> (p, plan)
-  | Some item -> tile_item ~dl p plan ~item ~touched:(Hashtbl.create 16)
+  | Some item -> tile_item ~dl p plan ~item ~planned:(Hashtbl.create 16)

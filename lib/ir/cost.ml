@@ -47,9 +47,6 @@ and loop_cycles model env (l : Loop.t) =
 
 let closed_env x = invalid_arg ("Cost: unbound iterator " ^ x)
 let nest_cycles model l = loop_cycles model closed_env l
-let iteration_cycles model env (l : Loop.t) =
-  let lo = Expr.eval env l.lo in
-  body_cycles model (extend env l.var lo) l.body + model.loop_overhead
 
 let seconds model cycles = float_of_int cycles /. model.clock_hz
 let cycles_of_seconds model t = int_of_float (Float.round (t *. model.clock_hz))

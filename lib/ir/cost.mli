@@ -21,18 +21,12 @@ val default : model
 val stmt_cycles : model -> Stmt.t -> int
 (** Cycles for one execution of the statement (excluding I/O stalls). *)
 
-val body_cycles : model -> (string -> int) -> Loop.node list -> int
-(** Total compute cycles of a node list under an environment binding the
-    outer iterators.  Uses closed forms when inner trip counts do not
-    depend on the surrounding iterators and falls back to summation for
-    triangular bounds. *)
-
 val nest_cycles : model -> Loop.t -> int
-(** Total compute cycles of a whole (closed) nest. *)
-
-val iteration_cycles : model -> (string -> int) -> Loop.t -> int
-(** Cycles of a single iteration of the given loop's body (the [s] of the
-    paper's pre-activation formula, Eq. 1). *)
+(** Total compute cycles of a whole (closed) nest.  Uses closed forms
+    when inner trip counts do not depend on the surrounding iterators and
+    falls back to summation for triangular bounds.  The analytic oracle
+    for the cycles the loop-nest walk ([Dpm_trace.Walk]) counts one
+    iteration at a time. *)
 
 val seconds : model -> int -> float
 (** Convert cycles to seconds. *)

@@ -23,8 +23,5 @@ val nothing : callbacks
 val run : callbacks -> Program.t -> unit
 (** Walks all nests in order. *)
 
-val run_nest : callbacks -> nest:int -> Loop.t -> unit
-(** Walks a single nest, reporting it as index [nest]. *)
-
 val count_stmt_executions : Program.t -> int
 (** Total dynamic statement count (convenience over {!run}). *)

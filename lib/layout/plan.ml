@@ -95,6 +95,12 @@ let unit_disk t name u =
   Striping.disk_of_unit e.striping ~ndisks:t.ndisks u
 
 let unit_count t name = unit_count_of_entry (entry t name)
+
+let unit_bytes t name u =
+  let e = entry t name in
+  let ss = e.striping.Striping.stripe_size in
+  min ss (Dpm_ir.Array_decl.size_bytes e.decl - (u * ss))
+
 let unit_global_block t name u = (placed t name).base_block + u
 
 (* --- Region queries --- *)

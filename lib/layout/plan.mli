@@ -47,6 +47,11 @@ val unit_disk : t -> string -> int -> int
 val unit_count : t -> string -> int
 (** Stripe units in the array's file. *)
 
+val unit_bytes : t -> string -> int -> int
+(** Bytes in a stripe unit of the array's file: the stripe size, less
+    for a partial last unit.  The size of the disk request a miss on
+    that unit issues. *)
+
 val unit_global_block : t -> string -> int -> int
 (** Globally unique block number for a stripe unit (file base + unit);
     this is the trace's "start block number" space. *)

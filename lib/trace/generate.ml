@@ -2,71 +2,46 @@ type config = { cost : Dpm_ir.Cost.model; cache_blocks : int }
 
 let default_config = { cost = Dpm_ir.Cost.default; cache_blocks = 1024 }
 
-(* Core loop-nest walk, parameterized over the event sink so the same
-   code (same LRU cache, same cost model, same emission order) backs
-   both the materializing [generate] and the chunked [stream].  Returns
-   the tail think time left pending after the last event. *)
+(* Folds the one loop-nest walk into an event sink, so the same walk
+   backs both the materializing [generate] and the chunked [stream].
+   Cycles become seconds at each request (its think time) and at the
+   end (the tail think time, which this returns). *)
 let walk ~config (p : Dpm_ir.Program.t) plan ~emit =
-  let cache = Dpm_cache.Lru.create ~capacity:config.cache_blocks in
-  let pending_cycles = ref 0 in
-  let current_iter = ref 0 in
-  let flush_think () =
-    let t = Dpm_ir.Cost.seconds config.cost !pending_cycles in
-    pending_cycles := 0;
+  let pending = ref 0 and current_iter = ref 0 in
+  let think cycles =
+    let t = Dpm_ir.Cost.seconds config.cost (!pending + cycles) in
+    pending := 0;
     t
   in
-  let unit_bytes name u =
-    let entry = Dpm_layout.Plan.entry plan name in
-    let ss = entry.Dpm_layout.Plan.striping.Dpm_layout.Striping.stripe_size in
-    let file = Dpm_ir.Array_decl.size_bytes entry.Dpm_layout.Plan.decl in
-    min ss (file - (u * ss))
-  in
-  let touch ~nest ~kind (r : Dpm_ir.Reference.t) env =
-    let idx = Dpm_ir.Reference.eval env r in
-    let u = Dpm_layout.Plan.element_unit plan r.array idx in
-    match Dpm_cache.Lru.access cache (r.array, u) with
-    | `Hit -> ()
-    | `Miss _ ->
+  let tail =
+    Walk.run ~cost:config.cost ~cache_blocks:config.cache_blocks
+      ~iteration:(fun ~cycles ~item:_ ~ordinal:_ ~iter ->
+        pending := !pending + cycles;
+        current_iter := iter)
+      ~miss:(fun ~cycles ~item ~array ~unit ~kind ->
         emit
           (Request.Io
              {
-               think = flush_think ();
-               disk = Dpm_layout.Plan.unit_disk plan r.array u;
-               block = Dpm_layout.Plan.unit_global_block plan r.array u;
-               bytes = unit_bytes r.array u;
+               think = think cycles;
+               disk = Dpm_layout.Plan.unit_disk plan array unit;
+               block = Dpm_layout.Plan.unit_global_block plan array unit;
+               bytes = Dpm_layout.Plan.unit_bytes plan array unit;
                kind;
-               nest;
+               nest = item;
                iter = !current_iter;
-             })
+             }))
+      ~call:(fun ~cycles call ->
+        let directive =
+          match call with
+          | Dpm_ir.Loop.Spin_down d -> Request.Spin_down d
+          | Dpm_ir.Loop.Spin_up d -> Request.Spin_up d
+          | Dpm_ir.Loop.Set_rpm { level; disk } ->
+              Request.Set_rpm { level; disk }
+        in
+        emit (Request.Pm { think = think cycles; directive }))
+      p plan
   in
-  let callbacks =
-    {
-      Dpm_ir.Enumerate.on_enter =
-        (fun ~nest:_ ~depth ~var:_ ~value ->
-          if depth = 0 then current_iter := value;
-          pending_cycles := !pending_cycles + config.cost.loop_overhead);
-      on_stmt =
-        (fun ~nest s env ->
-          pending_cycles :=
-            !pending_cycles + Dpm_ir.Cost.stmt_cycles config.cost s;
-          List.iter (fun r -> touch ~nest ~kind:Request.Read r env) s.reads;
-          Option.iter
-            (fun w -> touch ~nest ~kind:Request.Write w env)
-            s.write);
-      on_call =
-        (fun ~nest:_ call _env ->
-          let directive =
-            match call with
-            | Dpm_ir.Loop.Spin_down d -> Request.Spin_down d
-            | Dpm_ir.Loop.Spin_up d -> Request.Spin_up d
-            | Dpm_ir.Loop.Set_rpm { level; disk } ->
-                Request.Set_rpm { level; disk }
-          in
-          emit (Request.Pm { think = flush_think (); directive }));
-    }
-  in
-  Dpm_ir.Enumerate.run callbacks p;
-  flush_think ()
+  think tail
 
 let generate ~config (p : Dpm_ir.Program.t) plan =
   let events = ref [] in
@@ -90,7 +65,7 @@ let run ?(config = default_config) p plan =
    space ([max block + 1]) a materialized run of the same program would
    have, without retaining any events.  Forced only by fault-injected
    streaming replays. *)
-let max_block ?(config = default_config) p plan =
+let max_block ~config p plan =
   let acc = ref 0 in
   let (_ : float) =
     walk ~config p plan ~emit:(function
@@ -116,5 +91,3 @@ let stream ?(config = default_config) ?batch p plan =
       in
       Dpm_util.Telemetry.(add global) "trace.events" !count;
       tail)
-
-let request_count ?config p plan = Trace.io_count (run ?config p plan)

@@ -77,7 +77,7 @@ let program spec = Ir.Parser.program ~name:spec.name (spec.source ())
 
 let default_plan ?(ndisks = 8) p = Layout.Plan.uniform ~ndisks p
 
-let total_work_seconds ?(cost = Ir.Cost.default) p =
+let total_work_seconds p =
   let total = ref 0 in
   let cb =
     {
@@ -87,7 +87,7 @@ let total_work_seconds ?(cost = Ir.Cost.default) p =
     }
   in
   Ir.Enumerate.run cb p;
-  Ir.Cost.seconds cost !total
+  Ir.Cost.seconds Ir.Cost.default !total
 
 let calibrate ?(specs = Dpm_disk.Specs.ultrastar_36z15) ~target_exec p plan =
   let exact =
@@ -116,6 +116,3 @@ let calibrate ?(specs = Dpm_disk.Specs.ultrastar_36z15) ~target_exec p plan =
       p.Ir.Program.body
   in
   Ir.Program.with_body p body
-
-let calibrated_program ?specs spec plan =
-  calibrate ?specs ~target_exec:spec.exec_time_s (program spec) plan

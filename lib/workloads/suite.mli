@@ -54,9 +54,5 @@ val calibrate :
     equals the target (the service and bookkeeping components are fixed
     by structure; only compute scales). *)
 
-val calibrated_program :
-  ?specs:Dpm_disk.Specs.t -> spec -> Dpm_layout.Plan.t -> Dpm_ir.Program.t
-(** {!program} followed by {!calibrate} to the spec's Table 2 time. *)
-
 val default_plan : ?ndisks:int -> Dpm_ir.Program.t -> Dpm_layout.Plan.t
 (** The paper's default layout: every array striped as (0, 8, 64 KB). *)

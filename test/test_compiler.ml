@@ -559,6 +559,27 @@ let test_pipeline_compile_smoke () =
     compiled.Pipeline.estimate.Estimate.total
     compiled.Pipeline.profile.Estimate.total
 
+(* Without [~cache_blocks], the access analysis and the timing profile
+   must plan from the cache the trace generator replays with by default
+   -- one default, [Generate.default_config.cache_blocks]. *)
+let test_pipeline_default_cache () =
+  let p, plan =
+    Dpm_core.Experiment.workload (Dpm_workloads.Suite.find "galgel")
+  in
+  let implicit = Pipeline.compile ~scheme:Insertion.Drpm ~specs p plan in
+  let explicit =
+    Pipeline.compile ~scheme:Insertion.Drpm ~specs
+      ~cache_blocks:Dpm_trace.Generate.default_config.cache_blocks p plan
+  in
+  Alcotest.(check int) "decision count"
+    (List.length explicit.Pipeline.decisions)
+    (List.length implicit.Pipeline.decisions);
+  Alcotest.(check string) "program text"
+    (Ir.Printer.program explicit.Pipeline.program)
+    (Ir.Printer.program implicit.Pipeline.program);
+  Alcotest.(check bool) "decisions" true
+    (explicit.Pipeline.decisions = implicit.Pipeline.decisions)
+
 let suite =
   [
     ( "compiler.access",
@@ -625,5 +646,6 @@ let suite =
       [
         Alcotest.test_case "versions" `Quick test_pipeline_versions;
         Alcotest.test_case "compile smoke" `Quick test_pipeline_compile_smoke;
+        Alcotest.test_case "default cache" `Quick test_pipeline_default_cache;
       ] );
   ]

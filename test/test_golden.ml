@@ -6,7 +6,14 @@
    To regenerate after an intentional physics change:
      dune exec bench/main.exe -- table2 fig3 fig4
    and paste each table (including the trailing blank line) into the
-   matching golden/<id>.expected. *)
+   matching golden/<id>.expected.
+
+   The front-half golden (golden/front_half.expected) pins compile and
+   trace generation bit-for-bit.  Every run writes the rendered digests
+   to front_half.out next to the test binary; after an intentional
+   change to either layer, regenerate with
+     dune runtest; cp _build/default/test/front_half.out \
+       test/golden/front_half.expected *)
 
 module Figures = Dpm_core.Figures
 
@@ -93,6 +100,116 @@ let test_run_many () =
   Alcotest.(check string) "run_many matches golden" (read_file path)
     (run_many_rendered ())
 
+(* The front half -- compile and trace generation, the layers before
+   replay -- at full precision, one line per configuration: digests of
+   the generated trace (every event and the tail), the reuse-aware
+   access analysis (runs and miss counts), the exact timing profile
+   (durations and total), and the CMDRPM-compiled program's text and
+   trace.  Floats print with %h, so a one-ulp drift changes a digest.
+   Configurations: the six suite programs at Orig, galgel and mesa
+   under LF+DL and TL+DL, all at the suite cache, and galgel Orig with
+   caching disabled. *)
+let front_half_rendered () =
+  let module Suite = Dpm_workloads.Suite in
+  let module C = Dpm_compiler in
+  let module R = Dpm_trace.Request in
+  let specs = Dpm_sim.Config.default.Dpm_sim.Config.specs in
+  let digest f =
+    let b = Buffer.create 4096 in
+    f b;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let trace_digest t =
+    digest (fun b ->
+        Array.iter
+          (function
+            | R.Io io ->
+                Printf.bprintf b "io %h %d %d %d %s %d %d\n" io.R.think
+                  io.R.disk io.R.block io.R.bytes
+                  (match io.R.kind with R.Read -> "r" | R.Write -> "w")
+                  io.R.nest io.R.iter
+            | R.Pm { think; directive } ->
+                Printf.bprintf b "pm %h %s\n" think
+                  (match directive with
+                  | R.Spin_down d -> Printf.sprintf "down %d" d
+                  | R.Spin_up d -> Printf.sprintf "up %d" d
+                  | R.Set_rpm { level; disk } ->
+                      Printf.sprintf "rpm %d %d" level disk))
+          (Dpm_trace.Trace.events t);
+        Printf.bprintf b "tail %h\n" (Dpm_trace.Trace.tail_think t))
+  in
+  let access_digest acts =
+    digest (fun b ->
+        List.iter
+          (fun (a : C.Access.t) ->
+            Array.iteri
+              (fun d runs ->
+                Printf.bprintf b "%d %d:" a.C.Access.item d;
+                List.iter (fun (lo, hi) -> Printf.bprintf b " %d-%d" lo hi) runs;
+                Array.iter (Printf.bprintf b " %d") a.C.Access.miss_counts.(d);
+                Buffer.add_char b '\n')
+              a.C.Access.per_disk)
+          acts)
+  in
+  let profile_digest (e : C.Estimate.t) =
+    digest (fun b ->
+        Array.iter
+          (fun per_item ->
+            Array.iter (Printf.bprintf b "%h ") per_item;
+            Buffer.add_char b '\n')
+          e.C.Estimate.durations;
+        Printf.bprintf b "total %h\n" e.C.Estimate.total)
+  in
+  let line (name, version, cache_blocks) =
+    let spec = Suite.find name in
+    let p, plan =
+      let p, plan = Dpm_core.Experiment.workload spec in
+      C.Pipeline.transform version p plan
+    in
+    let config = { Dpm_trace.Generate.cost = Dpm_ir.Cost.default; cache_blocks } in
+    let trace = Dpm_trace.Generate.run ~config p plan in
+    let profile = C.Estimate.profile ~cache_blocks ~specs p plan in
+    let cm =
+      C.Pipeline.compile ~scheme:C.Insertion.Drpm ~noise:spec.Suite.noise
+        ~cache_blocks ~specs p plan
+    in
+    Printf.sprintf
+      "%s %s cache=%d events=%d trace=%s access=%s profile=%s total=%h \
+       cm=%s cm_trace=%s\n"
+      name
+      (C.Pipeline.version_name version)
+      cache_blocks
+      (Dpm_trace.Trace.event_count trace)
+      (trace_digest trace)
+      (access_digest (C.Access.of_program_cached ~cache_blocks p plan))
+      (profile_digest profile) profile.C.Estimate.total
+      (Digest.to_hex
+         (Digest.string (Dpm_ir.Printer.program cm.C.Pipeline.program)))
+      (trace_digest (Dpm_trace.Generate.run ~config cm.C.Pipeline.program plan))
+  in
+  let c = Suite.cache_blocks in
+  String.concat ""
+    (List.map line
+       (List.map (fun (s : Suite.spec) -> (s.Suite.name, C.Pipeline.Orig, c))
+          Suite.all
+       @ [
+           ("galgel", C.Pipeline.LF_DL, c);
+           ("galgel", C.Pipeline.TL_DL, c);
+           ("mesa", C.Pipeline.LF_DL, c);
+           ("mesa", C.Pipeline.TL_DL, c);
+           ("galgel", C.Pipeline.Orig, 0);
+         ]))
+
+let test_front_half () =
+  let rendered = front_half_rendered () in
+  Out_channel.with_open_bin "front_half.out" (fun oc ->
+      Out_channel.output_string oc rendered);
+  let path = Filename.concat "golden" "front_half.expected" in
+  if not (Sys.file_exists path) then
+    Alcotest.fail
+      (Printf.sprintf "missing golden file %s (run from test/ with dune)" path);
+  Alcotest.(check string) "front half matches golden" (read_file path) rendered
+
 let test_table2 () = check_golden "table2" (Figures.table2 ())
 let test_fig3 () = check_golden "fig3" (Figures.fig3 ())
 let test_fig4 () = check_golden "fig4" (Figures.fig4 ())
@@ -105,5 +222,6 @@ let suite =
         Alcotest.test_case "fig3" `Slow test_fig3;
         Alcotest.test_case "fig4" `Slow test_fig4;
         Alcotest.test_case "run_many" `Quick test_run_many;
+        Alcotest.test_case "front half" `Slow test_front_half;
       ] );
   ]

@@ -200,6 +200,84 @@ spin_up(3)
   | Request.Pm { directive = Request.Spin_down 3; _ } -> ()
   | _ -> Alcotest.fail "first event should be the spin_down directive"
 
+(* --- The loop-nest walk's cycle accounting --- *)
+
+(* The cycles the walk hands its callbacks, plus the tail it returns,
+   must equal the analytic total: [Cost.nest_cycles] per top-level loop
+   plus [Cost.stmt_cycles] per top-level statement (calls cost nothing).
+   Covers the suite under three versions, plain and CMDRPM-compiled (the
+   compiler puts its calls between loop segments), and a small program
+   with calls inside loops and a triangular nest. *)
+let test_walk_cycle_accounting () =
+  let module Suite = Dpm_workloads.Suite in
+  let module Pipeline = Dpm_compiler.Pipeline in
+  let cost = Dpm_ir.Cost.default in
+  let specs = Dpm_disk.Specs.ultrastar_36z15 in
+  let analytic (p : Dpm_ir.Program.t) =
+    List.fold_left
+      (fun acc -> function
+        | Dpm_ir.Loop.For l -> acc + Dpm_ir.Cost.nest_cycles cost l
+        | Dpm_ir.Loop.Stmt s -> acc + Dpm_ir.Cost.stmt_cycles cost s
+        | Dpm_ir.Loop.Call _ -> acc)
+      0 p.body
+  in
+  let check label p plan =
+    let total = ref 0 and calls = ref 0 in
+    let tail =
+      Dpm_trace.Walk.run ~cost ~cache_blocks:Suite.cache_blocks
+        ~iteration:(fun ~cycles ~item:_ ~ordinal:_ ~iter:_ ->
+          total := !total + cycles)
+        ~miss:(fun ~cycles ~item:_ ~array:_ ~unit:_ ~kind:_ ->
+          total := !total + cycles)
+        ~call:(fun ~cycles _ ->
+          incr calls;
+          total := !total + cycles)
+        p plan
+    in
+    Alcotest.(check int) label (analytic p) (!total + tail);
+    !calls
+  in
+  let suite_calls =
+    List.concat_map
+      (fun (spec : Suite.spec) ->
+        let p0, plan0 = Dpm_core.Experiment.workload spec in
+        List.map
+          (fun version ->
+            let p, plan = Pipeline.transform version p0 plan0 in
+            let cm =
+              Pipeline.compile ~scheme:Dpm_compiler.Insertion.Drpm
+                ~cache_blocks:Suite.cache_blocks ~specs p plan
+            in
+            let label kind =
+              Printf.sprintf "%s %s %s" spec.Suite.name
+                (Pipeline.version_name version) kind
+            in
+            ignore (check (label "plain") p plan : int);
+            check (label "CMDRPM") cm.Pipeline.program plan)
+          [ Pipeline.Orig; Pipeline.LF_DL; Pipeline.TL_DL ])
+      Suite.all
+  in
+  Alcotest.(check bool) "compiled programs execute calls" true
+    (List.fold_left ( + ) 0 suite_calls > 0);
+  let nested =
+    Parser.program ~name:"nested"
+      {|
+array A[16][16] : 8192
+use A[0][0] work 3
+spin_down(1)
+for i = 0 to 15 step 3 {
+  spin_up(1)
+  for j = 0 to i {
+    A[i][j] = A[j][i] work 7
+    set_rpm(2, 1)
+  }
+}
+use A[1][1] work 5
+|}
+  in
+  Alcotest.(check int) "nested calls all execute" 58
+    (check "nested" nested (Plan.uniform ~ndisks:8 nested))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -224,5 +302,9 @@ let suite =
         Alcotest.test_case "think includes work" `Quick
           test_generate_think_accounts_work;
         Alcotest.test_case "pm passthrough" `Quick test_generate_pm_passthrough;
+      ] );
+    ( "trace.walk",
+      [
+        Alcotest.test_case "cycle accounting" `Slow test_walk_cycle_accounting;
       ] );
   ]
