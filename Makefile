@@ -32,8 +32,11 @@ fault-check: build
 # reproduce the checked-in golden byte-for-byte, from flags and from the
 # same run's dpm-spec/1 file; recording must not
 # change the results table (the observer-effect guarantee, end-to-end
-# through the CLI); and the JSONL export must read back cleanly with
-# zero invariant violations.
+# through the CLI); the JSONL export must read back cleanly with
+# zero invariant violations; the CSV export of the same run must match
+# its checked-in digest (the file is ~400 KB, so the digest is pinned,
+# not the bytes); and a hostile log (a negative disk id) must make the
+# reader exit 2 with a typed error, not die on an exception.
 timeline-check: build
 	dune exec bin/dpmsim.exe -- simulate -b galgel -s Base,CMDRPM \
 	  --timeline - > _build/timeline_smoke.out
@@ -48,6 +51,11 @@ timeline-check: build
 	  > _build/timeline_off.out
 	cmp _build/timeline_on.out _build/timeline_off.out
 	dune exec bin/dpmsim.exe -- timeline _build/timeline_smoke.jsonl > /dev/null
+	dune exec bin/dpmsim.exe -- simulate -b galgel -s Base,CMDRPM \
+	  --timeline _build/timeline_smoke.csv > /dev/null
+	md5sum -c --quiet test/golden/timeline_smoke_csv.md5
+	_build/default/bin/dpmsim.exe timeline test/golden/timeline_hostile.jsonl \
+	  > /dev/null 2>&1; test $$? -eq 2
 
 # Observability smoke: generate a full run report (JSON + markdown) and
 # a Chrome trace, validate both (schema fields, invariant verdicts,

@@ -625,15 +625,15 @@ let timeline_cmd =
     | exception Sys_error m ->
         Dpm_util.Log.error ~scope:"dpmsim" m;
         2
-    | exception Failure m ->
-        Dpm_util.Log.error ~scope:"dpmsim" m;
+    | Error m ->
+        Dpm_util.Log.error ~scope:"dpmsim" ~kv:[ ("file", file) ] m;
         2
-    | [] ->
+    | Ok [] ->
         Dpm_util.Log.error ~scope:"dpmsim"
           ~kv:[ ("file", file) ]
           "no timeline sections";
         2
-    | logs ->
+    | Ok logs ->
         List.iteri
           (fun i tl ->
             if i > 0 then print_newline ();
@@ -651,7 +651,8 @@ let timeline_cmd =
        ~doc:
          "Summarize recorded event timelines: per-disk residencies, Gantt \
           lanes, independently re-integrated energy and the state-machine \
-          invariant check (exit 1 on violations).")
+          invariant check (exit 1 on violations, 2 on an unreadable or \
+          malformed file).")
     Term.(const run $ file_arg)
 
 (* --- compile: print the instrumented program --- *)

@@ -237,8 +237,8 @@ let classify_jsonl t path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> Meter.read_jsonl ic)
   with
-  | [] -> "skipped: empty meter file"
-  | sections ->
+  | Ok [] -> "skipped: empty meter file"
+  | Ok sections ->
       List.iteri
         (fun i sec ->
           ingest_meter_section t
@@ -246,7 +246,7 @@ let classify_jsonl t path =
             sec)
         sections;
       "meter"
-  | exception Failure m -> Printf.sprintf "skipped: %s" m
+  | Error m -> Printf.sprintf "skipped: %s" m
 
 let classify t path =
   let kind =

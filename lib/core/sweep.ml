@@ -218,7 +218,23 @@ let run ?(schemes = default_schemes) ?domains ~axes ~workloads () =
     if List.mem Scheme.Base schemes then schemes
     else Scheme.Base :: schemes
   in
+  let ( let* ) = Result.bind in
   let points = expand axes in
+  (* Every point's configuration is built before anything fans out, so a
+     point that breaks a [Config] invariant is an error naming it. *)
+  let* () =
+    List.fold_left
+      (fun acc point ->
+        let* () = acc in
+        match apply Sim.Config.default point with
+        | _ -> Ok ()
+        | exception Invalid_argument m ->
+            Error
+              (Run.Malformed_spec
+                 (Printf.sprintf "sweep point %s: %s"
+                    (point_to_string point) m)))
+      (Ok ()) points
+  in
   let tasks =
     List.concat_map
       (fun workload -> List.map (fun p -> (workload, p)) points)
@@ -233,7 +249,6 @@ let run ?(schemes = default_schemes) ?domains ~axes ~workloads () =
   in
   List.fold_left
     (fun acc ((workload, point), r) ->
-      let ( let* ) = Result.bind in
       let* acc = acc in
       let* results = r in
       Ok ({ workload; point; results } :: acc))

@@ -102,7 +102,10 @@ val run :
 (** Execute the full grid.  [Base] is added to [schemes] if absent
     (every normalization needs its anchor).  [domains] is passed to
     [Dpm_util.Pool.map]; cells share nothing, so results are identical
-    at any domain count.  The first failing cell aborts the sweep. *)
+    at any domain count.  Every point's configuration is built first: a
+    point that breaks a {!Dpm_sim.Config} invariant is
+    [Run.Malformed_spec] naming the point, and nothing runs.  The first
+    failing cell aborts the sweep. *)
 
 (** {1 Analysis} *)
 

@@ -43,25 +43,26 @@ type t = {
    path built it (CLI, sweep axis, wire spec, literal in a test). *)
 let check t =
   let fail fmt = Format.kasprintf invalid_arg ("Config: " ^^ fmt) in
+  (* Float bounds are written as [not (x >= b)] so NaN fails them too. *)
   if t.queue_depth < 1 then
     fail "queue_depth must be >= 1 (got %d)" t.queue_depth;
   if t.drpm_window < 1 then
     fail "drpm_window must be >= 1 (got %d)" t.drpm_window;
-  if t.drpm_lower < 0.0 then
+  if not (t.drpm_lower >= 0.0) then
     fail "drpm_lower must be >= 0 (got %g)" t.drpm_lower;
-  if t.drpm_upper <= t.drpm_lower then
+  if not (t.drpm_upper > t.drpm_lower) then
     fail "drpm_upper (%g) must exceed drpm_lower (%g)" t.drpm_upper
       t.drpm_lower;
-  if t.drpm_idle_interval <= 0.0 then
+  if not (t.drpm_idle_interval > 0.0) then
     fail "drpm_idle_interval must be > 0 (got %g)" t.drpm_idle_interval;
   if t.drpm_floor_depth < 0 then
     fail "drpm_floor_depth must be >= 0 (got %d)" t.drpm_floor_depth;
-  if t.pm_call_overhead < 0.0 then
+  if not (t.pm_call_overhead >= 0.0) then
     fail "pm_call_overhead must be >= 0 (got %g)" t.pm_call_overhead;
-  if t.pre_activation_lead < 0.0 then
+  if not (t.pre_activation_lead >= 0.0) then
     fail "pre_activation_lead must be >= 0 (got %g)" t.pre_activation_lead;
   (match t.tpm_threshold with
-  | Some th when th <= 0.0 -> fail "tpm_threshold must be > 0 (got %g)" th
+  | Some th when not (th > 0.0) -> fail "tpm_threshold must be > 0 (got %g)" th
   | _ -> ());
   t
 

@@ -6,7 +6,8 @@
     [{ c with ... }] functional update are deprecated and no longer
     type-check outside this module — the builders are the single place
     where configuration invariants (queue depth and window >= 1, DRPM
-    tolerances ordered, non-negative overheads) are enforced, so a
+    tolerances ordered, non-negative overheads, no NaN in any float
+    knob) are enforced, so a
     CLI flag, a sweep axis value, a wire [dpm-spec/1] job and a test
     literal all pass the same checks.  Builders raise [Invalid_argument]
     on violation. *)

@@ -3,9 +3,8 @@
    Each disk gets a lane: a growable per-window energy array plus a
    closing frontier.  An event deposits its energy into every window it
    overlaps, pro-rated by overlap (power is constant within an event),
-   priced exactly like [Timeline.reintegrate] — spans via
-   [Timeline.span_power], service/occupancy at active power, aborted
-   spin-ups via [Power.aborted_spin_up_energy].  Because engine and
+   priced by [Timeline.energy_of], the one pricing
+   [Timeline.reintegrate] also uses.  Because engine and
    oracle logs are chronological in [t0] per disk, every window that
    ends at or before the lane's latest [t0] can never receive another
    deposit, so it is closed — converted to a mean-power sample, pushed
@@ -19,7 +18,6 @@
    into. *)
 
 module Specs = Dpm_disk.Specs
-module Power = Dpm_disk.Power
 module Json = Dpm_util.Json
 module Ring = Dpm_util.Ring
 
@@ -173,25 +171,14 @@ let touch m l ~t0 ~t1 =
 let feed m ev =
   if m.finished then invalid_arg "Meter.feed: meter already finished";
   match ev with
-  | Timeline.Span { disk; state; t0; t1 } ->
+  | Timeline.Span { disk; t0; t1; _ }
+  | Timeline.Service { disk; t0; t1; _ }
+  | Timeline.Occupy { disk; t0; t1; _ }
+  | Timeline.Aborted { disk; t0; t1; _ } ->
       let l = lane_of m disk in
       touch m l ~t0 ~t1;
       close_ready m l disk;
-      (* Zero-width spans carry no energy (and an instant flash
-         transition would multiply an infinite power by zero width). *)
-      if t1 > t0 then
-        deposit m l ~t0 ~t1 (Timeline.span_power (m.model disk) state *. (t1 -. t0))
-  | Timeline.Service { disk; level; t0; t1; _ }
-  | Timeline.Occupy { disk; level; t0; t1 } ->
-      let l = lane_of m disk in
-      touch m l ~t0 ~t1;
-      close_ready m l disk;
-      deposit m l ~t0 ~t1 (Power.active (m.model disk) ~level *. (t1 -. t0))
-  | Timeline.Aborted { disk; t0; t1; fraction } ->
-      let l = lane_of m disk in
-      touch m l ~t0 ~t1;
-      close_ready m l disk;
-      deposit m l ~t0 ~t1 (Power.aborted_spin_up_energy (m.model disk) ~fraction)
+      deposit m l ~t0 ~t1 (Timeline.energy_of (m.model disk) ev)
   | Timeline.Mark _ -> ()
   | Timeline.Sim_end t ->
       m.sim_end_v <- t;
@@ -442,81 +429,52 @@ let write_csv sec oc =
     sec.m_samples
 
 let read_jsonl ic =
-  let fail line msg = failwith (Printf.sprintf "Meter.read_jsonl: %s: %s" msg line) in
-  let str j k =
-    match Option.bind (Json.member k j) Json.to_str with
-    | Some s -> s
-    | None -> fail (Json.to_string j) ("missing string " ^ k)
+  let need conv kind j k =
+    match Option.bind (Json.member k j) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing %s %s" kind k)
   in
-  let num j k =
-    match Option.bind (Json.member k j) Json.to_float with
-    | Some v -> v
-    | None -> fail (Json.to_string j) ("missing number " ^ k)
+  let str = need Json.to_str "string"
+  and num = need Json.to_float "number"
+  and int = need Json.to_int "int" in
+  let ( let* ) = Stdlib.Result.bind in
+  let header j =
+    match Json.member "schema" j with
+    | None -> None
+    | Some s when Json.to_str s <> Some schema_version ->
+        Some (Error "unsupported schema")
+    | Some _ ->
+        Some
+          (let* m_scheme = str j "scheme" in
+           let* m_program = str j "program" in
+           let* m_resolution = num j "resolution" in
+           let* m_ndisks = int j "ndisks" in
+           let* m_windows = int j "windows" in
+           let* m_sim_end = num j "sim_end" in
+           let* m_horizon = num j "horizon" in
+           let* fleet = str j "fleet" in
+           let* m_dropped = int j "dropped" in
+           let m_fleet =
+             match String.split_on_char ';' fleet with [ "" ] -> [] | l -> l
+           in
+           Ok
+             {
+               m_scheme; m_program; m_resolution; m_ndisks; m_windows;
+               m_sim_end; m_horizon; m_fleet; m_dropped; m_samples = [];
+             })
   in
-  let int j k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some v -> v
-    | None -> fail (Json.to_string j) ("missing int " ^ k)
+  let row meta j =
+    match meta with
+    | None -> Error "sample before any meta line"
+    | Some _ ->
+        let* disk = int j "disk" in
+        let* index = int j "i" in
+        let* t0 = num j "t0" in
+        let* t1 = num j "t1" in
+        let* watts = num j "w" in
+        Ok { disk; index; t0; t1; watts }
   in
-  let sections = ref [] in
-  let current = ref None in
-  let close () =
-    match !current with
-    | None -> ()
-    | Some (meta, rev) ->
-        sections := { meta with m_samples = List.rev rev } :: !sections;
-        current := None
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then begin
-         let j =
-           match Json.parse_string line with
-           | Ok j -> j
-           | Error e -> fail line e
-         in
-         match Json.member "schema" j with
-         | Some s ->
-             if Json.to_str s <> Some schema_version then
-               fail line "unsupported schema";
-             close ();
-             let fleet =
-               match String.split_on_char ';' (str j "fleet") with
-               | [ "" ] -> []
-               | l -> l
-             in
-             current :=
-               Some
-                 ( {
-                     m_scheme = str j "scheme";
-                     m_program = str j "program";
-                     m_resolution = num j "resolution";
-                     m_ndisks = int j "ndisks";
-                     m_windows = int j "windows";
-                     m_sim_end = num j "sim_end";
-                     m_horizon = num j "horizon";
-                     m_fleet = fleet;
-                     m_dropped = int j "dropped";
-                     m_samples = [];
-                   },
-                   [] )
-         | None -> (
-             match !current with
-             | None -> fail line "sample before any meta line"
-             | Some (meta, rev) ->
-                 let s =
-                   {
-                     disk = int j "disk";
-                     index = int j "i";
-                     t0 = num j "t0";
-                     t1 = num j "t1";
-                     watts = num j "w";
-                   }
-                 in
-                 current := Some (meta, s :: rev))
-       end
-     done
-   with End_of_file -> ());
-  close ();
-  List.rev !sections
+  Json.read_sections ~header ~row ic
+  |> Stdlib.Result.map
+       (List.map (fun (meta, m_samples) ->
+            { (Option.get meta) with m_samples }))

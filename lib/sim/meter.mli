@@ -5,9 +5,11 @@
     residency span, a service interval, an aborted spin-up — each worth
     a lump of energy under the {!Dpm_disk.Power} tables.  A [Meter]
     re-expresses that event stream as what a physical power meter would
-    show: one sample per disk per resolution window, where a sample's
-    [watts] is the {e mean} power over its window (window energy divided
-    by window width).  Mean-power sampling makes the meter's rectangular
+    show, pricing each event with {!Timeline.energy_of} (the pricing
+    {!Timeline.reintegrate} sums): one sample per disk per resolution
+    window, where a sample's [watts] is the {e mean} power over its
+    window (window energy divided by window width).  Mean-power
+    sampling makes the meter's rectangular
     (= trapezoidal, the power is piecewise constant) integral telescope
     back to the exact per-event energy sum, so
 
@@ -178,6 +180,8 @@ val write_csv : section -> out_channel -> unit
 (** Header row + one row per sample
     ([scheme,program,disk,index,t0,t1,watts]). *)
 
-val read_jsonl : in_channel -> section list
+val read_jsonl : in_channel -> (section list, string) result
 (** Parses what {!write_jsonl} wrote (any number of concatenated
-    sections).  Raises [Failure] on a malformed line. *)
+    sections).  Never raises on bad input: the first bad line (bad
+    JSON or schema, a missing field, a sample before any meta line) is
+    an [Error] naming it. *)

@@ -291,15 +291,11 @@ let idrpm ?(config = Config.default) ?timeline (base : Result.t) =
         })
       base.Result.disks
   in
-  (match timeline with
-  | None -> ()
-  | Some sink ->
-      Timeline.set_analytic sink;
-      Timeline.set_label sink ~scheme:"IDRPM" ~program:base.Result.program;
-      if Array.length config.Config.fleet > 0 then
-        Timeline.set_fleet sink
-          (List.map Specs.name_of (Array.to_list config.Config.fleet));
-      Timeline.emit sink (Timeline.Sim_end base.Result.exec_time));
+  Option.iter
+    (fun sink ->
+      Timeline.close ~analytic:true sink ~scheme:"IDRPM"
+        ~program:base.Result.program ~config base.Result.exec_time)
+    timeline;
   {
     Result.scheme = "IDRPM";
     program = base.Result.program;
@@ -418,15 +414,11 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
         })
       base.Result.disks
   in
-  (match timeline with
-  | None -> ()
-  | Some sink ->
-      Timeline.set_analytic sink;
-      Timeline.set_label sink ~scheme:"ITPM" ~program:base.Result.program;
-      if Array.length config.Config.fleet > 0 then
-        Timeline.set_fleet sink
-          (List.map Specs.name_of (Array.to_list config.Config.fleet));
-      Timeline.emit sink (Timeline.Sim_end base.Result.exec_time));
+  Option.iter
+    (fun sink ->
+      Timeline.close ~analytic:true sink ~scheme:"ITPM"
+        ~program:base.Result.program ~config base.Result.exec_time)
+    timeline;
   {
     Result.scheme = "ITPM";
     program = base.Result.program;

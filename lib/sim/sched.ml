@@ -140,14 +140,11 @@ let finish s ~program ~clock =
       s.policy.Policy.catch_up st ~now:exec_time;
       Disk_state.finalize st ~at:exec_time)
     s.disks;
-  (match s.timeline with
-  | None -> ()
-  | Some sink ->
-      Timeline.set_label sink ~scheme:s.policy.Policy.name ~program;
-      if Array.length s.config.Config.fleet > 0 then
-        Timeline.set_fleet sink
-          (List.map Specs.name_of (Array.to_list s.config.Config.fleet));
-      Timeline.emit sink (Timeline.Sim_end exec_time));
+  Option.iter
+    (fun sink ->
+      Timeline.close sink ~scheme:s.policy.Policy.name ~program
+        ~config:s.config exec_time)
+    s.timeline;
   let disk_stats =
     Array.map
       (fun st ->

@@ -78,65 +78,100 @@ let set_label s ~scheme ~program =
   s.s_program <- program
 
 let set_analytic s = s.s_analytic <- true
-let set_fleet s fleet = s.s_fleet <- fleet
+
+(* A log names its models only when they are not the default: a fleet
+   by its slugs, a homogeneous non-default array by its one slug.
+   Default logs, and their JSONL form, stay as they always were. *)
+let close ?(analytic = false) s ~scheme ~program ~(config : Config.t) t_end =
+  if analytic then set_analytic s;
+  set_label s ~scheme ~program;
+  s.s_fleet <-
+    (if Array.length config.fleet > 0 then
+       List.map Specs.name_of (Array.to_list config.fleet)
+     else if config.specs <> Config.default.specs then
+       [ Specs.name_of config.specs ]
+     else []);
+  emit s (Sim_end t_end)
 
 type t = {
   t_scheme : string;
   t_program : string;
   t_analytic : bool;
   t_fleet : string list;
-      (* model registry slugs, round-robin by disk id; [] = homogeneous *)
+      (* model registry slugs, round-robin by disk id; [] = the default *)
   t_events : event list; (* emission order *)
+  t_lanes : event array array;
+      (* one per disk id up to the highest seen, each in emission order;
+         [Sim_end] belongs to no lane *)
+  t_sim_end : float;
 }
 
-let contents s =
+(* The lane an event belongs to; [Sim_end] belongs to none. *)
+let disk_of = function
+  | Span { disk; _ }
+  | Service { disk; _ }
+  | Occupy { disk; _ }
+  | Aborted { disk; _ }
+  | Mark { disk; _ } ->
+      disk
+  | Sim_end _ -> -1
+
+(* Freeze a log: one pass counts each lane and finds the last [Sim_end],
+   a second fills the lanes.  Without a [Sim_end], the horizon is the
+   latest timestamp. *)
+let freeze ~scheme ~program ~analytic ~fleet events =
+  let counts = ref [||] and explicit = ref None in
+  List.iter
+    (function
+      | Sim_end s -> explicit := Some s
+      | ev ->
+          let d = disk_of ev in
+          if d < 0 then invalid_arg "Timeline: negative disk id";
+          let n = Array.length !counts in
+          if d >= n then
+            counts := Array.append !counts (Array.make (d + 1 - n) 0);
+          !counts.(d) <- !counts.(d) + 1)
+    events;
+  let lanes = Array.map (fun n -> Array.make n (Sim_end 0.0)) !counts in
+  let fill = Array.make (Array.length lanes) 0 in
+  List.iter
+    (function
+      | Sim_end _ -> ()
+      | ev ->
+          let d = disk_of ev in
+          lanes.(d).(fill.(d)) <- ev;
+          fill.(d) <- fill.(d) + 1)
+    events;
+  let latest () =
+    List.fold_left
+      (fun acc -> function
+        | Span { t1; _ } | Service { t1; _ } | Occupy { t1; _ }
+        | Aborted { t1; _ } ->
+            Float.max acc t1
+        | Mark { t; _ } | Sim_end t -> Float.max acc t)
+      0.0 events
+  in
   {
-    t_scheme = s.s_scheme;
-    t_program = s.s_program;
-    t_analytic = s.s_analytic;
-    t_fleet = s.s_fleet;
-    t_events = List.rev s.rev;
+    t_scheme = scheme;
+    t_program = program;
+    t_analytic = analytic;
+    t_fleet = fleet;
+    t_events = events;
+    t_lanes = lanes;
+    t_sim_end = (match !explicit with Some s -> s | None -> latest ());
   }
+
+let contents s =
+  freeze ~scheme:s.s_scheme ~program:s.s_program ~analytic:s.s_analytic
+    ~fleet:s.s_fleet (List.rev s.rev)
 
 let events t = t.t_events
 let scheme t = t.t_scheme
 let program t = t.t_program
 let is_analytic t = t.t_analytic
 let fleet t = t.t_fleet
-
-let event_disk = function
-  | Span { disk; _ }
-  | Service { disk; _ }
-  | Occupy { disk; _ }
-  | Aborted { disk; _ }
-  | Mark { disk; _ } ->
-      Some disk
-  | Sim_end _ -> None
-
-let ndisks t =
-  List.fold_left
-    (fun acc ev ->
-      match event_disk ev with Some d -> max acc (d + 1) | None -> acc)
-    0 t.t_events
-
-let sim_end t =
-  let explicit =
-    List.fold_left
-      (fun acc ev -> match ev with Sim_end s -> Some s | _ -> acc)
-      None t.t_events
-  in
-  match explicit with
-  | Some s -> s
-  | None ->
-      List.fold_left
-        (fun acc ev ->
-          match ev with
-          | Span { t1; _ } | Service { t1; _ } | Occupy { t1; _ }
-          | Aborted { t1; _ } ->
-              Float.max acc t1
-          | Mark { t; _ } -> Float.max acc t
-          | Sim_end s -> Float.max acc s)
-        0.0 t.t_events
+let ndisks t = Array.length t.t_lanes
+let sim_end t = t.t_sim_end
 
 (* --- re-integration: energy from the event log and the Power tables
    alone.  The engine's own accounting lives in Disk_state; nothing here
@@ -144,26 +179,38 @@ let sim_end t =
 
 type energy = { per_disk : float array; total : float }
 
-let span_power specs = function
-  | Ready l -> Power.idle specs ~level:l
-  | Changing { from_level; to_level } ->
-      Power.idle specs ~level:(max from_level to_level)
-  | Spinning_down -> Power.spin_down_power specs
-  | Standby -> Power.standby specs
-  | Spinning_up -> Power.spin_up_power specs
+let energy_of specs = function
+  | Span { state; t0; t1; _ } ->
+      (* Zero-width spans carry no energy; skipping them also keeps a
+         zero-time spin transition (the flash tier) from multiplying an
+         infinite transition power by a zero duration. *)
+      if t1 > t0 then
+        (match state with
+        | Ready l -> Power.idle specs ~level:l
+        | Changing { from_level; to_level } ->
+            Power.idle specs ~level:(max from_level to_level)
+        | Spinning_down -> Power.spin_down_power specs
+        | Standby -> Power.standby specs
+        | Spinning_up -> Power.spin_up_power specs)
+        *. (t1 -. t0)
+      else 0.0
+  | Service { level; t0; t1; _ } | Occupy { level; t0; t1; _ } ->
+      Power.active specs ~level *. (t1 -. t0)
+  | Aborted { fraction; _ } -> Power.aborted_spin_up_energy specs ~fraction
+  | Mark _ | Sim_end _ -> 0.0
 
-(* Per-disk model resolution, shared by re-integration and checking: an
-   explicit [?fleet] wins; otherwise the log's own fleet label (model
-   registry slugs) is resolved, falling back to the homogeneous [specs]
-   when the label is absent or names an unknown model (a partially
-   resolved fleet would misalign the round-robin). *)
-let fleet_models ~specs ~fleet t =
+(* Per-disk model resolution, shared by re-integration, checking and
+   the reader: an explicit [?fleet] wins; otherwise the log's own model
+   label (registry slugs) is resolved, falling back to the homogeneous
+   [specs] when the label is absent or names an unknown model (a
+   partially resolved fleet would misalign the round-robin). *)
+let models_of_label ~specs ~fleet label =
   let models =
     match fleet with
     | Some fl -> fl
     | None ->
-        let resolved = List.map Specs.of_name_opt t.t_fleet in
-        if t.t_fleet <> [] && List.for_all Option.is_some resolved then
+        let resolved = List.map Specs.of_name_opt label in
+        if label <> [] && List.for_all Option.is_some resolved then
           Array.of_list (List.map Option.get resolved)
         else [||]
   in
@@ -171,27 +218,21 @@ let fleet_models ~specs ~fleet t =
   fun disk -> if n = 0 then specs else models.(disk mod n)
 
 let resolve_models ?(specs = Config.default.Config.specs) ?fleet t =
-  fleet_models ~specs ~fleet t
+  models_of_label ~specs ~fleet t.t_fleet
 
-let reintegrate ?(specs = Config.default.Config.specs) ?fleet t =
-  let model = fleet_models ~specs ~fleet t in
-  let nd = ndisks t in
-  let per_disk = Array.make nd 0.0 in
-  let add d e = per_disk.(d) <- per_disk.(d) +. e in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span { disk; state; t0; t1 } ->
-          (* Zero-width spans carry no energy; skipping them also keeps a
-             zero-time spin transition (the flash tier) from multiplying
-             an infinite transition power by a zero duration. *)
-          if t1 > t0 then add disk (span_power (model disk) state *. (t1 -. t0))
-      | Service { disk; level; t0; t1; _ } | Occupy { disk; level; t0; t1 } ->
-          add disk (Power.active (model disk) ~level *. (t1 -. t0))
-      | Aborted { disk; fraction; _ } ->
-          add disk (Power.aborted_spin_up_energy (model disk) ~fraction)
-      | Mark _ | Sim_end _ -> ())
-    t.t_events;
+let reintegrate ?specs ?fleet t =
+  let model = resolve_models ?specs ?fleet t in
+  let per_disk =
+    Array.mapi
+      (fun disk lane ->
+        let specs = model disk in
+        Array.fold_left
+          (fun acc ev ->
+            let e = energy_of specs ev in
+            if e <> 0.0 then acc +. e else acc)
+          0.0 lane)
+      t.t_lanes
+  in
   { per_disk; total = Array.fold_left ( +. ) 0.0 per_disk }
 
 (* --- invariant checking --- *)
@@ -200,10 +241,11 @@ let reintegrate ?(specs = Config.default.Config.specs) ?fleet t =
    occupy wall time on one disk. *)
 type item = I_state of state | I_busy of int | I_abort
 
-let item_of = function
-  | Span { state; _ } -> Some (I_state state)
-  | Service { level; _ } | Occupy { level; _ } -> Some (I_busy level)
-  | Aborted _ -> Some I_abort
+let timed = function
+  | Span { state; t0; t1; _ } -> Some (I_state state, t0, t1)
+  | Service { level; t0; t1; _ } | Occupy { level; t0; t1; _ } ->
+      Some (I_busy level, t0, t1)
+  | Aborted { t0; t1; _ } -> Some (I_abort, t0, t1)
   | Mark _ | Sim_end _ -> None
 
 let item_name = function
@@ -324,12 +366,9 @@ let check_dispatches ~report ~tol disk (services : (float * float) list)
     | Config.Scan ->
         let up_best = best min (fun p -> p >= !head) in
         let down_best =
-          let m =
-            List.fold_left
-              (fun acc c -> if c.d_pos <= !head then max acc c.d_pos else acc)
-              min_int cands
-          in
-          m
+          List.fold_left
+            (fun acc c -> if c.d_pos <= !head then max acc c.d_pos else acc)
+            min_int cands
         in
         if !dirup then begin
           if up_best < max_int then begin
@@ -392,163 +431,133 @@ let check_dispatches ~report ~tol disk (services : (float * float) list)
     end
   done
 
-let check ?(specs = Config.default.Config.specs) ?fleet t =
-  let model = fleet_models ~specs ~fleet t in
-  let nd = ndisks t in
-  let s_end = sim_end t in
-  let tol = 1e-9 *. Float.max 1.0 s_end in
-  let errors = ref [] in
-  let err disk fmt =
-    Printf.ksprintf (fun m -> errors := Printf.sprintf "disk %d: %s" disk m :: !errors) fmt
-  in
-  let killed = Array.make (max 1 nd) None in
-  List.iter
+(* One disk's residency and queue checks, over its lane. *)
+let check_lane ~report ~tol ~s_end ~analytic ~top disk lane =
+  let err disk fmt = Printf.ksprintf (report disk) fmt in
+  (* One pass over the lane: residency items, service intervals,
+     dispatch decisions, the kill time, and whether any fault touched
+     the queue. *)
+  let items = ref [] and services = ref [] and disps = ref [] in
+  let killed = ref None and clean = ref true in
+  Array.iter
     (fun ev ->
+      Option.iter (fun it -> items := it :: !items) (timed ev);
       match ev with
-      | Mark { disk; t; mark = Killed } -> killed.(disk) <- Some t
-      | Aborted { disk; fraction; _ } ->
-          if fraction < 0.0 || fraction > 1.0 then
-            err disk "aborted spin-up fraction %g outside [0, 1]" fraction
+      | Service { t0; t1; _ } -> services := (t0, t1) :: !services
+      | Mark { t; mark = Killed; _ } ->
+          killed := Some t;
+          clean := false
+      | Mark { mark = Retry _ | Remap _ | Redirect _; _ } -> clean := false
+      | Mark { t; mark = Dispatch { disc; pos; arrival }; _ } ->
+          let d = { d_t = t; d_disc = disc; d_pos = pos; d_arr = arrival } in
+          disps := d :: !disps
       | _ -> ())
-    t.t_events;
-  for disk = 0 to nd - 1 do
-    let top = Rpm.max_level (model disk) in
-    let items =
-      List.filter_map
-        (fun ev ->
-          match event_disk ev with
-          | Some d when d = disk -> (
-              match item_of ev with
-              | Some it -> (
-                  match ev with
-                  | Span { t0; t1; _ }
-                  | Service { t0; t1; _ }
-                  | Occupy { t0; t1; _ }
-                  | Aborted { t0; t1; _ } ->
-                      Some (it, t0, t1)
-                  | _ -> None)
-              | None -> None)
-          | _ -> None)
-        t.t_events
-    in
-    (* Well-formedness, shared by both modes. *)
-    List.iter
-      (fun (it, t0, t1) ->
-        if t1 < t0 then
-          err disk "%s: negative duration [%g, %g]" (item_name it) t0 t1;
-        if not (item_levels_ok ~top it) then
-          err disk "%s: level out of range (top %d)" (item_name it) top)
-      items;
-    if t.t_analytic then begin
-      (* Oracle-reconstructed logs: monotone starts and full coverage of
-         [0, sim_end]; service may overlap the tail slack, and a direct
-         modulation charged on top of a too-short gap at the head of the
-         run may be back-dated before t = 0. *)
-      let sorted =
-        List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) items
-      in
-      ignore
-        (List.fold_left
-           (fun prev (_, t0, _) ->
-             if t0 < prev -. tol then err disk "starts not monotone at %g" t0;
-             Float.max prev t0)
-           Float.neg_infinity sorted);
-      let covered =
-        List.fold_left
-          (fun edge (_, t0, t1) ->
-            if t0 > edge +. tol then err disk "coverage gap [%g, %g]" edge t0;
-            Float.max edge t1)
-          0.0 sorted
-      in
-      if covered < s_end -. tol && items <> [] then
-        err disk "coverage ends at %g, before sim end %g" covered s_end
-    end
-    else begin
-      (* Engine logs: spans are exactly contiguous from 0 and every
-         adjacency is an automaton edge. *)
-      (match items with
-      | [] ->
-          if s_end > tol && killed.(disk) = None then
-            err disk "no residency recorded over [0, %g]" s_end
-      | (first, t0, _) :: _ ->
-          if t0 <> 0.0 then err disk "first residency starts at %g, not 0" t0;
-          if not (from_ready top first) then
-            err disk "illegal initial state %s (disks start ready at top)"
-              (item_name first));
-      let rec walk = function
-        | (p, _, p1) :: ((n, n0, _) :: _ as rest) ->
-            if n0 <> p1 then
-              err disk "%s..%s: gap or overlap (%.17g -> %.17g)" (item_name p)
-                (item_name n) p1 n0;
-            if not (admissible ~top p n) then
-              err disk "illegal transition %s -> %s at %g" (item_name p)
-                (item_name n) n0;
-            walk rest
-        | _ -> ()
-      in
-      walk items;
-      let last_end =
-        List.fold_left (fun _ (_, _, t1) -> t1) 0.0 items
-      in
-      match killed.(disk) with
-      | Some k ->
-          if Float.abs (last_end -. k) > tol && items <> [] then
-            err disk "residency ends at %g but the disk was killed at %g"
-              last_end k
-      | None ->
-          if last_end < s_end -. tol then
-            err disk "residency ends at %g, before sim end %g" last_end s_end
-    end;
-    (* Per-queue legality: on any one disk, Service intervals never
-       overlap (the head serves one request at a time), and logged
-       dispatch decisions must replay under their queue discipline. *)
-    let services =
-      List.stable_sort
-        (fun (a, _) (b, _) -> compare a b)
-        (List.filter_map
-           (fun ev ->
-             match ev with
-             | Service { disk = d; t0; t1; _ } when d = disk -> Some (t0, t1)
-             | _ -> None)
-           t.t_events)
+    lane;
+  let items = List.rev !items in
+  (* Well-formedness, shared by both modes. *)
+  List.iter
+    (fun (it, t0, t1) ->
+      if t1 < t0 then
+        err disk "%s: negative duration [%g, %g]" (item_name it) t0 t1;
+      if not (item_levels_ok ~top it) then
+        err disk "%s: level out of range (top %d)" (item_name it) top)
+    items;
+  if analytic then begin
+    (* Oracle-reconstructed logs: monotone starts and full coverage of
+       [0, sim_end]; service may overlap the tail slack, and a direct
+       modulation charged on top of a too-short gap at the head of the
+       run may be back-dated before t = 0. *)
+    let sorted =
+      List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) items
     in
     ignore
       (List.fold_left
-         (fun prev_end (t0, t1) ->
-           if t0 < prev_end -. tol then
-             err disk "service intervals overlap: [%g, %g] starts before %g"
-               t0 t1 prev_end;
-           Float.max prev_end t1)
-         0.0 services);
-    let clean =
-      not
-        (List.exists
-           (fun ev ->
-             match ev with
-             | Mark { disk = d; mark; _ } when d = disk -> (
-                 match mark with
-                 | Retry _ | Remap _ | Redirect _ | Killed -> true
-                 | Directive_spin_down | Directive_spin_up
-                 | Directive_set_rpm _ | Gap_decision _ | Dispatch _ ->
-                     false)
-             | _ -> false)
-           t.t_events)
+         (fun prev (_, t0, _) ->
+           if t0 < prev -. tol then err disk "starts not monotone at %g" t0;
+           Float.max prev t0)
+         Float.neg_infinity sorted);
+    let covered =
+      List.fold_left
+        (fun edge (_, t0, t1) ->
+          if t0 > edge +. tol then err disk "coverage gap [%g, %g]" edge t0;
+          Float.max edge t1)
+        0.0 sorted
     in
-    let disps =
-      List.filter_map
-        (fun ev ->
-          match ev with
-          | Mark { disk = d; t; mark = Dispatch { disc; pos; arrival } }
-            when d = disk ->
-              Some { d_t = t; d_disc = disc; d_pos = pos; d_arr = arrival }
-          | _ -> None)
-        t.t_events
+    if covered < s_end -. tol && items <> [] then
+      err disk "coverage ends at %g, before sim end %g" covered s_end
+  end
+  else begin
+    (* Engine logs: spans are exactly contiguous from 0 and every
+       adjacency is an automaton edge. *)
+    (match items with
+    | [] ->
+        if s_end > tol && !killed = None then
+          err disk "no residency recorded over [0, %g]" s_end
+    | (first, t0, _) :: _ ->
+        if t0 <> 0.0 then err disk "first residency starts at %g, not 0" t0;
+        if not (from_ready top first) then
+          err disk "illegal initial state %s (disks start ready at top)"
+            (item_name first));
+    let rec walk = function
+      | (p, _, p1) :: ((n, n0, _) :: _ as rest) ->
+          if n0 <> p1 then
+            err disk "%s..%s: gap or overlap (%.17g -> %.17g)" (item_name p)
+              (item_name n) p1 n0;
+          if not (admissible ~top p n) then
+            err disk "illegal transition %s -> %s at %g" (item_name p)
+              (item_name n) n0;
+          walk rest
+      | _ -> ()
     in
-    if disps <> [] then
-      check_dispatches
-        ~report:(fun d m -> err d "%s" m)
-        ~tol disk services clean disps
-  done;
+    walk items;
+    let last_end = List.fold_left (fun _ (_, _, t1) -> t1) 0.0 items in
+    match !killed with
+    | Some k ->
+        if Float.abs (last_end -. k) > tol && items <> [] then
+          err disk "residency ends at %g but the disk was killed at %g"
+            last_end k
+    | None ->
+        if last_end < s_end -. tol then
+          err disk "residency ends at %g, before sim end %g" last_end s_end
+  end;
+  (* Per-queue legality: on any one disk, Service intervals never
+     overlap (the head serves one request at a time), and logged
+     dispatch decisions must replay under their queue discipline. *)
+  let services =
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !services)
+  in
+  ignore
+    (List.fold_left
+       (fun prev_end (t0, t1) ->
+         if t0 < prev_end -. tol then
+           err disk "service intervals overlap: [%g, %g] starts before %g" t0
+             t1 prev_end;
+         Float.max prev_end t1)
+       0.0 services);
+  if !disps <> [] then
+    check_dispatches ~report ~tol disk services !clean (List.rev !disps)
+
+let check ?specs ?fleet t =
+  let model = resolve_models ?specs ?fleet t in
+  let tol = 1e-9 *. Float.max 1.0 t.t_sim_end in
+  let errors = ref [] in
+  let report disk m =
+    errors := Printf.sprintf "disk %d: %s" disk m :: !errors
+  in
+  (* Out-of-range fractions first, in emission order over the whole log;
+     then each disk's errors, in disk order. *)
+  List.iter
+    (function
+      | Aborted { disk; fraction; _ } when fraction < 0.0 || fraction > 1.0 ->
+          Printf.ksprintf (report disk)
+            "aborted spin-up fraction %g outside [0, 1]" fraction
+      | _ -> ())
+    t.t_events;
+  Array.iteri
+    (fun disk lane ->
+      check_lane ~report ~tol ~s_end:t.t_sim_end ~analytic:t.t_analytic
+        ~top:(Rpm.max_level (model disk)) disk lane)
+    t.t_lanes;
   match List.rev !errors with [] -> Ok () | es -> Error es
 
 (* --- derived statistics --- *)
@@ -613,25 +622,33 @@ type scan = {
          claimed by a service or written off yet *)
 }
 
+(* The highest level seen anywhere in the log, which splits low-RPM
+   idle from full speed.  The summaries count [Changing] levels; the
+   gantt has always ignored them. *)
+let top_level ~changing t =
+  Array.fold_left
+    (Array.fold_left (fun acc ev ->
+         match ev with
+         | Span { state = Ready l; _ } | Service { level = l; _ }
+         | Occupy { level = l; _ } ->
+             max acc l
+         | Span { state = Changing { from_level; to_level }; _ } when changing
+           ->
+             max acc (max from_level to_level)
+         | _ -> acc))
+    0 t.t_lanes
+
 let disk_summaries t =
-  let top_guess =
-    (* Highest level seen anywhere; only used to split ready_low. *)
-    List.fold_left
-      (fun acc ev ->
-        match ev with
-        | Span { state = Ready l; _ } | Service { level = l; _ }
-        | Occupy { level = l; _ } ->
-            max acc l
-        | Span { state = Changing { from_level; to_level }; _ } ->
-            max acc (max from_level to_level)
-        | _ -> acc)
-      0 t.t_events
-  in
-  let nd = ndisks t in
-  let s_end = sim_end t in
-  let scans =
-    Array.init nd (fun d ->
-        { sum = empty_summary d; prev = None; rising_until = None })
+  let top_guess = top_level ~changing:true t in
+  (* A wake-up nothing claimed: the disk was up early, from [b] on. *)
+  let write_off sc ~at b =
+    sc.sum <-
+      {
+        sc.sum with
+        early_preactivations = sc.sum.early_preactivations + 1;
+        early_margin = sc.sum.early_margin +. Float.max 0.0 (at -. b);
+      };
+    sc.rising_until <- None
   in
   (* Run before accounting for each timed item: detect the end of a
      spin-up run (spans are contiguous, so it ended at this item's t0)
@@ -643,14 +660,7 @@ let disk_summaries t =
         sc.rising_until <- Some t0
     | _ -> ());
     match (sc.rising_until, it) with
-    | Some b, I_state Spinning_down ->
-        sc.sum <-
-          {
-            sc.sum with
-            early_preactivations = sc.sum.early_preactivations + 1;
-            early_margin = sc.sum.early_margin +. Float.max 0.0 (t0 -. b);
-          };
-        sc.rising_until <- None
+    | Some b, I_state Spinning_down -> write_off sc ~at:t0 b
     | _ -> ()
   in
   let account sc it t0 t1 =
@@ -697,71 +707,53 @@ let disk_summaries t =
           { s with aborted_time = s.aborted_time +. dt; aborted = s.aborted + 1 });
     sc.prev <- Some it
   in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span { disk; state; t0; t1 } ->
-          let sc = scans.(disk) in
-          pre_item sc (I_state state) t0;
-          account sc (I_state state) t0 t1
-      | Occupy { disk; level; t0; t1 } ->
-          let sc = scans.(disk) in
-          pre_item sc (I_busy level) t0;
-          account sc (I_busy level) t0 t1
-      | Aborted { disk; t0; t1; _ } ->
-          let sc = scans.(disk) in
-          pre_item sc I_abort t0;
-          account sc I_abort t0 t1
-      | Service { disk; level; arrival; t0; t1; _ } ->
-          let sc = scans.(disk) in
-          pre_item sc (I_busy level) t0;
-          let s = sc.sum in
-          let waited = t0 -. arrival in
-          let missed, early, margin =
-            match sc.rising_until with
-            | Some b ->
-                sc.rising_until <- None;
-                if waited > 0.0 then (1, 0, 0.0)
-                else if arrival > b then (0, 1, arrival -. b)
-                else (0, 0, 0.0)
-            | None -> (0, 0, 0.0)
-          in
-          sc.sum <-
-            {
-              s with
-              services = s.services + 1;
-              wait = s.wait +. waited;
-              missed_preactivations = s.missed_preactivations + missed;
-              early_preactivations = s.early_preactivations + early;
-              early_margin = s.early_margin +. margin;
-            };
-          account sc (I_busy level) t0 t1
-      | Mark { disk; t; mark } -> (
-          let sc = scans.(disk) in
-          let s = sc.sum in
-          match mark with
-          | Retry _ -> sc.sum <- { s with retries = s.retries + 1 }
-          | Remap _ -> sc.sum <- { s with remaps = s.remaps + 1 }
-          | Redirect _ -> sc.sum <- { s with redirects = s.redirects + 1 }
-          | Killed -> sc.sum <- { s with killed_at = Some t }
-          | Directive_spin_down | Directive_spin_up | Directive_set_rpm _
-          | Gap_decision _ | Dispatch _ ->
-              ())
-      | Sim_end _ -> ())
-    t.t_events;
-  Array.map
-    (fun sc ->
-      (match sc.rising_until with
-      | Some b ->
-          sc.sum <-
-            {
-              sc.sum with
-              early_preactivations = sc.sum.early_preactivations + 1;
-              early_margin = sc.sum.early_margin +. Float.max 0.0 (s_end -. b);
-            }
-      | None -> ());
+  let step sc ev =
+    match (ev, timed ev) with
+    | Mark { t; mark; _ }, _ -> (
+        let s = sc.sum in
+        match mark with
+        | Retry _ -> sc.sum <- { s with retries = s.retries + 1 }
+        | Remap _ -> sc.sum <- { s with remaps = s.remaps + 1 }
+        | Redirect _ -> sc.sum <- { s with redirects = s.redirects + 1 }
+        | Killed -> sc.sum <- { s with killed_at = Some t }
+        | Directive_spin_down | Directive_spin_up | Directive_set_rpm _
+        | Gap_decision _ | Dispatch _ ->
+            ())
+    | _, None -> ()
+    | _, Some (it, t0, t1) ->
+        pre_item sc it t0;
+        (match ev with
+        | Service { arrival; _ } ->
+            let s = sc.sum in
+            let waited = t0 -. arrival in
+            let missed, early, margin =
+              match sc.rising_until with
+              | Some b ->
+                  sc.rising_until <- None;
+                  if waited > 0.0 then (1, 0, 0.0)
+                  else if arrival > b then (0, 1, arrival -. b)
+                  else (0, 0, 0.0)
+              | None -> (0, 0, 0.0)
+            in
+            sc.sum <-
+              {
+                s with
+                services = s.services + 1;
+                wait = s.wait +. waited;
+                missed_preactivations = s.missed_preactivations + missed;
+                early_preactivations = s.early_preactivations + early;
+                early_margin = s.early_margin +. margin;
+              }
+        | _ -> ());
+        account sc it t0 t1
+  in
+  Array.mapi
+    (fun disk lane ->
+      let sc = { sum = empty_summary disk; prev = None; rising_until = None } in
+      Array.iter (step sc) lane;
+      Option.iter (write_off sc ~at:t.t_sim_end) sc.rising_until;
       sc.sum)
-    scans
+    t.t_lanes
 
 let pre_activation_totals t =
   Array.fold_left
@@ -773,425 +765,348 @@ let pre_activation_totals t =
 
 let gantt ?(width = 64) t =
   let nd = ndisks t in
-  let s_end = sim_end t in
+  let s_end = t.t_sim_end in
   if nd = 0 || s_end <= 0.0 then ""
   else begin
-    let top_guess =
-      List.fold_left
-        (fun acc ev ->
-          match ev with
-          | Span { state = Ready l; _ } | Service { level = l; _ }
-          | Occupy { level = l; _ } ->
-              max acc l
-          | _ -> acc)
-        0 t.t_events
-    in
+    let top_guess = top_level ~changing:false t in
     (* Category indices: 0 busy, 1 abort, 2 spin-up, 3 spin-down,
        4 changing, 5 low-rpm idle, 6 standby, 7 full-speed idle. *)
     let chars = [| '#'; '!'; '^'; 'v'; '-'; '~'; '.'; '=' |] in
-    let weight = Array.init nd (fun _ -> Array.make_matrix width 8 0.0) in
     let bucket_w = s_end /. float_of_int width in
-    let spread disk cat t0 t1 =
-      if t1 > t0 then begin
-        let b0 = max 0 (int_of_float (t0 /. bucket_w)) in
-        let b1 = min (width - 1) (int_of_float (t1 /. bucket_w)) in
-        for b = b0 to b1 do
-          let lo = Float.max t0 (float_of_int b *. bucket_w) in
-          let hi = Float.min t1 (float_of_int (b + 1) *. bucket_w) in
-          if hi > lo then weight.(disk).(b).(cat) <- weight.(disk).(b).(cat) +. (hi -. lo)
-        done
-      end
-    in
-    let killed = Array.make nd None in
-    List.iter
-      (fun ev ->
-        match ev with
-        | Span { disk; state; t0; t1 } ->
-            let cat =
-              match state with
-              | Ready l -> if l < top_guess then 5 else 7
-              | Changing _ -> 4
-              | Spinning_down -> 3
-              | Standby -> 6
-              | Spinning_up -> 2
-            in
-            spread disk cat t0 t1
-        | Service { disk; t0; t1; _ } | Occupy { disk; t0; t1; _ } ->
-            spread disk 0 t0 t1
-        | Aborted { disk; t0; t1; _ } -> spread disk 1 t0 t1
-        | Mark { disk; t; mark = Killed } -> killed.(disk) <- Some t
-        | Mark _ | Sim_end _ -> ())
-      t.t_events;
     let buf = Buffer.create ((width + 16) * nd) in
-    for d = 0 to nd - 1 do
-      Buffer.add_string buf (Printf.sprintf "disk %-2d |" d);
-      for b = 0 to width - 1 do
-        let best = ref (-1) and best_w = ref 0.0 in
-        for c = 0 to 7 do
-          if weight.(d).(b).(c) > !best_w then begin
-            best := c;
-            best_w := weight.(d).(b).(c)
+    Array.iteri
+      (fun d lane ->
+        let weight = Array.make_matrix width 8 0.0 in
+        let spread cat t0 t1 =
+          if t1 > t0 then begin
+            let b0 = max 0 (int_of_float (t0 /. bucket_w)) in
+            let b1 = min (width - 1) (int_of_float (t1 /. bucket_w)) in
+            for b = b0 to b1 do
+              let lo = Float.max t0 (float_of_int b *. bucket_w) in
+              let hi = Float.min t1 (float_of_int (b + 1) *. bucket_w) in
+              if hi > lo then weight.(b).(cat) <- weight.(b).(cat) +. (hi -. lo)
+            done
           end
-        done;
-        let ch =
-          if !best >= 0 then chars.(!best)
-          else
-            match killed.(d) with
-            | Some k when float_of_int b *. bucket_w >= k -. (bucket_w /. 2.0) ->
-                'X'
-            | _ -> ' '
         in
-        Buffer.add_char buf ch
-      done;
-      Buffer.add_string buf "|\n"
-    done;
+        let killed = ref None in
+        Array.iter
+          (function
+            | Span { state; t0; t1; _ } ->
+                let cat =
+                  match state with
+                  | Ready l -> if l < top_guess then 5 else 7
+                  | Changing _ -> 4
+                  | Spinning_down -> 3
+                  | Standby -> 6
+                  | Spinning_up -> 2
+                in
+                spread cat t0 t1
+            | Service { t0; t1; _ } | Occupy { t0; t1; _ } -> spread 0 t0 t1
+            | Aborted { t0; t1; _ } -> spread 1 t0 t1
+            | Mark { t; mark = Killed; _ } -> killed := Some t
+            | Mark _ | Sim_end _ -> ())
+          lane;
+        Buffer.add_string buf (Printf.sprintf "disk %-2d |" d);
+        for b = 0 to width - 1 do
+          let best = ref (-1) and best_w = ref 0.0 in
+          for c = 0 to 7 do
+            if weight.(b).(c) > !best_w then begin
+              best := c;
+              best_w := weight.(b).(c)
+            end
+          done;
+          let ch =
+            if !best >= 0 then chars.(!best)
+            else
+              match !killed with
+              | Some k when float_of_int b *. bucket_w >= k -. (bucket_w /. 2.0)
+                ->
+                  'X'
+              | _ -> ' '
+          in
+          Buffer.add_char buf ch
+        done;
+        Buffer.add_string buf "|\n")
+      t.t_lanes;
     Buffer.contents buf
   end
 
-let summary ?(specs = Config.default.Config.specs) ?fleet t =
+let summary ?specs ?fleet t =
+  let module Table = Dpm_util.Table in
   let buf = Buffer.create 1024 in
-  let sums = disk_summaries t in
-  let e = reintegrate ~specs ?fleet t in
+  let e = reintegrate ?specs ?fleet t in
   let table =
-    Dpm_util.Table.create
+    Table.create
       ~title:
         (Printf.sprintf "timeline %s/%s"
            (if t.t_program = "" then "?" else t.t_program)
            (if t.t_scheme = "" then "?" else t.t_scheme))
       ~columns:
-        [
-          ("disk", Dpm_util.Table.Left);
-          ("busy(s)", Dpm_util.Table.Right);
-          ("idle(s)", Dpm_util.Table.Right);
-          ("low-rpm(s)", Dpm_util.Table.Right);
-          ("chg(s)", Dpm_util.Table.Right);
-          ("down(s)", Dpm_util.Table.Right);
-          ("stby(s)", Dpm_util.Table.Right);
-          ("up(s)", Dpm_util.Table.Right);
-          ("serves", Dpm_util.Table.Right);
-          ("mods", Dpm_util.Table.Right);
-          ("spdn", Dpm_util.Table.Right);
-          ("miss", Dpm_util.Table.Right);
-          ("early", Dpm_util.Table.Right);
-          ("wait(s)", Dpm_util.Table.Right);
-          ("energy(J)", Dpm_util.Table.Right);
-        ]
+        (("disk", Table.Left)
+        :: List.map
+             (fun c -> (c, Table.Right))
+             [
+               "busy(s)"; "idle(s)"; "low-rpm(s)"; "chg(s)"; "down(s)";
+               "stby(s)"; "up(s)"; "serves"; "mods"; "spdn"; "miss"; "early";
+               "wait(s)"; "energy(J)";
+             ])
   in
   Array.iter
     (fun s ->
-      Dpm_util.Table.add_row table
-        [
-          (string_of_int s.disk
-          ^ match s.killed_at with Some _ -> "*" | None -> "");
-          Dpm_util.Table.cell_f s.busy;
-          Dpm_util.Table.cell_f s.ready;
-          Dpm_util.Table.cell_f s.ready_low;
-          Dpm_util.Table.cell_f s.changing;
-          Dpm_util.Table.cell_f s.spin_down_time;
-          Dpm_util.Table.cell_f s.standby;
-          Dpm_util.Table.cell_f s.spin_up_time;
-          Dpm_util.Table.cell_int s.services;
-          Dpm_util.Table.cell_int s.modulations;
-          Dpm_util.Table.cell_int s.spin_downs;
-          Dpm_util.Table.cell_int s.missed_preactivations;
-          Dpm_util.Table.cell_int s.early_preactivations;
-          Dpm_util.Table.cell_f s.wait;
-          Dpm_util.Table.cell_f e.per_disk.(s.disk);
-        ])
-    sums;
-  Buffer.add_string buf (Dpm_util.Table.render table);
+      Table.add_row table
+        ((string_of_int s.disk ^ if s.killed_at = None then "" else "*")
+         :: List.map Table.cell_f
+              [
+                s.busy; s.ready; s.ready_low; s.changing; s.spin_down_time;
+                s.standby; s.spin_up_time;
+              ]
+        @ List.map Table.cell_int
+            [
+              s.services; s.modulations; s.spin_downs; s.missed_preactivations;
+              s.early_preactivations;
+            ]
+        @ List.map Table.cell_f [ s.wait; e.per_disk.(s.disk) ]))
+    (disk_summaries t);
+  Buffer.add_string buf (Table.render table);
   let lanes = gantt t in
-  if lanes <> "" then begin
-    Buffer.add_string buf
-      (Printf.sprintf
-         "gantt over [0, %.2f s] (#busy =idle ~low-rpm -chg vdown .stby ^up \
-          !abort Xdead)\n"
-         (sim_end t));
-    Buffer.add_string buf lanes
-  end;
-  Buffer.add_string buf
-    (Printf.sprintf "reintegrated energy: %.2f J over %d event(s)\n" e.total
-       (List.length t.t_events));
-  (match check ~specs ?fleet t with
+  if lanes <> "" then
+    Printf.bprintf buf
+      "gantt over [0, %.2f s] (#busy =idle ~low-rpm -chg vdown .stby ^up \
+       !abort Xdead)\n\
+       %s"
+      t.t_sim_end lanes;
+  Printf.bprintf buf "reintegrated energy: %.2f J over %d event(s)\n" e.total
+    (List.length t.t_events);
+  (match check ?specs ?fleet t with
   | Ok () -> Buffer.add_string buf "invariants: ok\n"
   | Error es ->
-      Buffer.add_string buf
-        (Printf.sprintf "invariants: %d violation(s)\n" (List.length es));
-      List.iter
-        (fun m -> Buffer.add_string buf (Printf.sprintf "  %s\n" m))
-        es);
+      Printf.bprintf buf "invariants: %d violation(s)\n" (List.length es);
+      List.iter (Printf.bprintf buf "  %s\n") es);
   Buffer.contents buf
 
 (* --- JSONL / CSV export --- *)
 
 let fstr x = Printf.sprintf "%.17g" x
 
-let state_fields = function
-  | Ready l -> Printf.sprintf {|"state":"ready","level":%d|} l
-  | Changing { from_level; to_level } ->
-      Printf.sprintf {|"state":"changing","from":%d,"to":%d|} from_level
-        to_level
-  | Spinning_down -> {|"state":"spin_down"|}
-  | Standby -> {|"state":"standby"|}
-  | Spinning_up -> {|"state":"spin_up"|}
-
-let mark_fields = function
-  | Retry k -> Printf.sprintf {|"mark":"retry","arg":%d|} k
-  | Remap b -> Printf.sprintf {|"mark":"remap","arg":%d|} b
-  | Redirect d -> Printf.sprintf {|"mark":"redirect","arg":%d|} d
-  | Killed -> {|"mark":"killed"|}
-  | Directive_spin_down -> {|"mark":"spin_down"|}
-  | Directive_spin_up -> {|"mark":"spin_up"|}
-  | Directive_set_rpm l -> Printf.sprintf {|"mark":"set_rpm","arg":%d|} l
-  | Gap_decision { predicted; level; spin_down } ->
-      Printf.sprintf {|"mark":"gap","predicted":%s,"level":%d,"spin_down":%b|}
-        (fstr predicted) level spin_down
-  | Dispatch { disc; pos; arrival } ->
-      Printf.sprintf {|"mark":"dispatch","sched":"%s","arg":%d,"arrival":%s|}
-        (Config.sched_name disc) pos (fstr arrival)
-
-let event_json = function
+(* One event as (key, JSON token) pairs in wire order: the one field
+   list both exports print.  Every string here is a plain identifier,
+   so quoting needs no escapes. *)
+let event_fields ev =
+  let q s = "\"" ^ s ^ "\"" and i = string_of_int in
+  match ev with
   | Span { disk; state; t0; t1 } ->
-      Printf.sprintf {|{"ev":"span","disk":%d,%s,"t0":%s,"t1":%s}|} disk
-        (state_fields state) (fstr t0) (fstr t1)
+      (("ev", q "span") :: ("disk", i disk)
+      ::
+      (match state with
+      | Ready l -> [ ("state", q "ready"); ("level", i l) ]
+      | Changing { from_level; to_level } ->
+          [
+            ("state", q "changing"); ("from", i from_level);
+            ("to", i to_level);
+          ]
+      | Spinning_down -> [ ("state", q "spin_down") ]
+      | Standby -> [ ("state", q "standby") ]
+      | Spinning_up -> [ ("state", q "spin_up") ]))
+      @ [ ("t0", fstr t0); ("t1", fstr t1) ]
   | Service { disk; level; arrival; t0; t1; bytes } ->
-      Printf.sprintf
-        {|{"ev":"serve","disk":%d,"level":%d,"arrival":%s,"t0":%s,"t1":%s,"bytes":%d}|}
-        disk level (fstr arrival) (fstr t0) (fstr t1) bytes
+      [
+        ("ev", q "serve"); ("disk", i disk); ("level", i level);
+        ("arrival", fstr arrival); ("t0", fstr t0); ("t1", fstr t1);
+        ("bytes", i bytes);
+      ]
   | Occupy { disk; level; t0; t1 } ->
-      Printf.sprintf {|{"ev":"occupy","disk":%d,"level":%d,"t0":%s,"t1":%s}|}
-        disk level (fstr t0) (fstr t1)
+      [
+        ("ev", q "occupy"); ("disk", i disk); ("level", i level);
+        ("t0", fstr t0); ("t1", fstr t1);
+      ]
   | Aborted { disk; t0; t1; fraction } ->
-      Printf.sprintf
-        {|{"ev":"abort","disk":%d,"t0":%s,"t1":%s,"fraction":%s}|} disk
-        (fstr t0) (fstr t1) (fstr fraction)
+      [
+        ("ev", q "abort"); ("disk", i disk); ("t0", fstr t0); ("t1", fstr t1);
+        ("fraction", fstr fraction);
+      ]
   | Mark { disk; t; mark } ->
-      Printf.sprintf {|{"ev":"mark","disk":%d,"t":%s,%s}|} disk (fstr t)
-        (mark_fields mark)
-  | Sim_end t -> Printf.sprintf {|{"ev":"end","t":%s}|} (fstr t)
+      ("ev", q "mark") :: ("disk", i disk) :: ("t", fstr t)
+      ::
+      (match mark with
+      | Retry k -> [ ("mark", q "retry"); ("arg", i k) ]
+      | Remap b -> [ ("mark", q "remap"); ("arg", i b) ]
+      | Redirect d -> [ ("mark", q "redirect"); ("arg", i d) ]
+      | Killed -> [ ("mark", q "killed") ]
+      | Directive_spin_down -> [ ("mark", q "spin_down") ]
+      | Directive_spin_up -> [ ("mark", q "spin_up") ]
+      | Directive_set_rpm l -> [ ("mark", q "set_rpm"); ("arg", i l) ]
+      | Gap_decision { predicted; level; spin_down } ->
+          [
+            ("mark", q "gap"); ("predicted", fstr predicted);
+            ("level", i level); ("spin_down", string_of_bool spin_down);
+          ]
+      | Dispatch { disc; pos; arrival } ->
+          [
+            ("mark", q "dispatch"); ("sched", q (Config.sched_name disc));
+            ("arg", i pos); ("arrival", fstr arrival);
+          ])
+  | Sim_end t -> [ ("ev", q "end"); ("t", fstr t) ]
 
 let write_jsonl t oc =
-  let jstr s = Json.to_string (Json.Str s) in
-  (* The fleet rides in the meta line only when heterogeneous, so
-     legacy logs round-trip byte-identically. *)
-  let fleet_field =
-    if t.t_fleet = [] then ""
-    else Printf.sprintf {|,"fleet":%s|} (jstr (String.concat ";" t.t_fleet))
+  let line fields =
+    output_char oc '{';
+    List.iteri
+      (fun n (k, v) ->
+        Printf.fprintf oc {|%s"%s":%s|} (if n > 0 then "," else "") k v)
+      fields;
+    output_string oc "}\n"
   in
-  Printf.fprintf oc {|{"ev":"meta","scheme":%s,"program":%s,"analytic":%b%s}|}
-    (jstr t.t_scheme) (jstr t.t_program) t.t_analytic fleet_field;
-  output_char oc '\n';
-  List.iter
-    (fun ev ->
-      output_string oc (event_json ev);
-      output_char oc '\n')
-    t.t_events
+  let jstr s = Json.to_string (Json.Str s) in
+  (* The models ride in the meta line only when they are not the
+     default, so legacy logs round-trip byte-identically. *)
+  line
+    ([
+       ("ev", {|"meta"|}); ("scheme", jstr t.t_scheme);
+       ("program", jstr t.t_program); ("analytic", string_of_bool t.t_analytic);
+     ]
+    @ if t.t_fleet = [] then []
+      else [ ("fleet", jstr (String.concat ";" t.t_fleet)) ]);
+  List.iter (fun ev -> line (event_fields ev)) t.t_events
+
+let csv_columns =
+  [
+    "ev"; "disk"; "state"; "level"; "from"; "to"; "arrival"; "t0"; "t1";
+    "bytes"; "fraction"; "mark"; "arg"; "predicted"; "spin_down"; "t";
+  ]
 
 let write_csv t oc =
-  output_string oc
-    "ev,disk,state,level,from,to,arrival,t0,t1,bytes,fraction,mark,arg,predicted,spin_down,t\n";
-  let row ~ev ?(disk = "") ?(state = "") ?(level = "") ?(from = "") ?(to_ = "")
-      ?(arrival = "") ?(t0 = "") ?(t1 = "") ?(bytes = "") ?(fraction = "")
-      ?(mark = "") ?(arg = "") ?(predicted = "") ?(spin_down = "") ?(t = "") ()
-      =
-    Printf.fprintf oc "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n" ev
-      disk state level from to_ arrival t0 t1 bytes fraction mark arg predicted
-      spin_down t
-  in
+  output_string oc (String.concat "," csv_columns ^ "\n");
   List.iter
     (fun ev ->
-      match ev with
-      | Span { disk; state; t0; t1 } ->
-          let st, level, from, to_ =
-            match state with
-            | Ready l -> ("ready", string_of_int l, "", "")
-            | Changing { from_level; to_level } ->
-                ("changing", "", string_of_int from_level,
-                 string_of_int to_level)
-            | Spinning_down -> ("spin_down", "", "", "")
-            | Standby -> ("standby", "", "", "")
-            | Spinning_up -> ("spin_up", "", "", "")
-          in
-          row ~ev:"span" ~disk:(string_of_int disk) ~state:st ~level ~from ~to_
-            ~t0:(fstr t0) ~t1:(fstr t1) ()
-      | Service { disk; level; arrival; t0; t1; bytes } ->
-          row ~ev:"serve" ~disk:(string_of_int disk)
-            ~level:(string_of_int level) ~arrival:(fstr arrival) ~t0:(fstr t0)
-            ~t1:(fstr t1) ~bytes:(string_of_int bytes) ()
-      | Occupy { disk; level; t0; t1 } ->
-          row ~ev:"occupy" ~disk:(string_of_int disk)
-            ~level:(string_of_int level) ~t0:(fstr t0) ~t1:(fstr t1) ()
-      | Aborted { disk; t0; t1; fraction } ->
-          row ~ev:"abort" ~disk:(string_of_int disk) ~t0:(fstr t0)
-            ~t1:(fstr t1) ~fraction:(fstr fraction) ()
-      | Mark { disk; t; mark } -> (
-          let base = row ~ev:"mark" ~disk:(string_of_int disk) ~t:(fstr t) in
-          match mark with
-          | Retry k -> base ~mark:"retry" ~arg:(string_of_int k) ()
-          | Remap b -> base ~mark:"remap" ~arg:(string_of_int b) ()
-          | Redirect d -> base ~mark:"redirect" ~arg:(string_of_int d) ()
-          | Killed -> base ~mark:"killed" ()
-          | Directive_spin_down -> base ~mark:"spin_down" ()
-          | Directive_spin_up -> base ~mark:"spin_up" ()
-          | Directive_set_rpm l -> base ~mark:"set_rpm" ~arg:(string_of_int l) ()
-          | Gap_decision { predicted; level; spin_down } ->
-              base ~mark:"gap" ~predicted:(fstr predicted)
-                ~level:(string_of_int level)
-                ~spin_down:(string_of_bool spin_down) ()
-          | Dispatch { disc; pos; arrival } ->
-              (* The discipline rides in the state column — the CSV
-                 header is fixed. *)
-              base ~mark:"dispatch" ~state:(Config.sched_name disc)
-                ~arg:(string_of_int pos) ~arrival:(fstr arrival) ())
-      | Sim_end t -> row ~ev:"end" ~t:(fstr t) ())
+      (* The header is fixed: a dispatch's scheduler rides in the state
+         column, and strings go unquoted. *)
+      let cells =
+        List.map
+          (fun (k, v) ->
+            ( (if k = "sched" then "state" else k),
+              if v.[0] = '"' then String.sub v 1 (String.length v - 2) else v ))
+          (event_fields ev)
+      in
+      output_string oc
+        (String.concat ","
+           (List.map
+              (fun c -> Option.value ~default:"" (List.assoc_opt c cells))
+              csv_columns));
+      output_char oc '\n')
     t.t_events
 
 (* --- JSONL parsing: one JSON object per line --- *)
 
+exception Bad of string (* a line's decoding failure, returned as [Error] *)
+
 let field fields key conv =
   match Option.bind (Json.member key fields) conv with
   | Some v -> v
-  | None -> failwith ("Timeline.read_jsonl: missing field " ^ key)
+  | None -> raise (Bad ("missing field " ^ key))
 
 let get fields key = field fields key Json.to_str
 let geti fields key = field fields key Json.to_int
 let getf fields key = field fields key Json.to_float
 
 let event_of_fields fields =
-  match get fields "ev" with
+  let i = geti fields and f = getf fields and s = get fields in
+  match s "ev" with
   | "span" ->
       let state =
-        match get fields "state" with
-        | "ready" -> Ready (geti fields "level")
-        | "changing" ->
-            Changing
-              { from_level = geti fields "from"; to_level = geti fields "to" }
+        match s "state" with
+        | "ready" -> Ready (i "level")
+        | "changing" -> Changing { from_level = i "from"; to_level = i "to" }
         | "spin_down" -> Spinning_down
         | "standby" -> Standby
         | "spin_up" -> Spinning_up
-        | s -> failwith ("Timeline.read_jsonl: unknown state " ^ s)
+        | st -> raise (Bad ("unknown state " ^ st))
       in
-      Span
-        {
-          disk = geti fields "disk";
-          state;
-          t0 = getf fields "t0";
-          t1 = getf fields "t1";
-        }
+      Span { disk = i "disk"; state; t0 = f "t0"; t1 = f "t1" }
   | "serve" ->
       Service
         {
-          disk = geti fields "disk";
-          level = geti fields "level";
-          arrival = getf fields "arrival";
-          t0 = getf fields "t0";
-          t1 = getf fields "t1";
-          bytes = geti fields "bytes";
+          disk = i "disk"; level = i "level"; arrival = f "arrival";
+          t0 = f "t0"; t1 = f "t1"; bytes = i "bytes";
         }
   | "occupy" ->
-      Occupy
-        {
-          disk = geti fields "disk";
-          level = geti fields "level";
-          t0 = getf fields "t0";
-          t1 = getf fields "t1";
-        }
+      Occupy { disk = i "disk"; level = i "level"; t0 = f "t0"; t1 = f "t1" }
   | "abort" ->
       Aborted
-        {
-          disk = geti fields "disk";
-          t0 = getf fields "t0";
-          t1 = getf fields "t1";
-          fraction = getf fields "fraction";
-        }
+        { disk = i "disk"; t0 = f "t0"; t1 = f "t1"; fraction = f "fraction" }
   | "mark" ->
       let mark =
-        match get fields "mark" with
-        | "retry" -> Retry (geti fields "arg")
-        | "remap" -> Remap (geti fields "arg")
-        | "redirect" -> Redirect (geti fields "arg")
+        match s "mark" with
+        | "retry" -> Retry (i "arg")
+        | "remap" -> Remap (i "arg")
+        | "redirect" -> Redirect (i "arg")
         | "killed" -> Killed
         | "spin_down" -> Directive_spin_down
         | "spin_up" -> Directive_spin_up
-        | "set_rpm" -> Directive_set_rpm (geti fields "arg")
+        | "set_rpm" -> Directive_set_rpm (i "arg")
         | "gap" ->
             Gap_decision
               {
-                predicted = getf fields "predicted";
-                level = geti fields "level";
+                predicted = f "predicted";
+                level = i "level";
                 spin_down = field fields "spin_down" Json.to_bool;
               }
-        | "dispatch" ->
-            let name = get fields "sched" in
-            let disc =
-              match Config.sched_of_name_opt name with
-              | Some d -> d
-              | None ->
-                  failwith ("Timeline.read_jsonl: unknown scheduler " ^ name)
-            in
-            Dispatch
-              {
-                disc;
-                pos = geti fields "arg";
-                arrival = getf fields "arrival";
-              }
-        | m -> failwith ("Timeline.read_jsonl: unknown mark " ^ m)
+        | "dispatch" -> (
+            match Config.sched_of_name_opt (s "sched") with
+            | Some disc ->
+                Dispatch { disc; pos = i "arg"; arrival = f "arrival" }
+            | None -> raise (Bad ("unknown scheduler " ^ s "sched")))
+        | m -> raise (Bad ("unknown mark " ^ m))
       in
-      Mark { disk = geti fields "disk"; t = getf fields "t"; mark }
-  | "end" -> Sim_end (getf fields "t")
-  | ev -> failwith ("Timeline.read_jsonl: unknown event " ^ ev)
+      Mark { disk = i "disk"; t = f "t"; mark }
+  | "end" -> Sim_end (f "t")
+  | ev -> raise (Bad ("unknown event " ^ ev))
+
+(* A hostile line fails here rather than in an analysis: disk ids are
+   non-negative, and every priced level is on the ladder of the model
+   its disk resolves to. *)
+let validate model ev =
+  let d = disk_of ev in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  match (ev, timed ev) with
+  | Sim_end _, _ -> ()
+  | _ when d < 0 -> bad "negative disk id %d" d
+  | _, Some (it, _, _) ->
+      let top = Rpm.max_level (model d) in
+      if not (item_levels_ok ~top it) then
+        bad "disk %d: %s: level out of range (top %d)" d (item_name it) top
+  | _, None -> ()
 
 let read_jsonl ic =
-  let sections = ref [] in
-  let current = ref None in
-  let flush () =
-    match !current with
-    | None -> ()
-    | Some (scheme, program, analytic, fleet, rev) ->
-        sections :=
-          {
-            t_scheme = scheme;
-            t_program = program;
-            t_analytic = analytic;
-            t_fleet = fleet;
-            t_events = List.rev rev;
-          }
-          :: !sections;
-        current := None
+  let decode f = try Ok (f ()) with Bad m -> Error m in
+  let model fleet =
+    models_of_label ~specs:Config.default.Config.specs ~fleet:None fleet
   in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then begin
-         let fields =
-           match Json.parse_string line with
-           | Ok j -> j
-           | Error e ->
-               failwith (Printf.sprintf "Timeline.read_jsonl: %s in %S" e line)
-         in
-         match get fields "ev" with
-         | "meta" ->
-             flush ();
-             let fleet =
-               match Option.bind (Json.member "fleet" fields) Json.to_str with
-               | None | Some "" -> []
-               | Some names -> String.split_on_char ';' names
-             in
-             current :=
-               Some
-                 ( get fields "scheme",
-                   get fields "program",
-                   field fields "analytic" Json.to_bool,
-                   fleet,
-                   [] )
-         | _ ->
-             let ev = event_of_fields fields in
-             (match !current with
-             | Some (s, p, a, fl, rev) ->
-                 current := Some (s, p, a, fl, ev :: rev)
-             | None -> current := Some ("", "", false, [], [ ev ]))
-       end
-     done
-   with End_of_file -> ());
-  flush ();
-  List.rev !sections
+  let header fields =
+    match Json.member "ev" fields with
+    | Some (Json.Str "meta") ->
+        Some
+          (decode (fun () ->
+               let fleet =
+                 match Option.bind (Json.member "fleet" fields) Json.to_str with
+                 | None | Some "" -> []
+                 | Some names -> String.split_on_char ';' names
+               in
+               ( (get fields "scheme", get fields "program",
+                  field fields "analytic" Json.to_bool, fleet),
+                 model fleet )))
+    | _ -> None
+  in
+  let unlabelled = model [] in
+  let row meta fields =
+    decode (fun () ->
+        let ev = event_of_fields fields in
+        validate (match meta with Some (_, m) -> m | None -> unlabelled) ev;
+        ev)
+  in
+  Json.read_sections ~header ~row ic
+  |> Stdlib.Result.map
+       (List.map (fun (meta, events) ->
+            let (scheme, program, analytic, fleet), _ =
+              Option.value meta ~default:(("", "", false, []), unlabelled)
+            in
+            freeze ~scheme ~program ~analytic ~fleet events))

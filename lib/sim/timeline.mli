@@ -16,6 +16,10 @@
     state change is a permitted transition, and the spans of each disk
     partition [0, sim_end].
 
+    A log is frozen once into per-disk lanes, and every analysis folds
+    over them.  {!energy_of} is the one pricing (shared with
+    {!Dpm_sim.Meter}), and {!close} the one way a run ends its log.
+
     Recording is strictly observational: a replay with a sink installed
     produces a byte-identical {!Result.t} to one without. *)
 
@@ -97,19 +101,29 @@ val set_analytic : sink -> unit
     analytic model lets a burst's service spill into its tail slack, so
     {!check} verifies coverage instead of strict contiguity. *)
 
-val set_fleet : sink -> string list -> unit
-(** Stamp the log with the heterogeneous fleet serving it, as model
-    registry slugs ({!Dpm_disk.Specs.name_of}) assigned round-robin by
-    disk id.  The engine sets this only for non-empty
-    {!Config.t.fleet}s, so legacy logs (and their JSONL form) are
-    unchanged; {!check}/{!reintegrate}/{!summary} resolve it to
-    per-disk specs when no explicit fleet is passed. *)
+val close :
+  ?analytic:bool ->
+  sink ->
+  scheme:string ->
+  program:string ->
+  config:Config.t ->
+  float ->
+  unit
+(** End a run's log ({!Dpm_sim.Sched} and both oracles): label it (and
+    mark it analytic), name its models, then emit [Sim_end t].  Models
+    are named as registry slugs only when not the default: a fleet by
+    its slugs, round-robin by disk id; a homogeneous array whose
+    [specs] differ from {!Config.default}'s by its one slug.  The
+    analyses resolve that label when no explicit fleet is passed. *)
 
 type t
-(** A frozen event log. *)
+(** A frozen event log, split into lanes: one disk's events in emission
+    order for every id up to the highest seen ([Sim_end] is in none). *)
 
 val contents : sink -> t
-(** Snapshot of everything emitted so far (the sink stays usable). *)
+(** Freeze everything emitted so far (the sink stays usable): one pass
+    fixes {!ndisks} and {!sim_end}, a second fills the lanes.  Raises
+    [Invalid_argument] on a negative disk id. *)
 
 val events : t -> event list
 (** In emission order — chronological per disk. *)
@@ -119,21 +133,25 @@ val program : t -> string
 val is_analytic : t -> bool
 
 val fleet : t -> string list
-(** The fleet label ([[]] for homogeneous/legacy logs). *)
+(** The model label ([[]] for logs on the default model). *)
 
-val ndisks : t -> int
+val ndisks : t -> int (** The highest disk id + 1. *)
+
 val sim_end : t -> float
-(** From the [Sim_end] event, falling back to the latest timestamp. *)
+(** From the last [Sim_end] event, falling back to the latest
+    timestamp. *)
 
 (** {1 The independent energy re-integrator} *)
 
 type energy = { per_disk : float array; total : float }
 
-val span_power : Dpm_disk.Specs.t -> state -> float
-(** The constant power a {!Span} in this state draws under the
-    {!Dpm_disk.Power} tables — the pricing {!reintegrate} uses, shared
-    with {!Dpm_sim.Meter} so samples and re-integration can never
-    disagree.  ([Changing] draws the idle power of its faster level.) *)
+val energy_of : Dpm_disk.Specs.t -> event -> float
+(** The energy one event carries under the {!Dpm_disk.Power} tables: a
+    [Span] its state's power times its width ([Changing] at the idle
+    power of its faster level; zero-width spans carry none),
+    [Service]/[Occupy] active power times width, [Aborted] its share of
+    a spin-up, the rest nothing.  {!reintegrate} and {!Dpm_sim.Meter}
+    both price through it, so they can never disagree. *)
 
 val resolve_models :
   ?specs:Dpm_disk.Specs.t ->
@@ -149,10 +167,8 @@ val resolve_models :
 
 val reintegrate :
   ?specs:Dpm_disk.Specs.t -> ?fleet:Dpm_disk.Specs.t array -> t -> energy
-(** Recompute energy from the event log alone: each [Span] at its
-    state's constant power, each [Service]/[Occupy] at active power,
-    each [Aborted] via {!Dpm_disk.Power.aborted_spin_up_energy} — all
-    straight from the {!Dpm_disk.Power} tables (default specs:
+(** Recompute energy from the event log alone: each lane summed in
+    emission order, adding every non-zero {!energy_of} (default specs:
     {!Config.default}).  For an engine log this must match
     [Result.energy] per disk and in total (relative error ≤ 1e-9);
     for an oracle log it must match the closed-form energies.
@@ -244,6 +260,9 @@ val write_jsonl : t -> out_channel -> unit
 val write_csv : t -> out_channel -> unit
 (** Flat one-row-per-event CSV with a header row. *)
 
-val read_jsonl : in_channel -> t list
+val read_jsonl : in_channel -> (t list, string) result
 (** Parses what {!write_jsonl} wrote (any number of concatenated
-    sections).  Raises [Failure] on a malformed line. *)
+    sections).  Never raises on bad input: the first bad line — bad
+    JSON, a missing field, a negative disk id, a priced level off the
+    ladder of its disk's model (from the label, else the default) — is
+    an [Error] naming it. *)

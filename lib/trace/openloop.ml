@@ -11,14 +11,15 @@ let fail fmt = Format.kasprintf invalid_arg ("Openloop: " ^^ fmt)
 
 let make ?(arrival = Poisson 1.0) ?(jobs = 4) ?(zipf = 1.0) ?(seed = 0) () =
   (match arrival with
-  | Poisson rate when rate <= 0.0 -> fail "arrival rate must be > 0 (got %g)" rate
-  | Bursty { rate; _ } when rate <= 0.0 ->
-      fail "arrival rate must be > 0 (got %g)" rate
+  | (Poisson rate | Bursty { rate; _ })
+    when not (Float.is_finite rate && rate > 0.0) ->
+      fail "arrival rate must be finite and > 0 (got %g)" rate
   | Bursty { burst; _ } when burst < 1 ->
       fail "burst must be >= 1 (got %d)" burst
   | _ -> ());
   if jobs < 1 then fail "jobs must be >= 1 (got %d)" jobs;
-  if zipf < 0.0 then fail "zipf exponent must be >= 0 (got %g)" zipf;
+  if not (Float.is_finite zipf && zipf >= 0.0) then
+    fail "zipf exponent must be finite and >= 0 (got %g)" zipf;
   { arrival; jobs; zipf; seed }
 
 (* Key=value syntax, mirroring Fault.of_string: stable canonical order,

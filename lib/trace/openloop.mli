@@ -54,8 +54,9 @@ type t = private {
 
 val make : ?arrival:arrival -> ?jobs:int -> ?zipf:float -> ?seed:int -> unit -> t
 (** Defaults: [Poisson 1.0], [jobs = 4], [zipf = 1.0], [seed = 0].
-    Raises [Invalid_argument] on a non-positive rate, burst or job
-    count, or a negative Zipf exponent. *)
+    Raises [Invalid_argument] on a non-positive or non-finite rate, a
+    non-positive burst or job count, or a negative or non-finite Zipf
+    exponent. *)
 
 val to_string : ?sources:string list -> t -> string
 (** Canonical key=value form, e.g.

@@ -273,6 +273,31 @@ let to_int = function Int i -> Some i | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
+(* --- JSONL sections --- *)
+
+let read_sections ~header ~row ic =
+  let ( let* ) = Result.bind in
+  let close cur acc =
+    match cur with None -> acc | Some (h, rows) -> (h, List.rev rows) :: acc
+  in
+  let rec go n cur acc =
+    let at r = Result.map_error (Printf.sprintf "line %d: %s" n) r in
+    match In_channel.input_line ic with
+    | None -> Ok (List.rev (close cur acc))
+    | Some line when String.trim line = "" -> go (n + 1) cur acc
+    | Some line -> (
+        let* j = at (parse_string line) in
+        match header j with
+        | Some h ->
+            let* h = at h in
+            go (n + 1) (Some (Some h, [])) (close cur acc)
+        | None ->
+            let h, rows = Option.value cur ~default:(None, []) in
+            let* r = at (row h j) in
+            go (n + 1) (Some (h, r :: rows)) acc)
+  in
+  go 1 None []
+
 (* --- schema outline --- *)
 
 let schema_outline v =

@@ -1,6 +1,7 @@
 (** Minimal JSON values: enough to build the telemetry exports (Chrome
     trace, run reports, BENCH snapshots) and to parse them back for
-    validation — no external dependency.
+    validation — no external dependency — and {!read_sections}, the
+    JSONL reader behind the timeline and power-meter logs.
 
     Printing is deterministic: object fields keep their construction
     order, floats render with ["%.17g"] (round-trip exact), and there is
@@ -38,6 +39,16 @@ val to_float : t -> float option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_bool : t -> bool option
+
+val read_sections :
+  header:(t -> ('h, string) result option) ->
+  row:('h option -> t -> ('r, string) result) ->
+  in_channel ->
+  (('h option * 'r list) list, string) result
+(** Split a JSONL stream into typed sections.  A line [header] claims
+    opens a section; any other non-blank line is decoded by [row] under
+    the current header ([None] before the first).  The first unparsable
+    line or decoding error ends the read as ["line N: <why>"]. *)
 
 val schema_outline : t -> string list
 (** Sorted, de-duplicated key paths with a one-letter type tag, e.g.

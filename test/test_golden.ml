@@ -13,7 +13,13 @@
    to front_half.out next to the test binary; after an intentional
    change to either layer, regenerate with
      dune runtest; cp _build/default/test/front_half.out \
-       test/golden/front_half.expected *)
+       test/golden/front_half.expected
+
+   The timeline-analyses golden (golden/timeline_analyses.expected)
+   pins re-integration, the checker, the disk summaries, the Gantt
+   lanes, both exports and the power meter bit-for-bit, the same way:
+     dune runtest; cp _build/default/test/timeline_analyses.out \
+       test/golden/timeline_analyses.expected *)
 
 module Figures = Dpm_core.Figures
 
@@ -210,6 +216,209 @@ let test_front_half () =
       (Printf.sprintf "missing golden file %s (run from test/ with dune)" path);
   Alcotest.(check string) "front half matches golden" (read_file path) rendered
 
+(* The timeline analyses at full precision, one block per log:
+   re-integrated energy per disk and in total, the checker's verdict
+   with every message in order, every per-disk summary field, the Gantt
+   lanes, and digests of the JSONL and CSV exports and of the 1 s power
+   meter's samples.  Floats print with %h.  Logs: galgel under every
+   scheme; swim under the fault spec of `make fault-check`; swim on a
+   36Z15/flash fleet with faults under four queue disciplines; and
+   hand-built illegal logs, including bad aborted-spin-up fractions on
+   two disks to pin the order of the checker's messages.  Every run
+   writes the rendering to timeline_analyses.out next to the test
+   binary; after an intentional change, regenerate with
+     dune runtest; cp _build/default/test/timeline_analyses.out \
+       test/golden/timeline_analyses.expected *)
+let timeline_analyses_rendered () =
+  let module Sim = Dpm_sim in
+  let module Tl = Sim.Timeline in
+  let module Run = Dpm_core.Run in
+  let module Scheme = Dpm_core.Scheme in
+  let module Specs = Dpm_disk.Specs in
+  let buf = Buffer.create 65536 in
+  let digest_of_channel write =
+    let path = Filename.temp_file "dpm_golden" ".out" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path write;
+        Digest.to_hex (Digest.file path))
+  in
+  let render name tl =
+    Printf.bprintf buf "== %s\n" name;
+    let e = Tl.reintegrate tl in
+    Printf.bprintf buf "energy %h |" e.Tl.total;
+    Array.iter (Printf.bprintf buf " %h") e.Tl.per_disk;
+    Buffer.add_char buf '\n';
+    (match Tl.check tl with
+    | Ok () -> Buffer.add_string buf "check ok\n"
+    | Error es ->
+        Printf.bprintf buf "check %d error(s)\n" (List.length es);
+        List.iter (Printf.bprintf buf "  %s\n") es);
+    Array.iter
+      (fun (s : Tl.disk_summary) ->
+        Printf.bprintf buf
+          "disk %d busy=%h ready=%h low=%h chg=%h down=%h stby=%h up=%h \
+           abort=%h serves=%d mods=%d spdn=%d spup=%d aborts=%d retries=%d \
+           remaps=%d redirects=%d killed=%s missed=%d early=%d margin=%h \
+           wait=%h\n"
+          s.Tl.disk s.Tl.busy s.Tl.ready s.Tl.ready_low s.Tl.changing
+          s.Tl.spin_down_time s.Tl.standby s.Tl.spin_up_time s.Tl.aborted_time
+          s.Tl.services s.Tl.modulations s.Tl.spin_downs s.Tl.spin_ups
+          s.Tl.aborted s.Tl.retries s.Tl.remaps s.Tl.redirects
+          (match s.Tl.killed_at with
+          | None -> "-"
+          | Some t -> Printf.sprintf "%h" t)
+          s.Tl.missed_preactivations s.Tl.early_preactivations
+          s.Tl.early_margin s.Tl.wait)
+      (Tl.disk_summaries tl);
+    Buffer.add_string buf (Tl.gantt tl);
+    let meter = Sim.Meter.of_timeline ~resolution:1.0 tl in
+    let samples = Buffer.create 4096 in
+    List.iter
+      (fun (s : Sim.Meter.sample) ->
+        Printf.bprintf samples "%d %d %h %h %h\n" s.Sim.Meter.disk
+          s.Sim.Meter.index s.Sim.Meter.t0 s.Sim.Meter.t1 s.Sim.Meter.watts)
+      (Sim.Meter.samples meter);
+    Printf.bprintf buf "jsonl %s csv %s meter %s\n"
+      (digest_of_channel (Tl.write_jsonl tl))
+      (digest_of_channel (Tl.write_csv tl))
+      (Digest.to_hex (Digest.string (Buffer.contents samples)))
+  in
+  let faults =
+    match
+      Sim.Fault.of_string "seed=7,read=0.01,bad=0.005,spinfail=0.25,fail=0@30"
+    with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  let logged ?sim ?faults label schemes bench =
+    let sinks = List.map (fun s -> (s, Tl.sink ())) schemes in
+    match
+      Run.exec_all
+        (Run.spec ~schemes ?sim ?faults
+           ~timeline:(fun s -> List.assoc_opt s sinks)
+           (Run.Benchmark bench))
+    with
+    | Error e -> failwith (Run.error_message e)
+    | Ok results ->
+        List.iter
+          (fun (s, _) ->
+            render
+              (Printf.sprintf "%s %s %s" bench label (Scheme.name s))
+              (Tl.contents (List.assoc s sinks)))
+          results
+  in
+  logged "plain" Scheme.extended "galgel";
+  logged ~faults "faults"
+    Scheme.[ Base; Drpm; Cmdrpm; Itpm; Idrpm ]
+    "swim";
+  List.iter
+    (fun sched ->
+      logged ~faults
+        ~sim:
+          (Sim.Config.make ~fleet:[| Specs.ultrastar_36z15; Specs.flash |]
+             ~sched ())
+        ("fleet+faults " ^ Sim.Config.sched_name sched)
+        Scheme.[ Base; Drpm; Cmdrpm ]
+        "swim")
+    Sim.Config.[ Sstf; Scan; Clook; Sstf_remap ];
+  (* The illegal logs of test_timeline.ml, plus bad fractions. *)
+  let built ?(analytic = false) name evs =
+    let s = Tl.sink () in
+    if analytic then Tl.set_analytic s;
+    List.iter (Tl.emit s) evs;
+    render name (Tl.contents s)
+  in
+  let top = Dpm_disk.Rpm.max_level Specs.ultrastar_36z15 in
+  let ready ?(disk = 0) a b =
+    Tl.Span { disk; state = Tl.Ready top; t0 = a; t1 = b }
+  in
+  let svc arrival a b =
+    Tl.Service { disk = 0; level = top; arrival; t0 = a; t1 = b; bytes = 512 }
+  in
+  let disp ?(disc = Sim.Config.Sstf) t pos arrival =
+    Tl.Mark { disk = 0; t; mark = Tl.Dispatch { disc; pos; arrival } }
+  in
+  let lane evs = (ready 0.0 10.0 :: evs) @ [ Tl.Sim_end 10.0 ] in
+  built "clean lane" [ ready 0.0 1.0; ready 1.0 2.0; Tl.Sim_end 2.0 ];
+  built "overlap" [ ready 0.0 1.0; ready 0.9 2.0; Tl.Sim_end 2.0 ];
+  built "hole" [ ready 0.0 1.0; ready 1.5 2.0; Tl.Sim_end 2.0 ];
+  built "teleport to standby"
+    [
+      ready 0.0 1.0;
+      Tl.Span { disk = 0; state = Tl.Standby; t0 = 1.0; t1 = 2.0 };
+      Tl.Sim_end 2.0;
+    ];
+  built "truncated lane" [ ready 0.0 1.0; Tl.Sim_end 2.0 ];
+  built "negative span" [ ready 1.0 0.5 ];
+  built "legal sstf lane"
+    [
+      disp 0.0 2 0.0;
+      svc 0.0 0.0 1.0;
+      disp 1.0 9 0.0;
+      svc 0.0 1.0 2.0;
+      ready 2.0 10.0;
+      Tl.Sim_end 10.0;
+    ];
+  built "sstf skip" (lane [ disp 0.5 9 0.0; disp 1.0 2 0.0 ]);
+  built "dispatch before arrival" (lane [ disp 0.0 2 1.0 ]);
+  built "non-monotone dispatches" (lane [ disp 2.0 2 0.0; disp 1.0 3 0.0 ]);
+  built "fcfs reorder"
+    (lane
+       [
+         disp ~disc:Sim.Config.Fcfs 1.0 0 0.9;
+         disp ~disc:Sim.Config.Fcfs 2.0 1 0.1;
+       ]);
+  built "scan reversal"
+    (lane
+       [
+         disp ~disc:Sim.Config.Scan 0.0 5 0.0;
+         disp ~disc:Sim.Config.Scan 1.0 2 0.0;
+         disp ~disc:Sim.Config.Scan 2.0 7 0.0;
+       ]);
+  built "c-look wrap"
+    (lane
+       [
+         disp ~disc:Sim.Config.Clook 0.0 5 0.0;
+         disp ~disc:Sim.Config.Clook 1.0 3 0.0;
+         disp ~disc:Sim.Config.Clook 2.0 1 0.0;
+       ]);
+  built "idling dispatch"
+    [
+      disp 0.0 2 0.0;
+      svc 0.0 0.0 1.0;
+      ready 1.0 5.0;
+      disp 5.0 9 0.0;
+      svc 0.0 5.0 6.0;
+      ready 6.0 10.0;
+      Tl.Sim_end 10.0;
+    ];
+  built ~analytic:true "overlapping services"
+    (lane [ svc 0.0 1.0 3.0; svc 0.0 2.0 4.0 ]);
+  built "bad fractions"
+    [
+      ready 0.0 1.0;
+      Tl.Aborted { disk = 1; t0 = 0.0; t1 = 0.5; fraction = 1.5 };
+      Tl.Aborted { disk = 0; t0 = 1.0; t1 = 1.2; fraction = -0.25 };
+      Tl.Span { disk = 1; state = Tl.Standby; t0 = 0.5; t1 = 2.0 };
+      ready 1.2 2.0;
+      Tl.Aborted { disk = 1; t0 = 2.0; t1 = 2.5; fraction = 2.0 };
+      Tl.Sim_end 2.0;
+    ];
+  Buffer.contents buf
+
+let test_timeline_analyses () =
+  let rendered = timeline_analyses_rendered () in
+  Out_channel.with_open_bin "timeline_analyses.out" (fun oc ->
+      Out_channel.output_string oc rendered);
+  let path = Filename.concat "golden" "timeline_analyses.expected" in
+  if not (Sys.file_exists path) then
+    Alcotest.fail
+      (Printf.sprintf "missing golden file %s (run from test/ with dune)" path);
+  Alcotest.(check string) "timeline analyses match golden" (read_file path)
+    rendered
+
 let test_table2 () = check_golden "table2" (Figures.table2 ())
 let test_fig3 () = check_golden "fig3" (Figures.fig3 ())
 let test_fig4 () = check_golden "fig4" (Figures.fig4 ())
@@ -223,5 +432,6 @@ let suite =
         Alcotest.test_case "fig4" `Slow test_fig4;
         Alcotest.test_case "run_many" `Quick test_run_many;
         Alcotest.test_case "front half" `Slow test_front_half;
+        Alcotest.test_case "timeline analyses" `Slow test_timeline_analyses;
       ] );
   ]

@@ -266,9 +266,13 @@ let roundtrip_section sec =
       Meter.write_jsonl sec oc;
       close_out oc;
       let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Meter.read_jsonl ic))
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> Meter.read_jsonl ic)
+      with
+      | Ok sections -> sections
+      | Error m -> Alcotest.fail m)
 
 let test_jsonl_roundtrip () =
   let fleet = [| Specs.ultrastar_36z15; Specs.flash |] in

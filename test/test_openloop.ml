@@ -51,6 +51,8 @@ let test_string_errors () =
       "rate=1 jobs=2";        (* not key=value *)
       "rate=-1";              (* make validation *)
       "rate=1,jobs=0";
+      "rate=nan";
+      "rate=1,zipf=nan";
     ]
 
 (* --- arrival plans --- *)

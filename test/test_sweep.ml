@@ -83,6 +83,22 @@ let test_apply () =
     (Invalid_argument "Sweep.apply: unknown axis warp") (fun () ->
       ignore (Sweep.apply Config.default [ ("warp", 1.0) ]))
 
+(* A point that breaks a [Config] invariant is a typed error naming the
+   point, returned before any cell runs -- not an exception out of the
+   pool, and not a grid of NaN results. *)
+let test_invalid_points_rejected () =
+  List.iter
+    (fun (label, axis, needle) ->
+      match Sweep.run ~schemes:[ Scheme.Base ] ~axes:[ axis ] ~workloads:[ "swim" ] () with
+      | Ok _ -> Alcotest.failf "%s: the sweep ran" label
+      | Error (Run.Malformed_spec m) ->
+          Alcotest.(check bool) (label ^ " names the point") true (contains m needle)
+      | Error e -> Alcotest.failf "%s: %s" label (Run.error_message e))
+    [
+      ("queue depth 0", Sweep.Queue_depth [ 0 ], "queue-depth=0");
+      ("drpm lower nan", Sweep.Drpm_lower [ Float.nan ], "drpm-lower=nan");
+    ]
+
 (* --- dpm-spec/1 round-trip --- *)
 
 (* The spec JSON is a fixpoint of serialize/parse: comparing documents
@@ -464,6 +480,8 @@ let suite =
         Alcotest.test_case "cartesian expansion" `Quick test_expand;
         Alcotest.test_case "axes_of_string" `Quick test_axes_of_string;
         Alcotest.test_case "apply settings" `Quick test_apply;
+        Alcotest.test_case "invalid points rejected" `Quick
+          test_invalid_points_rejected;
       ] );
     ( "sweep.spec",
       [

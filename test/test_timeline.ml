@@ -302,8 +302,13 @@ let test_jsonl_round_trip () =
       List.iter (fun tl -> Timeline.write_jsonl tl oc) logs;
       close_out oc;
       let ic = open_in path in
-      let back = Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-          Timeline.read_jsonl ic)
+      let back =
+        match
+          Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+              Timeline.read_jsonl ic)
+        with
+        | Ok back -> back
+        | Error m -> Alcotest.fail m
       in
       Alcotest.(check int) "three sections" 3 (List.length back);
       List.iter2
@@ -502,6 +507,98 @@ let test_check_rejects_illegal_queues () =
        (lane [ svc 0.0 1.0 3.0; svc 0.0 2.0 4.0 ])
     > 0)
 
+(* A homogeneous array on a non-default model names that model in its
+   log, so every reader prices the lanes with it: each scheme's report
+   verdicts hold, and the JSONL read back re-integrates to the run's
+   energy. *)
+let test_non_default_model_label () =
+  let module Run = Dpm_core.Run in
+  let module Json = Dpm_util.Json in
+  List.iter
+    (fun specs ->
+      let name = Dpm_disk.Specs.name_of specs in
+      let spec =
+        Run.spec ~sim:(Dpm_sim.Config.make ~specs ()) (Run.Benchmark "galgel")
+      in
+      (match Dpm_core.Report.of_spec spec with
+      | Error e -> Alcotest.fail (Run.error_message e)
+      | Ok doc ->
+          List.iter
+            (fun row ->
+              let verdict key =
+                Option.bind (Json.member "timeline" row) (Json.member key)
+              in
+              List.iter
+                (fun key ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %s" name key)
+                    true
+                    (verdict key = Some (Json.Bool true)))
+                [ "energy_match"; "invariants_ok" ])
+            (Option.get (Option.bind (Json.member "schemes" doc) Json.to_list)));
+      let sinks = List.map (fun s -> (s, Timeline.sink ())) Scheme.all in
+      let results =
+        match
+          Run.exec_all
+            (Run.with_timeline (fun s -> List.assoc_opt s sinks) spec)
+        with
+        | Ok rs -> rs
+        | Error e -> Alcotest.fail (Run.error_message e)
+      in
+      let path = Filename.temp_file "dpm_timeline" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              List.iter
+                (fun (s, _) ->
+                  Timeline.write_jsonl (Timeline.contents (List.assoc s sinks)) oc)
+                results);
+          match In_channel.with_open_bin path Timeline.read_jsonl with
+          | Error m -> Alcotest.fail m
+          | Ok logs ->
+              List.iter2
+                (fun (s, r) tl ->
+                  Alcotest.(check (list string))
+                    (Scheme.name s ^ ": model label") [ name ] (Timeline.fleet tl);
+                  let e = Timeline.reintegrate tl in
+                  if not (close e.Timeline.total r.Result.energy) then
+                    Alcotest.failf "%s %s: reintegrated %.12g J, result says %.12g J"
+                      name (Scheme.name s) e.Timeline.total r.Result.energy)
+                results logs))
+    Dpm_disk.Specs.[ ultrastar_36lzx; flash ]
+
+(* Hostile JSONL: a negative disk id, a level off the model's ladder and
+   a garbage line each come back as an [Error] naming the line, never as
+   an exception from the reader or from a later analysis. *)
+let test_read_jsonl_rejects_hostile_lines () =
+  let read text =
+    let path = Filename.temp_file "dpm_timeline" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        In_channel.with_open_bin path Timeline.read_jsonl)
+  in
+  let meta = {|{"ev":"meta","scheme":"Base","program":"p","analytic":false}|} in
+  List.iter
+    (fun (label, line) ->
+      match read (meta ^ "\n" ^ line ^ "\n") with
+      | Ok _ -> Alcotest.failf "%s: read back without an error" label
+      | Error m ->
+          Alcotest.(check bool)
+            (label ^ ": names line 2") true (contains m "line 2"))
+    [
+      ("negative disk", {|{"ev":"span","disk":-1,"state":"ready","level":0,"t0":0,"t1":1}|});
+      ("level off the ladder", {|{"ev":"span","disk":0,"state":"ready","level":99,"t0":0,"t1":1}|});
+      ("garbage", "not json {");
+    ];
+  (* A clean section still reads. *)
+  match read (meta ^ "\n" ^ {|{"ev":"end","t":1}|} ^ "\n") with
+  | Ok [ tl ] -> Alcotest.(check (float 0.0)) "sim end" 1.0 (Timeline.sim_end tl)
+  | Ok _ -> Alcotest.fail "expected one section"
+  | Error m -> Alcotest.fail m
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -522,5 +619,9 @@ let suite =
           test_check_rejects_illegal_logs;
         Alcotest.test_case "checker rejects illegal queues" `Quick
           test_check_rejects_illegal_queues;
+        Alcotest.test_case "non-default model labels its log" `Quick
+          test_non_default_model_label;
+        Alcotest.test_case "reader rejects hostile lines" `Quick
+          test_read_jsonl_rejects_hostile_lines;
       ] );
   ]
