@@ -35,8 +35,9 @@ fault-check: build
 # through the CLI); the JSONL export must read back cleanly with
 # zero invariant violations; the CSV export of the same run must match
 # its checked-in digest (the file is ~400 KB, so the digest is pinned,
-# not the bytes); and a hostile log (a negative disk id) must make the
-# reader exit 2 with a typed error, not die on an exception.
+# not the bytes); and hostile logs (a negative disk id, and a disk id of
+# 10^9 that would size a lane per id) must make the reader exit 2 with
+# a typed error, not die on an exception or run out of memory.
 timeline-check: build
 	dune exec bin/dpmsim.exe -- simulate -b galgel -s Base,CMDRPM \
 	  --timeline - > _build/timeline_smoke.out
@@ -55,6 +56,8 @@ timeline-check: build
 	  --timeline _build/timeline_smoke.csv > /dev/null
 	md5sum -c --quiet test/golden/timeline_smoke_csv.md5
 	_build/default/bin/dpmsim.exe timeline test/golden/timeline_hostile.jsonl \
+	  > /dev/null 2>&1; test $$? -eq 2
+	_build/default/bin/dpmsim.exe timeline test/golden/timeline_huge_disk.jsonl \
 	  > /dev/null 2>&1; test $$? -eq 2
 
 # Observability smoke: generate a full run report (JSON + markdown) and
@@ -119,7 +122,10 @@ perf-check: build
 # between them) replay through the CLI on the fast and the reference
 # core, with and without the fault spec, and both the results table and
 # the %.17g timeline JSONL must be byte-identical across cores.  The
-# qcheck suite and perf-check only see synthetic traces.
+# qcheck suite and perf-check only see synthetic traces.  The same
+# traces then replay merged: perfbench's 4-tenant open-loop descriptor,
+# under the fault spec, on both cores, materialized and streamed; the
+# four results tables and the four timeline JSONL files must all match.
 core-check: build
 	set -e; for t in perfbench/data/*.trc; do \
 	  b=_build/core_$$(basename $$t .trc); \
@@ -135,6 +141,19 @@ core-check: build
 	  done; \
 	  rm -f $$b.*.jsonl; \
 	done
+	set -e; b=_build/core_merge; \
+	load="rate=0.05,jobs=4,zipf=0.5,seed=4,sources=$$(ls perfbench/data/*.trc | paste -sd: -)"; \
+	for v in fast reference fast-stream reference-stream; do \
+	  _build/default/bin/dpmsim.exe simulate --open-loop "$$load" \
+	    -s Base,TPM,DRPM,CMDRPM --faults "$(FAULT_SPEC)" \
+	    --core $${v%-stream} $$(case $$v in *-stream) echo --stream;; esac) \
+	    --timeline $$b.$$v.jsonl > $$b.$$v.out; \
+	done; \
+	for v in reference fast-stream reference-stream; do \
+	  cmp $$b.fast.out $$b.$$v.out; \
+	  cmp $$b.fast.jsonl $$b.$$v.jsonl; \
+	done; \
+	rm -f $$b.*.jsonl
 
 # Scheduler smoke: every request-scheduling discipline replays the same
 # faulty mixed-fleet workload (a fast 36Z15 round-robined with a flash

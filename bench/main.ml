@@ -178,7 +178,7 @@ let stream_mode () =
 (* --- Fast-core throughput gate ---
 
    Replays the same 262k-request synthetic workload through both engine
-   cores — the record-at-a-time reference body and the specialized
+   cores — the row-at-a-time reference body and the specialized
    structure-of-arrays loop — for one policy of each specialization
    kind.  Reports events/sec, the fast/reference speedup, and the fast
    core's minor-heap allocations per event (Gc.minor_words deltas), and

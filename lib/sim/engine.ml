@@ -1,5 +1,5 @@
-module Request = Dpm_trace.Request
 module Stream = Dpm_trace.Trace.Stream
+module Chunk = Stream.Chunk
 
 type mode = [ `Open | `Closed ]
 
@@ -53,8 +53,8 @@ let run ?config ?mode ?faults ?timeline ?core policy trace =
 
 type app = {
   stream : Stream.t;
-  mutable chunk : Request.event array;
-  mutable idx : int;  (** next unprocessed event in [chunk] *)
+  mutable chunk : Chunk.t;
+  mutable idx : int;  (** next unprocessed row in [chunk] *)
   clock : float ref;
   mutable done_ : bool;
 }
@@ -62,14 +62,16 @@ type app = {
 let program_of streams = String.concat "+" (List.map Stream.program streams)
 
 (* Each app pulls chunks from its own stream and advances on its own
-   clock through the FCFS reference body ({!Sched.fcfs_step}). *)
+   clock through the FCFS reference body ({!Sched.fcfs_step}), pulling
+   again only once its chunk is fully read. *)
 let replay_many ~config ~mode ~fault ~timeline ~obs policy streams =
   let ndisks = Stream.ndisks (List.hd streams) in
   let s = Sched.create ~config ~mode ~fault ~timeline ~obs policy ~ndisks in
+  let no_rows = Chunk.create 1 in
   let apps =
     List.map
       (fun stream ->
-        { stream; chunk = [||]; idx = 0; clock = ref 0.0; done_ = false })
+        { stream; chunk = no_rows; idx = 0; clock = ref 0.0; done_ = false })
       streams
   in
   (* Time at which an app's next event becomes runnable, pulling the
@@ -78,17 +80,17 @@ let replay_many ~config ~mode ~fault ~timeline ~obs policy streams =
      did after its last event. *)
   let rec next_time app =
     if app.done_ then infinity
-    else if app.idx < Array.length app.chunk then
-      !(app.clock) +. Request.think app.chunk.(app.idx)
+    else if app.idx < Chunk.length app.chunk then
+      !(app.clock) +. Chunk.think app.chunk app.idx
     else
-      match Stream.next app.stream with
+      match Stream.next_soa app.stream with
       | Some chunk ->
           app.chunk <- chunk;
           app.idx <- 0;
           next_time app
       | None ->
           app.done_ <- true;
-          app.chunk <- [||];
+          app.chunk <- no_rows;
           app.clock := !(app.clock) +. Stream.tail_think app.stream;
           infinity
   in
@@ -112,9 +114,9 @@ let replay_many ~config ~mode ~fault ~timeline ~obs policy streams =
     match best with
     | None -> ()
     | Some (app, _) ->
-        let event = app.chunk.(app.idx) in
-        app.idx <- app.idx + 1;
-        Sched.fcfs_step s app.clock event;
+        let i = app.idx in
+        app.idx <- i + 1;
+        Sched.fcfs_step s app.clock app.chunk i;
         drive ()
   in
   drive ();

@@ -31,7 +31,8 @@ type core = [ `Fast | `Reference ]
     structure-of-arrays loop ({!Fastpath}) for every policy under the
     FCFS scheduler, falling back to the reference body for the deferred
     disciplines;
-    [`Reference] forces the record-at-a-time reference body.  The two
+    [`Reference] forces the reference body in {!Sched}, which reads the
+    same chunk rows one accessor call at a time.  The two
     produce byte-identical results — energies, execution times, fault
     counters, gap choices, timelines, telemetry histograms — which the
     differential suite pins; [`Reference] exists as the oracle for

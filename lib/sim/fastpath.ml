@@ -1,12 +1,13 @@
 (* Specialized zero-allocation replay core.
 
-   Mirrors the eager FCFS reference body ({!Sched.fcfs_step}) with
-   three mechanical transformations, none of which changes a single
+   Mirrors the eager FCFS reference body ({!Sched.fcfs_step}), which
+   reads the same structure-of-arrays rows ([Trace.Stream.next_soa]),
+   with mechanical transformations, none of which changes a single
    float operation or its order:
 
-   - events are read by index out of structure-of-arrays chunks
-     ([Trace.Stream.next_soa]) instead of destructuring
-     [Request.event] records;
+   - the chunk's columns are bound once per chunk and indexed with
+     unchecked loads in one inner loop, instead of one accessor call
+     per field per row;
    - the policy's hook sites are resolved once per replay into values
      the one inner loop branches on (whether directives apply, the
      [Timer] threshold of the inlined TPM catch-up, whether the

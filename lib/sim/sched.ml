@@ -17,7 +17,6 @@
    decision is recorded as a {!Timeline.Dispatch} mark so the timeline
    checker can replay the discipline's pick independently. *)
 
-module Request = Dpm_trace.Request
 module Stream = Dpm_trace.Trace.Stream
 module Chunk = Stream.Chunk
 module Rpm = Dpm_disk.Rpm
@@ -124,13 +123,6 @@ let apply_directive s tag d level clock =
   end;
   clock
 
-let apply_pm s directive clock =
-  match directive with
-  | Request.Spin_down d -> apply_directive s Chunk.tag_spin_down d 0 clock
-  | Request.Spin_up d -> apply_directive s Chunk.tag_spin_up d 0 clock
-  | Request.Set_rpm { level; disk } ->
-      apply_directive s Chunk.tag_set_rpm disk level clock
-
 let finish s ~program ~clock =
   let makespan = s.makespan.(0) in
   let exec_time = if clock >= makespan then clock else makespan in
@@ -177,59 +169,59 @@ let finish s ~program ~clock =
   }
 
 (* The eager reference body: a request issues the moment it arrives, in
-   trace order.  Identical whatever chunking the stream delivers, so
-   replays are byte-identical to the materialized path at any batch
-   size. *)
-let fcfs_step s clock event =
-  clock := !clock +. Request.think event;
+   trace order.  It reads row [i] of chunk [c]: identical whatever
+   chunking the stream delivers, so replays are byte-identical to the
+   materialized path at any batch size. *)
+let fcfs_step s clock c i =
+  clock := !clock +. Chunk.think c i;
   sweep_failures s !clock;
-  match event with
-  | Request.Pm { directive; _ } ->
-      if s.policy.Policy.accepts_directives then
-        clock := apply_pm s directive !clock
-  | Request.Io io ->
-      (* A failed disk sheds its load onto the next survivor. *)
-      let d =
-        match s.fault with
-        | None -> io.disk
-        | Some fs -> Fault.serving_disk fs ~disk:io.disk ~now:!clock
-      in
-      if d <> io.disk then
-        Disk_state.record s.disks.(d) ~at:!clock (Timeline.Redirect io.disk);
-      let st = s.disks.(d) in
-      (* Bounded queue: wait until the oldest of the last [depth]
-         requests on this disk has completed. *)
-      let ring = s.recent.(d) and pos = s.recent_pos.(d) in
-      if ring.(pos) > !clock then clock := ring.(pos);
-      let arrival = !clock in
-      Observe.observe_arrival s.obs ~ring ~arrival;
-      let issue = max arrival s.backlog.(d) in
-      s.policy.Policy.catch_up st ~now:issue;
-      let before = Observe.retries_before s.obs s.fault in
-      let completion =
-        match s.fault with
-        | None -> Disk_state.serve st ~now:issue ~bytes:io.bytes
-        | Some fs ->
-            Fault.serve fs st ~now:issue ~bytes:io.bytes ~block:io.block
-      in
-      s.backlog.(d) <- completion;
-      ring.(pos) <- completion;
-      s.recent_pos.(d) <- (pos + 1) mod s.depth;
-      if completion > s.makespan.(0) then s.makespan.(0) <- completion;
-      let response = completion -. arrival in
-      Observe.observe_service s.obs ~fault:s.fault ~retries_before:before
-        ~response;
-      let nominal =
-        Service.request_time s.models.(d) ~level:s.tops.(d) ~bytes:io.bytes
-      in
-      s.policy.Policy.on_complete st ~now:completion ~response ~nominal;
-      clock :=
-        match s.mode with
-        | `Open ->
-            (* The traced application proceeds on its own clock: the
-               base-run service time elapses before the next think. *)
-            arrival +. nominal
-        | `Closed -> completion
+  let tag = Chunk.tag c i in
+  if not (Chunk.is_io_tag tag) then begin
+    if s.policy.Policy.accepts_directives then
+      clock := apply_directive s tag (Chunk.disk c i) (Chunk.block c i) !clock
+  end
+  else begin
+    let disk = Chunk.disk c i and bytes = Chunk.bytes c i in
+    (* A failed disk sheds its load onto the next survivor. *)
+    let d =
+      match s.fault with
+      | None -> disk
+      | Some fs -> Fault.serving_disk fs ~disk ~now:!clock
+    in
+    if d <> disk then
+      Disk_state.record s.disks.(d) ~at:!clock (Timeline.Redirect disk);
+    let st = s.disks.(d) in
+    (* Bounded queue: wait until the oldest of the last [depth]
+       requests on this disk has completed. *)
+    let ring = s.recent.(d) and pos = s.recent_pos.(d) in
+    if ring.(pos) > !clock then clock := ring.(pos);
+    let arrival = !clock in
+    Observe.observe_arrival s.obs ~ring ~arrival;
+    let issue = max arrival s.backlog.(d) in
+    s.policy.Policy.catch_up st ~now:issue;
+    let before = Observe.retries_before s.obs s.fault in
+    let completion =
+      match s.fault with
+      | None -> Disk_state.serve st ~now:issue ~bytes
+      | Some fs -> Fault.serve fs st ~now:issue ~bytes ~block:(Chunk.block c i)
+    in
+    s.backlog.(d) <- completion;
+    ring.(pos) <- completion;
+    s.recent_pos.(d) <- (pos + 1) mod s.depth;
+    if completion > s.makespan.(0) then s.makespan.(0) <- completion;
+    let response = completion -. arrival in
+    Observe.observe_service s.obs ~fault:s.fault ~retries_before:before
+      ~response;
+    let nominal = Service.request_time s.models.(d) ~level:s.tops.(d) ~bytes in
+    s.policy.Policy.on_complete st ~now:completion ~response ~nominal;
+    clock :=
+      match s.mode with
+      | `Open ->
+          (* The traced application proceeds on its own clock: the
+             base-run service time elapses before the next think. *)
+          arrival +. nominal
+      | `Closed -> completion
+  end
 
 let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
     (stream : Stream.t) =
@@ -240,7 +232,7 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
   match sched with
   | Fcfs ->
       let clock = ref 0.0 in
-      Stream.iter (fcfs_step s clock) stream;
+      Stream.iter_rows (fcfs_step s clock) stream;
       finish s ~program ~clock:(!clock +. Stream.tail_think stream)
   | Sstf | Scan | Clook | Sstf_remap ->
       (* Deferred dispatch: requests park in their disk's bounded queue
@@ -384,47 +376,49 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
         incr seq;
         pend_n.(d) <- pend_n.(d) + 1
       in
-      Stream.iter
-        (fun event ->
-          clock := !clock +. Request.think event;
+      Stream.iter_rows
+        (fun c i ->
+          clock := !clock +. Chunk.think c i;
           drain_until !clock;
           sweep_failures s !clock;
-          match event with
-          | Request.Pm { directive; _ } ->
-              if policy.Policy.accepts_directives then
-                clock := apply_pm s directive !clock
-          | Request.Io io ->
-              let d =
-                match fault with
-                | None -> io.disk
-                | Some fs -> Fault.serving_disk fs ~disk:io.disk ~now:!clock
-              in
-              if d <> io.disk then
-                Disk_state.record s.disks.(d) ~at:!clock
-                  (Timeline.Redirect io.disk);
-              (* Bounded queue: a full queue stalls the application
-                 until the next dispatch frees a slot. *)
-              while pend_n.(d) >= s.depth do
-                let t = next_t d in
-                dispatch d;
-                if t > !clock then clock := t
-              done;
-              let arrival = !clock in
-              Observe.observe_arrival obs ~ring:s.recent.(d) ~arrival;
-              enqueue d ~arrival ~block:io.block ~bytes:io.bytes;
-              let nominal =
-                Service.request_time s.models.(d) ~level:s.tops.(d)
-                  ~bytes:io.bytes
-              in
-              (match mode with
-              | `Open -> clock := arrival +. nominal
-              | `Closed ->
-                  (* One request in flight at a time: serve it now and
-                     block on its completion. *)
-                  while pend_n.(d) > 0 do
-                    dispatch d
-                  done;
-                  clock := s.backlog.(d)))
+          let tag = Chunk.tag c i in
+          if not (Chunk.is_io_tag tag) then begin
+            if policy.Policy.accepts_directives then
+              clock :=
+                apply_directive s tag (Chunk.disk c i) (Chunk.block c i) !clock
+          end
+          else begin
+            let disk = Chunk.disk c i and bytes = Chunk.bytes c i in
+            let d =
+              match fault with
+              | None -> disk
+              | Some fs -> Fault.serving_disk fs ~disk ~now:!clock
+            in
+            if d <> disk then
+              Disk_state.record s.disks.(d) ~at:!clock (Timeline.Redirect disk);
+            (* Bounded queue: a full queue stalls the application until
+               the next dispatch frees a slot. *)
+            while pend_n.(d) >= s.depth do
+              let t = next_t d in
+              dispatch d;
+              if t > !clock then clock := t
+            done;
+            let arrival = !clock in
+            Observe.observe_arrival obs ~ring:s.recent.(d) ~arrival;
+            enqueue d ~arrival ~block:(Chunk.block c i) ~bytes;
+            let nominal =
+              Service.request_time s.models.(d) ~level:s.tops.(d) ~bytes
+            in
+            match mode with
+            | `Open -> clock := arrival +. nominal
+            | `Closed ->
+                (* One request in flight at a time: serve it now and
+                   block on its completion. *)
+                while pend_n.(d) > 0 do
+                  dispatch d
+                done;
+                clock := s.backlog.(d)
+          end)
         stream;
       (* End of trace: the queues flush — every request completes, so
          the disciplines cannot starve anything. *)

@@ -78,10 +78,12 @@ val apply_directive : state -> int -> int -> int -> float -> float
     tag, disk, and level for [Set_rpm]) at the application clock, and
     returns the clock after the power-management call overhead. *)
 
-val fcfs_step : state -> float ref -> Dpm_trace.Request.event -> unit
-(** [fcfs_step s clock event] is the eager FCFS reference body: it
-    replays one event and advances the application clock [clock] past
-    it.  Directives apply only when the policy accepts them. *)
+val fcfs_step :
+  state -> float ref -> Dpm_trace.Trace.Stream.Chunk.t -> int -> unit
+(** [fcfs_step s clock chunk i] is the eager FCFS reference body: it
+    replays row [i] of [chunk] and advances the application clock
+    [clock] past it.  Directives apply only when the policy accepts
+    them. *)
 
 val finish : state -> program:string -> clock:float -> Result.t
 (** End of replay at [max clock makespan]: the last failures are swept,

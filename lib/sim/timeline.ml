@@ -1062,14 +1062,18 @@ let event_of_fields fields =
   | ev -> raise (Bad ("unknown event " ^ ev))
 
 (* A hostile line fails here rather than in an analysis: disk ids are
-   non-negative, and every priced level is on the ladder of the model
-   its disk resolves to. *)
+   in [0, Trace.max_disks) — freezing a log allocates a lane per id up
+   to the largest — and every priced level is on the ladder of the
+   model its disk resolves to. *)
 let validate model ev =
   let d = disk_of ev in
   let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   match (ev, timed ev) with
   | Sim_end _, _ -> ()
   | _ when d < 0 -> bad "negative disk id %d" d
+  | _ when d >= Dpm_trace.Trace.max_disks ->
+      bad "disk id %d not below Trace.max_disks (%d)" d
+        Dpm_trace.Trace.max_disks
   | _, Some (it, _, _) ->
       let top = Rpm.max_level (model d) in
       if not (item_levels_ok ~top it) then

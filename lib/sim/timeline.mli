@@ -263,6 +263,7 @@ val write_csv : t -> out_channel -> unit
 val read_jsonl : in_channel -> (t list, string) result
 (** Parses what {!write_jsonl} wrote (any number of concatenated
     sections).  Never raises on bad input: the first bad line — bad
-    JSON, a missing field, a negative disk id, a priced level off the
+    JSON, a missing field, a disk id outside
+    [0, {!Dpm_trace.Trace.max_disks}), a priced level off the
     ladder of its disk's model (from the label, else the default) — is
     an [Error] naming it. *)

@@ -182,64 +182,63 @@ let plan t ~nsources =
 
 (* --- k-way merge ------------------------------------------------------ *)
 
+module Stream = Trace.Stream
+module Chunk = Stream.Chunk
+
 type cursor = {
-  start : float;
-  stream : Trace.Stream.t;
-  mutable chunk : Request.event array;
+  stream : Stream.t;
+  mutable chunk : Chunk.t;  (* the tenant's chunk, read up to [idx] *)
   mutable idx : int;
   mutable clock : float;  (* virtual time of the last emitted arrival *)
-  mutable arrival : float;  (* virtual arrival of the current head event *)
+  mutable arrival : float;  (* virtual arrival of the current head row *)
   mutable alive : bool;
 }
 
-(* Position [c.arrival] on the cursor's next event, pulling chunks as
-   needed; marks the cursor dead at stream exhaustion. *)
+(* Position [c.arrival] on the cursor's next row, pulling the tenant's
+   next chunk only once the current one is fully read; marks the cursor
+   dead at stream exhaustion. *)
 let rec advance c =
-  if c.idx < Array.length c.chunk then
-    c.arrival <- c.clock +. Request.think c.chunk.(c.idx)
+  if c.idx < Chunk.length c.chunk then
+    c.arrival <- c.clock +. Chunk.think c.chunk c.idx
   else
-    match Trace.Stream.next c.stream with
+    match Stream.next_soa c.stream with
     | Some chunk ->
         c.chunk <- chunk;
         c.idx <- 0;
         advance c
     | None -> c.alive <- false
 
-let merge ?batch ?program tenants =
+let merge ?(batch = Stream.default_batch) ?program tenants =
   if tenants = [] then fail "merge: empty tenant list";
   List.iter
     (fun (start, _) ->
       if start < 0.0 then fail "merge: negative start time %g" start)
     tenants;
   let ndisks =
-    List.fold_left
-      (fun acc (_, s) -> max acc (Trace.Stream.ndisks s))
-      1 tenants
+    List.fold_left (fun acc (_, s) -> max acc (Stream.ndisks s)) 1 tenants
   in
   let nblocks =
     lazy
-      (List.fold_left
-         (fun acc (_, s) -> max acc (Trace.Stream.nblocks s))
-         0 tenants)
+      (List.fold_left (fun acc (_, s) -> max acc (Stream.nblocks s)) 0 tenants)
   in
   let program =
     match program with
     | Some p -> p
     | None ->
         let names =
-          List.map (fun (_, s) -> Trace.Stream.program s) tenants
+          List.map (fun (_, s) -> Stream.program s) tenants
           |> List.sort_uniq compare
         in
         Printf.sprintf "open-loop(%s)" (String.concat "+" names)
   in
+  let no_rows = Chunk.create 1 in
   let cursors =
     List.map
       (fun (start, stream) ->
         let c =
           {
-            start;
             stream;
-            chunk = [||];
+            chunk = no_rows;
             idx = 0;
             clock = start;
             arrival = start;
@@ -251,50 +250,47 @@ let merge ?batch ?program tenants =
       tenants
     |> Array.of_list
   in
-  Trace.Stream.of_push ?batch ~nblocks ~program ~ndisks (fun ~emit ->
-      (* Earliest head event wins; ties resolve to the lowest tenant
-         index, so the interleaving is a deterministic function of the
-         tenant list alone. *)
-      let best () =
-        let b = ref None in
-        Array.iter
-          (fun c ->
-            if c.alive then
-              match !b with
-              | Some best when best.arrival <= c.arrival -> ()
-              | _ -> b := Some c)
-          cursors;
-        !b
-      in
-      let last = ref 0.0 in
-      let rec loop () =
-        match best () with
-        | None -> ()
-        | Some c ->
-            (* The global minimum arrival is nondecreasing (each pop
-               replaces a head with a later one), so the delta is >= 0
-               up to the defensive clamp. *)
-            let d = c.arrival -. !last in
-            let d = if d > 0.0 then d else 0.0 in
-            (emit
-               (match c.chunk.(c.idx) with
-               | Request.Io io -> Request.Io { io with Request.think = d }
-               | Request.Pm { directive; _ } ->
-                   Request.Pm { think = d; directive }));
-            last := c.arrival;
-            c.clock <- c.arrival;
-            c.idx <- c.idx + 1;
-            advance c;
-            loop ()
-      in
-      loop ();
-      (* Merged tail: the last tenant to finish defines end-of-run on
-         the shared clock.  Every component is exhausted here, so each
-         stream's own tail think is known. *)
-      let tail =
-        Array.fold_left
-          (fun acc c ->
-            max acc (c.clock +. Trace.Stream.tail_think c.stream -. !last))
-          0.0 cursors
-      in
-      tail)
+  (* Earliest head row wins; ties resolve to the lowest tenant index, so
+     the interleaving is a deterministic function of the tenant list
+     alone.  [-1] once every tenant is exhausted. *)
+  let best () =
+    let b = ref (-1) in
+    Array.iteri
+      (fun k c ->
+        if c.alive && (!b < 0 || not (cursors.(!b).arrival <= c.arrival)) then
+          b := k)
+      cursors;
+    !b
+  in
+  let out = Chunk.create batch and last = ref 0.0 in
+  let rec fill () =
+    if Chunk.length out < batch then begin
+      let k = best () in
+      if k >= 0 then begin
+        let c = cursors.(k) in
+        (* The global minimum arrival is nondecreasing (each pop
+           replaces a head with a later one), so the delta is >= 0 up to
+           the defensive clamp. *)
+        let d = c.arrival -. !last in
+        Chunk.push_row out c.chunk c.idx ~think:(if d > 0.0 then d else 0.0);
+        last := c.arrival;
+        c.clock <- c.arrival;
+        c.idx <- c.idx + 1;
+        advance c;
+        fill ()
+      end
+    end
+  in
+  (* Merged tail: the last tenant to finish defines end-of-run on the
+     shared clock.  Read only at exhaustion, when every tenant is
+     exhausted and its own tail think is known. *)
+  let tail =
+    lazy
+      (Array.fold_left
+         (fun acc c -> max acc (c.clock +. Stream.tail_think c.stream -. !last))
+         0.0 cursors)
+  in
+  Stream.make ~batch ~tail ~nblocks ~program ~ndisks (fun () ->
+      Chunk.clear out;
+      fill ();
+      Some out)

@@ -87,6 +87,10 @@ val merge :
     stream (see the module preamble for the clock semantics).  The
     merged stream's [ndisks] is the maximum over tenants, [nblocks] the
     (lazily forced) maximum, and its tail think extends to the last
-    tenant's end of run.  Consumes the component streams.  O(batch ×
-    tenants) peak memory.  Raises [Invalid_argument] on an empty tenant
-    list or a negative start time. *)
+    tenant's end of run, known once the merge is exhausted.  The merge
+    is a plain pull: each pull copies rows from the tenants' current
+    chunks into one output chunk, refilled in place, and a tenant is
+    pulled again only once its chunk is fully read.  Consumes the
+    component streams.  O(batch × tenants) peak memory.  Raises
+    [Invalid_argument] on an empty tenant list or a negative start
+    time. *)

@@ -1,6 +1,15 @@
 exception Parse_error of string
 
-module Soa = struct
+let max_disks = 4096
+
+(* The one representation between trace producers and the simulator.
+   The replay bodies read rows by index out of parallel Bigarray
+   columns: a [float64] column for think times (unboxed on read) and
+   native-[int] columns for everything else.  One tag per row encodes
+   the constructor; [disk] doubles as the directive's disk and [block]
+   as the [Set_rpm] level — directives use none of the IO-only columns,
+   which stay 0. *)
+module Chunk = struct
   type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
   type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -22,20 +31,26 @@ module Soa = struct
   let tag_set_rpm = 4
   let is_io_tag tag = tag <= tag_write
 
+  (* Unchecked: capacity 0 is the exactly sized store of an empty
+     trace. *)
+  let alloc capacity =
+    let open Bigarray in
+    let ints () = Array1.create int c_layout capacity in
+    {
+      len = 0;
+      think = Array1.create float64 c_layout capacity;
+      tag = ints ();
+      disk = ints ();
+      block = ints ();
+      bytes = ints ();
+      nest = ints ();
+      iter = ints ();
+    }
+
   let create capacity =
     if capacity <= 0 then
       invalid_arg "Trace.Stream.Chunk.create: non-positive capacity";
-    let ints n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    {
-      len = 0;
-      think = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout capacity;
-      tag = ints capacity;
-      disk = ints capacity;
-      block = ints capacity;
-      bytes = ints capacity;
-      nest = ints capacity;
-      iter = ints capacity;
-    }
+    alloc capacity
 
   let capacity c = Bigarray.Array1.dim c.tag
   let length c = c.len
@@ -87,6 +102,35 @@ module Soa = struct
     set c c.len e;
     c.len <- c.len + 1
 
+  let push_row dst src i ~think =
+    if dst.len >= capacity dst then
+      invalid_arg "Trace.Stream.Chunk.push_row: chunk full";
+    let open Bigarray.Array1 in
+    let j = dst.len in
+    set dst.think j think;
+    set dst.tag j (get src.tag i);
+    set dst.disk j (get src.disk i);
+    set dst.block j (get src.block i);
+    set dst.bytes j (get src.bytes i);
+    set dst.nest j (get src.nest i);
+    set dst.iter j (get src.iter i);
+    dst.len <- j + 1
+
+  (* Every row of [src] onto the end of [dst], which must have room. *)
+  let append dst src =
+    let n = src.len and pos = dst.len in
+    if pos + n > capacity dst then
+      invalid_arg "Trace.Stream.Chunk.append: chunk full";
+    let col a b = Bigarray.Array1.(blit (sub a 0 n) (sub b pos n)) in
+    col src.think dst.think;
+    col src.tag dst.tag;
+    col src.disk dst.disk;
+    col src.block dst.block;
+    col src.bytes dst.bytes;
+    col src.nest dst.nest;
+    col src.iter dst.iter;
+    dst.len <- pos + n
+
   let get c i : Request.event =
     if i < 0 || i >= c.len then
       invalid_arg "Trace.Stream.Chunk.get: index out of bounds";
@@ -112,14 +156,14 @@ module Soa = struct
         { think; directive = Request.Set_rpm { level = block c i; disk = disk c i } }
 
   let of_events events =
-    let c = create (max 1 (Array.length events)) in
+    let c = alloc (Array.length events) in
     Array.iter (push c) events;
     c
 
   (* Zero-copy view of [len] rows starting at [pos]: the columns are
      [Bigarray.Array1.sub] windows sharing the parent's storage, so a
-     chunked consumer of a memoized whole-trace column store pays no
-     per-event transcription.  Mutating a view mutates the parent. *)
+     chunked consumer of a trace's store pays no per-event copy.
+     Mutating a view mutates the parent. *)
   let sub c pos len =
     let open Bigarray.Array1 in
     {
@@ -136,98 +180,106 @@ module Soa = struct
   let to_events c = Array.init c.len (get c)
 end
 
+(* The one check a trace passes before anything replays it, shared by
+   [make] (and [Stream.to_trace]) and the file reader: [None] when the
+   header or row is replayable, else why not. *)
+let header_error ~ndisks ~tail =
+  if ndisks <= 0 then Some "non-positive disk count"
+  else if ndisks > max_disks then
+    Some
+      (Printf.sprintf "disk count %d above Trace.max_disks (%d)" ndisks
+         max_disks)
+  else if not (Float.is_finite tail && tail >= 0.0) then
+    Some "tail think time not finite and >= 0"
+  else None
+
+let row_error ~ndisks c i =
+  let think = Chunk.think c i and tag = Chunk.tag c i in
+  let disk = Chunk.disk c i and block = Chunk.block c i in
+  if not (Float.is_finite think && think >= 0.0) then
+    Some "think time not finite and >= 0"
+  else if Chunk.is_io_tag tag then
+    if disk < 0 || disk >= ndisks then Some "request disk out of range"
+    else if block < 0 then Some "negative request block"
+    else if Chunk.bytes c i < 0 then Some "negative request size"
+    else None
+  else if disk < 0 || disk >= ndisks then Some "directive disk out of range"
+  else if tag = Chunk.tag_set_rpm && block < 0 then Some "negative RPM level"
+  else None
 
 type t = {
   program : string;
   ndisks : int;
-  events : Request.event array;
+  store : Chunk.t;  (* exactly [event_count] rows *)
   tail_think : float;
-  soa_cache : Soa.t option Atomic.t;
-      (* Whole-trace column store, built on first [Stream.of_trace]
-         replay and shared by every later stream over this trace (chunks
-         are zero-copy views).  Atomic so concurrent domains replaying
-         the same trace publish a fully-built store or none. *)
 }
 
 (* Alias so [Stream]'s own [t] can still name the materialized type. *)
 type trace = t
 
-let soa_of_trace t =
-  match Atomic.get t.soa_cache with
-  | Some c -> c
-  | None ->
-      let c = Soa.of_events t.events in
-      Atomic.set t.soa_cache (Some c);
-      c
-
-let check_event ~ndisks = function
-  | Request.Io io ->
-      if io.disk < 0 || io.disk >= ndisks then
-        invalid_arg "Trace.make: request disk out of range"
-  | Request.Pm _ -> ()
+let of_store ~program ~ndisks ~tail_think store =
+  let fail why = invalid_arg ("Trace.make: " ^ why) in
+  Option.iter fail (header_error ~ndisks ~tail:tail_think);
+  for i = 0 to Chunk.length store - 1 do
+    Option.iter fail (row_error ~ndisks store i)
+  done;
+  { program; ndisks; store; tail_think }
 
 let make ?(tail_think = 0.0) ~program ~ndisks events =
-  if ndisks <= 0 then invalid_arg "Trace.make: non-positive disk count";
-  let events = Array.of_list events in
-  Array.iter (check_event ~ndisks) events;
-  { program; ndisks; events; tail_think; soa_cache = Atomic.make None }
+  let store = Chunk.alloc (List.length events) in
+  List.iter (Chunk.push store) events;
+  of_store ~program ~ndisks ~tail_think store
 
 let program t = t.program
 let ndisks t = t.ndisks
 let tail_think t = t.tail_think
-let events t = Array.copy t.events
-let event_count t = Array.length t.events
+let events t = Chunk.to_events t.store
+let event_count t = Chunk.length t.store
+
+let fold_rows f acc c =
+  let acc = ref acc in
+  for i = 0 to Chunk.length c - 1 do
+    acc := f !acc c i
+  done;
+  !acc
+
+let is_io c i = Chunk.is_io_tag (Chunk.tag c i)
 
 let io_count t =
-  Array.fold_left
-    (fun n -> function Request.Io _ -> n + 1 | Request.Pm _ -> n)
-    0 t.events
+  fold_rows (fun n c i -> if is_io c i then n + 1 else n) 0 t.store
 
-let pm_count t = Array.length t.events - io_count t
+let pm_count t = event_count t - io_count t
 
 let total_bytes t =
-  Array.fold_left
-    (fun n -> function Request.Io io -> n + io.bytes | Request.Pm _ -> n)
-    0 t.events
+  fold_rows
+    (fun n c i -> if is_io c i then n + Chunk.bytes c i else n)
+    0 t.store
 
 let total_think t =
-  Array.fold_left (fun acc e -> acc +. Request.think e) t.tail_think t.events
+  fold_rows (fun acc c i -> acc +. Chunk.think c i) t.tail_think t.store
 
 let io_events t =
   List.filter_map
     (function Request.Io io -> Some io | Request.Pm _ -> None)
-    (Array.to_list t.events)
+    (Array.to_list (events t))
 
 let disks_used t =
-  List.sort_uniq compare (List.map (fun (io : Request.io) -> io.disk) (io_events t))
-
-let map_events f t =
-  {
-    t with
-    events = Array.of_list (List.filter_map f (Array.to_list t.events));
-    soa_cache = Atomic.make None;
-  }
+  List.sort_uniq compare
+    (fold_rows
+       (fun acc c i -> if is_io c i then Chunk.disk c i :: acc else acc)
+       [] t.store)
 
 let without_pm t =
-  let pending = ref 0.0 in
-  let events =
-    List.filter_map
-      (function
-        | Request.Pm { think; _ } ->
-            pending := !pending +. think;
-            None
-        | Request.Io io ->
-            let think = io.think +. !pending in
-            pending := 0.0;
-            Some (Request.Io { io with think }))
-      (Array.to_list t.events)
-  in
-  {
-    t with
-    events = Array.of_list events;
-    tail_think = t.tail_think +. !pending;
-    soa_cache = Atomic.make None;
-  }
+  let store = Chunk.alloc (io_count t) and pending = ref 0.0 in
+  for i = 0 to Chunk.length t.store - 1 do
+    let think = Chunk.think t.store i in
+    if is_io t.store i then begin
+      Chunk.push_row store t.store i ~think:(think +. !pending);
+      pending := 0.0
+    end
+    else pending := !pending +. think
+  done;
+  { t with store; tail_think = t.tail_think +. !pending }
 
 let save t path =
   let oc = open_out path in
@@ -236,44 +288,32 @@ let save t path =
     (fun () ->
       Printf.fprintf oc "# program=%s ndisks=%d tail=%.9f\n" t.program t.ndisks
         t.tail_think;
-      Array.iter (fun e -> output_string oc (Request.to_line e ^ "\n")) t.events)
+      for i = 0 to Chunk.length t.store - 1 do
+        output_string oc (Request.to_line (Chunk.get t.store i) ^ "\n")
+      done)
 
-(* Highest IO block number + 1 over a chunk, folded from [acc] — the
-   stripe-unit address space fault plans are drawn over.  Must match
-   what a whole-array scan of the same events yields so fault-injected
-   streaming replays stay byte-identical to materialized ones. *)
-let max_nblocks_chunk acc chunk =
-  Array.fold_left
-    (fun acc -> function
-      | Request.Io io -> max acc (io.Request.block + 1)
-      | Request.Pm _ -> acc)
-    acc chunk
+(* Highest IO block number + 1 over a chunk's rows, folded from [acc] —
+   the stripe-unit address space fault plans are drawn over.  Every
+   producer's [nblocks] is this scan over the rows it yields, so
+   fault-injected streaming replays stay byte-identical to materialized
+   ones. *)
+let max_block_rows =
+  fold_rows (fun acc c i ->
+      if is_io c i then max acc (Chunk.block c i + 1) else acc)
+
+let max_nblocks_chunk acc events = max_block_rows acc (Chunk.of_events events)
 
 module Stream = struct
-  (* --- Structure-of-arrays chunks ---
-
-     The replay hot loop reads events by index out of parallel Bigarray
-     columns: a [float64] column for think times (unboxed on read) and
-     native-[int] columns for everything else.  One tag per event encodes
-     the constructor, so the loop never touches a [Request.event] block.
-     [disk] doubles as the directive's disk and [block] as the
-     [Set_rpm] level — directives use none of the IO-only columns. *)
-  module Chunk = Soa
+  module Chunk = Chunk
 
   type nonrec t = {
     program : string;
     ndisks : int;
     batch : int;
     nblocks : int Lazy.t;
-    mutable tail : float option;
-    mutable pull : unit -> Request.event array option;
+    tail : float Lazy.t;  (* forced only once known or exhausted *)
+    pull : unit -> Chunk.t option;
     mutable exhausted : bool;
-    (* SoA fast lane: producers that can produce column chunks natively
-       (a view of a memoized store, or a parse loop filling the reused
-       [scratch]) install [produce_soa]; others fall back to
-       transcribing [next]'s record chunks into [scratch]. *)
-    mutable produce_soa : (unit -> Chunk.t option) option;
-    mutable scratch : Chunk.t option;
   }
 
   let default_batch = 4096
@@ -283,142 +323,73 @@ module Stream = struct
   let nblocks s = Lazy.force s.nblocks
 
   let tail_think s =
-    match s.tail with
-    | Some v -> v
-    | None ->
-        invalid_arg
-          "Trace.Stream.tail_think: unknown until the stream is exhausted"
+    if s.exhausted || Lazy.is_val s.tail then Lazy.force s.tail
+    else
+      invalid_arg
+        "Trace.Stream.tail_think: unknown until the stream is exhausted"
 
-  let make ?(batch = default_batch) ?tail ~nblocks ~program ~ndisks pull =
+  let make ?(batch = default_batch) ~tail ~nblocks ~program ~ndisks pull =
     if batch <= 0 then invalid_arg "Trace.Stream.make: non-positive batch";
     if ndisks <= 0 then
       invalid_arg "Trace.Stream.make: non-positive disk count";
-    {
-      program;
-      ndisks;
-      batch;
-      nblocks;
-      tail;
-      pull;
-      exhausted = false;
-      produce_soa = None;
-      scratch = None;
-    }
-
-  let rec next s =
-    if s.exhausted then None
-    else
-      match s.pull () with
-      | None ->
-          s.exhausted <- true;
-          None
-      | Some chunk when Array.length chunk = 0 -> next s
-      | some -> some
-
-  let iter f s =
-    let rec loop () =
-      match next s with
-      | Some chunk ->
-          Array.iter f chunk;
-          loop ()
-      | None -> ()
-    in
-    loop ()
-
-  (* Reused SoA buffer: one chunk live per stream, grown only if a raw
-     pull hands back a chunk larger than [batch]. *)
-  let soa_scratch s ~capacity =
-    match s.scratch with
-    | Some c when Chunk.capacity c >= capacity ->
-        Chunk.clear c;
-        c
-    | _ ->
-        let c = Chunk.create capacity in
-        s.scratch <- Some c;
-        c
+    { program; ndisks; batch; nblocks; tail; pull; exhausted = false }
 
   let next_soa s =
     if s.exhausted then None
     else
-      match s.produce_soa with
-      | Some produce -> (
-          match produce () with
-          | Some c when Chunk.length c > 0 -> Some c
-          | Some _ | None ->
-              s.exhausted <- true;
-              None)
-      | None -> (
-          (* Transcription fallback (coroutine producers, raw [make]
-             pulls): one column-store copy per chunk, amortized over
-             [batch] events. *)
-          match next s with
-          | None -> None
-          | Some arr ->
-              let c =
-                soa_scratch s ~capacity:(max s.batch (Array.length arr))
-              in
-              Array.iter (Chunk.push c) arr;
-              Some c)
+      match s.pull () with
+      | Some c when Chunk.length c > 0 -> Some c
+      | Some _ | None ->
+          s.exhausted <- true;
+          None
+
+  let rec fold_chunks f acc s =
+    match next_soa s with None -> acc | Some c -> fold_chunks f (f acc c) s
+
+  let iter_rows f s =
+    fold_chunks
+      (fun () c ->
+        for i = 0 to Chunk.length c - 1 do
+          f c i
+        done)
+      () s
+
+  let next s = Option.map Chunk.to_events (next_soa s)
+  let iter f s = iter_rows (fun c i -> f (Chunk.get c i)) s
 
   let of_trace ?(batch = default_batch) (tr : trace) =
-    let n = Array.length tr.events in
+    let n = Chunk.length tr.store in
     let pos = ref 0 in
-    let s =
-      make ~batch ~tail:tr.tail_think
-        ~nblocks:(lazy (max_nblocks_chunk 0 tr.events))
-        ~program:tr.program ~ndisks:tr.ndisks
-        (fun () ->
-          if !pos >= n then None
-          else begin
-            let len = min batch (n - !pos) in
-            let chunk = Array.sub tr.events !pos len in
-            pos := !pos + len;
-            Some chunk
-          end)
-    in
-    (* Native SoA producer sharing the cursor with the record pull, so
-       mixed [next]/[next_soa] consumers see each event exactly once.
-       Chunks are zero-copy views of the trace's memoized column store:
-       the AoS-to-SoA transcription runs once per trace, not once per
-       replay. *)
-    s.produce_soa <-
-      Some
-        (fun () ->
-          if !pos >= n then None
-          else begin
-            let full = soa_of_trace tr in
-            let len = min batch (n - !pos) in
-            let p = !pos in
-            pos := p + len;
-            Some (Chunk.sub full p len)
-          end);
-    s
+    make ~batch ~tail:(Lazy.from_val tr.tail_think)
+      ~nblocks:(lazy (max_block_rows 0 tr.store))
+      ~program:tr.program ~ndisks:tr.ndisks
+      (fun () ->
+        if !pos >= n then None
+        else begin
+          let len = min batch (n - !pos) in
+          let p = !pos in
+          pos := p + len;
+          Some (Chunk.sub tr.store p len)
+        end)
 
   (* --- Push-to-pull inversion via effects ---
 
      A producer written as a plain [emit]-calling loop (the trace
-     generator's loop-nest walk) is suspended each time a full chunk is
-     ready and resumed by the consumer's next [pull] — so generation and
-     replay interleave with only one chunk live at a time. *)
+     generator's loop-nest walk) fills one chunk and is suspended each
+     time it is full, then resumed by the consumer's next pull — so
+     generation and replay interleave with only one chunk live. *)
 
-  type _ Effect.t += Yield : Request.event array -> unit Effect.t
+  type _ Effect.t += Yield : unit Effect.t
 
-  let of_push ?(batch = default_batch) ?tail ~nblocks ~program ~ndisks produce
-      =
+  let of_push ?(batch = default_batch) ~nblocks ~program ~ndisks produce =
     if batch <= 0 then invalid_arg "Trace.Stream.of_push: non-positive batch";
-    let stream =
-      make ~batch ?tail ~nblocks ~program ~ndisks (fun () -> None)
-    in
-    (* Chunk buffer shared between suspensions of the producer. *)
-    let dummy = Request.Pm { think = 0.0; directive = Request.Spin_up 0 } in
-    let buf = Array.make batch dummy in
-    let fill = ref 0 in
+    let buf = Chunk.create batch and tail = ref None in
     let emit e =
-      buf.(!fill) <- e;
-      incr fill;
-      if !fill = batch then begin
-        fill := 0;
-        Effect.perform (Yield (Array.copy buf))
+      Chunk.push buf e;
+      if Chunk.length buf = batch then begin
+        Effect.perform Yield;
+        (* Resumed by the next pull: the consumer is done with it. *)
+        Chunk.clear buf
       end
     in
     let resume = ref (fun () -> None) in
@@ -426,13 +397,8 @@ module Stream = struct
     let start () =
       match_with
         (fun () ->
-          let tail = produce ~emit in
-          if !fill > 0 then begin
-            let chunk = Array.sub buf 0 !fill in
-            fill := 0;
-            Effect.perform (Yield chunk)
-          end;
-          stream.tail <- Some tail;
+          tail := Some (produce ~emit);
+          if Chunk.length buf > 0 then Effect.perform Yield;
           None)
         ()
         {
@@ -441,21 +407,19 @@ module Stream = struct
           effc =
             (fun (type a) (eff : a Effect.t) ->
               match eff with
-              | Yield chunk ->
+              | Yield ->
                   Some
-                    (fun (k : (a, Request.event array option) continuation) ->
-                      let k : (unit, Request.event array option) continuation
-                          =
-                        k
-                      in
+                    (fun (k : (a, Chunk.t option) continuation) ->
                       resume := (fun () -> continue k ());
-                      Some chunk)
+                      Some buf)
               | _ -> None);
         }
     in
     resume := start;
-    stream.pull <- (fun () -> !resume ());
-    stream
+    make ~batch
+      ~tail:(lazy (Option.get !tail))
+      ~nblocks ~program ~ndisks
+      (fun () -> !resume ())
 
   (* --- Incremental parse of the line-oriented trace format --- *)
 
@@ -466,51 +430,21 @@ module Stream = struct
     let header =
       try input_line ic with End_of_file -> parse_error path 1 "empty file"
     in
-    try
-      Scanf.sscanf header "# program=%s@ ndisks=%d tail=%f" (fun p n t ->
-          (p, n, t))
-    with Scanf.Scan_failure _ | End_of_file | Failure _ ->
-      parse_error path 1
-        "malformed header (expected '# program=NAME ndisks=N tail=SECONDS')"
-
-  let parse_line path ~ndisks ~lineno line =
-    let event =
-      try Request.of_line line with Failure msg -> parse_error path lineno msg
+    let program, ndisks, tail =
+      try
+        Scanf.sscanf header "# program=%s@ ndisks=%d tail=%f" (fun p n t ->
+            (p, n, t))
+      with Scanf.Scan_failure _ | End_of_file | Failure _ ->
+        parse_error path 1
+          "malformed header (expected '# program=NAME ndisks=N tail=SECONDS')"
     in
-    (match event with
-    | Request.Io io when io.disk < 0 || io.disk >= ndisks ->
-        parse_error path lineno
-          (Printf.sprintf "request disk %d out of range (ndisks=%d)" io.disk
-             ndisks)
-    | _ -> ());
-    event
+    Option.iter (parse_error path 1) (header_error ~ndisks ~tail);
+    (program, ndisks, tail)
 
-  (* Second pass over the file for the fault layer's block-address
-     space; forced only when a fault spec is active. *)
-  let scan_nblocks path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let ndisks =
-          let _, ndisks, _ = read_header path ic in
-          ndisks
-        in
-        let acc = ref 0 in
-        let lineno = ref 1 in
-        (try
-           while true do
-             let line = input_line ic in
-             incr lineno;
-             if String.trim line <> "" then
-               match parse_line path ~ndisks ~lineno:!lineno line with
-               | Request.Io io -> acc := max !acc (io.Request.block + 1)
-               | Request.Pm _ -> ()
-           done
-         with End_of_file -> ());
-        !acc)
-
-  let of_file ?(batch = default_batch) path =
+  (* One buffer, refilled in place by each pull.  [nblocks] is a second
+     pass over the file, forced only when a fault spec is active. *)
+  let rec of_file ?(batch = default_batch) path =
+    let buf = Chunk.create batch in
     let ic = open_in path in
     let program, ndisks, tail =
       try read_header path ic
@@ -518,92 +452,57 @@ module Stream = struct
         close_in_noerr ic;
         raise e
     in
-    if ndisks <= 0 then begin
-      close_in_noerr ic;
-      parse_error path 1 "non-positive disk count"
-    end;
-    let lineno = ref 1 in
-    let closed = ref false in
+    let lineno = ref 1 and closed = ref false in
     let finish () =
       if not !closed then begin
         closed := true;
         close_in ic
       end
     in
-    (* One parse loop shared by both lanes: [emit] receives up to [batch]
-       events, so the record pull and the SoA fill see the exact same
-       event sequence (and the same [Parse_error]s, file positions,
-       channel close discipline). *)
-    let read_batch emit =
-      let count = ref 0 in
-      (try
-         while !count < batch do
-           let line = input_line ic in
-           incr lineno;
-           if String.trim line <> "" then begin
-             let event =
-               try parse_line path ~ndisks ~lineno:!lineno line
-               with e ->
-                 finish ();
-                 raise e
-             in
-             emit event;
-             incr count
-           end
-         done
-       with End_of_file -> finish ());
-      !count
+    let fail why =
+      finish ();
+      parse_error path !lineno why
     in
-    let s =
-      make ~batch ~tail
-        ~nblocks:(lazy (scan_nblocks path))
-        ~program ~ndisks
-        (fun () ->
-          if !closed then None
-          else begin
-            let rev = ref [] in
-            let count = read_batch (fun e -> rev := e :: !rev) in
-            if count = 0 then begin
-              finish ();
-              None
-            end
-            else Some (Array.of_list (List.rev !rev))
-          end)
+    let rec fill () =
+      if Chunk.length buf < batch then
+        match input_line ic with
+        | exception End_of_file -> finish ()
+        | line ->
+            incr lineno;
+            if String.trim line <> "" then begin
+              (match Request.of_line line with
+              | e -> Chunk.push buf e
+              | exception Failure msg -> fail msg);
+              Option.iter fail (row_error ~ndisks buf (Chunk.length buf - 1))
+            end;
+            fill ()
     in
-    s.produce_soa <-
-      Some
-        (fun () ->
-          if !closed then None
-          else begin
-            let c = soa_scratch s ~capacity:s.batch in
-            let count = read_batch (Chunk.push c) in
-            if count = 0 then begin
-              finish ();
-              None
-            end
-            else Some c
-          end);
-    s
+    make ~batch ~tail:(Lazy.from_val tail)
+      ~nblocks:(lazy (fold_chunks max_block_rows 0 (of_file ~batch path)))
+      ~program ~ndisks
+      (fun () ->
+        if !closed then None
+        else begin
+          Chunk.clear buf;
+          fill ();
+          Some buf
+        end)
 
   let to_trace s =
-    let chunks = ref [] in
-    let rec loop () =
-      match next s with
-      | Some chunk ->
-          chunks := chunk :: !chunks;
-          loop ()
-      | None -> ()
+    let chunks =
+      fold_chunks
+        (fun acc c ->
+          let copy = Chunk.alloc (Chunk.length c) in
+          Chunk.append copy c;
+          copy :: acc)
+        [] s
     in
-    loop ();
-    let events = Array.concat (List.rev !chunks) in
-    Array.iter (check_event ~ndisks:s.ndisks) events;
-    {
-      program = s.program;
-      ndisks = s.ndisks;
-      events;
-      tail_think = tail_think s;
-      soa_cache = Atomic.make None;
-    }
+    let store =
+      Chunk.alloc (List.fold_left (fun n c -> n + Chunk.length c) 0 chunks)
+    in
+    List.iter (Chunk.append store) (List.rev chunks);
+    of_store ~program:s.program ~ndisks:s.ndisks ~tail_think:(tail_think s)
+      store
 end
 
 let load path = Stream.to_trace (Stream.of_file path)

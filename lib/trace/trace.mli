@@ -6,14 +6,22 @@
     format, mirroring the externally-provided trace files of the paper's
     setup.
 
-    [t] is the fully materialized form — the whole run in one array —
-    which whole-trace tools (Table 2 counts, {!without_pm}, {!save})
-    need.  The replay engine itself consumes {!Stream.t}, a pull-based
-    chunked view, so fused generate→replay pipelines run in O(batch)
-    peak memory; {!Stream.of_trace} bridges the two. *)
+    There is one representation between trace producers and the
+    simulator: the structure-of-arrays column chunk ({!Stream.Chunk}).
+    [t] is the fully materialized form — the whole run in one exactly
+    sized column store — which whole-trace tools (Table 2 counts,
+    {!without_pm}, {!save}) need; {!events} decodes it to records on
+    demand.  The replay engine consumes {!Stream.t}, a pull of chunks,
+    so fused generate→replay pipelines run in O(batch) peak memory;
+    {!Stream.of_trace} hands out zero-copy views of a trace's store. *)
 
 exception Parse_error of string
 (** Malformed trace file; the message carries [path:line:] context. *)
+
+val max_disks : int
+(** 4096: the largest disk count a trace header or {!make} accepts, so
+    a hostile header cannot make a replay size per-disk state without
+    bound.  Disk ids at or above it are rejected by every reader. *)
 
 type t
 (** Abstract: construct with {!make} (or {!load}), inspect through the
@@ -25,8 +33,12 @@ type trace = t
 
 val make :
   ?tail_think:float -> program:string -> ndisks:int -> Request.event list -> t
-(** Validates every IO's disk index against [ndisks]; raises
-    [Invalid_argument] on a violation or a non-positive disk count. *)
+(** Raises [Invalid_argument] unless the trace is replayable: [ndisks]
+    in [1, max_disks], a finite tail >= 0, and every row passing the
+    check the file reader applies too — a finite think time >= 0, an
+    IO's disk in [0, ndisks) with block and bytes >= 0, a directive's
+    disk in [0, ndisks) and a [Set_rpm] level >= 0 (a level above a
+    disk's top still clamps at replay). *)
 
 val program : t -> string
 val ndisks : t -> int
@@ -35,7 +47,7 @@ val tail_think : t -> float
 (** Compute time after the last event completes, seconds. *)
 
 val events : t -> Request.event array
-(** Fresh copy of the event array (callers cannot mutate the trace). *)
+(** The rows decoded to records (a fresh array on every call). *)
 
 val event_count : t -> int
 
@@ -54,10 +66,6 @@ val io_events : t -> Request.io list
 val disks_used : t -> int list
 (** Sorted list of disks receiving at least one request. *)
 
-val map_events :
-  (Request.event -> Request.event option) -> t -> t
-(** Filter-map over the stream (used to strip or rewrite directives). *)
-
 val without_pm : t -> t
 (** Drops directives, folding their think time into the next event so the
     compute timeline is preserved. *)
@@ -71,33 +79,39 @@ val load : string -> t
     {!Parse_error} (with file/line context) on malformed files. *)
 
 val max_nblocks_chunk : int -> Request.event array -> int
-(** [max_nblocks_chunk acc chunk] folds the highest IO block number + 1
-    over [chunk], starting from [acc] — the stripe-unit address space
-    fault plans are drawn over. *)
+(** [max_nblocks_chunk acc events] folds the highest IO block number + 1
+    over [events], starting from [acc] — the stripe-unit address space
+    fault plans are drawn over, and what every stream's {!Stream.nblocks}
+    gives for the rows it yields. *)
 
 (** Pull-based, batched request streams.
 
-    A stream yields the run as successive non-empty
-    [Request.event array] chunks (bounded by {!batch}) with the
-    stream-level metadata — {!program}, {!ndisks}, and (once known)
-    {!tail_think} — available alongside.  Chunk boundaries are an
-    implementation detail: consumers that fold each chunk element-wise
-    in order compute exactly what they would over the whole array, so
-    replays are byte-identical at any batch size. *)
+    A stream is one pull of successive non-empty {!Chunk.t}s (bounded
+    by {!batch} rows) with the stream-level metadata — {!program},
+    {!ndisks}, and (once known) {!tail_think} — available alongside.
+    Chunk boundaries are an implementation detail: consumers that fold
+    each chunk row by row in order compute exactly what they would over
+    the whole trace, so replays are byte-identical at any batch size.
+
+    A consumer reads a chunk fully before it pulls the same stream
+    again: {!of_trace} hands out views of the trace's store, while
+    {!of_file}, {!of_push} and the open-loop merge refill one buffer in
+    place. *)
 module Stream : sig
-  (** Structure-of-arrays event chunks — the replay engine's hot-path
-      representation.
+  (** Structure-of-arrays event chunks — the one representation between
+      trace producers and the simulator.
 
       A chunk stores up to [capacity] events as parallel Bigarray
       columns: [think] is a [float64] column (reads are unboxed in the
       consumer's arithmetic) and the rest are native-[int] columns.  The
       per-event [tag] encodes the [Request.event] constructor; [disk]
-      doubles as a directive's disk, and [block] as the [Set_rpm] level.
+      doubles as a directive's disk, and [block] as the [Set_rpm] level;
+      the columns a directive does not use hold 0.
       The record is exposed so the specialized replay loop can index the
       columns directly ([Bigarray.Array1.unsafe_get] compiles to a plain
       load when the element kind is statically known); treat the fields
       as read-only outside this library and mutate through
-      {!Chunk.push}/{!Chunk.set}/{!Chunk.clear}. *)
+      {!Chunk.push}/{!Chunk.push_row}/{!Chunk.set}/{!Chunk.clear}. *)
   module Chunk : sig
     type floats =
       (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -141,6 +155,11 @@ module Stream : sig
     val push : t -> Request.event -> unit
     (** Append one event; raises [Invalid_argument] when full. *)
 
+    val push_row : t -> t -> int -> think:float -> unit
+    (** [push_row dst src i ~think] appends row [i] of [src] to [dst]
+        with its think time replaced; raises [Invalid_argument] when
+        [dst] is full. *)
+
     val get : t -> int -> Request.event
     (** Decode the event at an index (allocates the record); raises
         [Invalid_argument] out of bounds.  [get (push c e) = e] for
@@ -165,63 +184,63 @@ module Stream : sig
 
   val make :
     ?batch:int ->
-    ?tail:float ->
+    tail:float Lazy.t ->
     nblocks:int Lazy.t ->
     program:string ->
     ndisks:int ->
-    (unit -> Request.event array option) ->
+    (unit -> Chunk.t option) ->
     t
-  (** Wrap a raw pull function.  [tail] may be omitted when the
-      producer only learns it at exhaustion (see {!of_push}).
-      [nblocks] is forced only by consumers that need the block-address
-      space up front (the fault planner). *)
+  (** Wrap a pull of chunks ([None], or an empty chunk, ends the
+      stream).  [tail] is forced only once it is a value or the stream
+      is exhausted, so a producer that learns its tail at exhaustion
+      passes a suspension that reads it then.  [nblocks] is forced only
+      by consumers that need the block-address space up front (the
+      fault planner). *)
 
   val of_trace : ?batch:int -> trace -> t
-  (** Compat producer: slices of a materialized trace.  [tail_think]
-      and [nblocks] come for free. *)
+  (** Zero-copy views of a trace's column store.  [tail_think] and
+      [nblocks] come for free. *)
 
   val of_push :
     ?batch:int ->
-    ?tail:float ->
     nblocks:int Lazy.t ->
     program:string ->
     ndisks:int ->
     (emit:(Request.event -> unit) -> float) ->
     t
   (** Invert a push-style producer: [produce ~emit] is run as a
-      coroutine (OCaml effects) that is suspended every [batch] emitted
-      events and resumed on demand.  Its return value becomes the
-      stream's [tail_think], available once the stream is exhausted. *)
+      coroutine (OCaml effects) that encodes into one chunk and is
+      suspended every [batch] emitted events, then resumed on demand.
+      Its return value becomes the stream's [tail_think], available
+      once the stream is exhausted. *)
 
   val of_file : ?batch:int -> string -> t
-  (** Incremental parse of the {!save} line format.  The header is read
-      eagerly (so metadata is available immediately); events are parsed
-      chunk by chunk on demand.  Raises {!Parse_error} with
-      [path:line:] context on malformed headers, malformed event lines,
-      and out-of-range disk indices.  [nblocks] re-scans the file on a
-      second channel when forced. *)
+  (** Incremental parse of the {!save} line format into one chunk,
+      refilled in place.  The header is read eagerly (so metadata is
+      available immediately); events are parsed chunk by chunk on
+      demand.  Raises {!Parse_error} with [path:line:] context on a
+      malformed header or event line, and on any header or row {!make}
+      would reject.  [nblocks] re-reads the file when forced. *)
 
   val to_trace : t -> trace
-  (** Drain the stream into a materialized trace (validating disk
-      ranges like {!make}). *)
-
-  val next : t -> Request.event array option
-  (** Next non-empty chunk, or [None] once exhausted (and forever
-      after — the exhaustion latch makes repeated calls safe). *)
+  (** Drain the stream into a materialized trace (validated like
+      {!make}). *)
 
   val next_soa : t -> Chunk.t option
-  (** Next non-empty chunk in structure-of-arrays form, or [None] once
-      exhausted (same latch as {!next}; mixing the two lanes on one
-      stream is allowed — they share the underlying cursor, so every
-      event is delivered exactly once).  {!of_trace} and {!of_file}
-      streams fill the chunk natively (no intermediate
-      [Request.event] records for {!of_trace}); other producers
-      transcribe {!next}'s record chunks.  The returned chunk is a
-      scratch buffer owned by the stream and overwritten by the
-      following [next_soa] call — consume it before pulling again. *)
+  (** Next non-empty chunk, or [None] once exhausted (and forever
+      after — the exhaustion latch makes repeated calls safe).  The
+      chunk may be a buffer the stream refills on the following pull —
+      read it before pulling again. *)
+
+  val iter_rows : (Chunk.t -> int -> unit) -> t -> unit
+  (** Drain the stream, applying [f chunk i] to every row in order. *)
+
+  val next : t -> Request.event array option
+  (** {!next_soa} decoded to records: a view for readers outside this
+      library (tests, benchmarks); the simulator reads rows. *)
 
   val iter : (Request.event -> unit) -> t -> unit
-  (** Drain the stream, applying [f] to every event in order. *)
+  (** Drain the stream, applying [f] to every decoded event in order. *)
 
   val program : t -> string
   val ndisks : t -> int

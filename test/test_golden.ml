@@ -19,7 +19,13 @@
    pins re-integration, the checker, the disk summaries, the Gantt
    lanes, both exports and the power meter bit-for-bit, the same way:
      dune runtest; cp _build/default/test/timeline_analyses.out \
-       test/golden/timeline_analyses.expected *)
+       test/golden/timeline_analyses.expected
+
+   The trace-layer golden (golden/trace_layer.expected) pins the rows,
+   tails and block spaces of every stream producer and open-loop merge,
+   and the replays of merged streams, bit-for-bit; regenerate with
+     dune runtest; cp _build/default/test/trace_layer.out \
+       test/golden/trace_layer.expected *)
 
 module Figures = Dpm_core.Figures
 
@@ -419,6 +425,174 @@ let test_timeline_analyses () =
   Alcotest.(check string) "timeline analyses match golden" (read_file path)
     rendered
 
+(* The trace layer -- the stream producers, the open-loop merge and the
+   replays of merged streams -- at full precision.  Inputs: the swim and
+   galgel traces of [Generate.run] at the suite cache, saved to temp
+   files, and three open-loop descriptors over the two files.  Each
+   stream line digests every row (think as %h, then the integer
+   columns) and prints the tail (%h) and the block-address space, at
+   batch 1, 7 and 4096, for [Stream.of_trace], [Stream.of_file],
+   [Generate.stream] and the merge over [of_file] and over [of_trace]
+   tenants.  Each replay line prints %h energy, %h execution time and
+   requests from [Run.exec_all] on a descriptor, for every queue
+   discipline with and without the fault spec of `make fault-check`,
+   and for FCFS also on the reference core and streamed.  Every run
+   writes the rendering to trace_layer.out next to the test binary. *)
+let trace_layer_rendered () =
+  let module Suite = Dpm_workloads.Suite in
+  let module Trace = Dpm_trace.Trace in
+  let module Stream = Trace.Stream in
+  let module Chunk = Stream.Chunk in
+  let module Openloop = Dpm_trace.Openloop in
+  let module Generate = Dpm_trace.Generate in
+  let module Run = Dpm_core.Run in
+  let module Scheme = Dpm_core.Scheme in
+  let module Sim = Dpm_sim in
+  let buf = Buffer.create 4096 in
+  let config =
+    { Generate.cost = Dpm_ir.Cost.default; cache_blocks = Suite.cache_blocks }
+  in
+  let programs =
+    List.map
+      (fun name ->
+        let p, plan = Dpm_core.Experiment.workload (Suite.find name) in
+        (name, p, plan))
+      [ "swim"; "galgel" ]
+  in
+  let traces =
+    List.map (fun (name, p, plan) -> (name, Generate.run ~config p plan)) programs
+  in
+  let files =
+    List.map
+      (fun (name, t) ->
+        let path = Filename.temp_file ("dpm_layer_" ^ name) ".trc" in
+        Trace.save t path;
+        (name, path))
+      traces
+  in
+  let descriptors =
+    [
+      "rate=0.05,jobs=4,zipf=0.5,seed=4";
+      "rate=0.05,jobs=8,zipf=0.5,seed=8";
+      "rate=0.1,jobs=3,zipf=0,seed=1";
+    ]
+  in
+  let load d =
+    match Openloop.of_string d with
+    | Ok (load, _) -> load
+    | Error m -> failwith m
+  in
+  let stream_line label s =
+    let rows = Buffer.create 65536 and n = ref 0 in
+    let rec drain () =
+      match Stream.next_soa s with
+      | None -> ()
+      | Some c ->
+          for i = 0 to Chunk.length c - 1 do
+            Printf.bprintf rows "%h %d %d %d %d %d %d\n" (Chunk.think c i)
+              (Chunk.tag c i) (Chunk.disk c i) (Chunk.block c i)
+              (Chunk.bytes c i) (Chunk.nest c i) (Chunk.iter c i);
+            incr n
+          done;
+          drain ()
+    in
+    drain ();
+    Printf.bprintf buf "%s rows=%d digest=%s tail=%h nblocks=%d\n" label !n
+      (Digest.to_hex (Digest.string (Buffer.contents rows)))
+      (Stream.tail_think s) (Stream.nblocks s)
+  in
+  let streams batch =
+    List.iter
+      (fun (name, t) ->
+        stream_line
+          (Printf.sprintf "of_trace %s batch=%d" name batch)
+          (Stream.of_trace ~batch t))
+      traces;
+    List.iter
+      (fun (name, path) ->
+        stream_line
+          (Printf.sprintf "of_file %s batch=%d" name batch)
+          (Stream.of_file ~batch path))
+      files;
+    List.iter
+      (fun (name, p, plan) ->
+        stream_line
+          (Printf.sprintf "generate %s batch=%d" name batch)
+          (Generate.stream ~config ~batch p plan))
+      programs;
+    List.iter
+      (fun d ->
+        let plan = Openloop.plan (load d) ~nsources:2 in
+        List.iter
+          (fun (kind, tenant) ->
+            stream_line
+              (Printf.sprintf "merge %s %s batch=%d" kind d batch)
+              (Openloop.merge ~batch
+                 (Array.to_list plan
+                 |> List.map (fun (start, k) -> (start, tenant k)))))
+          [
+            ("of_file", fun k -> Stream.of_file ~batch (snd (List.nth files k)));
+            ("of_trace", fun k -> Stream.of_trace ~batch (snd (List.nth traces k)));
+          ])
+      descriptors
+  in
+  let fault_spec =
+    match
+      Sim.Fault.of_string "seed=7,read=0.01,bad=0.005,spinfail=0.25,fail=0@30"
+    with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  let replays d =
+    let workload =
+      Run.Open_loop { load = load d; sources = List.map snd files }
+    in
+    let run label ?core ?stream ~sched ~faults () =
+      let spec =
+        Run.spec
+          ~schemes:Scheme.[ Base; Tpm; Drpm; Idrpm; Cmdrpm ]
+          ~sim:(Sim.Config.with_sched sched Sim.Config.default)
+          ~faults ?core ?stream workload
+      in
+      match Run.exec_all spec with
+      | Error e -> failwith (Run.error_message e)
+      | Ok results ->
+          List.iter
+            (fun (scheme, (r : Sim.Result.t)) ->
+              Printf.bprintf buf "replay %s %s %s energy=%h time=%h requests=%d\n"
+                d label (Scheme.name scheme) r.Sim.Result.energy
+                r.Sim.Result.exec_time (Sim.Result.requests r))
+            results
+    in
+    List.iter
+      (fun (fname, faults) ->
+        List.iter
+          (fun sched ->
+            run (Printf.sprintf "%s %s" (Sim.Sched.name sched) fname) ~sched
+              ~faults ())
+          Sim.Sched.all;
+        run ("fcfs core=reference " ^ fname) ~core:`Reference ~sched:Sim.Sched.Fcfs
+          ~faults ();
+        run ("fcfs stream " ^ fname) ~stream:true ~sched:Sim.Sched.Fcfs ~faults ())
+      [ ("no-faults", Sim.Fault.none); ("faults", fault_spec) ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, path) -> Sys.remove path) files)
+    (fun () ->
+      List.iter streams [ 1; 7; 4096 ];
+      List.iter replays descriptors;
+      Buffer.contents buf)
+
+let test_trace_layer () =
+  let rendered = trace_layer_rendered () in
+  Out_channel.with_open_bin "trace_layer.out" (fun oc ->
+      Out_channel.output_string oc rendered);
+  let path = Filename.concat "golden" "trace_layer.expected" in
+  if not (Sys.file_exists path) then
+    Alcotest.fail
+      (Printf.sprintf "missing golden file %s (run from test/ with dune)" path);
+  Alcotest.(check string) "trace layer matches golden" (read_file path) rendered
+
 let test_table2 () = check_golden "table2" (Figures.table2 ())
 let test_fig3 () = check_golden "fig3" (Figures.fig3 ())
 let test_fig4 () = check_golden "fig4" (Figures.fig4 ())
@@ -433,5 +607,6 @@ let suite =
         Alcotest.test_case "run_many" `Quick test_run_many;
         Alcotest.test_case "front half" `Slow test_front_half;
         Alcotest.test_case "timeline analyses" `Slow test_timeline_analyses;
+        Alcotest.test_case "trace layer" `Slow test_trace_layer;
       ] );
   ]

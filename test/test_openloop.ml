@@ -222,6 +222,78 @@ let qcheck_merge_preserves_order =
       check_merge ~tenants ~merged;
       true)
 
+(* A record-based reference merge: the earliest head arrival wins, ties
+   go to the lowest tenant index, each event's think becomes
+   [max 0 (arrival - last)], and the tail is the largest
+   [clock + tail_think - last] over the tenants at exhaustion. *)
+let reference_merge tenants =
+  let tenants = Array.of_list tenants in
+  let events = Array.map (fun (_, t) -> Trace.events t) tenants in
+  let idx = Array.make (Array.length tenants) 0 in
+  let clock = Array.map fst tenants in
+  let last = ref 0.0 and out = ref [] in
+  let arrival k = clock.(k) +. Request.think events.(k).(idx.(k)) in
+  let rec loop () =
+    let best = ref (-1) in
+    Array.iteri
+      (fun k evs ->
+        if idx.(k) < Array.length evs
+           && (!best < 0 || arrival k < arrival !best)
+        then best := k)
+      events;
+    if !best >= 0 then begin
+      let k = !best in
+      let at = arrival k in
+      let d = Float.max 0.0 (at -. !last) in
+      out :=
+        (match events.(k).(idx.(k)) with
+        | Request.Io io -> Request.Io { io with Request.think = d }
+        | Request.Pm p -> Request.Pm { p with think = d })
+        :: !out;
+      last := at;
+      clock.(k) <- at;
+      idx.(k) <- idx.(k) + 1;
+      loop ()
+    end
+  in
+  loop ();
+  let tail =
+    Array.fold_left Float.max 0.0
+      (Array.mapi
+         (fun k (_, t) -> clock.(k) +. Trace.tail_think t -. !last)
+         tenants)
+  in
+  (List.rev !out, tail)
+
+(* Bit-for-bit rendering: think times and the tail print with %h. *)
+let render (events, tail) =
+  List.map
+    (fun e ->
+      Printf.sprintf "%h %s" (Request.think e)
+        (Request.to_line
+           (match e with
+           | Request.Io io -> Request.Io { io with Request.think = 0.0 }
+           | Request.Pm p -> Request.Pm { p with think = 0.0 })))
+    events
+  @ [ Printf.sprintf "tail %h" tail ]
+
+let qcheck_merge_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      tup2 (int_range 1 64)
+        (list_size (int_range 2 6)
+           (pair (float_bound_inclusive 20.0) Gen.gen_trace)))
+  in
+  QCheck2.Test.make ~count:100
+    ~name:"openloop merge = record-based reference merge (rows and tail)" gen
+    (fun (batch, tenants) ->
+      let merged =
+        Openloop.merge ~batch
+          (List.map (fun (start, t) -> (start, Stream.of_trace ~batch t)) tenants)
+      in
+      let rows = drain merged in
+      render (rows, Stream.tail_think merged) = render (reference_merge tenants))
+
 (* --- end-to-end: batch size never changes the replayed numbers --- *)
 
 let test_replay_batch_identity () =
@@ -291,6 +363,7 @@ let suite =
           test_merge_ties_prefer_lowest_tenant;
         Alcotest.test_case "merge empty tenant" `Quick test_merge_empty_tenant;
         QCheck_alcotest.to_alcotest qcheck_merge_preserves_order;
+        QCheck_alcotest.to_alcotest qcheck_merge_matches_reference;
         Alcotest.test_case "replay batch identity" `Slow
           test_replay_batch_identity;
         Alcotest.test_case "open-loop spec JSON round-trip" `Quick

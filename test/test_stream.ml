@@ -184,6 +184,44 @@ let test_of_file_errors () =
       close_out oc)
     (expect_parse_error ~substring:"disk")
 
+(* Lines the simulator cannot replay fail in the reader, naming their
+   line, not inside a later replay. *)
+let test_of_file_rejects_unreplayable () =
+  let good = "io 0.1 1 5 8192 r 0 0" in
+  let file header lines path =
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (header ^ "\n");
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+  in
+  let two = "# program=p ndisks=2 tail=0.0" in
+  List.iter
+    (fun (header, lines, at) ->
+      with_temp_file (file header lines) (expect_parse_error ~substring:at))
+    [
+      (two, [ "io nan 0 0 8192 r 0 0"; good ], ":2:");
+      (two, [ good; "io inf 1 5 8192 r 0 0" ], ":3:");
+      (two, [ good; "io 0.1 1 5 -8192 r 0 0" ], ":3:");
+      (two, [ good; "io 0.1 0 -5 8192 r 0 0" ], ":3:");
+      (two, [ good; "io -0.1 0 5 8192 r 0 0" ], ":3:");
+      (two, [ good; "pm 0.1 down 7" ], ":3:");
+      (two, [ good; "pm 0.1 up -1" ], ":3:");
+      (two, [ good; "pm 0.1 rpm -3 0" ], ":3:");
+      (two, [ good; "pm 0.1 rpm 1 2" ], ":3:");
+      ("# program=p ndisks=1000000000 tail=0.0", [ good ], ":1:");
+      (Printf.sprintf "# program=p ndisks=%d tail=0.0" (Trace.max_disks + 1),
+       [ good ], ":1:");
+      ("# program=p ndisks=2 tail=nan", [ good ], ":1:");
+      ("# program=p ndisks=2 tail=-1.0", [ good ], ":1:");
+    ];
+  (* At the limit, and a level above the top (it clamps at replay). *)
+  with_temp_file
+    (file
+       (Printf.sprintf "# program=p ndisks=%d tail=0.0" Trace.max_disks)
+       [ good; "pm 0.1 rpm 99 1" ])
+    (fun path ->
+      Alcotest.(check int) "rows read" 2
+        (Trace.event_count (Trace.load path)))
+
 (* --- Engine equivalence: the core property --- *)
 
 let policies config ~ndisks =
@@ -383,6 +421,8 @@ let suite =
           test_generate_stream_matches_run;
         Alcotest.test_case "of_file round-trip" `Quick test_of_file_roundtrip;
         Alcotest.test_case "of_file errors" `Quick test_of_file_errors;
+        Alcotest.test_case "of_file rejects unreplayable lines" `Quick
+          test_of_file_rejects_unreplayable;
       ] );
     ( "stream.engine",
       [

@@ -590,6 +590,10 @@ let test_read_jsonl_rejects_hostile_lines () =
             (label ^ ": names line 2") true (contains m "line 2"))
     [
       ("negative disk", {|{"ev":"span","disk":-1,"state":"ready","level":0,"t0":0,"t1":1}|});
+      ( "disk id at Trace.max_disks",
+        Printf.sprintf
+          {|{"ev":"span","disk":%d,"state":"ready","level":0,"t0":0,"t1":1}|}
+          Dpm_trace.Trace.max_disks );
       ("level off the ladder", {|{"ev":"span","disk":0,"state":"ready","level":99,"t0":0,"t1":1}|});
       ("garbage", "not json {");
     ];

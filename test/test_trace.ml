@@ -97,6 +97,45 @@ let test_trace_rejects_bad_disk () =
     (Invalid_argument "Trace.make: request disk out of range") (fun () ->
       ignore (Trace.make ~program:"p" ~ndisks:2 sample_events))
 
+(* The row check [Trace.make] shares with the file reader: everything
+   the replay cannot price or index is refused up front. *)
+let test_trace_rejects_unreplayable () =
+  let rejects label why events =
+    Alcotest.check_raises label (Invalid_argument ("Trace.make: " ^ why))
+      (fun () -> ignore (Trace.make ~program:"p" ~ndisks:4 events))
+  in
+  let io ?(think = 0.0) ?(block = 0) ?(bytes = 512) () =
+    Request.Io
+      { think; disk = 0; block; bytes; kind = Request.Read; nest = 0; iter = 0 }
+  in
+  let pm directive = Request.Pm { think = 0.0; directive } in
+  rejects "directive on disk 4 of 4" "directive disk out of range"
+    [ pm (Request.Spin_down 4) ];
+  rejects "negative directive disk" "directive disk out of range"
+    [ pm (Request.Set_rpm { level = 0; disk = -1 }) ];
+  rejects "negative RPM level" "negative RPM level"
+    [ pm (Request.Set_rpm { level = -3; disk = 0 }) ];
+  rejects "NaN think" "think time not finite and >= 0" [ io ~think:Float.nan () ];
+  rejects "infinite think" "think time not finite and >= 0"
+    [ io ~think:Float.infinity () ];
+  rejects "negative think" "think time not finite and >= 0"
+    [ io ~think:(-0.1) () ];
+  rejects "negative block" "negative request block" [ io ~block:(-5) () ];
+  rejects "negative bytes" "negative request size" [ io ~bytes:(-8192) () ];
+  Alcotest.check_raises "negative tail"
+    (Invalid_argument "Trace.make: tail think time not finite and >= 0")
+    (fun () -> ignore (Trace.make ~tail_think:(-1.0) ~program:"p" ~ndisks:4 []));
+  Alcotest.check_raises "disk count above max_disks"
+    (Invalid_argument
+       (Printf.sprintf "Trace.make: disk count %d above Trace.max_disks (%d)"
+          (Trace.max_disks + 1) Trace.max_disks))
+    (fun () ->
+      ignore (Trace.make ~program:"p" ~ndisks:(Trace.max_disks + 1) []));
+  (* A level above a disk's top is replayable: it clamps at replay. *)
+  ignore
+    (Trace.make ~program:"p" ~ndisks:4
+       [ pm (Request.Set_rpm { level = 99; disk = 3 }); io () ])
+
 let test_trace_without_pm_preserves_think () =
   let t = Trace.make ~tail_think:0.25 ~program:"p" ~ndisks:8 sample_events in
   let t' = Trace.without_pm t in
@@ -291,6 +330,8 @@ let suite =
       [
         Alcotest.test_case "counters" `Quick test_trace_counters;
         Alcotest.test_case "bad disk" `Quick test_trace_rejects_bad_disk;
+        Alcotest.test_case "unreplayable rows" `Quick
+          test_trace_rejects_unreplayable;
         Alcotest.test_case "without_pm" `Quick test_trace_without_pm_preserves_think;
         Alcotest.test_case "save/load" `Quick test_trace_save_load;
       ] );
