@@ -1,6 +1,6 @@
 .PHONY: all build test check bench fault-check timeline-check report-check \
   metrics-check stream-check perf-check core-check sweep-check sched-check \
-  meter-check serve-check examples-check clean
+  meter-check serve-check examples-check ledger ledger-runs ledger-check clean
 
 all: build
 
@@ -64,7 +64,8 @@ timeline-check: build
 # a Chrome trace, validate both (schema fields, invariant verdicts,
 # balanced B/E events), and pin the report's schema outline against the
 # golden — values may drift, the shape may not.  Also snapshots the
-# benchmark harness's dpm-bench/1 JSON.
+# benchmark harness's dpm-bench/1 JSON, and requires the simulate and
+# report help pages to render without a cmdliner markup error.
 report-check: build
 	dune exec bin/dpmsim.exe -- report -b swim --faults "$(FAULT_SPEC)" \
 	  -o _build/report.json --md _build/report.md --trace _build/report_trace.json
@@ -72,6 +73,12 @@ report-check: build
 	  --trace _build/report_trace.json --schema > _build/report_schema.out
 	cmp _build/report_schema.out test/golden/report_schema.expected
 	dune exec bench/main.exe -- table1 --json _build/bench.json > /dev/null
+	set -e; for c in simulate report; do \
+	  if _build/default/bin/dpmsim.exe $$c --help=plain 2>&1 >/dev/null \
+	      | grep -q 'cmdliner error'; then \
+	    echo "dpmsim $$c --help=plain: cmdliner error"; exit 1; \
+	  fi; \
+	done
 
 # Collector smoke: which stages (with call counts), counters and
 # throughput lines --metrics prints for a fixed faulty run and for a
@@ -116,6 +123,31 @@ stream-check: build
 perf-check: build
 	dune exec bench/main.exe -- throughput --json _build/throughput.json \
 	  --baseline test/golden/bench_baseline.json
+
+# The per-layer ledger: perfbench's traced run (read-only; its output is
+# only parsed) of the two batch workloads, recorded as BENCH_<PR>.json —
+# each workload's final JSON line and its deterministic per-layer calls,
+# events and minor words.  `make ledger PR=<n>` writes the file a change
+# commits; `make ledger-check` reruns the traced workloads and fails if
+# a layer's call or event count differs from the newest committed
+# BENCH_*.json, or its words per event (per call for a layer with no
+# events) rose by more than 2%.  Times are printed, not gated.
+LEDGER_WORKLOADS = suite-grid trace-replay
+LEDGER_RUNS = $(foreach w,$(LEDGER_WORKLOADS),$(w)=_build/ledger_$(w).out)
+ledger-runs: build
+	set -e; for w in $(LEDGER_WORKLOADS); do \
+	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 1 \
+	    > _build/ledger_$$w.out; \
+	done
+
+ledger:
+	@test -n "$(PR)" || { echo "usage: make ledger PR=<number>" >&2; exit 2; }
+	$(MAKE) ledger-runs
+	_build/default/bench/ledger.exe write $(PR) $(LEDGER_RUNS) > _build/ledger.json
+	mv _build/ledger.json BENCH_$(PR).json
+
+ledger-check: ledger-runs
+	_build/default/bench/ledger.exe check . $(LEDGER_RUNS)
 
 # Replay-core differential on real traces: the six committed
 # compiler-inserted traces (perfbench/data, read-only; 1,344 directives

@@ -208,7 +208,7 @@ let faults_arg =
      bad-sector regions ($(b,bad)/$(b,badlen)), sticking spin-ups \
      ($(b,spinfail)) with bounded retry + exponential backoff \
      ($(b,retries)/$(b,backoff)), remap penalties ($(b,remap)) and \
-     whole-disk failures ($(b,fail=DISK\\@TIME)), all seeded by $(b,seed)."
+     whole-disk failures ($(b,fail=DISK@TIME)), all seeded by $(b,seed)."
   in
   Arg.(value & opt (some faults_conv) None & info [ "faults" ] ~doc ~docv:"SPEC")
 

@@ -1,9 +1,9 @@
 let standby (s : Specs.t) = s.p_standby
 
-let speed_fraction (s : Specs.t) ~level =
+let[@inline] speed_fraction (s : Specs.t) ~level =
   float_of_int (Rpm.rpm_of_level s level) /. float_of_int s.rpm_max
 
-let idle (s : Specs.t) ~level =
+let[@inline] idle (s : Specs.t) ~level =
   let frac = speed_fraction s ~level in
   s.p_standby +. ((s.p_idle -. s.p_standby) *. (frac ** s.spindle_exponent))
 
@@ -45,53 +45,88 @@ let stay_plan (s : Specs.t) gap =
     up_time = 0.0;
   }
 
-let best_gap_plan (s : Specs.t) ~from_level ~to_level gap =
-  let gap = max 0.0 gap in
-  let hold_fallback = max from_level to_level in
-  let plan_for level =
-    let down_time =
-      Rpm.transition_time s ~from_level ~to_level:level
-    in
-    let up_time = Rpm.transition_time s ~from_level:level ~to_level in
-    if down_time +. up_time > gap then None
-    else
-      Some
-        {
-          level;
-          spin_down = false;
-          energy =
-            Rpm.transition_energy s ~from_level ~to_level:level
-            +. Rpm.transition_energy s ~from_level:level ~to_level
-            +. (idle s ~level *. (gap -. down_time -. up_time));
-          down_time;
-          up_time;
-        }
-  in
-  let fallback =
-    (* Not even holding an endpoint level fits: hold the higher endpoint
-       and charge the direct modulation on top. *)
-    {
-      level = hold_fallback;
-      spin_down = false;
-      energy =
-        (idle s ~level:hold_fallback *. gap)
-        +. Rpm.transition_energy s ~from_level ~to_level;
-      down_time = 0.0;
-      up_time = Rpm.transition_time s ~from_level ~to_level;
-    }
-  in
-  let best = ref fallback in
-  let have_feasible = ref false in
-  for level = 0 to Rpm.max_level s do
-    match plan_for level with
-    | None -> ()
-    | Some plan ->
-        if (not !have_feasible) || plan.energy < !best.energy then begin
-          best := plan;
-          have_feasible := true
-        end
+(* What the gap selection reads of a disk model, per level: the RPM
+   (transition times are |rpm difference| x the per-RPM time) and the
+   idle power (a transition draws the faster end's idle power, exactly
+   as [Rpm.transition_energy] computes it). *)
+type gap_model = { rpm : int array; idle_power : float array; per_rpm : float }
+
+let gap_model (s : Specs.t) =
+  let n = Rpm.num_levels s in
+  let rpm = Array.make n 0 and idle_power = Array.make n 0.0 in
+  for level = 0 to n - 1 do
+    rpm.(level) <- Rpm.rpm_of_level s level;
+    idle_power.(level) <- idle s ~level
+  done;
+  { rpm; idle_power; per_rpm = s.rpm_transition_per_rpm }
+
+let transition_time m a b =
+  float_of_int (abs (m.rpm.(a) - m.rpm.(b))) *. m.per_rpm
+
+(* Energy of holding [level] for the gap, both modulations included:
+   [down] and [up] are the two transition times, so each transition's
+   energy is its faster end's idle power times its time. *)
+let level_energy m ~from_level ~to_level gap level ~down ~up =
+  (m.idle_power.(max from_level level) *. down)
+  +. (m.idle_power.(max level to_level) *. up)
+  +. (m.idle_power.(level) *. (gap -. down -. up))
+
+(* The one selection: the first level whose modulations fit inside the
+   gap with strictly least energy, or -1 when none fits. *)
+let select m ~from_level ~to_level gap =
+  let best = ref (-1) and best_energy = ref 0.0 in
+  for level = 0 to Array.length m.rpm - 1 do
+    let down = transition_time m from_level level
+    and up = transition_time m level to_level in
+    if not (down +. up > gap) then begin
+      let e = level_energy m ~from_level ~to_level gap level ~down ~up in
+      if !best < 0 || e < !best_energy then begin
+        best := level;
+        best_energy := e
+      end
+    end
   done;
   !best
+
+(* Not even holding an endpoint level fits: hold the higher endpoint and
+   charge the direct modulation on top. *)
+let fallback_energy m ~from_level ~to_level gap =
+  let faster = m.idle_power.(max from_level to_level) in
+  (faster *. gap) +. (faster *. transition_time m from_level to_level)
+
+let gap_energy m ~from_level ~to_level gap =
+  let gap = max 0.0 gap in
+  match select m ~from_level ~to_level gap with
+  | -1 -> fallback_energy m ~from_level ~to_level gap
+  | level ->
+      level_energy m ~from_level ~to_level gap level
+        ~down:(transition_time m from_level level)
+        ~up:(transition_time m level to_level)
+
+let gap_plan m ~from_level ~to_level gap =
+  let gap = max 0.0 gap in
+  match select m ~from_level ~to_level gap with
+  | -1 ->
+      {
+        level = max from_level to_level;
+        spin_down = false;
+        energy = fallback_energy m ~from_level ~to_level gap;
+        down_time = 0.0;
+        up_time = transition_time m from_level to_level;
+      }
+  | level ->
+      let down = transition_time m from_level level
+      and up = transition_time m level to_level in
+      {
+        level;
+        spin_down = false;
+        energy = level_energy m ~from_level ~to_level gap level ~down ~up;
+        down_time = down;
+        up_time = up;
+      }
+
+let best_gap_plan s ~from_level ~to_level gap =
+  gap_plan (gap_model s) ~from_level ~to_level gap
 
 let best_drpm_plan (s : Specs.t) gap =
   let top = Rpm.max_level s in

@@ -55,7 +55,36 @@ val best_gap_plan :
     at): minimizes transition plus residency energy subject to both
     modulations fitting inside the gap.  When no intermediate level fits,
     the plan holds the higher of the two endpoint levels and charges the
-    direct transition. *)
+    direct transition.  One call builds the model's per-level quantities
+    ({!gap_model}, O(levels)) and runs the selection once, so a caller
+    deciding one gap at a time pays for one gap.  Raises
+    [Invalid_argument] for a level outside the model's ladder. *)
+
+(** {2 The gap selection, per disk model}
+
+    {!best_gap_plan} is a selection over a few per-level quantities of
+    the disk model.  A caller pricing many gaps on one model (the IDRPM
+    oracle's dynamic program) builds those quantities once with
+    {!gap_model} and runs the same selection through {!gap_plan} or
+    {!gap_energy}. *)
+
+type gap_model
+(** Per level: the RPM and the idle power ([**] evaluated once). *)
+
+val gap_model : Specs.t -> gap_model
+
+val gap_plan :
+  gap_model -> from_level:int -> to_level:int -> float -> gap_plan
+(** [gap_plan (gap_model specs)] is [best_gap_plan specs], bit for bit:
+    the first level whose two modulations fit inside [max 0 gap] with
+    strictly least energy
+    [(E(from, l) + E(l, to)) + P_idle(l) * ((gap - t(from, l)) - t(l, to))],
+    or, when none fits, the higher endpoint held for the whole gap at
+    [P_idle * gap + E(from, to)]. *)
+
+val gap_energy :
+  gap_model -> from_level:int -> to_level:int -> float -> float
+(** [(gap_plan m ~from_level ~to_level gap).energy], without allocating. *)
 
 val best_drpm_plan : Specs.t -> float -> gap_plan
 (** [best_drpm_plan specs gap] is {!best_gap_plan} anchored at full speed

@@ -14,6 +14,10 @@ let scale k e = Mul (k, e)
 let min_ a b = Min (a, b)
 let max_ a b = Max (a, b)
 
+(* Floor division by a positive constant, also correct for negative
+   numerators: the one copy [eval], [lower] and [bounds] share. *)
+let floor_div n k = if n >= 0 then n / k else -(((-n) + k - 1) / k)
+
 let rec eval env e =
   match e with
   | Const n -> n
@@ -25,9 +29,7 @@ let rec eval env e =
   | Mul (k, a) -> k * eval env a
   | Div (a, k) ->
       if k <= 0 then invalid_arg "Expr.eval: division by non-positive constant";
-      (* Floor division, also correct for negative numerators. *)
-      let n = eval env a in
-      if n >= 0 then n / k else -(((-n) + k - 1) / k)
+      floor_div (eval env a) k
   | Min (a, b) -> min (eval env a) (eval env b)
   | Max (a, b) -> max (eval env a) (eval env b)
 
@@ -46,9 +48,8 @@ let rec bounds range e =
       if k >= 0 then (k * la, k * ha) else (k * ha, k * la)
   | Div (a, k) ->
       if k <= 0 then invalid_arg "Expr.bounds: division by non-positive constant";
-      let fdiv n = if n >= 0 then n / k else -(((-n) + k - 1) / k) in
       let la, ha = bounds range a in
-      (fdiv la, fdiv ha)
+      (floor_div la k, floor_div ha k)
   | Min (a, b) ->
       let la, ha = bounds range a and lb, hb = bounds range b in
       (min la lb, min ha hb)
@@ -64,6 +65,84 @@ let vars e =
     | Mul (_, a) | Div (a, _) -> go acc a
   in
   List.sort_uniq compare (go [] e)
+
+(* [Add]/[Sub]/[Mul] subtrees as [(slot, coefficient)] terms plus a
+   constant, like terms merged and zeros dropped.  Integer arithmetic
+   wraps, so the regrouping is exact. *)
+let rec affine slot e =
+  let merge sign a b =
+    match (affine slot a, affine slot b) with
+    | Some (ta, ca), Some (tb, cb) ->
+        let terms =
+          List.fold_left
+            (fun acc (i, c) ->
+              match List.assoc_opt i acc with
+              | Some c0 -> (i, c0 + (sign * c)) :: List.remove_assoc i acc
+              | None -> (i, sign * c) :: acc)
+            ta tb
+        in
+        Some (List.filter (fun (_, c) -> c <> 0) terms, ca + (sign * cb))
+    | _ -> None
+  in
+  match e with
+  | Const n -> Some ([], n)
+  | Var x -> Some ([ (slot x, 1) ], 0)
+  | Add (a, b) -> merge 1 a b
+  | Sub (a, b) -> merge (-1) a b
+  | Mul (k, a) ->
+      Option.map
+        (fun (terms, c) ->
+          (List.filter_map
+             (fun (i, c) -> if k * c = 0 then None else Some (i, k * c))
+             terms, k * c))
+        (affine slot a)
+  | Div _ | Min _ | Max _ -> None
+
+let rec compile slot e : int array -> int =
+  match affine slot e with
+  | Some ([], c) -> fun _ -> c
+  | Some ([ (i, 1) ], 0) -> fun s -> s.(i)
+  | Some ([ (i, a) ], c) -> fun s -> (a * s.(i)) + c
+  | Some ([ (i, a); (j, b) ], c) -> fun s -> (a * s.(i)) + (b * s.(j)) + c
+  | Some ([ (i, a); (j, b); (k, d) ], c) ->
+      fun s -> (a * s.(i)) + (b * s.(j)) + (d * s.(k)) + c
+  | Some (terms, c) ->
+      let slots = Array.of_list (List.map fst terms)
+      and coeffs = Array.of_list (List.map snd terms) in
+      fun s ->
+        let acc = ref c in
+        for t = 0 to Array.length slots - 1 do
+          acc := !acc + (coeffs.(t) * s.(slots.(t)))
+        done;
+        !acc
+  | None -> (
+      match e with
+      | Add (a, b) ->
+          let a = compile slot a and b = compile slot b in
+          fun s -> a s + b s
+      | Sub (a, b) ->
+          let a = compile slot a and b = compile slot b in
+          fun s -> a s - b s
+      | Mul (k, a) ->
+          let a = compile slot a in
+          fun s -> k * a s
+      | Div (_, k) when k <= 0 ->
+          fun _ -> invalid_arg "Expr.eval: division by non-positive constant"
+      | Div (a, k) ->
+          let a = compile slot a in
+          fun s -> floor_div (a s) k
+      | Min (a, b) ->
+          let a = compile slot a and b = compile slot b in
+          fun s -> Int.min (a s) (b s)
+      | Max (a, b) ->
+          let a = compile slot a and b = compile slot b in
+          fun s -> Int.max (a s) (b s)
+      | Const _ | Var _ -> assert false)
+
+let lower ~slot e =
+  match List.iter (fun x -> ignore (slot x : int)) (vars e) with
+  | () -> compile slot e
+  | exception _ -> fun s -> eval (fun x -> s.(slot x)) e
 
 let rec subst x by e =
   match e with

@@ -30,6 +30,17 @@ val eval : (string -> int) -> t -> int
     iterators, which {!eval} converts into [Invalid_argument] carrying the
     iterator name. *)
 
+val lower : slot:(string -> int) -> t -> int array -> int
+(** [lower ~slot e] compiles [e] once into an evaluator over an array of
+    iterator values, where [slot x] is the index holding iterator [x]:
+    for every [s], [lower ~slot e s] is [eval (fun x -> s.(slot x)) e],
+    exceptions included, with the same floor division.  When [slot]
+    resolves every iterator of [e], the evaluator allocates nothing
+    ([Add]/[Sub]/[Mul] subtrees fold to coefficients over slots, which
+    is exact under wrapping integer arithmetic); when it raises for one,
+    the evaluator defers to {!eval}, so the error surfaces at
+    evaluation, in [eval]'s order. *)
+
 val bounds : (string -> int * int) -> t -> int * int
 (** [bounds range e] returns a sound enclosing interval of [e] given
     inclusive ranges for each iterator (interval arithmetic; exact for

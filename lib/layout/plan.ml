@@ -44,10 +44,13 @@ let uniform ?(order = Row_major) ?(striping = Striping.default) ~ndisks
 
 let ndisks t = t.ndisks
 
-let placed t name =
-  match List.assoc_opt name t.table with
-  | Some p -> p
-  | None -> raise Not_found
+(* [String.equal], not [List.assoc]'s polymorphic compare, and no
+   closure: the trace generator looks arrays up on every miss. *)
+let rec find_placed name = function
+  | [] -> raise Not_found
+  | (n, p) :: rest -> if String.equal n name then p else find_placed name rest
+
+let placed t name = find_placed name t.table
 
 let entry t name = (placed t name).entry
 let entries t = List.map (fun (_, p) -> p.entry) t.table
@@ -73,22 +76,54 @@ let storage_view (e : entry) idx =
   | Row_major -> (dims, idx)
   | Col_major -> (List.rev dims, List.rev idx)
 
-let element_offset t name idx =
-  let e = entry t name in
-  let dims, idx = storage_view e idx in
-  if List.length idx <> List.length dims then
-    invalid_arg ("Plan.element_offset: wrong rank for " ^ name);
-  List.iter2
-    (fun i d ->
-      if i < 0 || i >= d then
-        invalid_arg ("Plan.element_offset: index out of range for " ^ name))
-    idx dims;
-  let linear = List.fold_left2 (fun acc i d -> (acc * d) + i) 0 idx dims in
-  linear * e.decl.Dpm_ir.Array_decl.elem_size
+(* The element rule, resolved once per array: extents in subscript
+   order, whether storage runs them backwards (column-major), and the
+   sizes that turn a linear index into a byte offset and a unit. *)
+type element = {
+  name : string;
+  dims : int array;
+  col_major : bool;
+  elem_size : int;
+  stripe_size : int;
+  base : int;
+}
+
+let element t name =
+  let { entry = e; base_block } = placed t name in
+  {
+    name;
+    dims = Array.of_list e.decl.Dpm_ir.Array_decl.dims;
+    col_major = e.order = Col_major;
+    elem_size = e.decl.Dpm_ir.Array_decl.elem_size;
+    stripe_size = e.striping.Striping.stripe_size;
+    base = base_block;
+  }
+
+(* Byte offset of the element at [idx] (subscript order) within its
+   file: bounds-checked, linearized in storage order. *)
+let offset_of el idx =
+  let rank = Array.length el.dims in
+  if Array.length idx <> rank then
+    invalid_arg ("Plan.element_offset: wrong rank for " ^ el.name);
+  let linear = ref 0 in
+  for k = 0 to rank - 1 do
+    let d = if el.col_major then rank - 1 - k else k in
+    let i = idx.(d) and extent = el.dims.(d) in
+    if i < 0 || i >= extent then
+      invalid_arg ("Plan.element_offset: index out of range for " ^ el.name);
+    linear := (!linear * extent) + i
+  done;
+  !linear * el.elem_size
+
+let element_offset t name idx = offset_of (element t name) (Array.of_list idx)
+
+(* The offset is never negative once the bounds check passed. *)
+let element_block t name =
+  let el = element t name in
+  fun idx -> el.base + (offset_of el idx / el.stripe_size)
 
 let element_unit t name idx =
-  let e = entry t name in
-  Striping.unit_of_offset e.striping (element_offset t name idx)
+  element_block t name (Array.of_list idx) - (placed t name).base_block
 
 let unit_disk t name u =
   let e = entry t name in
@@ -102,6 +137,11 @@ let unit_bytes t name u =
   min ss (Dpm_ir.Array_decl.size_bytes e.decl - (u * ss))
 
 let unit_global_block t name u = (placed t name).base_block + u
+
+let blocks t =
+  List.fold_left
+    (fun acc (_, p) -> max acc (p.base_block + unit_count_of_entry p.entry))
+    0 t.table
 
 (* --- Region queries --- *)
 

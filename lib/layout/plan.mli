@@ -36,10 +36,22 @@ val set_order : t -> string -> order -> t
 
 val element_offset : t -> string -> int list -> int
 (** Byte offset of an element within its array's file, honouring the
-    entry's storage order. *)
+    entry's storage order.  Raises [Not_found] for an array absent from
+    the plan, and [Invalid_argument] for an index vector of the wrong
+    rank or with an index out of range. *)
+
+val element_block : t -> string -> int array -> int
+(** The one element rule.  [element_block t name] resolves the array
+    once (raising [Not_found] if the plan lacks it) and returns the map
+    from an index vector, in subscript order, to the global block of the
+    stripe unit holding that element: storage order, the bounds check
+    (raising as {!element_offset} does), linearization, the stripe unit
+    and the array's base block.  The returned function allocates
+    nothing; the loop-nest walk resolves each reference through it. *)
 
 val element_unit : t -> string -> int list -> int
-(** Stripe unit (= cache block) the element falls in. *)
+(** Stripe unit (= cache block) the element falls in: {!element_block}
+    less the array's base block. *)
 
 val unit_disk : t -> string -> int -> int
 (** Disk holding a stripe unit of the given array. *)
@@ -55,6 +67,9 @@ val unit_bytes : t -> string -> int -> int
 val unit_global_block : t -> string -> int -> int
 (** Globally unique block number for a stripe unit (file base + unit);
     this is the trace's "start block number" space. *)
+
+val blocks : t -> int
+(** Size of that space: every global block lies in [\[0, blocks t)]. *)
 
 val region_disks : t -> string -> (int * int) list -> int list
 (** Disks touched by a rectangular element region (inclusive per-dimension

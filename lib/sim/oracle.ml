@@ -28,53 +28,52 @@ let bursts_of_busy busy =
   in
   match busy with [] -> [] | _ -> go [] [] busy
 
-(* Service time of a request at [level], given its full-speed time: seek
-   is speed-independent, rotation and transfer scale with 1/RPM. *)
-let service_at (specs : Specs.t) ~level s_top =
-  let scale =
-    float_of_int specs.Specs.rpm_max
-    /. float_of_int (Rpm.rpm_of_level specs level)
-  in
-  specs.Specs.avg_seek +. ((s_top -. specs.Specs.avg_seek) *. scale)
-
-(* Total service time of a burst at a level, and whether the level keeps
-   the burst work-conserving on average: the total demand must fit the
-   burst's span (plus a little of the following gap for the tail) —
-   intra-burst jitter is absorbed by the disk queue, so the constraint is
-   on throughput, not on each request's own slack. *)
-let burst_demand (specs : Specs.t) requests ~level =
-  List.fold_left
-    (fun acc (a, b) -> acc +. service_at specs ~level (b -. a))
-    0.0 requests
-
-let burst_energy (specs : Specs.t) requests ~level ~span =
-  let service = burst_demand specs requests ~level in
-  (Power.active specs ~level *. service)
-  +. (Power.idle specs ~level *. max 0.0 (span -. service))
-
 (* The oracle's schedule is the exact optimum of a dynamic program over
    (phase, level): bursts hold one level for their whole extent (a disk
    cannot modulate mid-stream), gaps may dip to any intermediate level
    whose modulations fit.  The all-top path is always feasible, so the
-   oracle never loses to Base. *)
+   oracle never loses to Base.  The disk model is tabulated once per
+   disk: per-level powers and service-time scales, and the gap
+   selection's {!Power.gap_model}. *)
 let phases ?(config = Config.default) (base : Result.t) ~disk =
   let specs = Config.model config ~disk in
   let top = Rpm.max_level specs in
   let nlevels = Rpm.num_levels specs in
+  let model = Power.gap_model specs in
+  let active = Array.init nlevels (fun level -> Power.active specs ~level)
+  and idle = Array.init nlevels (fun level -> Power.idle specs ~level) in
+  (* Service time of a request at a level, given its full-speed time:
+     seek is speed-independent, rotation and transfer scale with
+     1/RPM. *)
+  let scale =
+    Array.init nlevels (fun level ->
+        float_of_int specs.Specs.rpm_max
+        /. float_of_int (Rpm.rpm_of_level specs level))
+  in
+  let seek = specs.Specs.avg_seek in
+  (* Total service time of a burst at a level.  A level keeps the burst
+     work-conserving on average when this demand fits the burst's span
+     (plus a little of the following gap for the tail) — intra-burst
+     jitter is absorbed by the disk queue, so the constraint is on
+     throughput, not on each request's own slack. *)
+  let demand requests level =
+    List.fold_left
+      (fun acc (a, b) -> acc +. (seek +. ((b -. a -. seek) *. scale.(level))))
+      0.0 requests
+  in
   let busy = base.Result.disks.(disk).Result.busy in
   let exec = base.Result.exec_time in
-  let bursts = bursts_of_busy busy in
+  let bursts = Array.of_list (bursts_of_busy busy) in
   (* Phase skeletons covering [0, exec]. *)
   let skeleton = ref [] in
   let cursor = ref 0.0 in
-  List.iteri
+  Array.iteri
     (fun i requests ->
       let first = fst (List.hd requests) in
-      let last = snd (List.nth requests (List.length requests - 1)) in
+      let last = snd (List.hd (List.rev requests)) in
       let next_start =
-        match List.nth_opt bursts (i + 1) with
-        | Some next -> fst (List.hd next)
-        | None -> exec
+        if i + 1 < Array.length bursts then fst (List.hd bursts.(i + 1))
+        else exec
       in
       if first > !cursor then skeleton := `Gap (!cursor, first) :: !skeleton;
       skeleton := `Burst (requests, first, last, 0.25 *. (next_start -. last)) :: !skeleton;
@@ -82,36 +81,37 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
     bursts;
   if exec > !cursor then skeleton := `Gap (!cursor, exec) :: !skeleton;
   let skeleton = List.rev !skeleton in
-  (* DP forward pass.  dp.(l) = (cost, backpointer list of choices). *)
+  (* DP forward pass.  dp.(l) = cheapest cost of ending the phases so
+     far at level l. *)
   let inf = infinity in
   let dp = Array.make nlevels inf in
   dp.(top) <- 0.0;
-  (* Per phase, remember for each exit level the (entry level, choice). *)
+  (* Per phase, remember each burst's service per level (computed once
+     per reachable level; NaN elsewhere) and, for each gap's exit level,
+     its entry level. *)
   let trace_back = ref [] in
   List.iter
     (fun phase ->
       match phase with
       | `Burst (requests, first, last, tail_slack) ->
           let span = last -. first in
-          let choices = Array.make nlevels (-1) in
+          let service = Array.make nlevels Float.nan in
           let dp' = Array.make nlevels inf in
           for l = 0 to nlevels - 1 do
             if dp.(l) < inf then begin
-              let feasible =
-                l = top
-                || burst_demand specs requests ~level:l <= span +. tail_slack
-              in
-              if feasible then begin
-                let e = dp.(l) +. burst_energy specs requests ~level:l ~span in
-                if e < dp'.(l) then begin
-                  dp'.(l) <- e;
-                  choices.(l) <- l
-                end
+              let s = demand requests l in
+              service.(l) <- s;
+              if l = top || s <= span +. tail_slack then begin
+                let e =
+                  dp.(l)
+                  +. ((active.(l) *. s) +. (idle.(l) *. max 0.0 (span -. s)))
+                in
+                if e < dp'.(l) then dp'.(l) <- e
               end
             end
           done;
           Array.blit dp' 0 dp 0 nlevels;
-          trace_back := `Burst_choice choices :: !trace_back
+          trace_back := `Burst_choice (requests, service) :: !trace_back
       | `Gap (lo, hi) ->
           let gap = hi -. lo in
           let dp' = Array.make nlevels inf in
@@ -119,10 +119,10 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
           for from_level = 0 to nlevels - 1 do
             if dp.(from_level) < inf then
               for to_level = 0 to nlevels - 1 do
-                let plan =
-                  Power.best_gap_plan specs ~from_level ~to_level gap
+                let e =
+                  dp.(from_level)
+                  +. Power.gap_energy model ~from_level ~to_level gap
                 in
-                let e = dp.(from_level) +. plan.Power.energy in
                 if e < dp'.(to_level) then begin
                   dp'.(to_level) <- e;
                   from_of.(to_level) <- from_level
@@ -140,9 +140,12 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
   List.iter
     (fun step ->
       match step with
-      | `Burst_choice choices ->
-          ignore choices;
-          result := `Burst_at !level :: !result
+      | `Burst_choice (requests, service) ->
+          let l = !level in
+          let service =
+            if Float.is_nan service.(l) then demand requests l else service.(l)
+          in
+          result := `Burst_at (l, service) :: !result
       | `Gap_choice (lo, hi, from_of) ->
           let from_level = if from_of.(!level) < 0 then top else from_of.(!level) in
           result := `Gap_at (lo, hi, from_level, !level) :: !result;
@@ -154,22 +157,16 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
   let rec emit skel recon =
     match (skel, recon) with
     | [], [] -> []
-    | `Burst (requests, first, last, _) :: skel', `Burst_at l :: recon' ->
-        Burst
-          {
-            span = (first, last);
-            level = l;
-            service = burst_demand specs requests ~level:l;
-          }
-        :: emit skel' recon'
+    | `Burst (_, first, last, _) :: skel', `Burst_at (level, service) :: recon'
+      ->
+        Burst { span = (first, last); level; service } :: emit skel' recon'
     | `Gap (lo, hi) :: skel', `Gap_at (_, _, from_level, to_level) :: recon' ->
         Gap
           {
             span = (lo, hi);
             from_level;
             to_level;
-            plan =
-              Power.best_gap_plan specs ~from_level ~to_level (hi -. lo);
+            plan = Power.gap_plan model ~from_level ~to_level (hi -. lo);
           }
         :: emit skel' recon'
     | _ -> invalid_arg "Oracle.phases: reconstruction mismatch"
@@ -329,27 +326,31 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
         let spin_downs = ref 0 in
         let standby_time = ref 0.0 in
         let trans_time = ref 0.0 in
-        (* Collect the disk's events, then emit them chronologically:
-           the pre-activation scan over the log is order-sensitive (a
-           spin-up must precede the service that claims its wake-up). *)
+        (* With a sink, collect the disk's events, then emit them
+           chronologically: the pre-activation scan over the log is
+           order-sensitive (a spin-up must precede the service that
+           claims its wake-up).  Without one, build none. *)
+        let recording = Option.is_some timeline in
         let pending = ref [] in
         let record ev = pending := ev :: !pending in
         let record_span state t0 t1 =
-          if t1 > t0 then record (Timeline.Span { disk = disk_id; state; t0; t1 })
+          if recording && t1 > t0 then
+            record (Timeline.Span { disk = disk_id; state; t0; t1 })
         in
-        List.iter
-          (fun (a, b) ->
-            record
-              (Timeline.Service
-                 {
-                   disk = disk_id;
-                   level = top;
-                   arrival = a;
-                   t0 = a;
-                   t1 = b;
-                   bytes = 0;
-                 }))
-          d.Result.busy;
+        if recording then
+          List.iter
+            (fun (a, b) ->
+              record
+                (Timeline.Service
+                   {
+                     disk = disk_id;
+                     level = top;
+                     arrival = a;
+                     t0 = a;
+                     t1 = b;
+                     bytes = 0;
+                   }))
+            d.Result.busy;
         List.iter
           (fun (lo, hi) ->
             let plan = Power.best_tpm_plan specs (hi -. lo) in
@@ -357,19 +358,20 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
               "oracle.idle_gap.predicted_s" (hi -. lo);
             gap_energy := !gap_energy +. plan.Power.energy;
             let inner = hi -. lo -. plan.Power.down_time -. plan.Power.up_time in
-            record
-              (Timeline.Mark
-                 {
-                   disk = disk_id;
-                   t = lo;
-                   mark =
-                     Timeline.Gap_decision
-                       {
-                         predicted = hi -. lo;
-                         level = top;
-                         spin_down = plan.Power.spin_down;
-                       };
-                 });
+            if recording then
+              record
+                (Timeline.Mark
+                   {
+                     disk = disk_id;
+                     t = lo;
+                     mark =
+                       Timeline.Gap_decision
+                         {
+                           predicted = hi -. lo;
+                           level = top;
+                           spin_down = plan.Power.spin_down;
+                         };
+                   });
             if plan.Power.spin_down then begin
               incr spin_downs;
               standby_time := !standby_time +. inner;

@@ -19,7 +19,19 @@
     previous callback; {!run} returns those accrued after the last one.
     Consumers convert to seconds where they need to, so sums stay exact.
     The trace generator, the reuse-aware access analysis and the timing
-    profile are folds over this walk. *)
+    profile are folds over this walk.
+
+    Each {!run} lowers the program once into an integer kernel and
+    executes that: iterators live in int slots, subscripts are
+    {!Dpm_ir.Expr.lower} evaluators, each reference maps its element to
+    a global block through {!Dpm_layout.Plan.element_block}, each
+    statement's cycles are counted once, and the cache is a
+    {!Dpm_cache.Lru} over the plan's global blocks.  Executing the
+    kernel allocates nothing per statement instance.  Iterators bind as
+    in {!Dpm_ir.Enumerate}: a loop binds its iterator on entry and
+    unbinds it on exit, even when it shadowed an outer one, so a later
+    read of that name raises
+    [Invalid_argument "Enumerate: unbound iterator <name>"]. *)
 
 type item = {
   var : string;  (** Outermost iterator; ["<item>"] for non-loops. *)
@@ -49,5 +61,9 @@ val run :
   Dpm_layout.Plan.t ->
   int
 (** Walks the program once with a fresh cache of [cache_blocks] stripe
-    units (0 disables caching).  Raises [Not_found] if the program
-    references arrays missing from the plan. *)
+    units (0 disables caching); the cache takes two words per global
+    block of the plan ({!Dpm_layout.Plan.blocks}).  Errors surface when the offending
+    reference executes, after every callback before it: [Not_found] for
+    an array missing from the plan, the plan's [Invalid_argument] for an
+    index out of range, and the unbound-iterator error above; a
+    reference that never executes raises nothing. *)

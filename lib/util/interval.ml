@@ -6,9 +6,18 @@ let empty = []
 let is_empty s = s = []
 let to_list s = s
 
+let rec is_sorted = function
+  | (a, _) :: ((b, _) :: _ as rest) -> compare a b <= 0 && is_sorted rest
+  | [ _ ] | [] -> true
+
 let normalize pairs =
   let pairs = List.filter (fun (lo, hi) -> hi > lo) pairs in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
+  (* The sort is stable, so an already sorted list (the usual input: a
+     replay's busy intervals) is its own result. *)
+  let sorted =
+    if is_sorted pairs then pairs
+    else List.sort (fun (a, _) (b, _) -> compare a b) pairs
+  in
   (* Merge overlapping or touching intervals. *)
   let rec merge = function
     | [] -> []
@@ -35,6 +44,9 @@ let inter a b =
   in
   go a b []
 
+(* One pass: [s] is sorted and disjoint with non-empty members, so the
+   gaps come out sorted, non-empty and separated by [s]'s members —
+   already normal. *)
 let complement ~lo ~hi s =
   let rec go cursor = function
     | [] -> singleton cursor hi
@@ -42,7 +54,7 @@ let complement ~lo ~hi s =
         let before = singleton cursor (min l hi) in
         before @ go (max cursor h) rest
   in
-  normalize (go lo s)
+  go lo s
 
 let measure s = List.fold_left (fun a (lo, hi) -> a +. (hi -. lo)) 0.0 s
 let count = List.length

@@ -2,21 +2,23 @@
 
 module Lru = Dpm_cache.Lru
 
+(* Keys are dense block numbers; a = 0, b = 1, c = 2. *)
 let test_hit_miss_basic () =
-  let c = Lru.create ~capacity:2 in
-  (match Lru.access c "a" with `Miss None -> () | _ -> Alcotest.fail "cold a");
-  (match Lru.access c "a" with `Hit -> () | _ -> Alcotest.fail "hit a");
-  (match Lru.access c "b" with `Miss None -> () | _ -> Alcotest.fail "cold b");
+  let a = 0 and b = 1 and c' = 2 in
+  let c = Lru.create ~capacity:2 ~keys:3 in
+  (match Lru.access c a with `Miss None -> () | _ -> Alcotest.fail "cold a");
+  (match Lru.access c a with `Hit -> () | _ -> Alcotest.fail "hit a");
+  (match Lru.access c b with `Miss None -> () | _ -> Alcotest.fail "cold b");
   (* Cache full: c evicts the least recently used, which is a. *)
-  (match Lru.access c "c" with
-  | `Miss (Some "a") -> ()
+  (match Lru.access c c' with
+  | `Miss (Some 0) -> ()
   | _ -> Alcotest.fail "evict a");
-  match Lru.access c "a" with
-  | `Miss (Some "b") -> ()
+  match Lru.access c a with
+  | `Miss (Some 1) -> ()
   | _ -> Alcotest.fail "a was evicted, b is now LRU"
 
 let test_promotion () =
-  let c = Lru.create ~capacity:2 in
+  let c = Lru.create ~capacity:2 ~keys:4 in
   ignore (Lru.access c 1);
   ignore (Lru.access c 2);
   ignore (Lru.access c 1);
@@ -26,15 +28,15 @@ let test_promotion () =
   | _ -> Alcotest.fail "promotion failed"
 
 let test_zero_capacity () =
-  let c = Lru.create ~capacity:0 in
-  (match Lru.access c "x" with `Miss None -> () | _ -> Alcotest.fail "miss");
-  (match Lru.access c "x" with
+  let c = Lru.create ~capacity:0 ~keys:1 in
+  (match Lru.access c 0 with `Miss None -> () | _ -> Alcotest.fail "miss");
+  (match Lru.access c 0 with
   | `Miss None -> ()
   | _ -> Alcotest.fail "still a miss");
   Alcotest.(check int) "length" 0 (Lru.length c)
 
 let test_counters_and_clear () =
-  let c = Lru.create ~capacity:4 in
+  let c = Lru.create ~capacity:4 ~keys:3 in
   ignore (Lru.access c 1);
   ignore (Lru.access c 1);
   ignore (Lru.access c 2);
@@ -46,7 +48,7 @@ let test_counters_and_clear () =
   match Lru.access c 1 with `Miss None -> () | _ -> Alcotest.fail "cold after clear"
 
 let test_mem_does_not_promote () =
-  let c = Lru.create ~capacity:2 in
+  let c = Lru.create ~capacity:2 ~keys:4 in
   ignore (Lru.access c 1);
   ignore (Lru.access c 2);
   Alcotest.(check bool) "mem" true (Lru.mem c 1);
@@ -57,7 +59,7 @@ let test_mem_does_not_promote () =
 
 let test_negative_capacity () =
   Alcotest.check_raises "negative" (Invalid_argument "Lru.create: negative capacity")
-    (fun () -> ignore (Lru.create ~capacity:(-1)))
+    (fun () -> ignore (Lru.create ~capacity:(-1) ~keys:1))
 
 (* Reference LRU on lists, for differential testing. *)
 module Reference_lru = struct
@@ -95,7 +97,7 @@ let qcheck_lru_matches_reference =
     QCheck2.Gen.(
       pair (int_range 1 6) (list_size (int_bound 200) (int_bound 9)))
     (fun (cap, keys) ->
-      let fast = Lru.create ~capacity:cap in
+      let fast = Lru.create ~capacity:cap ~keys:10 in
       let slow = Reference_lru.create cap in
       List.for_all
         (fun k ->
@@ -110,7 +112,7 @@ let qcheck_lru_capacity_invariant =
     QCheck2.Gen.(
       pair (int_range 0 8) (list_size (int_bound 300) (int_bound 20)))
     (fun (cap, keys) ->
-      let c = Lru.create ~capacity:cap in
+      let c = Lru.create ~capacity:cap ~keys:21 in
       List.for_all
         (fun k ->
           ignore (Lru.access c k);
@@ -124,7 +126,7 @@ let qcheck_lru_hit_monotone_in_capacity =
     (fun (cap, n) ->
       (* Cyclic sequential access of n distinct keys, three passes. *)
       let run cap =
-        let c = Lru.create ~capacity:cap in
+        let c = Lru.create ~capacity:cap ~keys:n in
         for _ = 1 to 3 do
           for k = 0 to n - 1 do
             ignore (Lru.access c k)

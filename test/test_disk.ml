@@ -132,6 +132,107 @@ let qcheck_gap_plan_respects_fit =
       plan.Power.down_time +. plan.Power.up_time <= gap +. 1e-9
       || plan.Power.level = max f t)
 
+(* The gap selection over a tabulated model equals [best_gap_plan]
+   bit for bit, and both equal the selection written out from the Rpm
+   and Power primitives: every level whose modulations fit is priced,
+   the first of strictly least energy wins, and with none fitting the
+   higher endpoint is held with the direct modulation charged. *)
+let reference_gap_plan (s : Specs.t) ~from_level ~to_level gap =
+  let gap = max 0.0 gap in
+  let candidates =
+    List.filter_map
+      (fun level ->
+        let down = Rpm.transition_time s ~from_level ~to_level:level
+        and up = Rpm.transition_time s ~from_level:level ~to_level in
+        if down +. up > gap then None
+        else
+          Some
+            {
+              Power.level;
+              spin_down = false;
+              energy =
+                Rpm.transition_energy s ~from_level ~to_level:level
+                +. Rpm.transition_energy s ~from_level:level ~to_level
+                +. (Power.idle s ~level *. (gap -. down -. up));
+              down_time = down;
+              up_time = up;
+            })
+      (List.init (Rpm.num_levels s) Fun.id)
+  in
+  match candidates with
+  | first :: rest ->
+      List.fold_left
+        (fun (best : Power.gap_plan) (p : Power.gap_plan) ->
+          if p.energy < best.energy then p else best)
+        first rest
+  | [] ->
+      let hold = max from_level to_level in
+      {
+        Power.level = hold;
+        spin_down = false;
+        energy =
+          (Power.idle s ~level:hold *. gap)
+          +. Rpm.transition_energy s ~from_level ~to_level;
+        down_time = 0.0;
+        up_time = Rpm.transition_time s ~from_level ~to_level;
+      }
+
+let show_plan (p : Power.gap_plan) =
+  Printf.sprintf "level %d spin_down %b energy %h down %h up %h" p.level
+    p.spin_down p.energy p.down_time p.up_time
+
+(* Besides the registry's models, one on which every feasible level
+   ties exactly (flat idle power, instant transitions), so the
+   tie-break is exercised: the first level must win. *)
+let gap_models =
+  Specs.all
+  @ [
+      ( "flat",
+        {
+          Specs.ultrastar_36z15 with
+          p_idle = Specs.ultrastar_36z15.p_standby;
+          rpm_transition_per_rpm = 0.0;
+        } );
+    ]
+
+let qcheck_gap_table_is_best_gap_plan =
+  QCheck2.Test.make ~count:600
+    ~name:"power: tabulated gap selection is best_gap_plan"
+    ~print:(fun (name, f, t, gap) -> Printf.sprintf "%s %d->%d gap %h" name f t gap)
+    QCheck2.Gen.(
+      let* name, s = oneofl gap_models in
+      let top = Rpm.max_level s in
+      let* f = int_bound top and* t = int_bound top in
+      let round_trip =
+        Rpm.transition_time s ~from_level:f ~to_level:0
+        +. Rpm.transition_time s ~from_level:0 ~to_level:t
+      in
+      let* gap =
+        oneof
+          [
+            return 0.0;
+            float_range (-100.0) (-1e-9);
+            float_bound_inclusive round_trip;
+            float_bound_inclusive 1e4;
+          ]
+      in
+      return (name, f, t, gap))
+    (fun (name, from_level, to_level, gap) ->
+      let s = List.assoc name gap_models in
+      let model = Power.gap_model s in
+      let table = Power.gap_plan model ~from_level ~to_level gap in
+      let scan = Power.best_gap_plan s ~from_level ~to_level gap in
+      let reference = reference_gap_plan s ~from_level ~to_level gap in
+      let energy = Power.gap_energy model ~from_level ~to_level gap in
+      if
+        show_plan table = show_plan scan
+        && show_plan scan = show_plan reference
+        && Printf.sprintf "%h" energy = Printf.sprintf "%h" table.energy
+      then true
+      else
+        QCheck2.Test.fail_reportf "table %s\nbest_gap_plan %s\nreference %s\nenergy %h"
+          (show_plan table) (show_plan scan) (show_plan reference) energy)
+
 let test_power_service_level () =
   (* Budget below even full-speed service forces the top level. *)
   Alcotest.(check int) "tight budget" top
@@ -253,6 +354,7 @@ let suite =
         Alcotest.test_case "service level" `Quick test_power_service_level;
         q qcheck_drpm_plan_optimal;
         q qcheck_gap_plan_respects_fit;
+        q qcheck_gap_table_is_best_gap_plan;
       ] );
     ( "disk.service",
       [

@@ -120,7 +120,9 @@ let test_run_many () =
    trace.  Floats print with %h, so a one-ulp drift changes a digest.
    Configurations: the six suite programs at Orig, galgel and mesa
    under LF+DL and TL+DL, all at the suite cache, and galgel Orig with
-   caching disabled. *)
+   caching disabled; then the other four programs under LF+DL and TL+DL
+   at the suite cache (every suite-grid cell is pinned), and swim Orig
+   with a one-block cache. *)
 let front_half_rendered () =
   let module Suite = Dpm_workloads.Suite in
   let module C = Dpm_compiler in
@@ -210,7 +212,12 @@ let front_half_rendered () =
            ("mesa", C.Pipeline.LF_DL, c);
            ("mesa", C.Pipeline.TL_DL, c);
            ("galgel", C.Pipeline.Orig, 0);
-         ]))
+         ]
+       @ List.concat_map
+           (fun name ->
+             [ (name, C.Pipeline.LF_DL, c); (name, C.Pipeline.TL_DL, c) ])
+           [ "wupwise"; "swim"; "mgrid"; "applu" ]
+       @ [ ("swim", C.Pipeline.Orig, 1) ]))
 
 let test_front_half () =
   let rendered = front_half_rendered () in
