@@ -81,8 +81,9 @@ report-check: build
 	done
 
 # Collector smoke: which stages (with call counts), counters and
-# throughput lines --metrics prints for a fixed faulty run and for a
-# figure fanned out over two pool domains must reproduce the checked-in
+# throughput lines --metrics prints for a fixed faulty run, for a
+# figure fanned out over two pool domains, and for a run whose two CM
+# schemes share one compiler analysis must reproduce the checked-in
 # golden.  The filter keeps only the metrics sections and drops what
 # varies run to run: the total/mean timing columns, the rule lines
 # (their width follows the timings) and the throughput values.
@@ -95,6 +96,8 @@ metrics-check: build
 	  > _build/metrics_smoke.out
 	dune exec bin/dpmsim.exe -- figure table2 --metrics --domains 2 \
 	  | $(METRICS_FILTER) >> _build/metrics_smoke.out
+	dune exec bin/dpmsim.exe -- simulate -b swim -s Base,CMTPM,CMDRPM \
+	  --metrics | $(METRICS_FILTER) >> _build/metrics_smoke.out
 	cmp _build/metrics_smoke.out test/golden/metrics_smoke.expected
 
 # Streaming smoke: the fused generate→replay pipeline must be
@@ -127,27 +130,41 @@ perf-check: build
 # The per-layer ledger: perfbench's traced run (read-only; its output is
 # only parsed) of the two batch workloads, recorded as BENCH_<PR>.json —
 # each workload's final JSON line and its deterministic per-layer calls,
-# events and minor words.  `make ledger PR=<n>` writes the file a change
-# commits; `make ledger-check` reruns the traced workloads and fails if
-# a layer's call or event count differs from the newest committed
-# BENCH_*.json, or its words per event (per call for a layer with no
-# events) rose by more than 2%.  Times are printed, not gated.
+# events and minor words — plus, as context, the wall seconds of two
+# whole-system runs: every paper figure, and a sweep over simulator
+# knobs only.  `make ledger PR=<n>` writes the file a change commits;
+# `make ledger-check` reruns the traced workloads and fails if a layer's
+# call or event count differs from the newest committed BENCH_*.json,
+# or its words per event (per call for a layer with no events) rose by
+# more than 2%.  Times and the context are printed, not gated.
 LEDGER_WORKLOADS = suite-grid trace-replay
 LEDGER_RUNS = $(foreach w,$(LEDGER_WORKLOADS),$(w)=_build/ledger_$(w).out)
+LEDGER_FIGURES = table1 table2 fig3 fig4 table3 fig5 fig6 fig7 fig8 fig13 \
+  ext ext-shared ablation-knobs ablation-closed fault-sweep
+LEDGER_SWEEP = sweep --axes "drpm-lower=0.02,0.05,0.08;drpm-window=10,30,60" \
+  -w swim,galgel,mesa --domains 1
+LEDGER_CONTEXT = _build/ledger_context.txt
 ledger-runs: build
 	set -e; for w in $(LEDGER_WORKLOADS); do \
 	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 1 \
 	    > _build/ledger_$$w.out; \
 	done
+	_build/default/bench/ledger.exe time all-figures \
+	  _build/default/bench/main.exe $(LEDGER_FIGURES) \
+	  > $(LEDGER_CONTEXT)
+	_build/default/bench/ledger.exe time knob-sweep \
+	  _build/default/bin/dpmsim.exe $(LEDGER_SWEEP) \
+	  >> $(LEDGER_CONTEXT)
 
 ledger:
 	@test -n "$(PR)" || { echo "usage: make ledger PR=<number>" >&2; exit 2; }
 	$(MAKE) ledger-runs
-	_build/default/bench/ledger.exe write $(PR) $(LEDGER_RUNS) > _build/ledger.json
+	_build/default/bench/ledger.exe write $(PR) $(LEDGER_CONTEXT) \
+	  $(LEDGER_RUNS) > _build/ledger.json
 	mv _build/ledger.json BENCH_$(PR).json
 
 ledger-check: ledger-runs
-	_build/default/bench/ledger.exe check . $(LEDGER_RUNS)
+	_build/default/bench/ledger.exe check . $(LEDGER_CONTEXT) $(LEDGER_RUNS)
 
 # Replay-core differential on real traces: the six committed
 # compiler-inserted traces (perfbench/data, read-only; 1,344 directives

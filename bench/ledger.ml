@@ -6,16 +6,23 @@
 
    Usage, where OUT is the standard output of
      bash perfbench/run.sh --workload WORKLOAD --seed 1 --trace 1
+   and CONTEXT is a file of lines printed by [ledger.exe time]:
 
-     ledger.exe write PR WORKLOAD=OUT ...   prints BENCH_<PR>.json
-     ledger.exe check DIR WORKLOAD=OUT ...  compares against the newest
-                                            BENCH_<n>.json in DIR
+     ledger.exe time NAME CMD ARG ...      runs CMD (output discarded)
+                                           and prints NAME and its wall
+                                           seconds
+     ledger.exe write PR CONTEXT WORKLOAD=OUT ...
+                                           prints BENCH_<PR>.json
+     ledger.exe check DIR CONTEXT WORKLOAD=OUT ...
+                                           compares against the newest
+                                           BENCH_<n>.json in DIR
 
    The check fails when a layer's call or event count changed (the
    pipeline did different work) or when its minor words per event —
    per call, for a layer with no events — rose by more than 2%.  Layer
-   times are printed beside the counts but not gated: the host's speed
-   varies run to run. *)
+   times and the whole-system wall times of the context are printed
+   beside the committed ones but not gated: the host's speed varies run
+   to run. *)
 
 module Json = Dpm_util.Json
 
@@ -71,14 +78,43 @@ let read_run spec =
   | [] -> fail "ledger: %s: no per-layer counts block (run with --trace 1)" path
   | layers -> (workload, result, layers)
 
+(* Whole-system timings: one "NAME SECONDS" line per run. *)
+let time name argv =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let t0 = Unix.gettimeofday () in
+  let status =
+    match Unix.create_process argv.(0) argv Unix.stdin devnull Unix.stderr with
+    | pid -> snd (Unix.waitpid [] pid)
+    | exception Unix.Unix_error (e, _, _) ->
+        fail "ledger: %s: %s" argv.(0) (Unix.error_message e)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Unix.close devnull;
+  if status <> Unix.WEXITED 0 then fail "ledger: %s: command failed" name;
+  Printf.printf "%s %.3f\n" name wall
+
+let read_context path =
+  (try In_channel.with_open_text path In_channel.input_lines
+   with Sys_error e -> fail "ledger: %s" e)
+  |> List.map (fun l ->
+         try Scanf.sscanf l "%s %f%!" (fun n t -> (n, t))
+         with Scanf.Scan_failure _ | End_of_file | Failure _ ->
+           fail "ledger: %s: expected NAME SECONDS, got %S" path l)
+
+let context_json context =
+  Json.Obj
+    (List.map (fun (n, t) -> (n, Json.Obj [ ("wall_s", Json.Float t) ]))
+       context)
+
 let layer_json { calls; events; words } =
   Json.Obj [ ("calls", Json.Int calls); ("events", Json.Int events); ("words", Json.Int words) ]
 
-let write pr runs =
+let write pr context runs =
   Json.Obj
     [
       ("schema", Json.Str "dpm-ledger/1");
       ("pr", Json.Int pr);
+      ("context", context_json context);
       ( "workloads",
         Json.Obj
           (List.map
@@ -121,7 +157,7 @@ let layer_time result name =
       Option.bind (Json.member (name ^ "_s") m) (fun v ->
           Option.bind (Json.member "value" v) Json.to_float))
 
-let check dir runs =
+let check dir context runs =
   let path = newest dir in
   let ledger =
     match
@@ -133,6 +169,18 @@ let check dir runs =
     | Error e -> fail "ledger: %s: %s" path e
   in
   Printf.printf "ledger: against %s\n" path;
+  print_endline "context (ledger, then now; wall seconds, not gated)";
+  List.iter
+    (fun (name, now) ->
+      let committed =
+        Option.bind (Json.member "context" ledger) (fun c ->
+            Option.bind (Json.member name c) (fun e ->
+                Option.bind (Json.member "wall_s" e) Json.to_float))
+      in
+      Printf.printf "  %-22s %9s %9.3f\n" name
+        (match committed with Some t -> Printf.sprintf "%.3f" t | None -> "-")
+        now)
+    context;
   let failures = ref 0 in
   let problem fmt =
     incr failures;
@@ -196,12 +244,14 @@ let check dir runs =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "write" :: pr :: (_ :: _ as runs) -> (
+  | _ :: "time" :: name :: (_ :: _ as argv) -> time name (Array.of_list argv)
+  | _ :: "write" :: pr :: context :: (_ :: _ as runs) -> (
       match int_of_string_opt pr with
-      | Some pr -> write pr (List.map read_run runs)
+      | Some pr -> write pr (read_context context) (List.map read_run runs)
       | None -> fail "ledger: PR must be a number, got %s" pr)
-  | _ :: "check" :: dir :: (_ :: _ as runs) -> check dir (List.map read_run runs)
+  | _ :: "check" :: dir :: context :: (_ :: _ as runs) ->
+      check dir (read_context context) (List.map read_run runs)
   | _ ->
       fail
-        "usage: ledger.exe write PR WORKLOAD=OUT ... | ledger.exe check DIR \
-         WORKLOAD=OUT ..."
+        "usage: ledger.exe time NAME CMD ARG ... | ledger.exe write PR CONTEXT \
+         WORKLOAD=OUT ... | ledger.exe check DIR CONTEXT WORKLOAD=OUT ..."

@@ -34,7 +34,7 @@ type t = {
 }
 
 val build : Access.t list -> Estimate.t -> t
-(** Combine the footprint analysis with the timing estimate.  Adjacent
+(** Combine the access analysis with the timing estimate.  Adjacent
     same-state windows are merged across item boundaries. *)
 
 val idle_windows : t -> disk:int -> window list

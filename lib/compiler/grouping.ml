@@ -58,17 +58,6 @@ let of_program (p : Ir.Program.t) =
   build (Ir.Program.stmts p)
     (List.map (fun (a : Ir.Array_decl.t) -> a.name) p.arrays)
 
-let of_loop (p : Ir.Program.t) l =
-  let arrays = Ir.Loop.arrays l in
-  (* Keep declaration order for stability. *)
-  let in_order =
-    List.filter
-      (fun (a : Ir.Array_decl.t) -> List.mem a.name arrays)
-      p.arrays
-    |> List.map (fun (a : Ir.Array_decl.t) -> a.name)
-  in
-  build (Ir.Loop.stmts l) in_order
-
 let group_of t name =
   match Hashtbl.find_opt t.group_ids name with
   | Some g -> g

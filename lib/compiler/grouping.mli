@@ -13,9 +13,6 @@ val of_program : Dpm_ir.Program.t -> t
 (** Union over every statement of the whole program (the paper's loop
     "for each loop nest / for each statement"). *)
 
-val of_loop : Dpm_ir.Program.t -> Dpm_ir.Loop.t -> t
-(** Grouping restricted to one nest's statements. *)
-
 val groups : t -> string list list
 (** The groups, each sorted, ordered by first appearance. *)
 

@@ -224,16 +224,6 @@ let plan_tpm ~specs ~pm_overhead ~pre_lead (dap : Dap.t) (est : Estimate.t) =
   done;
   { decisions = List.rev !decisions; points }
 
-let plan_decisions ~specs ?(pm_overhead = 2.0e-6) ?(pre_lead = 0.0)
-    ?(request_bytes = Dpm_util.Units.kib 64) ?(serve_slow = true) scheme dap
-    est =
-  match scheme with
-  | Tpm -> (plan_tpm ~specs ~pm_overhead ~pre_lead dap est).decisions
-  | Drpm ->
-      (plan_drpm ~specs ~pm_overhead ~pre_lead ~request_bytes ~serve_slow dap
-         est)
-        .decisions
-
 (* --- Code modification --- *)
 
 let split_loop (l : Ir.Loop.t) points =

@@ -37,21 +37,6 @@ val preactivation_distance : t_su:float -> s:float -> t_m:float -> int
     shortest-path time through one loop iteration, and the call
     overhead. *)
 
-val plan_decisions :
-  specs:Dpm_disk.Specs.t ->
-  ?pm_overhead:float ->
-  ?pre_lead:float ->
-  ?request_bytes:int ->
-  ?serve_slow:bool ->
-  scheme ->
-  Dap.t ->
-  Estimate.t ->
-  decision list
-(** The insertion plan without code modification (exposed for tests and
-    the misprediction analysis).  [pre_lead] (default 0) widens every
-    pre-activation guard band by that many seconds — the sweep harness's
-    placement-robustness axis. *)
-
 val insert :
   specs:Dpm_disk.Specs.t ->
   ?pm_overhead:float ->

@@ -27,6 +27,13 @@ let transform version (p : Dpm_ir.Program.t) plan =
   | TL_DL -> Tiling.apply ~dl:true p plan
   | TL_ALL_DL -> Tiling.apply_all ~dl:true p plan
 
+type analysis = {
+  source : Dpm_ir.Program.t;
+  dap : Dap.t;
+  estimate : Estimate.t;
+  profile : Estimate.t;
+}
+
 type compiled = {
   program : Dpm_ir.Program.t;
   decisions : Insertion.decision list;
@@ -35,36 +42,45 @@ type compiled = {
   profile : Estimate.t;
 }
 
-let compile ~scheme ?(noise = 0.0) ?(seed = 42) ?cache_blocks
-    ?pm_overhead ?pre_lead ?serve_slow ~specs (p : Dpm_ir.Program.t) plan =
-  let tele = Dpm_util.Telemetry.global in
-  let span name f = Dpm_util.Telemetry.span tele name f in
+let span name f = Dpm_util.Telemetry.span Dpm_util.Telemetry.global name f
+
+let analyze ?(noise = 0.0) ?(seed = 42) ?cache_blocks ~specs
+    (p : Dpm_ir.Program.t) plan =
   Dpm_util.Telemetry.span
     ~args:(fun () -> [ ("program", p.Dpm_ir.Program.name) ])
-    tele "compile.pipeline"
+    Dpm_util.Telemetry.global "compile.pipeline"
     (fun () ->
       let activities =
         span "compile.access" (fun () ->
             Access.of_program_cached ?cache_blocks p plan)
       in
-      let exact =
+      let profile =
         span "compile.estimate" (fun () ->
             Estimate.profile ?cache_blocks ~specs p plan)
       in
       let estimate =
-        if noise = 0.0 then exact else Estimate.perturb ~noise ~seed exact
+        if noise = 0.0 then profile else Estimate.perturb ~noise ~seed profile
       in
       let dap = span "compile.dap" (fun () -> Dap.build activities estimate) in
-      let program, decisions =
-        span "compile.insert" (fun () ->
-            Insertion.insert ~specs ?pm_overhead ?pre_lead ?serve_slow scheme
-              p dap
-              estimate)
-      in
-      if Dpm_util.Telemetry.histograms_enabled tele then
-        List.iter
-          (fun (d : Insertion.decision) ->
-            Dpm_util.Telemetry.observe tele "compile.idle_gap.predicted_s"
-              (d.window.Dap.t_end -. d.window.Dap.t_start))
-          decisions;
-      { program; decisions; dap; estimate; profile = exact })
+      { source = p; dap; estimate; profile })
+
+let insert ~scheme ?pm_overhead ?pre_lead ?serve_slow ~specs
+    { source; dap; estimate; profile } =
+  let program, decisions =
+    span "compile.insert" (fun () ->
+        Insertion.insert ~specs ?pm_overhead ?pre_lead ?serve_slow scheme
+          source dap estimate)
+  in
+  let tele = Dpm_util.Telemetry.global in
+  if Dpm_util.Telemetry.histograms_enabled tele then
+    List.iter
+      (fun (d : Insertion.decision) ->
+        Dpm_util.Telemetry.observe tele "compile.idle_gap.predicted_s"
+          (d.window.Dap.t_end -. d.window.Dap.t_start))
+      decisions;
+  { program; decisions; dap; estimate; profile }
+
+let compile ~scheme ?noise ?seed ?cache_blocks ?pm_overhead ?pre_lead
+    ?serve_slow ~specs p plan =
+  insert ~scheme ?pm_overhead ?pre_lead ?serve_slow ~specs
+    (analyze ?noise ?seed ?cache_blocks ~specs p plan)

@@ -32,6 +32,33 @@ val transform :
   Dpm_ir.Program.t * Dpm_layout.Plan.t
 (** Apply one code/layout transformation version. *)
 
+type analysis = {
+  source : Dpm_ir.Program.t;  (** The program analyzed. *)
+  dap : Dap.t;
+  estimate : Estimate.t;  (** The (perturbed) estimate planning uses. *)
+  profile : Estimate.t;  (** The exact (unperturbed) timing profile. *)
+}
+(** What power-call insertion plans from; it does not depend on the
+    insertion scheme, so one analysis serves CMTPM and CMDRPM alike. *)
+
+val analyze :
+  ?noise:float ->
+  ?seed:int ->
+  ?cache_blocks:int ->
+  specs:Dpm_disk.Specs.t ->
+  Dpm_ir.Program.t ->
+  Dpm_layout.Plan.t ->
+  analysis
+(** The scheme-free front of paper Figure 1: the access analysis, the
+    exact timing profile, its perturbation by [noise] (default 0; the
+    same [seed], default 42, always gives the same estimate) and the
+    DAP.  The analysis and the profile walk the same cache:
+    [cache_blocks], by default the trace generator's
+    ({!Dpm_trace.Generate.default_config}).  Telemetry: one
+    [compile.pipeline] span over the [compile.access],
+    [compile.estimate] and [compile.dap] passes; insertion is not in
+    it. *)
+
 type compiled = {
   program : Dpm_ir.Program.t;  (** With power calls inserted. *)
   decisions : Insertion.decision list;
@@ -39,6 +66,18 @@ type compiled = {
   estimate : Estimate.t;  (** The (perturbed) estimate planning used. *)
   profile : Estimate.t;  (** The exact (unperturbed) timing profile. *)
 }
+
+val insert :
+  scheme:Insertion.scheme ->
+  ?pm_overhead:float ->
+  ?pre_lead:float ->
+  ?serve_slow:bool ->
+  specs:Dpm_disk.Specs.t ->
+  analysis ->
+  compiled
+(** Power-call insertion ({!Insertion.insert}) into the analysis's
+    [source], in a [compile.insert] span of its own (a sibling of
+    [compile.pipeline], not inside it). *)
 
 val compile :
   scheme:Insertion.scheme ->
@@ -52,8 +91,5 @@ val compile :
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->
   compiled
-(** The full proactive pipeline of paper Figure 1: footprint analysis →
-    profiling estimate (perturbed by [noise], default 0) → DAP →
-    power-call insertion.  The analysis and the estimate walk the same
-    cache: [cache_blocks], by default the trace generator's
-    ({!Dpm_trace.Generate.default_config}). *)
+(** The full proactive pipeline of paper Figure 1: {!insert} applied to
+    {!analyze}. *)

@@ -83,22 +83,87 @@ let assoc_or key fresh slot =
 
 (* --- report ingest --- *)
 
-let jint k j = Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-let jnum k j = Option.value ~default:0.0 (Option.bind (Json.member k j) Json.to_float)
-let jstr k j = Option.value ~default:"" (Option.bind (Json.member k j) Json.to_str)
-let jrows k j = Option.value ~default:[] (Option.bind (Json.member k j) Json.to_list)
+(* A report is decoded whole before anything of it is ingested: a field
+   Aggregate reads that is missing or mistyped skips the file, naming
+   the field's path. *)
+exception Bad_field of string
 
-let ingest_report t doc =
+let need read at k j =
+  match Json.required read ~at k j with
+  | Ok x -> x
+  | Error m -> raise (Bad_field m)
+
+type scheme_row = {
+  name : string;
+  energy : float;
+  norm : float;
+  requests : int;
+  ok : bool;
+  faults : fault_acc;
+}
+
+let decode_scheme i s =
+  let at = Printf.sprintf "schemes[%d]." i in
+  let name = need Json.text at "scheme" s in
+  let energy = need Json.number at "energy_j" s in
+  let norm = need Json.number at "energy_norm" s in
+  let requests = need Json.integer at "requests" s in
+  let ok =
+    need Json.boolean (at ^ "timeline.") "invariants_ok"
+      (need Json.obj at "timeline" s)
+  in
+  let f = need Json.obj at "faults" s and at = at ^ "faults." in
+  let read_retries = need Json.integer at "read_retries" f in
+  let retry_delay = need Json.number at "retry_delay_s" f in
+  let remaps = need Json.integer at "remaps" f in
+  let spin_up_recoveries = need Json.integer at "spin_up_recoveries" f in
+  let redirects = need Json.integer at "redirects" f in
+  let failed_disks = need Json.integer at "failed_disks" f in
+  {
+    name;
+    energy;
+    norm;
+    requests;
+    ok;
+    faults =
+      {
+        read_retries;
+        retry_delay;
+        remaps;
+        spin_up_recoveries;
+        redirects;
+        failed_disks;
+      };
+  }
+
+let decode_histogram i h =
+  let at = Printf.sprintf "histograms[%d]." i in
+  let name = need Json.text at "name" h in
+  match Histo.of_json (need Json.obj at "buckets" h) with
+  | Ok histo -> (name, histo)
+  | Error e -> raise (Bad_field (Printf.sprintf "%sbuckets: %s" at e))
+
+let decode_report doc =
+  match
+    let benchmark = need Json.text "" "benchmark" doc in
+    let rows = List.mapi decode_scheme (need Json.array "" "schemes" doc) in
+    let histos =
+      List.mapi decode_histogram (need Json.array "" "histograms" doc)
+    in
+    (benchmark, rows, histos)
+  with
+  | report -> Ok report
+  | exception Bad_field m -> Error m
+
+let ingest_report t (benchmark, rows, histos) =
   t.report_files <- t.report_files + 1;
-  (match jstr "benchmark" doc with
-  | "" -> ()
-  | b -> if not (List.mem b t.benchmarks) then t.benchmarks <- b :: t.benchmarks);
+  if benchmark <> "" && not (List.mem benchmark t.benchmarks) then
+    t.benchmarks <- benchmark :: t.benchmarks;
   List.iter
-    (fun s ->
-      let name = jstr "scheme" s in
+    (fun r ->
       let slot = ref t.schemes in
       let acc =
-        assoc_or name
+        assoc_or r.name
           (fun () ->
             {
               runs = 0;
@@ -122,45 +187,28 @@ let ingest_report t doc =
       in
       t.schemes <- !slot;
       acc.runs <- acc.runs + 1;
-      acc.energy <- acc.energy +. jnum "energy_j" s;
-      let norm = jnum "energy_norm" s in
-      acc.norm_sum <- acc.norm_sum +. norm;
-      if norm < acc.norm_min then acc.norm_min <- norm;
-      if norm > acc.norm_max then acc.norm_max <- norm;
-      acc.requests <- acc.requests + jint "requests" s;
-      (match
-         Option.bind
-           (Option.bind (Json.member "timeline" s)
-              (Json.member "invariants_ok"))
-           Json.to_bool
-       with
-      | Some false -> acc.invariants_ok <- false
-      | Some true | None -> ());
-      match Json.member "faults" s with
-      | None -> ()
-      | Some f ->
-          acc.fa.read_retries <- acc.fa.read_retries + jint "read_retries" f;
-          acc.fa.retry_delay <- acc.fa.retry_delay +. jnum "retry_delay_s" f;
-          acc.fa.remaps <- acc.fa.remaps + jint "remaps" f;
-          acc.fa.spin_up_recoveries <-
-            acc.fa.spin_up_recoveries + jint "spin_up_recoveries" f;
-          acc.fa.redirects <- acc.fa.redirects + jint "redirects" f;
-          acc.fa.failed_disks <- acc.fa.failed_disks + jint "failed_disks" f)
-    (jrows "schemes" doc);
+      acc.energy <- acc.energy +. r.energy;
+      acc.norm_sum <- acc.norm_sum +. r.norm;
+      if r.norm < acc.norm_min then acc.norm_min <- r.norm;
+      if r.norm > acc.norm_max then acc.norm_max <- r.norm;
+      acc.requests <- acc.requests + r.requests;
+      if not r.ok then acc.invariants_ok <- false;
+      let f = r.faults in
+      acc.fa.read_retries <- acc.fa.read_retries + f.read_retries;
+      acc.fa.retry_delay <- acc.fa.retry_delay +. f.retry_delay;
+      acc.fa.remaps <- acc.fa.remaps + f.remaps;
+      acc.fa.spin_up_recoveries <-
+        acc.fa.spin_up_recoveries + f.spin_up_recoveries;
+      acc.fa.redirects <- acc.fa.redirects + f.redirects;
+      acc.fa.failed_disks <- acc.fa.failed_disks + f.failed_disks)
+    rows;
   List.iter
-    (fun h ->
-      match Json.member "buckets" h with
-      | None -> ()
-      | Some b -> (
-          match Histo.of_json b with
-          | Error _ -> ()
-          | Ok histo ->
-              let name = jstr "name" h in
-              let slot = ref t.histos in
-              let into = assoc_or name Histo.create slot in
-              t.histos <- !slot;
-              Histo.merge_into ~into histo))
-    (jrows "histograms" doc)
+    (fun (name, histo) ->
+      let slot = ref t.histos in
+      let into = assoc_or name Histo.create slot in
+      t.histos <- !slot;
+      Histo.merge_into ~into histo)
+    histos
 
 (* --- meter ingest --- *)
 
@@ -224,9 +272,12 @@ let classify_json t path =
   | Error e -> Printf.sprintf "skipped: unparseable json (%s)" e
   | Ok doc -> (
       match Option.bind (Json.member "schema" doc) Json.to_str with
-      | Some s when s = Report.schema_version ->
-          ingest_report t doc;
-          "report"
+      | Some s when s = Report.schema_version -> (
+          match decode_report doc with
+          | Ok report ->
+              ingest_report t report;
+              "report"
+          | Error why -> "skipped: " ^ why)
       | Some s -> Printf.sprintf "skipped: schema %s" s
       | None -> "skipped: no schema tag")
 
@@ -622,7 +673,8 @@ let validate doc =
           match Option.bind (Json.member "energy_j" s) Json.to_float with
           | Some _ -> ()
           | None -> err "reports scheme %d: missing energy_j" i)
-        (jrows "schemes" r)
+        (Option.value ~default:[]
+           (Option.bind (Json.member "schemes" r) Json.to_list))
   | None -> ());
   (match meters with
   | Some m -> (

@@ -28,7 +28,9 @@ val of_files : string list -> t
     [dpm-report/1] joins the reports section, a [.jsonl] file whose
     first line is a [dpm-meter/1] header joins the meters section,
     anything else (spec files, aggregate outputs, malformed documents)
-    is recorded as skipped with a reason. *)
+    is recorded as skipped with a reason.  A report with a field this
+    module reads missing or mistyped is skipped whole, naming the field
+    (["skipped: schemes[1].energy_j: expected a number"]). *)
 
 val of_dir : string -> (t, string) result
 (** {!of_files} over the directory's regular files, sorted by name.

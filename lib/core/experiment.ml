@@ -42,18 +42,24 @@ let transformed setup p plan =
     Telemetry.global "compile.transform"
     (fun () -> Compiler.Pipeline.transform setup.version p plan)
 
-let compile_cm setup scheme ischeme p plan =
+(* The scheme-free half of a CM compile: one per program and plan,
+   shared by CMTPM and CMDRPM. *)
+let analyze setup p plan =
+  Compiler.Pipeline.analyze ~noise:setup.noise ~seed:setup.seed
+    ~cache_blocks:setup.cache_blocks ~specs:setup.sim.Sim.Config.specs p plan
+
+let compile_cm setup scheme ischeme analysis =
   Telemetry.span
     ~args:(fun () ->
+      let p = analysis.Compiler.Pipeline.source in
       [ ("program", p.Dpm_ir.Program.name); ("scheme", Scheme.name scheme) ])
     Telemetry.global "compile.cm"
     (fun () ->
-      Compiler.Pipeline.compile ~scheme:ischeme ~noise:setup.noise
-        ~seed:setup.seed ~cache_blocks:setup.cache_blocks
+      Compiler.Pipeline.insert ~scheme:ischeme
         ~pm_overhead:setup.sim.Sim.Config.pm_call_overhead
         ~pre_lead:setup.sim.Sim.Config.pre_activation_lead
         ~serve_slow:(match setup.mode with `Open -> true | `Closed -> false)
-        ~specs:setup.sim.Sim.Config.specs p plan)
+        ~specs:setup.sim.Sim.Config.specs analysis)
 
 (* Non-streaming setups materialize the trace once and hand out slices
    of it; [setup.stream] trades that sharing for a fresh producer per
@@ -126,8 +132,9 @@ let replay_schemes ?timeline ~setup ~schemes ~args ~cm source =
 
 let run_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all) p plan =
   let p, plan = transformed setup p plan in
+  let analysis = lazy (analyze setup p plan) in
   let cm scheme ischeme =
-    let compiled = compile_cm setup scheme ischeme p plan in
+    let compiled = compile_cm setup scheme ischeme (Lazy.force analysis) in
     generated setup compiled.Compiler.Pipeline.program plan ()
   in
   replay_schemes ?timeline ~setup ~schemes
@@ -157,7 +164,8 @@ let misprediction_pct ?(setup = default_setup) p plan =
       ~core:setup.core Sim.Policy.base trace
   in
   let compiled =
-    compile_cm setup Scheme.Cmdrpm Compiler.Insertion.Drpm p plan
+    compile_cm setup Scheme.Cmdrpm Compiler.Insertion.Drpm
+      (analyze setup p plan)
   in
   let top = Dpm_disk.Rpm.max_level setup.sim.Sim.Config.specs in
   (* Decisions are anchored at code positions; place them on the actual

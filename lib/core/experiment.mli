@@ -94,7 +94,9 @@ val run_all :
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->
   (Scheme.t * Dpm_sim.Result.t) list
-(** Run several schemes, sharing the trace generation and Base replay.
+(** Run several schemes, sharing the trace generation and Base replay,
+    and one compiler analysis ({!Dpm_compiler.Pipeline.analyze}) between
+    the compiler-managed schemes, which each only insert their calls.
     [timeline] supplies one sink per scheme (or [None] to skip one); the
     caller owns the sinks, so results and logs are read back
     independently.  Note the shared Base replay runs at most once: its

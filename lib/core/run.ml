@@ -101,10 +101,21 @@ let schemes_of s =
     (Ok []) s.schemes
   |> Result.map List.rev
 
+(* The setup invariants a run relies on, checked before any work. *)
+let check_setup (setup : Experiment.setup) =
+  let bad fmt = Printf.ksprintf (fun m -> Error (Malformed_spec m)) fmt in
+  if setup.batch < 1 then bad "batch must be >= 1 (got %d)" setup.batch
+  else if setup.cache_blocks < 0 then
+    bad "cache_blocks must be >= 0 (got %d)" setup.cache_blocks
+  else if not (Float.is_finite setup.noise && setup.noise >= 0.0) then
+    bad "noise must be finite and >= 0 (got %g)" setup.noise
+  else Ok ()
+
 let validate s =
   match Sim.Fault.validate s.setup.Experiment.faults with
   | Error m -> Error (Invalid_faults m)
   | Ok _ -> (
+      let* () = check_setup s.setup in
       match s.workload with
       | Benchmark name when find_bench name = None ->
           Error (Unknown_benchmark name)
@@ -249,64 +260,61 @@ let config_to_json (c : Sim.Config.t) =
       ("retain_busy", Json.Bool c.Sim.Config.retain_busy);
     ])
 
-let config_of_json j =
-  let ( let* ) = Result.bind in
-  let field name conv = Option.bind (Json.member name j) conv in
+let config_of_json ~at j =
   let resolve name =
     (* Registry lookup by slug or model name ({!Dpm_disk.Specs.of_name_opt}). *)
     match Dpm_disk.Specs.of_name_opt name with
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "unknown disk model %S" name)
   in
+  let* specs = Json.text ~at "specs" j in
   let* specs =
-    match Option.bind (Json.member "specs" j) Json.to_str with
+    match specs with
     | None -> Ok Sim.Config.default.Sim.Config.specs
     | Some name -> resolve name
   in
+  let* fleet = Json.array ~at "fleet" j in
   let* fleet =
-    match Option.bind (Json.member "fleet" j) Json.to_list with
+    match fleet with
     | None -> Ok [||]
     | Some l ->
-        let* models =
-          List.fold_left
-            (fun acc v ->
-              let* acc = acc in
-              match Json.to_str v with
-              | None -> Error "fleet: expected model-name strings"
-              | Some name ->
-                  let* m = resolve name in
-                  Ok (m :: acc))
-            (Ok []) l
-        in
-        Ok (Array.of_list (List.rev models))
+        Dpm_util.Kv.all
+          (fun v ->
+            match Json.to_str v with
+            | None -> Error (at ^ "fleet: expected model-name strings")
+            | Some name -> resolve name)
+          l
+        |> Result.map Array.of_list
   in
+  let* sched = Json.text ~at "sched" j in
   let* sched =
-    match Option.bind (Json.member "sched" j) Json.to_str with
+    match sched with
     | None -> Ok Sim.Config.Fcfs
     | Some s -> (
         match Sim.Config.sched_of_name_opt s with
         | Some v -> Ok v
         | None -> Error (Printf.sprintf "unknown scheduler %S" s))
   in
-  let tpm_threshold =
+  let* tpm_threshold =
     match Json.member "tpm_threshold" j with
-    | None | Some Json.Null -> None
-    | Some v -> Json.to_float v
+    | Some Json.Null -> Ok None
+    | _ -> Json.number ~at "tpm_threshold" j
   in
+  let* drpm_lower = Json.number ~at "drpm_lower" j in
+  let* drpm_upper = Json.number ~at "drpm_upper" j in
+  let* drpm_window = Json.integer ~at "drpm_window" j in
+  let* drpm_idle_interval = Json.number ~at "drpm_idle_interval" j in
+  let* drpm_floor_depth = Json.integer ~at "drpm_floor_depth" j in
+  let* queue_depth = Json.integer ~at "queue_depth" j in
+  let* pm_call_overhead = Json.number ~at "pm_call_overhead" j in
+  let* pre_activation_lead = Json.number ~at "pre_activation_lead" j in
+  let* retain_busy = Json.boolean ~at "retain_busy" j in
   (* [Config.make] enforces the invariants; a violation is a bad
      document, not an exception. *)
   match
-    Sim.Config.make ~specs ~fleet ~sched ?tpm_threshold
-      ?drpm_lower:(field "drpm_lower" Json.to_float)
-      ?drpm_upper:(field "drpm_upper" Json.to_float)
-      ?drpm_window:(field "drpm_window" Json.to_int)
-      ?drpm_idle_interval:(field "drpm_idle_interval" Json.to_float)
-      ?drpm_floor_depth:(field "drpm_floor_depth" Json.to_int)
-      ?queue_depth:(field "queue_depth" Json.to_int)
-      ?pm_call_overhead:(field "pm_call_overhead" Json.to_float)
-      ?pre_activation_lead:(field "pre_activation_lead" Json.to_float)
-      ?retain_busy:(field "retain_busy" Json.to_bool)
-      ()
+    Sim.Config.make ~specs ~fleet ~sched ?tpm_threshold ?drpm_lower
+      ?drpm_upper ?drpm_window ?drpm_idle_interval ?drpm_floor_depth
+      ?queue_depth ?pm_call_overhead ?pre_activation_lead ?retain_busy ()
   with
   | c -> Ok c
   | exception Invalid_argument m -> Error m
@@ -351,15 +359,18 @@ let setup_to_json (setup : Experiment.setup) =
     ]
 
 (* The one reader of setup fields: those present in [j] replace their
-   field of [base].  It reads a document's "setup" object and, for
-   documents written before the whole setup was, its top-level
-   overrides. *)
-let setup_fields (base : Experiment.setup) j =
-  let get name conv default =
-    Option.value ~default (Option.bind (Json.member name j) conv)
+   field of [base].  It reads a document's "setup" object ([at] is
+   ["setup."]) and, for documents written before the whole setup was,
+   its top-level overrides ([at] is [""]). *)
+let setup_fields ~at (base : Experiment.setup) j =
+  let malformed r = Result.map_error (fun m -> Malformed_spec m) r in
+  let get (read : _ Json.field) name default =
+    let* v = malformed (read ~at name j) in
+    Ok (Option.value v ~default)
   in
   let enum name of_name default =
-    match Option.bind (Json.member name j) Json.to_str with
+    let* v = malformed (Json.text ~at name j) in
+    match v with
     | None -> Ok default
     | Some v -> (
         match of_name v with
@@ -367,43 +378,45 @@ let setup_fields (base : Experiment.setup) j =
         | None ->
             Error (Malformed_spec (Printf.sprintf "unknown %s %S" name v)))
   in
+  let* sim = malformed (Json.obj ~at "sim" j) in
   let* sim =
-    match Json.member "sim" j with
+    match sim with
     | None -> Ok base.sim
-    | Some c -> Result.map_error (fun m -> Malformed_spec m) (config_of_json c)
+    | Some c -> malformed (config_of_json ~at:(at ^ "sim.") c)
   in
   let* mode = enum "mode" mode_of_name base.mode in
   let* version = enum "version" version_of_name base.version in
   let* core = enum "core" core_of_name base.core in
+  let* faults = malformed (Json.text ~at "faults" j) in
   let* faults =
-    match Option.bind (Json.member "faults" j) Json.to_str with
+    match faults with
     | None -> Ok base.faults
     | Some v ->
         Result.map_error (fun m -> Invalid_faults m) (Sim.Fault.of_string v)
   in
+  let* cache_blocks = get Json.integer "cache_blocks" base.cache_blocks in
+  let* noise = get Json.number "noise" base.noise in
+  let* seed = get Json.integer "seed" base.seed in
+  let* stream = get Json.boolean "stream" base.stream in
+  let* batch = get Json.integer "batch" base.batch in
   Ok
     {
       Experiment.sim;
       mode;
-      cache_blocks = get "cache_blocks" Json.to_int base.cache_blocks;
-      noise = get "noise" Json.to_float base.noise;
-      seed = get "seed" Json.to_int base.seed;
+      cache_blocks;
+      noise;
+      seed;
       version;
       faults;
-      stream = get "stream" Json.to_bool base.stream;
-      batch = get "batch" Json.to_int base.batch;
+      stream;
+      batch;
       core;
     }
 
 let strings what l =
-  List.fold_left
-    (fun acc v ->
-      let* acc = acc in
-      match Json.to_str v with
-      | Some n -> Ok (n :: acc)
-      | None -> Error (Malformed_spec (what ^ ": expected strings")))
-    (Ok []) l
-  |> Result.map List.rev
+  let none = what ^ ": expected strings" in
+  Dpm_util.Kv.all (fun v -> Option.to_result ~none (Json.to_str v)) l
+  |> Result.map_error (fun m -> Malformed_spec m)
 
 let to_json s =
   let* workload =
@@ -475,11 +488,10 @@ let of_json j =
                     (* An explicit sources array wins over sources
                        embedded in the load string. *)
                     let* sources =
-                      match
-                        Option.bind (Json.member "sources" w) Json.to_list
-                      with
-                      | None -> Ok inline_sources
-                      | Some l -> strings "workload: sources" l
+                      match Json.array ~at:"workload." "sources" w with
+                      | Error m -> malformed m
+                      | Ok None -> Ok inline_sources
+                      | Ok (Some l) -> strings "workload: sources" l
                     in
                     Ok (Open_loop { load; sources })))
         | Some k -> malformed (Printf.sprintf "workload: unknown kind %S" k)
@@ -494,11 +506,13 @@ let of_json j =
   (* The "setup" object reads over the plain default, as it was written;
      top-level fields then override whichever base applies. *)
   let* setup =
-    match Json.member "setup" j with
-    | None -> Ok (workload_setup workload)
-    | Some sj -> setup_fields Experiment.default_setup sj
+    match Json.obj ~at:"" "setup" j with
+    | Error m -> malformed m
+    | Ok None -> Ok (workload_setup workload)
+    | Ok (Some sj) -> setup_fields ~at:"setup." Experiment.default_setup sj
   in
-  let* setup = setup_fields setup j in
+  let* setup = setup_fields ~at:"" setup j in
+  let* () = check_setup setup in
   Ok { workload; schemes; setup; timeline = None }
 
 let of_file path =

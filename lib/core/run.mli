@@ -110,8 +110,10 @@ val workload_label : workload -> string
 
 val describe : spec -> (string * Experiment.setup, error) result
 (** The workload label and the setup this spec runs under, once the
-    fault spec and the benchmark name validate — what a report header
-    or a service log needs without executing anything. *)
+    fault spec, the setup invariants ([batch >= 1], [cache_blocks >= 0],
+    a finite [noise >= 0]; else {!Malformed_spec}) and the benchmark
+    name validate — what a report header or a service log needs without
+    executing anything. *)
 
 val with_timeline :
   (Scheme.t -> Dpm_sim.Timeline.sink option) -> spec -> spec
@@ -162,10 +164,15 @@ val of_json : Dpm_util.Json.t -> (spec, error) result
     [batch]/[core] fields (what documents written before the whole
     setup carry) over that — or over the workload's default setup when
     there is no [setup] — so a top-level field wins.  Missing fields
-    keep their base value.  A malformed document, an empty scheme list
-    or a simulator configuration that breaks a {!Dpm_sim.Config}
-    invariant is {!Malformed_spec}; a bad fault spec is
-    {!Invalid_faults}.  Never raises. *)
+    keep their base value; a field that is present must have its type
+    (a number field takes an integer literal too, [tpm_threshold] takes
+    [null]), else the error names its path
+    (["setup.cache_blocks: expected an integer"]).  A malformed
+    document, an empty scheme list, a simulator configuration that
+    breaks a {!Dpm_sim.Config} invariant, or a setup with [batch < 1],
+    [cache_blocks < 0] or a negative or non-finite [noise] is
+    {!Malformed_spec}; a bad fault spec is {!Invalid_faults}.  Never
+    raises. *)
 
 val to_file : spec -> string -> (unit, error) result
 (** {!to_json} pretty-printed to a file (the sweep harness's replayable

@@ -324,13 +324,14 @@ module Net = struct
   let obj_fields = function Json.Obj l -> l | j -> [ ("value", j) ]
 
   let handle_submit service write j =
-    match Json.member "spec" j with
-    | None -> write (Run.error_to_json (Run.Protocol_error "submit: missing spec"))
-    | Some sj -> (
+    let protocol m = write (Run.error_to_json (Run.Protocol_error m)) in
+    match (Json.member "spec" j, Json.number ~at:"submit: " "meter" j) with
+    | None, _ -> protocol "submit: missing spec"
+    | _, Error m -> protocol m
+    | Some sj, Ok meter -> (
         match Run.of_json sj with
         | Error e -> write (Run.error_to_json e)
         | Ok spec -> (
-            let meter = Option.bind (Json.member "meter" j) Json.to_float in
             (* Samples may start streaming before [submit] returns the
                job id; gate them so the "accepted" frame (which names
                the id) always goes out first. *)

@@ -101,7 +101,8 @@ val shutdown : t -> unit
     [{"ok":"accepted","job":N}], then for metered jobs sample frames
     [{"job":N,"scheme":S,"sample":{disk,index,t0,t1,watts}}] as they
     close, then the terminal [{"job":N,"report":<dpm-report/1>}] — or a
-    typed error object ({!Run.error_to_json}).  Floats print with
+    typed error object ({!Run.error_to_json}); a [meter] that is not a
+    number is [Protocol_error], and no job is queued.  Floats print with
     [%.17g], so a streamed sample set integrates to the job's energy
     exactly as the in-process sections do.  Ops on one connection are
     handled strictly in order; concurrent load uses parallel

@@ -102,81 +102,40 @@ let expand axes =
    "tpm-threshold=4,15.2;drpm-lower=0.02,0.08". *)
 let axes_of_string s =
   let ( let* ) = Result.bind in
-  let axis_of_clause clause =
-    match String.index_opt clause '=' with
-    | None -> Error (Printf.sprintf "%S: expected axis=v1,v2,..." clause)
-    | Some i -> (
-        let name = String.trim (String.sub clause 0 i) in
-        let rest =
-          String.sub clause (i + 1) (String.length clause - i - 1)
-        in
-        if String.equal name "sched" then
-          let* scheds =
-            List.fold_left
-              (fun acc tok ->
-                let* acc = acc in
-                let tok = String.trim tok in
-                match Sim.Config.sched_of_name_opt tok with
-                | Some s -> Ok (s :: acc)
-                | None ->
-                    Error (Printf.sprintf "sched: unknown scheduler %S" tok))
-              (Ok [])
-              (String.split_on_char ',' rest)
-            |> Result.map List.rev
-          in
-          let* () =
-            if scheds = [] then Error "sched: empty value list" else Ok ()
-          in
-          Ok (Sched scheds)
-        else
-        let* values =
-          List.fold_left
-            (fun acc tok ->
-              let* acc = acc in
-              let tok = String.trim tok in
-              match float_of_string_opt tok with
-              | Some v -> Ok (v :: acc)
-              | None -> Error (Printf.sprintf "%s: bad value %S" name tok))
-            (Ok [])
-            (String.split_on_char ',' rest)
-          |> Result.map List.rev
-        in
-        let* () =
-          if values = [] then Error (name ^ ": empty value list") else Ok ()
-        in
-        let ints () =
-          List.map (fun v -> int_of_float (Float.round v)) values
-        in
-        match name with
-        | "tpm-threshold" -> Ok (Tpm_threshold values)
-        | "drpm-lower" -> Ok (Drpm_lower values)
-        | "drpm-upper" -> Ok (Drpm_upper values)
-        | "drpm-window" -> Ok (Drpm_window (ints ()))
-        | "drpm-idle-interval" -> Ok (Drpm_idle_interval values)
-        | "drpm-floor-depth" -> Ok (Drpm_floor_depth (ints ()))
-        | "queue-depth" -> Ok (Queue_depth (ints ()))
-        | "pm-call-overhead" -> Ok (Pm_call_overhead values)
-        | "pre-activation-lead" -> Ok (Pre_activation_lead values)
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "unknown axis %S (expected one of: tpm-threshold, \
-                  drpm-lower, drpm-upper, drpm-window, drpm-idle-interval, \
-                  drpm-floor-depth, queue-depth, pm-call-overhead, \
-                  pre-activation-lead, sched)"
-                 name))
+  let module Kv = Dpm_util.Kv in
+  let axis (name, rest) =
+    let tokens = String.split_on_char ',' rest in
+    let floats make = Result.map make (Kv.all (Kv.float name) tokens)
+    and ints make = Result.map make (Kv.all (Kv.int name) tokens) in
+    match name with
+    | "tpm-threshold" -> floats (fun v -> Tpm_threshold v)
+    | "drpm-lower" -> floats (fun v -> Drpm_lower v)
+    | "drpm-upper" -> floats (fun v -> Drpm_upper v)
+    | "drpm-window" -> ints (fun v -> Drpm_window v)
+    | "drpm-idle-interval" -> floats (fun v -> Drpm_idle_interval v)
+    | "drpm-floor-depth" -> ints (fun v -> Drpm_floor_depth v)
+    | "queue-depth" -> ints (fun v -> Queue_depth v)
+    | "pm-call-overhead" -> floats (fun v -> Pm_call_overhead v)
+    | "pre-activation-lead" -> floats (fun v -> Pre_activation_lead v)
+    | "sched" ->
+        Kv.all
+          (fun tok ->
+            let tok = String.trim tok in
+            match Sim.Config.sched_of_name_opt tok with
+            | Some s -> Ok s
+            | None -> Error (Printf.sprintf "sched: unknown scheduler %S" tok))
+          tokens
+        |> Result.map (fun v -> Sched v)
+    | _ ->
+        Error
+          (Printf.sprintf
+             "unknown axis %S (expected one of: tpm-threshold, drpm-lower, \
+              drpm-upper, drpm-window, drpm-idle-interval, drpm-floor-depth, \
+              queue-depth, pm-call-overhead, pre-activation-lead, sched)"
+             name)
   in
-  List.fold_left
-    (fun acc clause ->
-      let* acc = acc in
-      let clause = String.trim clause in
-      if clause = "" then Ok acc
-      else
-        let* axis = axis_of_clause clause in
-        Ok (axis :: acc))
-    (Ok [])
-    (String.split_on_char ';' s)
-  |> Result.map List.rev
+  let* clauses = Kv.pairs ~sep:';' s in
+  Kv.all axis clauses
 
 let value_to_string n v =
   if String.equal n "sched" then

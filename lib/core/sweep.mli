@@ -59,10 +59,11 @@ val expand : axis list -> point list
 
 val axes_of_string : string -> (axis list, string) result
 (** Parse the CLI grammar: [";"]-separated ["axis=v1,v2,..."] clauses,
-    e.g. ["tpm-threshold=4,15.2;drpm-lower=0.02,0.08"].  Integer axes
-    round their values; the [sched] axis takes scheduler names
-    (["sched=fcfs,sstf,scan"]).  Unknown axes, empty value lists and malformed
-    numbers produce a readable error. *)
+    e.g. ["tpm-threshold=4,15.2;drpm-lower=0.02,0.08"], read through
+    {!Dpm_util.Kv}.  Integer axes take integral values (["8.0"] reads as
+    8; ["10.5"] is an error naming the axis); the [sched] axis takes
+    scheduler names (["sched=fcfs,sstf,scan"]).  Unknown axes, empty
+    values and malformed numbers produce a readable error. *)
 
 val point_to_string : point -> string
 (** ["tpm-threshold=4, drpm-lower=0.02"] — for tables and logs. *)

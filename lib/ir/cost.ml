@@ -47,6 +47,7 @@ and loop_cycles model env (l : Loop.t) =
 
 let closed_env x = invalid_arg ("Cost: unbound iterator " ^ x)
 let nest_cycles model l = loop_cycles model closed_env l
+let program_cycles model (p : Program.t) = body_cycles model closed_env p.body
 
 let seconds model cycles = float_of_int cycles /. model.clock_hz
 let cycles_of_seconds model t = int_of_float (Float.round (t *. model.clock_hz))

@@ -28,6 +28,12 @@ val nest_cycles : model -> Loop.t -> int
     for the cycles the loop-nest walk ([Dpm_trace.Walk]) counts one
     iteration at a time. *)
 
+val program_cycles : model -> Program.t -> int
+(** {!nest_cycles} summed over the program's top-level items, where a
+    top-level statement costs {!stmt_cycles} and a call costs nothing.
+    Under a work-only model ([cycles_per_ref = 0], [loop_overhead = 0])
+    this is the total [work] the program executes, exactly. *)
+
 val seconds : model -> int -> float
 (** Convert cycles to seconds. *)
 

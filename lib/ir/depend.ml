@@ -143,9 +143,6 @@ let carried_info (l : Loop.t) =
     (dependence_pairs l);
   (List.rev !exact, !unknown)
 
-let carried_distances l = fst (carried_info l)
-let has_unknown_dependence l = snd (carried_info l)
-
 let tiling_legal l =
   let exact, unknown = carried_info l in
   (not unknown)

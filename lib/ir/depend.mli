@@ -29,14 +29,6 @@ val stmts_dependent : Stmt.t -> Stmt.t -> bool
     aliasing — the condition under which program order must be
     preserved. *)
 
-val carried_distances : Loop.t -> int list list
-(** All exact dependence distance vectors (aligned with the nest's
-    iterator order) between dependent statement pairs of the nest;
-    [Unknown] pairs contribute no vector but are reported by
-    {!has_unknown_dependence}. *)
-
-val has_unknown_dependence : Loop.t -> bool
-
 val tiling_legal : Loop.t -> bool
 (** Conservative: every dependence is exact and every distance component
     is non-negative (the nest is fully permutable), so rectangular tiling

@@ -15,7 +15,7 @@ let min_ a b = Min (a, b)
 let max_ a b = Max (a, b)
 
 (* Floor division by a positive constant, also correct for negative
-   numerators: the one copy [eval], [lower] and [bounds] share. *)
+   numerators: the one copy [eval] and [lower] share. *)
 let floor_div n k = if n >= 0 then n / k else -(((-n) + k - 1) / k)
 
 let rec eval env e =
@@ -32,30 +32,6 @@ let rec eval env e =
       floor_div (eval env a) k
   | Min (a, b) -> min (eval env a) (eval env b)
   | Max (a, b) -> max (eval env a) (eval env b)
-
-let rec bounds range e =
-  match e with
-  | Const n -> (n, n)
-  | Var x -> range x
-  | Add (a, b) ->
-      let la, ha = bounds range a and lb, hb = bounds range b in
-      (la + lb, ha + hb)
-  | Sub (a, b) ->
-      let la, ha = bounds range a and lb, hb = bounds range b in
-      (la - hb, ha - lb)
-  | Mul (k, a) ->
-      let la, ha = bounds range a in
-      if k >= 0 then (k * la, k * ha) else (k * ha, k * la)
-  | Div (a, k) ->
-      if k <= 0 then invalid_arg "Expr.bounds: division by non-positive constant";
-      let la, ha = bounds range a in
-      (floor_div la k, floor_div ha k)
-  | Min (a, b) ->
-      let la, ha = bounds range a and lb, hb = bounds range b in
-      (min la lb, min ha hb)
-  | Max (a, b) ->
-      let la, ha = bounds range a and lb, hb = bounds range b in
-      (max la lb, max ha hb)
 
 let vars e =
   let rec go acc = function

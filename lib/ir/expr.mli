@@ -2,10 +2,10 @@
 
     Subscript expressions and loop bounds in the IR are affine in the
     enclosing loop iterators (plus [Min]/[Max], which show up in tiled
-    bounds).  The compiler passes rely on two operations: exact evaluation
-    under an environment (used by the iteration walker and the trace
-    generator) and sound interval bounds (used by the footprint analysis
-    to compute the array region a whole sub-nest touches). *)
+    bounds).  The compiler passes rely on exact evaluation: {!eval} under
+    an environment, and {!lower}, the same meaning compiled once for the
+    loop-nest walk.  The transformations add substitution, shifting and
+    simplification. *)
 
 type t =
   | Const of int
@@ -40,11 +40,6 @@ val lower : slot:(string -> int) -> t -> int array -> int
     is exact under wrapping integer arithmetic); when it raises for one,
     the evaluator defers to {!eval}, so the error surfaces at
     evaluation, in [eval]'s order. *)
-
-val bounds : (string -> int * int) -> t -> int * int
-(** [bounds range e] returns a sound enclosing interval of [e] given
-    inclusive ranges for each iterator (interval arithmetic; exact for
-    affine expressions when each variable occurs once). *)
 
 val vars : t -> string list
 (** Iterators occurring in the expression, sorted, without duplicates. *)

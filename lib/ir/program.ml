@@ -43,9 +43,6 @@ let validate t =
 
 let make ~name ~arrays ~body = validate { name; arrays; body }
 
-let of_nests ~name ~arrays nests =
-  make ~name ~arrays ~body:(List.map (fun l -> Loop.For l) nests)
-
 let find_array t name =
   List.find (fun (a : Array_decl.t) -> String.equal a.name name) t.arrays
 
@@ -61,12 +58,6 @@ let nests t =
          | Loop.Stmt _ | Loop.Call _ -> None)
 
 let item_count t = List.length t.body
-
-let arrays_of_item t i =
-  match List.nth t.body i with
-  | Loop.For l -> Loop.arrays l
-  | Loop.Stmt s -> Stmt.arrays s
-  | Loop.Call _ -> []
 
 let with_body t body = validate { t with body }
 

@@ -20,10 +20,6 @@ val make :
     a subscript or bound is bound by an enclosing loop (top-level
     statements may therefore only use constant subscripts). *)
 
-val of_nests :
-  name:string -> arrays:Array_decl.t list -> Loop.t list -> t
-(** Convenience wrapper when every item is a nest. *)
-
 val find_array : t -> string -> Array_decl.t
 (** Raises [Not_found] for undeclared names. *)
 
@@ -34,9 +30,6 @@ val nests : t -> (int * Loop.t) list
 (** Top-level loops with their item indices (the DAP's "nest" ids). *)
 
 val item_count : t -> int
-
-val arrays_of_item : t -> int -> string list
-(** Arrays referenced by item [i] (0-based; empty for calls). *)
 
 val with_body : t -> Loop.node list -> t
 (** Replace the item list (used by the transformation passes); re-runs

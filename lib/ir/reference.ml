@@ -5,7 +5,6 @@ let make array indices =
   { array; indices }
 
 let eval env t = List.map (Expr.eval env) t.indices
-let region range t = List.map (Expr.bounds range) t.indices
 
 let vars t =
   List.sort_uniq compare (List.concat_map Expr.vars t.indices)

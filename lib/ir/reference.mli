@@ -8,11 +8,6 @@ val make : string -> Expr.t list -> t
 val eval : (string -> int) -> t -> int list
 (** Concrete index vector under an iterator environment. *)
 
-val region : (string -> int * int) -> t -> (int * int) list
-(** Per-dimension inclusive index interval touched over the given iterator
-    ranges (sound, and exact for single-occurrence affine subscripts) —
-    the footprint primitive. *)
-
 val vars : t -> string list
 (** Iterators appearing in any subscript. *)
 

@@ -69,13 +69,6 @@ let set_striping t name striping =
 
 let set_order t name order = update t name (fun e -> { e with order })
 
-(* Index vector and extents in storage order (outermost-varying first). *)
-let storage_view (e : entry) idx =
-  let dims = e.decl.Dpm_ir.Array_decl.dims in
-  match e.order with
-  | Row_major -> (dims, idx)
-  | Col_major -> (List.rev dims, List.rev idx)
-
 (* The element rule, resolved once per array: extents in subscript
    order, whether storage runs them backwards (column-major), and the
    sizes that turn a linear index into a byte offset and a unit. *)
@@ -142,105 +135,6 @@ let blocks t =
   List.fold_left
     (fun acc (_, p) -> max acc (p.base_block + unit_count_of_entry p.entry))
     0 t.table
-
-(* --- Region queries --- *)
-
-let clamp_region dims region =
-  List.map2
-    (fun d (lo, hi) -> (max 0 lo, min (d - 1) hi))
-    dims region
-
-(* Byte runs of a rectangular region, in storage order.  A maximal suffix
-   of fully-covered dimensions is folded into the innermost run so that
-   whole-array regions cost one run, not one per row. *)
-let region_byte_runs (e : entry) region =
-  let dims, region = storage_view e region in
-  let region = clamp_region dims region in
-  if List.exists (fun (lo, hi) -> hi < lo) region then []
-  else
-    let dims_a = Array.of_list dims in
-    let reg_a = Array.of_list region in
-    let r = Array.length dims_a in
-    (* Find the smallest k such that dims k..r-1 are fully covered. *)
-    let full = ref r in
-    (try
-       for k = r - 1 downto 0 do
-         let lo, hi = reg_a.(k) in
-         if lo = 0 && hi = dims_a.(k) - 1 then full := k else raise Exit
-       done
-     with Exit -> ());
-    let split = max 1 !full in
-    (* A run spans dims split-1 .. r-1: contiguous from the low corner of
-       dim split-1 to its high corner, with all inner dims full...  Only
-       when dims split..r-1 are fully covered, which holds when
-       split >= !full; when split-1 = r-1 the run is just the innermost
-       interval. *)
-    let inner_extent =
-      let x = ref 1 in
-      for k = split to r - 1 do
-        x := !x * dims_a.(k)
-      done;
-      !x
-    in
-    let es = e.decl.Dpm_ir.Array_decl.elem_size in
-    let runs = ref [] in
-    (* Iterate the outer dims 0 .. split-2; dim split-1 forms the run. *)
-    let rec go k prefix =
-      if k = split - 1 then begin
-        let lo, hi = reg_a.(k) in
-        let base = (prefix * dims_a.(k)) + lo in
-        let first_elem = base * inner_extent in
-        let count = (hi - lo + 1) * inner_extent in
-        runs := (first_elem * es, ((first_elem + count) * es) - 1) :: !runs
-      end
-      else
-        let lo, hi = reg_a.(k) in
-        for i = lo to hi do
-          go (k + 1) ((prefix * dims_a.(k)) + i)
-        done
-    in
-    if r = 0 then []
-    else begin
-      go 0 0;
-      List.rev !runs
-    end
-
-let normalize_int_runs runs =
-  let sorted = List.sort compare runs in
-  let rec merge = function
-    | [] -> []
-    | [ x ] -> [ x ]
-    | (l1, h1) :: (l2, h2) :: rest ->
-        if l2 <= h1 + 1 then merge ((l1, max h1 h2) :: rest)
-        else (l1, h1) :: merge ((l2, h2) :: rest)
-  in
-  merge sorted
-
-let region_units t name region =
-  let e = entry t name in
-  let byte_runs = region_byte_runs e region in
-  let ss = e.striping.Striping.stripe_size in
-  normalize_int_runs (List.map (fun (b0, b1) -> (b0 / ss, b1 / ss)) byte_runs)
-
-let region_disks t name region =
-  let e = entry t name in
-  let factor = e.striping.Striping.stripe_factor in
-  let runs = region_units t name region in
-  let seen = Hashtbl.create 8 in
-  (try
-     List.iter
-       (fun (u0, u1) ->
-         (* A run of >= factor units covers the whole stripe. *)
-         let u1 = if u1 - u0 + 1 >= factor then u0 + factor - 1 else u1 in
-         for u = u0 to u1 do
-           Hashtbl.replace seen
-             (Striping.disk_of_unit e.striping ~ndisks:t.ndisks u)
-             ();
-           if Hashtbl.length seen >= min factor t.ndisks then raise Exit
-         done)
-       runs
-   with Exit -> ());
-  List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) seen [])
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>layout over %d disks:@," t.ndisks;

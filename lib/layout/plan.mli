@@ -5,7 +5,10 @@
     paper's tiling pass flips this), plus the size of the disk subsystem.
     Each array is stored in its own file; files are given disjoint global
     block ranges so that trace records carry unambiguous "start block
-    numbers". *)
+    numbers".  Queries are per element or per stripe unit:
+    {!element_block} is the one element rule, and the compiler's access
+    analysis walks the program through it rather than reasoning about
+    regions. *)
 
 type order = Row_major | Col_major
 
@@ -70,14 +73,5 @@ val unit_global_block : t -> string -> int -> int
 
 val blocks : t -> int
 (** Size of that space: every global block lies in [\[0, blocks t)]. *)
-
-val region_disks : t -> string -> (int * int) list -> int list
-(** Disks touched by a rectangular element region (inclusive per-dimension
-    intervals, clamped to the array bounds).  Sorted, without
-    duplicates.  Early-exits once every disk of the stripe is seen. *)
-
-val region_units : t -> string -> (int * int) list -> (int * int) list
-(** [(lo, hi)] inclusive runs of stripe units touched by the region,
-    normalized (sorted, disjoint). *)
 
 val pp : Format.formatter -> t -> unit

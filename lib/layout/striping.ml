@@ -21,8 +21,6 @@ let disk_of_unit t ~ndisks u =
     invalid_arg "Striping.disk_of_unit: start disk out of range";
   (t.start_disk + (u mod t.stripe_factor)) mod ndisks
 
-let disk_of_offset t ~ndisks off = disk_of_unit t ~ndisks (unit_of_offset t off)
-
 let units_in_file t ~file_bytes =
   if file_bytes <= 0 then 0
   else ((file_bytes - 1) / t.stripe_size) + 1

@@ -27,8 +27,6 @@ val disk_of_unit : t -> ndisks:int -> int -> int
 (** Disk holding a given stripe unit.  Requires
     [stripe_factor <= ndisks] and [start_disk < ndisks]. *)
 
-val disk_of_offset : t -> ndisks:int -> int -> int
-
 val disks_used : t -> ndisks:int -> file_bytes:int -> int list
 (** Sorted list of disks that hold at least one unit of a file of the
     given size. *)

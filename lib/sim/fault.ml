@@ -94,76 +94,50 @@ let to_string s =
   Buffer.contents b
 
 let of_string str =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let parse_int key v k =
-    match int_of_string_opt (String.trim v) with
-    | Some n -> k n
-    | None -> err "%s: expected an integer, got %S" key v
+  let ( let* ) = Stdlib.Result.bind in
+  let module Kv = Dpm_util.Kv in
+  let failure entry =
+    match String.index_opt entry '@' with
+    | None -> Error (Printf.sprintf "fail: expected DISK@TIME, got %S" entry)
+    | Some i ->
+        let* d = Kv.int "fail" (String.sub entry 0 i) in
+        let* t =
+          Kv.float "fail"
+            (String.sub entry (i + 1) (String.length entry - i - 1))
+        in
+        Ok (d, t)
   in
-  let parse_float key v k =
-    match float_of_string_opt (String.trim v) with
-    | Some x -> k x
-    | None -> err "%s: expected a number, got %S" key v
+  let set spec (key, v) =
+    let int f = Stdlib.Result.map f (Kv.int key v)
+    and float f = Stdlib.Result.map f (Kv.float key v) in
+    match String.lowercase_ascii key with
+    | "seed" -> int (fun n -> { spec with seed = n })
+    | "read" -> float (fun x -> { spec with read_error_rate = x })
+    | "bad" -> float (fun x -> { spec with bad_unit_rate = x })
+    | "badlen" -> int (fun n -> { spec with bad_region_len = n })
+    | "spinfail" -> float (fun x -> { spec with spin_up_failure_rate = x })
+    | "retries" -> int (fun n -> { spec with max_retries = n })
+    | "backoff" -> float (fun x -> { spec with backoff = x })
+    | "remap" -> float (fun x -> { spec with remap_penalty = x })
+    | "fail" ->
+        let* fs = Kv.all failure (Kv.clauses ~sep:';' v) in
+        Ok { spec with disk_failures = spec.disk_failures @ fs }
+    | _ ->
+        Error
+          (Printf.sprintf
+             "unknown key %S (expected seed, read, bad, badlen, spinfail, \
+              retries, backoff, remap or fail)"
+             key)
   in
-  let parse_failures v k =
-    let rec go acc = function
-      | [] -> k (List.rev acc)
-      | entry :: rest -> (
-          match String.index_opt entry '@' with
-          | None -> err "fail: expected DISK@TIME, got %S" entry
-          | Some i ->
-              let d = String.sub entry 0 i in
-              let t = String.sub entry (i + 1) (String.length entry - i - 1) in
-              parse_int "fail" d (fun d ->
-                  parse_float "fail" t (fun t -> go ((d, t) :: acc) rest)))
-    in
-    go []
-      (List.filter
-         (fun e -> e <> "")
-         (List.map String.trim (String.split_on_char ';' v)))
+  let* pairs = Kv.pairs ~sep:',' str in
+  let* spec =
+    List.fold_left
+      (fun acc kv ->
+        let* spec = acc in
+        set spec kv)
+      (Ok none) pairs
   in
-  let rec fold spec = function
-    | [] -> validate spec
-    | part :: rest -> (
-        match String.index_opt part '=' with
-        | None -> err "expected key=value, got %S" part
-        | Some i -> (
-            let key = String.trim (String.sub part 0 i) in
-            let v = String.sub part (i + 1) (String.length part - i - 1) in
-            match String.lowercase_ascii key with
-            | "seed" -> parse_int key v (fun n -> fold { spec with seed = n } rest)
-            | "read" ->
-                parse_float key v (fun x ->
-                    fold { spec with read_error_rate = x } rest)
-            | "bad" ->
-                parse_float key v (fun x ->
-                    fold { spec with bad_unit_rate = x } rest)
-            | "badlen" ->
-                parse_int key v (fun n ->
-                    fold { spec with bad_region_len = n } rest)
-            | "spinfail" ->
-                parse_float key v (fun x ->
-                    fold { spec with spin_up_failure_rate = x } rest)
-            | "retries" ->
-                parse_int key v (fun n -> fold { spec with max_retries = n } rest)
-            | "backoff" ->
-                parse_float key v (fun x -> fold { spec with backoff = x } rest)
-            | "remap" ->
-                parse_float key v (fun x ->
-                    fold { spec with remap_penalty = x } rest)
-            | "fail" ->
-                parse_failures v (fun fs ->
-                    fold { spec with disk_failures = spec.disk_failures @ fs } rest)
-            | _ ->
-                err
-                  "unknown key %S (expected seed, read, bad, badlen, spinfail, \
-                   retries, backoff, remap or fail)"
-                  key))
-  in
-  fold none
-    (List.filter
-       (fun p -> p <> "")
-       (List.map String.trim (String.split_on_char ',' str)))
+  validate spec
 
 let backoff_delay spec ~attempt = Float.ldexp spec.backoff attempt
 

@@ -62,54 +62,34 @@ let to_string ?(sources = []) t =
 
 let of_string s =
   let ( let* ) = Result.bind in
-  let parse_float k v =
-    match float_of_string_opt (String.trim v) with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "open-loop: %s: not a number: %S" k v)
-  in
-  let parse_int k v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "open-loop: %s: not an integer: %S" k v)
-  in
-  let fields =
-    String.split_on_char ',' s
-    |> List.filter (fun f -> String.trim f <> "")
-  in
-  let step acc field =
+  let module Kv = Dpm_util.Kv in
+  let step acc (k, v) =
     let* rate, burst, jobs, zipf, seed, sources = acc in
-    match String.index_opt field '=' with
-    | None -> Error (Printf.sprintf "open-loop: expected key=value, got %S" field)
-    | Some i -> (
-        let k = String.trim (String.sub field 0 i) in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        match String.lowercase_ascii k with
-        | "rate" ->
-            let* f = parse_float k v in
-            Ok (Some f, burst, jobs, zipf, seed, sources)
-        | "burst" ->
-            let* b = parse_int k v in
-            Ok (rate, Some b, jobs, zipf, seed, sources)
-        | "jobs" ->
-            let* j = parse_int k v in
-            Ok (rate, burst, Some j, zipf, seed, sources)
-        | "zipf" ->
-            let* z = parse_float k v in
-            Ok (rate, burst, jobs, Some z, seed, sources)
-        | "seed" ->
-            let* sd = parse_int k v in
-            Ok (rate, burst, jobs, zipf, Some sd, sources)
-        | "sources" ->
-            let names =
-              String.split_on_char ':' v
-              |> List.map String.trim
-              |> List.filter (fun n -> n <> "")
-            in
-            Ok (rate, burst, jobs, zipf, seed, names)
-        | _ -> Error (Printf.sprintf "open-loop: unknown key %S" k))
+    match String.lowercase_ascii k with
+    | "rate" ->
+        let* f = Kv.float k v in
+        Ok (Some f, burst, jobs, zipf, seed, sources)
+    | "burst" ->
+        let* b = Kv.int k v in
+        Ok (rate, Some b, jobs, zipf, seed, sources)
+    | "jobs" ->
+        let* j = Kv.int k v in
+        Ok (rate, burst, Some j, zipf, seed, sources)
+    | "zipf" ->
+        let* z = Kv.float k v in
+        Ok (rate, burst, jobs, Some z, seed, sources)
+    | "seed" ->
+        let* sd = Kv.int k v in
+        Ok (rate, burst, jobs, zipf, Some sd, sources)
+    | "sources" -> Ok (rate, burst, jobs, zipf, seed, Kv.clauses ~sep:':' v)
+    | _ -> Error (Printf.sprintf "unknown key %S" k)
+  in
+  let parsed =
+    let* fields = Kv.pairs ~sep:',' s in
+    List.fold_left step (Ok (None, None, None, None, None, [])) fields
   in
   let* rate, burst, jobs, zipf, seed, sources =
-    List.fold_left step (Ok (None, None, None, None, None, [])) fields
+    Result.map_error (fun m -> "open-loop: " ^ m) parsed
   in
   match rate with
   | None -> Error "open-loop: missing required key \"rate\""

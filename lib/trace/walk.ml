@@ -46,10 +46,11 @@ type node =
   | Call of Ir.Loop.pm_call
 
 (* Iterators live in slots, one per loop depth, so the slot array holds
-   exactly what [Enumerate]'s environment holds.  The binding rule is
-   [Enumerate]'s: a loop binds its iterator on entry and unbinds it on
-   exit, even when it shadowed an outer one, so a later read of that
-   name raises — when it executes, as every lowering error does. *)
+   exactly what the reference walk's environment holds (test/enumerate.ml).
+   The binding rule is the reference walk's: a loop binds its iterator on
+   entry and unbinds it on exit, even when it shadowed an outer one, so a
+   later read of that name raises — when it executes, as every lowering
+   error does. *)
 let lower ~cost plan (p : Ir.Program.t) =
   let depth = ref 0 in
   let lower_expr bound =

@@ -28,9 +28,9 @@
     statement's cycles are counted once, and the cache is a
     {!Dpm_cache.Lru} over the plan's global blocks.  Executing the
     kernel allocates nothing per statement instance.  Iterators bind as
-    in {!Dpm_ir.Enumerate}: a loop binds its iterator on entry and
-    unbinds it on exit, even when it shadowed an outer one, so a later
-    read of that name raises
+    in the tests' reference walk ([test/enumerate.ml]): a loop binds its
+    iterator on entry and unbinds it on exit, even when it shadowed an
+    outer one, so a later read of that name raises
     [Invalid_argument "Enumerate: unbound iterator <name>"]. *)
 
 type item = {

@@ -130,26 +130,13 @@ let to_json t =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let int k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "Histo.of_json: missing int %s" k)
-  in
-  let num k =
-    match Option.bind (Json.member k j) Json.to_float with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "Histo.of_json: missing number %s" k)
-  in
-  let* count = int "count" in
-  let* zeros = int "zeros" in
-  let* sum = num "sum" in
-  let* mn = num "min" in
-  let* mx = num "max" in
-  let* pairs =
-    match Option.bind (Json.member "buckets" j) Json.to_list with
-    | Some l -> Ok l
-    | None -> Error "Histo.of_json: missing buckets array"
-  in
+  let need read k = Json.required read ~at:"Histo.of_json: " k j in
+  let* count = need Json.integer "count" in
+  let* zeros = need Json.integer "zeros" in
+  let* sum = need Json.number "sum" in
+  let* mn = need Json.number "min" in
+  let* mx = need Json.number "max" in
+  let* pairs = need Json.array "buckets" in
   let t = create () in
   t.count <- count;
   t.zeros <- zeros;

@@ -273,6 +273,27 @@ let to_int = function Int i -> Some i | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
+type 'a field = at:string -> string -> t -> ('a option, string) result
+
+let typed conv what ~at key j =
+  match Option.map conv (member key j) with
+  | None -> Ok None
+  | Some (Some _ as x) -> Ok x
+  | Some None -> Error (Printf.sprintf "%s%s: expected %s" at key what)
+
+let number = typed to_float "a number"
+let integer = typed to_int "an integer"
+let text = typed to_str "a string"
+let boolean = typed to_bool "a boolean"
+let array = typed to_list "an array"
+let obj = typed (function Obj _ as o -> Some o | _ -> None) "an object"
+
+let required (read : _ field) ~at key j =
+  match read ~at key j with
+  | Ok (Some x) -> Ok x
+  | Ok None -> Error (Printf.sprintf "%s%s: missing" at key)
+  | Error m -> Error m
+
 (* --- JSONL sections --- *)
 
 let read_sections ~header ~row ic =

@@ -40,6 +40,25 @@ val to_int : t -> int option
 val to_str : t -> string option
 val to_bool : t -> bool option
 
+(** {1 Typed fields} — the one field reader of the document decoders. *)
+
+type 'a field = at:string -> string -> t -> ('a option, string) result
+(** [read ~at key j]: field [key] of [j], [Ok None] when absent,
+    [Error "<at><key>: expected <type>"] when of another type ([at] is
+    [j]'s path, e.g. ["schemes[1]."]).  [number] accepts {!Int} too;
+    [obj] returns the {!Obj} itself. *)
+
+val number : float field
+val integer : int field
+val text : string field
+val boolean : bool field
+val array : t list field
+val obj : t field
+
+val required : 'a field -> at:string -> string -> t -> ('a, string) result
+(** The field read by [read], an absent one being the error
+    ["<at><key>: missing"]. *)
+
 val read_sections :
   header:(t -> ('h, string) result option) ->
   row:('h option -> t -> ('r, string) result) ->

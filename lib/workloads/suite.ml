@@ -77,17 +77,13 @@ let program spec = Ir.Parser.program ~name:spec.name (spec.source ())
 
 let default_plan ?(ndisks = 8) p = Layout.Plan.uniform ~ndisks p
 
+(* Total work in closed form: the cost model's nest formulas under a
+   model that charges only [work], so the sum is integer-exact. *)
 let total_work_seconds p =
-  let total = ref 0 in
-  let cb =
-    {
-      Ir.Enumerate.nothing with
-      Ir.Enumerate.on_stmt =
-        (fun ~nest:_ s _ -> total := !total + s.Ir.Stmt.work);
-    }
+  let work_only =
+    { Ir.Cost.default with Ir.Cost.cycles_per_ref = 0; loop_overhead = 0 }
   in
-  Ir.Enumerate.run cb p;
-  Ir.Cost.seconds Ir.Cost.default !total
+  Ir.Cost.seconds Ir.Cost.default (Ir.Cost.program_cycles work_only p)
 
 let calibrate ?(specs = Dpm_disk.Specs.ultrastar_36z15) ~target_exec p plan =
   let exact =

@@ -52,7 +52,10 @@ val calibrate :
   Dpm_ir.Program.t
 (** Uniformly scale every statement's [work] so the profiled run time
     equals the target (the service and bookkeeping components are fixed
-    by structure; only compute scales). *)
+    by structure; only compute scales).  The profile is one walk
+    ({!Dpm_compiler.Estimate.profile}); the total work it scales is
+    {!Dpm_ir.Cost.program_cycles} under a work-only model, in closed
+    form. *)
 
 val default_plan : ?ndisks:int -> Dpm_ir.Program.t -> Dpm_layout.Plan.t
 (** The paper's default layout: every array striped as (0, 8, 64 KB). *)

@@ -1,3 +1,5 @@
+open Dpm_ir
+
 type callbacks = {
   on_enter : nest:int -> depth:int -> var:string -> value:int -> unit;
   on_stmt : nest:int -> Stmt.t -> (string -> int) -> unit;

@@ -2,10 +2,16 @@
     order, delivering one event per statement execution and per
     power-management call.
 
-    This is the dynamic ground truth that both the trace generator and the
-    DAP validity tests are built on.  The walker maintains a single
-    mutable environment, so the [env] lookup passed to callbacks is only
-    valid during the callback. *)
+    The reference walk of the tests: the loop-nest walk
+    ({!Dpm_trace.Walk}), the closed-form cost model and the compiler
+    passes are checked against it.  A loop binds its iterator on entry
+    and unbinds it on exit, even when it shadowed an outer one; reading
+    an unbound iterator raises
+    [Invalid_argument "Enumerate: unbound iterator <name>"].  The walker
+    maintains a single mutable environment, so the [env] lookup passed
+    to callbacks is only valid during the callback. *)
+
+open Dpm_ir
 
 type callbacks = {
   on_enter : nest:int -> depth:int -> var:string -> value:int -> unit;

@@ -1,4 +1,4 @@
-(* Tests for Dpm_compiler: footprint analysis, DAP construction, timing
+(* Tests for Dpm_compiler: access analysis, DAP construction, timing
    estimates, power-call insertion, grouping, fission, disk allocation and
    tiling. *)
 
@@ -52,17 +52,6 @@ for i = 0 to 31 { use B[i] work 800000000 }
   (p, plan)
 
 (* --- Access --- *)
-
-let test_access_footprint_marks_regions () =
-  let p, plan = two_phase () in
-  let acts = Access.of_program p plan in
-  let a0 = List.nth acts 0 in
-  (* Nest 0 never touches disks 4..7. *)
-  for d = 4 to 7 do
-    Alcotest.(check (list (pair int int))) "B disks idle in nest 0" []
-      a0.Access.per_disk.(d)
-  done;
-  Alcotest.(check bool) "disk 0 active" true (a0.Access.per_disk.(0) <> [])
 
 let test_access_cached_reflects_misses () =
   let p, plan = two_phase () in
@@ -241,8 +230,8 @@ let test_insertion_tpm_on_two_phase () =
   Alcotest.(check bool) "pre-activations inserted" true (ups > 0);
   (* Iteration multiset preserved by strip-mining. *)
   Alcotest.(check int) "same dynamic statements"
-    (Ir.Enumerate.count_stmt_executions p)
-    (Ir.Enumerate.count_stmt_executions instrumented)
+    (Enumerate.count_stmt_executions p)
+    (Enumerate.count_stmt_executions instrumented)
 
 let test_insertion_nothing_below_break_even () =
   let p =
@@ -275,8 +264,8 @@ let test_insertion_drpm_levels_valid () =
         | None -> true))
     decisions;
   Alcotest.(check int) "same dynamic statements"
-    (Ir.Enumerate.count_stmt_executions p)
-    (Ir.Enumerate.count_stmt_executions instrumented)
+    (Enumerate.count_stmt_executions p)
+    (Enumerate.count_stmt_executions instrumented)
 
 (* --- Grouping (paper Figure 9/11) --- *)
 
@@ -333,8 +322,8 @@ let group_access_sequence p grouping g =
   let seq = ref [] in
   let cb =
     {
-      Ir.Enumerate.nothing with
-      Ir.Enumerate.on_stmt =
+      Enumerate.nothing with
+      Enumerate.on_stmt =
         (fun ~nest:_ s env ->
           if Grouping.stmt_group grouping s = g then
             List.iter
@@ -343,7 +332,7 @@ let group_access_sequence p grouping g =
               (Ir.Stmt.refs s));
     }
   in
-  Ir.Enumerate.run cb p;
+  Enumerate.run cb p;
   List.rev !seq
 
 let test_fission_preserves_group_sequences () =
@@ -434,12 +423,12 @@ let iteration_multiset p =
   let seq = ref [] in
   let cb =
     {
-      Ir.Enumerate.nothing with
-      Ir.Enumerate.on_stmt =
+      Enumerate.nothing with
+      Enumerate.on_stmt =
         (fun ~nest:_ _ env -> seq := (env "i", env "j") :: !seq);
     }
   in
-  Ir.Enumerate.run cb p;
+  Enumerate.run cb p;
   List.sort compare !seq
 
 let test_tiling_preserves_iterations () =
@@ -522,8 +511,8 @@ for i = 0 to 15 { for j = 0 to 15 { C[i][j] = C[i][j] + C[j][i] work 1 } }
   Alcotest.(check bool) "apply_all >= apply" true
     (tiled_count pall >= tiled_count p1);
   Alcotest.(check bool) "iteration multiset preserved" true
-    (Ir.Enumerate.count_stmt_executions p
-    = Ir.Enumerate.count_stmt_executions pall);
+    (Enumerate.count_stmt_executions p
+    = Enumerate.count_stmt_executions pall);
   Alcotest.(check bool) "B flipped once" true
     ((Plan.entry plan_all "B").Plan.order = Plan.Col_major)
 
@@ -584,8 +573,6 @@ let suite =
   [
     ( "compiler.access",
       [
-        Alcotest.test_case "footprint regions" `Quick
-          test_access_footprint_marks_regions;
         Alcotest.test_case "cached misses" `Quick test_access_cached_reflects_misses;
         Alcotest.test_case "cached reuse" `Quick test_access_cached_sees_reuse;
       ] );

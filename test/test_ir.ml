@@ -10,7 +10,6 @@ module Program = Dpm_ir.Program
 module Parser = Dpm_ir.Parser
 module Printer = Dpm_ir.Printer
 module Cost = Dpm_ir.Cost
-module Enumerate = Dpm_ir.Enumerate
 module Depend = Dpm_ir.Depend
 
 let env_of l x = List.assoc x l
@@ -36,11 +35,6 @@ let test_expr_minmax () =
   Alcotest.(check int) "min clamps" 5 (Expr.eval (env_of [ ("i", 9) ]) e);
   let e2 = Expr.(Max (Var "i", Const 0)) in
   Alcotest.(check int) "max" 0 (Expr.eval (env_of [ ("i", -2) ]) e2)
-
-let test_expr_bounds_exact_affine () =
-  let e = Expr.(Sub (Mul (2, Var "i"), Var "j")) in
-  let range = function "i" -> (0, 10) | "j" -> (1, 3) | _ -> raise Not_found in
-  Alcotest.(check (pair int int)) "bounds" (-3, 19) (Expr.bounds range e)
 
 let test_expr_simplify () =
   let e = Expr.(Add (Const 0, Mul (1, Var "x"))) in
@@ -87,19 +81,6 @@ let expr_gen =
                 map (fun a -> Expr.Div (a, 3)) (self (n - 1));
               ])
         (min n 6))
-
-let qcheck_bounds_sound =
-  QCheck2.Test.make ~count:500 ~name:"expr: interval bounds enclose eval"
-    QCheck2.Gen.(triple expr_gen (int_range 0 9) (int_range 0 9))
-    (fun (e, i, j) ->
-      let range = function
-        | "i" -> (0, 9)
-        | "j" -> (0, 9)
-        | _ -> raise Not_found
-      in
-      let lo, hi = Expr.bounds range e in
-      let v = Expr.eval (env_of [ ("i", i); ("j", j) ]) e in
-      lo <= v && v <= hi)
 
 let qcheck_simplify_preserves_eval =
   QCheck2.Test.make ~count:500 ~name:"expr: simplify preserves evaluation"
@@ -305,31 +286,55 @@ let test_printer_roundtrip_program () =
 
 (* --- Cost --- *)
 
+(* The edge programs of [trace.walk › edge programs] that run to
+   completion: triangular and [Min]/[Max]/[Div] bounds, column-major
+   arrays, top-level statements and calls, zero-trip loops. *)
+let completing_edge_programs () =
+  List.filter_map
+    (fun ((p : Program.t), _) ->
+      if
+        List.mem p.name
+          [
+            "triangular"; "colmajor"; "toplevel"; "zerotrip";
+            "missing-unexecuted";
+          ]
+      then Some (p.name, p)
+      else None)
+    Test_trace.walk_edge_programs
+
 let test_cost_closed_form_matches_enumeration () =
-  let p = small_program () in
-  let model = Cost.default in
-  let total = ref 0 in
-  let cb =
-    {
-      Enumerate.nothing with
-      Enumerate.on_stmt =
-        (fun ~nest:_ s _ -> total := !total + Cost.stmt_cycles model s);
-      on_enter =
-        (fun ~nest:_ ~depth:_ ~var:_ ~value:_ ->
-          total := !total + model.loop_overhead);
-    }
+  let work_only = { Cost.default with cycles_per_ref = 0; loop_overhead = 0 } in
+  let programs =
+    (("small", small_program ())
+    :: List.map
+         (fun (s : Dpm_workloads.Suite.spec) ->
+           (s.name, Dpm_workloads.Suite.program s))
+         Dpm_workloads.Suite.all)
+    @ completing_edge_programs ()
   in
-  Enumerate.run cb p;
-  let closed =
-    List.fold_left
-      (fun acc node ->
-        match node with
-        | Loop.For l -> acc + Cost.nest_cycles model l
-        | Loop.Stmt s -> acc + Cost.stmt_cycles model s
-        | Loop.Call _ -> acc)
-      0 p.Program.body
-  in
-  Alcotest.(check int) "closed form = enumeration" !total closed
+  List.iter
+    (fun (label, p) ->
+      List.iter
+        (fun (mlabel, (model : Cost.model)) ->
+          let total = ref 0 in
+          let cb =
+            {
+              Enumerate.nothing with
+              Enumerate.on_stmt =
+                (fun ~nest:_ s _ -> total := !total + Cost.stmt_cycles model s);
+              on_enter =
+                (fun ~nest:_ ~depth:_ ~var:_ ~value:_ ->
+                  total := !total + model.loop_overhead);
+            }
+          in
+          Enumerate.run cb p;
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s model: closed form = enumeration" label
+               mlabel)
+            !total
+            (Cost.program_cycles model p))
+        [ ("default", Cost.default); ("work-only", work_only) ])
+    programs
 
 let test_cost_triangular () =
   (* for i = 0..3 { for j = 0..i { s } }: 10 executions of s. *)
@@ -445,11 +450,9 @@ let suite =
         Alcotest.test_case "eval" `Quick test_expr_eval;
         Alcotest.test_case "eval unbound" `Quick test_expr_eval_unbound;
         Alcotest.test_case "min/max" `Quick test_expr_minmax;
-        Alcotest.test_case "bounds affine" `Quick test_expr_bounds_exact_affine;
         Alcotest.test_case "simplify" `Quick test_expr_simplify;
         Alcotest.test_case "subst/shift" `Quick test_expr_subst_shift;
         Alcotest.test_case "vars" `Quick test_expr_vars;
-        q qcheck_bounds_sound;
         q qcheck_simplify_preserves_eval;
         q qcheck_printer_parser_roundtrip_expr;
       ] );

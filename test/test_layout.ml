@@ -123,63 +123,6 @@ let test_plan_global_blocks_disjoint () =
   Alcotest.(check int) "disjoint global blocks" (List.length all)
     (List.length (List.sort_uniq compare all))
 
-let test_plan_region_disks_whole_array () =
-  let p = program_2d () in
-  let plan = Plan.uniform ~ndisks:8 p in
-  Alcotest.(check (list int)) "whole array hits all disks"
-    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-    (Plan.region_disks plan "A" [ (0, 3); (0, 15) ])
-
-let test_plan_region_disks_single_unit () =
-  let p = program_2d () in
-  let plan = Plan.uniform ~ndisks:8 p in
-  Alcotest.(check (list int)) "one unit one disk" [ 1 ]
-    (Plan.region_disks plan "A" [ (0, 0); (8, 15) ])
-
-let test_plan_region_units () =
-  let p = program_2d () in
-  let plan = Plan.uniform ~ndisks:8 p in
-  Alcotest.(check (list (pair int int))) "row 1 units" [ (2, 3) ]
-    (Plan.region_units plan "A" [ (1, 1); (0, 15) ]);
-  Alcotest.(check (list (pair int int))) "whole array one run" [ (0, 7) ]
-    (Plan.region_units plan "A" [ (0, 3); (0, 15) ])
-
-let test_plan_region_clamps () =
-  let p = program_2d () in
-  let plan = Plan.uniform ~ndisks:8 p in
-  Alcotest.(check (list (pair int int))) "clamped" [ (0, 7) ]
-    (Plan.region_units plan "A" [ (-5, 99); (-1, 99) ]);
-  Alcotest.(check (list (pair int int))) "empty region" []
-    (Plan.region_units plan "A" [ (2, 1); (0, 15) ])
-
-(* qcheck: region_units agrees with brute-force element enumeration *)
-
-let qcheck_region_units_vs_bruteforce =
-  QCheck2.Test.make ~count:300
-    ~name:"plan: region_units = brute-force element units"
-    QCheck2.Gen.(
-      quad (int_range 0 3) (int_range 0 3) (int_range 0 15) (int_range 0 15))
-    (fun (r0, dr, c0, dc) ->
-      let p = program_2d () in
-      let plan = Plan.uniform ~ndisks:8 p in
-      let r1 = min 3 (r0 + dr) and c1 = min 15 (c0 + dc) in
-      let expected = Hashtbl.create 16 in
-      for i = r0 to r1 do
-        for j = c0 to c1 do
-          Hashtbl.replace expected (Plan.element_unit plan "A" [ i; j ]) ()
-        done
-      done;
-      let got = Hashtbl.create 16 in
-      List.iter
-        (fun (u0, u1) ->
-          for u = u0 to u1 do
-            Hashtbl.replace got u ()
-          done)
-        (Plan.region_units plan "A" [ (r0, r1); (c0, c1) ]);
-      (* region_units may overapproximate (whole stripe-unit granularity)
-         but must cover every touched unit. *)
-      Hashtbl.fold (fun u () acc -> acc && Hashtbl.mem got u) expected true)
-
 let qcheck_unit_disk_consistent =
   QCheck2.Test.make ~count:300
     ~name:"plan: element unit/disk consistent with striping arithmetic"
@@ -191,31 +134,6 @@ let qcheck_unit_disk_consistent =
       let entry = Plan.entry plan "A" in
       Plan.unit_disk plan "A" u
       = Striping.disk_of_unit entry.Plan.striping ~ndisks:8 u)
-
-let qcheck_region_units_colmajor =
-  QCheck2.Test.make ~count:300
-    ~name:"plan: col-major region_units covers brute force"
-    QCheck2.Gen.(
-      quad (int_range 0 3) (int_range 0 3) (int_range 0 15) (int_range 0 15))
-    (fun (r0, dr, c0, dc) ->
-      let p = program_2d () in
-      let plan = Plan.set_order (Plan.uniform ~ndisks:8 p) "A" Plan.Col_major in
-      let r1 = min 3 (r0 + dr) and c1 = min 15 (c0 + dc) in
-      let got = Hashtbl.create 16 in
-      List.iter
-        (fun (u0, u1) ->
-          for u = u0 to u1 do
-            Hashtbl.replace got u ()
-          done)
-        (Plan.region_units plan "A" [ (r0, r1); (c0, c1) ]);
-      let ok = ref true in
-      for i = r0 to r1 do
-        for j = c0 to c1 do
-          if not (Hashtbl.mem got (Plan.element_unit plan "A" [ i; j ])) then
-            ok := false
-        done
-      done;
-      !ok)
 
 let test_plan_colmajor_unit_layout () =
   let p = program_2d () in
@@ -258,17 +176,9 @@ let suite =
         Alcotest.test_case "unit mapping" `Quick test_plan_unit_mapping;
         Alcotest.test_case "global blocks disjoint" `Quick
           test_plan_global_blocks_disjoint;
-        Alcotest.test_case "region all disks" `Quick
-          test_plan_region_disks_whole_array;
-        Alcotest.test_case "region one disk" `Quick
-          test_plan_region_disks_single_unit;
-        Alcotest.test_case "region units" `Quick test_plan_region_units;
-        Alcotest.test_case "region clamps" `Quick test_plan_region_clamps;
         Alcotest.test_case "duplicate rejected" `Quick test_plan_duplicate_rejected;
         Alcotest.test_case "col-major units" `Quick
           test_plan_colmajor_unit_layout;
-        q qcheck_region_units_vs_bruteforce;
-        q qcheck_region_units_colmajor;
         q qcheck_unit_disk_consistent;
       ] );
   ]

@@ -479,6 +479,29 @@ let test_aggregate () =
       close_out oc;
       (* ...and a decoy the classifier must skip, not die on. *)
       write "decoy.json" "{\"schema\":\"dpm-spec/1\"}";
+      (* A copy of the report whose second scheme lost its energies is
+         skipped whole, naming the field, and adds nothing. *)
+      let corrupt =
+        let oops (k, v) =
+          if k = "energy_j" || k = "energy_norm" then (k, Json.Str "oops")
+          else (k, v)
+        in
+        let row i = function
+          | Json.Obj fields when i = 1 -> Json.Obj (List.map oops fields)
+          | r -> r
+        in
+        match report with
+        | Json.Obj fields ->
+            Json.Obj
+              (List.map
+                 (function
+                   | "schemes", Json.Arr rows ->
+                       ("schemes", Json.Arr (List.mapi row rows))
+                   | kv -> kv)
+                 fields)
+        | j -> j
+      in
+      write "report.corrupt.json" (Json.to_string corrupt);
       let agg =
         match Aggregate.of_dir dir with
         | Ok a -> a
@@ -486,7 +509,12 @@ let test_aggregate () =
       in
       Alcotest.(check (list string))
         "classification (sorted by name)"
-        [ "skipped: schema dpm-spec/1"; "meter"; "report" ]
+        [
+          "skipped: schema dpm-spec/1";
+          "meter";
+          "skipped: schemes[1].energy_j: expected a number";
+          "report";
+        ]
         (List.map snd (Aggregate.sources agg));
       let doc = Aggregate.to_json agg in
       (match Aggregate.validate doc with

@@ -317,9 +317,10 @@ let test_net_malformed_spec () =
   Unix.connect fd (Unix.ADDR_UNIX path);
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let submit spec =
+  let submit ?(extra = []) spec =
     output_string oc
-      (Json.to_string (Json.Obj [ ("op", Json.Str "submit"); ("spec", spec) ]));
+      (Json.to_string
+         (Json.Obj ([ ("op", Json.Str "submit"); ("spec", spec) ] @ extra)));
     output_char oc '\n';
     flush oc
   in
@@ -343,6 +344,14 @@ let test_net_malformed_spec () =
   check
     Alcotest.(option string)
     "malformed-spec frame" (Some "malformed-spec")
+    (Option.bind (Json.member "error" err) Json.to_str);
+  (* A meter that is not a number is a protocol error, not an
+     unmetered job. *)
+  submit ~extra:[ ("meter", Json.Str "2") ] spec;
+  let err = frame ~until:(fun _ -> true) in
+  check
+    Alcotest.(option string)
+    "non-number meter frame" (Some "protocol")
     (Option.bind (Json.member "error" err) Json.to_str);
   (* The same connection still serves the next job. *)
   submit spec;

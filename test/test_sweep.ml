@@ -61,7 +61,13 @@ let test_axes_of_string () =
     (is_error "tpm-threshold=");
   Alcotest.(check bool) "bad number rejected" true
     (is_error "drpm-lower=0.02,zap");
-  Alcotest.(check bool) "missing = rejected" true (is_error "tpm-threshold")
+  Alcotest.(check bool) "missing = rejected" true (is_error "tpm-threshold");
+  Alcotest.(check bool) "non-integral integer axis rejected" true
+    (is_error "drpm-window=10.5");
+  match Sweep.axes_of_string "drpm-window=8.0" with
+  | Ok [ Sweep.Drpm_window [ 8 ] ] -> ()
+  | Ok _ -> Alcotest.fail "integral spelling misread"
+  | Error m -> Alcotest.fail m
 
 let test_apply () =
   let c =
@@ -259,6 +265,63 @@ let test_spec_rejections () =
       ( "drpm tolerances out of order",
         [ ("drpm_lower", Json.Int 5); ("drpm_upper", Json.Float 0.1) ] );
       ("negative drpm_window", [ ("drpm_window", Json.Int (-1)) ]);
+    ];
+  (* A field that is present must have its type: a wrongly typed setup
+     or sim field is an error naming its path, not its default. *)
+  let rejected label fields =
+    match
+      Run.of_json (doc [ ("schemes", base); ("setup", Json.Obj fields) ])
+    with
+    | Error (Run.Malformed_spec m) -> m
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e -> Alcotest.failf "%s: %s" label (Run.error_message e)
+  in
+  let names_path path m =
+    let want = path ^ ": expected" in
+    Alcotest.(check string) path want
+      (String.sub m 0 (min (String.length m) (String.length want)))
+  in
+  List.iter
+    (fun (name, v) ->
+      names_path ("setup." ^ name) (rejected name [ (name, v) ]))
+    [
+      ("sim", Json.Str "x");
+      ("mode", Json.Int 3);
+      ("cache_blocks", Json.Str "16");
+      ("noise", Json.Str "0.1");
+      ("seed", Json.Float 1.5);
+      ("version", Json.Int 1);
+      ("faults", Json.Int 1);
+      ("stream", Json.Str "yes");
+      ("batch", Json.Float 1.5);
+      ("core", Json.Bool true);
+    ];
+  List.iter
+    (fun (name, v) ->
+      names_path ("setup.sim." ^ name)
+        (rejected name [ ("sim", Json.Obj [ (name, v) ]) ]))
+    [
+      ("specs", Json.Int 1);
+      ("fleet", Json.Str "flash");
+      ("sched", Json.Int 2);
+      ("tpm_threshold", Json.Str "2.0");
+      ("drpm_lower", Json.Str "x");
+      ("drpm_upper", Json.Bool true);
+      ("drpm_window", Json.Float 10.5);
+      ("drpm_idle_interval", Json.Str "1");
+      ("drpm_floor_depth", Json.Float 1.5);
+      ("queue_depth", Json.Float 1.5);
+      ("pm_call_overhead", Json.Null);
+      ("pre_activation_lead", Json.Arr []);
+      ("retain_busy", Json.Str "yes");
+    ];
+  (* Setup invariants fail when the document is read, before any work. *)
+  List.iter
+    (fun (label, fields) -> ignore (rejected label fields : string))
+    [
+      ("batch 0", [ ("batch", Json.Int 0) ]);
+      ("cache_blocks -5", [ ("cache_blocks", Json.Int (-5)) ]);
+      ("noise -1", [ ("noise", Json.Int (-1)) ]);
     ]
 
 (* Documents written before the whole setup was carry top-level

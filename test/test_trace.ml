@@ -242,8 +242,9 @@ spin_up(3)
 (* --- The loop-nest walk's cycle accounting --- *)
 
 (* The cycles the walk hands its callbacks, plus the tail it returns,
-   must equal the analytic total: [Cost.nest_cycles] per top-level loop
-   plus [Cost.stmt_cycles] per top-level statement (calls cost nothing).
+   must equal the analytic total, [Cost.program_cycles]: [Cost.nest_cycles]
+   per top-level loop plus [Cost.stmt_cycles] per top-level statement
+   (calls cost nothing).
    Covers the suite under three versions, plain and CMDRPM-compiled (the
    compiler puts its calls between loop segments), and a small program
    with calls inside loops and a triangular nest. *)
@@ -252,14 +253,7 @@ let test_walk_cycle_accounting () =
   let module Pipeline = Dpm_compiler.Pipeline in
   let cost = Dpm_ir.Cost.default in
   let specs = Dpm_disk.Specs.ultrastar_36z15 in
-  let analytic (p : Dpm_ir.Program.t) =
-    List.fold_left
-      (fun acc -> function
-        | Dpm_ir.Loop.For l -> acc + Dpm_ir.Cost.nest_cycles cost l
-        | Dpm_ir.Loop.Stmt s -> acc + Dpm_ir.Cost.stmt_cycles cost s
-        | Dpm_ir.Loop.Call _ -> acc)
-      0 p.body
-  in
+  let analytic = Dpm_ir.Cost.program_cycles cost in
   let check label p plan =
     let total = ref 0 and calls = ref 0 in
     let tail =
@@ -412,7 +406,7 @@ let reference_walk ~cost ~cache_blocks ~iteration ~miss ~call
     if not (hit (r.array, u)) then
       miss ~cycles:(take ()) ~item:nest ~array:r.array ~unit:u ~kind
   in
-  Ir.Enumerate.run
+  Enumerate.run
     {
       on_enter =
         (fun ~nest ~depth ~var:_ ~value ->
