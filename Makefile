@@ -1,6 +1,7 @@
 .PHONY: all build test check bench fault-check timeline-check report-check \
   metrics-check stream-check perf-check core-check sweep-check sched-check \
-  meter-check serve-check examples-check ledger ledger-runs ledger-check clean
+  meter-check serve-check examples-check cli-check ledger ledger-runs \
+  ledger-check clean
 
 all: build
 
@@ -306,6 +307,36 @@ examples-check: build
 	set -e; for e in $(EXAMPLES); do \
 	  _build/default/examples/$$e.exe > _build/example_$$e.out; \
 	  cmp _build/example_$$e.out test/golden/example_$$e.expected; \
+	done
+
+# CLI smoke for outputs no other check pins: the front-half commands
+# (compile, dap, transform) must print their checked-in golden, and the
+# sweep-check grid's markdown report and a metered run's dpm-meter/1
+# JSONL (by digest) must match theirs.  Then every suite benchmark's
+# trace round-trips: `trace -b B -o` saves the trace a benchmark job
+# replays, so `simulate --trace-file` of it must print `simulate -b B`'s
+# Base, TPM, ITPM, DRPM and IDRPM rows.  The CM rows differ by design: a
+# saved Base trace carries no directives.
+DPMSIM = _build/default/bin/dpmsim.exe
+ROUND_TRIP_SCHEMES = Base,TPM,ITPM,DRPM,IDRPM
+cli-check: build
+	{ $(DPMSIM) compile -b galgel; $(DPMSIM) dap -b swim -d 0; \
+	  $(DPMSIM) transform -b swim -t TL+DL; } > _build/cli_smoke.out
+	cmp _build/cli_smoke.out test/golden/cli_smoke.expected
+	$(DPMSIM) sweep --axes "tpm-threshold=4,15.2;drpm-lower=0.02,0.08" \
+	  -w swim,galgel --md _build/cli_sweep.md > /dev/null
+	cmp _build/cli_sweep.md test/golden/sweep_smoke_md.expected
+	$(DPMSIM) simulate -b galgel -s Base,CMDRPM \
+	  --meter _build/cli_meter.jsonl > /dev/null
+	md5sum -c --quiet test/golden/cli_meter_jsonl.md5
+	set -e; for b in $$($(DPMSIM) list | awk 'NR > 1 { print $$1 }'); do \
+	  t=_build/cli_$$b; \
+	  $(DPMSIM) trace -b $$b -o $$t.trc > /dev/null; \
+	  $(DPMSIM) simulate --trace-file $$t.trc -s $(ROUND_TRIP_SCHEMES) \
+	    > $$t.file.out; \
+	  $(DPMSIM) simulate -b $$b -s $(ROUND_TRIP_SCHEMES) > $$t.bench.out; \
+	  cmp $$t.file.out $$t.bench.out; \
+	  rm -f $$t.trc; \
 	done
 
 clean:

@@ -16,26 +16,6 @@ module Figures = Dpm_core.Figures
 module Telemetry = Dpm_util.Telemetry
 module Pool = Dpm_util.Pool
 
-let available =
-  [
-    ("table1", Figures.table1);
-    ("table2", Figures.table2);
-    ("fig3", Figures.fig3);
-    ("fig4", Figures.fig4);
-    ("table3", Figures.table3);
-    ("fig5", Figures.fig5);
-    ("fig6", Figures.fig6);
-    ("fig7", Figures.fig7);
-    ("fig8", Figures.fig8);
-    ("fig13", Figures.fig13);
-    ("ext", Figures.extensions);
-    ("ext-shared", Figures.shared_subsystem);
-    ("ablation-knobs", Figures.knob_ablation);
-    ("ablation-closed", Figures.closed_loop_ablation);
-    ("fault-sweep", Figures.fault_sweep);
-    ("fig3-degraded", fun () -> Figures.degraded_grid ());
-  ]
-
 (* Per-figure wall times, in run order — the BENCH snapshot's payload. *)
 let timings : (string * float) list ref = ref []
 
@@ -393,8 +373,8 @@ let sweep_mode () =
   let module Scheme = Dpm_core.Scheme in
   let axes =
     [
-      Sweep.Tpm_threshold [ 4.0; 15.2 ];
-      Sweep.Drpm_lower [ 0.02; 0.08 ];
+      { Sweep.name = "tpm-threshold"; values = [ 4.0; 15.2 ] };
+      { Sweep.name = "drpm-lower"; values = [ 0.02; 0.08 ] };
     ]
   in
   let workloads = [ "swim"; "galgel" ] in
@@ -597,7 +577,7 @@ let run names domains metrics json trace log_level baseline =
         let rc = stream_mode () in
         let rc = max rc (throughput_mode ~baseline ()) in
         let rc = max rc (sweep_mode ()) in
-        List.iter (fun (name, f) -> print_figure name f) available;
+        List.iter (fun (name, f) -> print_figure name f) Figures.catalogue;
         micro ();
         rc
     | names ->
@@ -612,7 +592,7 @@ let run names domains metrics json trace log_level baseline =
               max rc (throughput_mode ~baseline ())
             else if String.equal name "sweep" then max rc (sweep_mode ())
             else
-              match List.assoc_opt name available with
+              match List.assoc_opt name Figures.catalogue with
               | Some f ->
                   print_figure name f;
                   rc
@@ -622,7 +602,7 @@ let run names domains metrics json trace log_level baseline =
                       [
                         ("figure", name);
                         ( "available",
-                          String.concat " " (List.map fst available)
+                          String.concat " " (List.map fst Figures.catalogue)
                           ^ " stream throughput sweep micro" );
                       ]
                     "unknown figure";

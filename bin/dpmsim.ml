@@ -14,10 +14,22 @@ let spec_of_name name =
       "unknown benchmark (try `dpmsim list`)";
     exit 2
 
-let workload name =
-  let spec = spec_of_name name in
-  let p, plan = Dpm_core.Experiment.workload spec in
-  (spec, p, plan)
+(* A benchmark's program and plan under [version], with the setup a
+   benchmark job runs under ([simulate -b]): its calibrated noise, the
+   suite's cache and the default disk. *)
+let bench_job name version =
+  match
+    Dpm_core.Run.describe
+      (Dpm_core.Run.spec ~version (Dpm_core.Run.Benchmark name))
+  with
+  | Error e ->
+      Dpm_util.Log.error ~scope:"dpmsim" (Dpm_core.Run.error_message e);
+      exit 2
+  | Ok (_, setup) ->
+      let p, plan =
+        Dpm_core.Experiment.workload (Dpm_workloads.Suite.find name)
+      in
+      (setup, Dpm_compiler.Pipeline.transform version p plan)
 
 let bench_arg =
   let doc = "Benchmark name (wupwise, swim, mgrid, applu, mesa, galgel)." in
@@ -30,42 +42,55 @@ let bench_opt_arg =
   Arg.(value & opt (some string) None & info [ "b"; "benchmark" ] ~doc)
 
 let version_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "orig" -> Ok Dpm_compiler.Pipeline.Orig
-    | "lf" -> Ok Dpm_compiler.Pipeline.LF
-    | "tl" -> Ok Dpm_compiler.Pipeline.TL
-    | "lf+dl" | "lfdl" -> Ok Dpm_compiler.Pipeline.LF_DL
-    | "tl+dl" | "tldl" -> Ok Dpm_compiler.Pipeline.TL_DL
-    | _ -> Error (`Msg "expected one of: orig, LF, TL, LF+DL, TL+DL")
-  in
   let print ppf v =
     Format.pp_print_string ppf (Dpm_compiler.Pipeline.version_name v)
+  in
+  let parse s =
+    Option.to_result (Dpm_core.Run.version_of_name s)
+      ~none:(`Msg "expected one of: orig, LF, TL, LF+DL, TL+DL, TLall+DL")
   in
   Arg.conv (parse, print)
 
 let version_arg =
-  let doc = "Code transformation version (orig, LF, TL, LF+DL, TL+DL)." in
+  let doc =
+    "Code transformation version (orig, LF, TL, LF+DL, TL+DL, TLall+DL)."
+  in
   Arg.(
     value
     & opt version_conv Dpm_compiler.Pipeline.Orig
     & info [ "t"; "transform" ] ~doc)
 
-let mode_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "open" -> Ok `Open
-    | "closed" -> Ok `Closed
-    | _ -> Error (`Msg "expected open or closed")
-  in
-  let print ppf v =
-    Format.pp_print_string ppf (match v with `Open -> "open" | `Closed -> "closed")
-  in
-  Arg.conv (parse, print)
+(* A flag over one of [Run]'s name tables: any case, any unambiguous
+   prefix. *)
+let name_conv table =
+  let enum = Arg.enum table in
+  Arg.conv
+    ( (fun s -> Arg.conv_parser enum (String.lowercase_ascii s)),
+      Arg.conv_printer enum )
 
 let mode_arg =
   let doc = "Replay model: open (the paper's trace-driven model) or closed." in
-  Arg.(value & opt mode_conv `Open & info [ "mode" ] ~doc)
+  Arg.(value & opt (name_conv Dpm_core.Run.modes) `Open & info [ "mode" ] ~doc)
+
+(* The one artifact writer: [emit] writes to standard output for [-],
+   otherwise to the file [dest], logged as [what].  A file that cannot
+   be written is an error naming it (exit 2). *)
+let write ?(scope = "dpmsim") ?(kv = []) ~what dest emit =
+  if dest = "-" then emit stdout
+  else
+    match open_out dest with
+    | exception Sys_error m ->
+        Dpm_util.Log.error ~scope ~kv:[ ("file", dest) ] m;
+        exit 2
+    | oc ->
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            emit oc;
+            close_out oc);
+        Dpm_util.Log.info ~scope ~kv:(kv @ [ ("file", dest) ]) what
+
+let json_text doc = Dpm_util.Json.to_string ~indent:1 doc ^ "\n"
 
 (* --- shared instrumentation flags
        (--domains / --metrics / --trace / --log-level) --- *)
@@ -127,25 +152,17 @@ let instrument_term =
 
 let finish_instrumentation inst =
   if inst.metrics then print_string Dpm_util.Telemetry.(report global);
-  match inst.trace with
-  | None -> ()
-  | Some path -> (
-      let spans = Dpm_util.Telemetry.(spans global) in
-      match
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> Dpm_util.Telemetry.(write_chrome_trace global) oc)
-      with
-      | () ->
-          Dpm_util.Log.info ~scope:"dpmsim"
-            ~kv:
-              [
-                ("file", path); ("spans", string_of_int (List.length spans));
-              ]
-            "wrote Chrome trace"
-      | exception Sys_error m ->
-          Dpm_util.Log.error ~scope:"dpmsim" ~kv:[ ("file", path) ] m)
+  Option.iter
+    (fun path ->
+      write
+        ~kv:
+          [
+            ( "spans",
+              string_of_int (List.length Dpm_util.Telemetry.(spans global)) );
+          ]
+        ~what:"wrote Chrome trace" path
+        Dpm_util.Telemetry.(write_chrome_trace global))
+    inst.trace
 
 (* --- list --- *)
 
@@ -285,7 +302,7 @@ let core_arg =
   in
   Arg.(
     value
-    & opt (enum [ ("fast", `Fast); ("reference", `Reference) ]) `Fast
+    & opt (name_conv Dpm_core.Run.cores) `Fast
     & info [ "core" ] ~doc ~docv:"CORE")
 
 let sched_conv =
@@ -408,36 +425,24 @@ let print_results_table results ~schemes =
     shown;
   shown
 
+(* Timeline or meter sections: each one's rendered summary on [-],
+   otherwise JSONL, or CSV when the file name ends in [.csv]. *)
+let write_sections ~what dest ~render ~export items =
+  write ~what
+    ~kv:[ ("sections", string_of_int (List.length items)) ]
+    dest
+    (fun oc ->
+      let csv = Filename.check_suffix dest ".csv" in
+      List.iter
+        (fun x ->
+          if dest = "-" then begin
+            output_char oc '\n';
+            output_string oc (render x)
+          end
+          else export ~csv x oc)
+        items)
+
 let simulate_cmd =
-  (* Emit each shown scheme's meter: a rendered summary on "-", or
-     dpm-meter/1 JSONL / CSV sections to a file. *)
-  let emit_meters ~dest sections =
-    if dest = "-" then
-      List.iter
-        (fun (scheme, _, m) ->
-          print_newline ();
-          Printf.printf "== %s ==\n" scheme;
-          print_string (Dpm_sim.Meter.summary m))
-        sections
-    else begin
-      let oc = open_out dest in
-      let write =
-        if Filename.check_suffix dest ".csv" then Dpm_sim.Meter.write_csv
-        else Dpm_sim.Meter.write_jsonl
-      in
-      List.iter
-        (fun (scheme, program, m) ->
-          write (Dpm_sim.Meter.to_section ~scheme ~program m) oc)
-        sections;
-      close_out oc;
-      Dpm_util.Log.info ~scope:"dpmsim"
-        ~kv:
-          [
-            ("sections", string_of_int (List.length sections)); ("file", dest);
-          ]
-        "wrote power-meter samples"
-    end
-  in
   let run inst name trace_file open_loop spec_file schemes version mode faults
       timeline histograms stream batch core fleet sched meter resolution =
     if histograms then Dpm_util.Telemetry.(set_histograms global true);
@@ -482,43 +487,23 @@ let simulate_cmd =
     let ran =
       let* rspec, shown = job in
       Result.map_error Dpm_core.Run.error_message
-        (let* run_schemes = Dpm_core.Run.schemes_of rspec in
-         let sinks =
-           match (timeline, meter) with
-           | None, None -> []
-           | _ ->
-               List.map (fun s -> (s, Dpm_sim.Timeline.sink ())) run_schemes
-         in
-         let cfg = Dpm_core.Run.sim_config rspec in
-         let meters =
-           match meter with
-           | None -> []
-           | Some _ ->
-               List.map
-                 (fun (s, sink) ->
-                   let m =
-                     Dpm_sim.Meter.create ~resolution
-                       ~specs:cfg.Dpm_sim.Config.specs
-                       ~fleet:cfg.Dpm_sim.Config.fleet ()
-                   in
-                   Dpm_sim.Meter.attach m sink;
-                   (s, m))
-                 sinks
-         in
-         let* results =
-           Dpm_core.Run.exec_all
-             (Dpm_core.Run.with_timeline
-                (fun s -> List.assoc_opt s sinks)
-                rspec)
+        (let* observed =
+           (* A plain run records nothing. *)
+           if timeline = None && meter = None then
+             Result.map (fun r -> (r, [], [])) (Dpm_core.Run.exec_all rspec)
+           else
+             Dpm_core.Run.observe
+               ?meter:(Option.map (fun _ -> resolution) meter)
+               rspec
          in
          let* _, setup = Dpm_core.Run.describe rspec in
-         Ok (results, shown, sinks, meters, setup))
+         Ok (observed, shown, setup))
     in
     match ran with
     | Error m ->
         Dpm_util.Log.error ~scope:"dpmsim" m;
         2
-    | Ok (results, shown, sinks, meters, setup) ->
+    | Ok ((results, sinks, meters), shown, setup) ->
         let shown = print_results_table results ~schemes:shown in
         (* A --faults flag, or a spec that injects faults. *)
         (if
@@ -537,52 +522,35 @@ let simulate_cmd =
                  f.Dpm_sim.Result.redirects f.Dpm_sim.Result.failed_disks)
              shown
          end);
-        (match timeline with
-        | None -> ()
-        | Some dest ->
-            let logs =
-              List.filter_map
-                (fun (s, _) ->
-                  Option.map Dpm_sim.Timeline.contents (List.assoc_opt s sinks))
-                shown
-            in
-            if dest = "-" then
-              List.iter
-                (fun tl ->
-                  print_newline ();
-                  print_string (Dpm_sim.Timeline.summary tl))
-                logs
-            else begin
-              let oc = open_out dest in
-              let write =
-                if Filename.check_suffix dest ".csv" then
-                  Dpm_sim.Timeline.write_csv
-                else Dpm_sim.Timeline.write_jsonl
-              in
-              List.iter (fun tl -> write tl oc) logs;
-              close_out oc;
-              Dpm_util.Log.info ~scope:"dpmsim"
-                ~kv:
-                  [
-                    ("sections", string_of_int (List.length logs));
-                    ("file", dest);
-                  ]
-                "wrote timeline"
-            end);
-        List.iter (fun (_, m) -> Dpm_sim.Meter.finish m) meters;
-        (match meter with
-        | None -> ()
-        | Some dest ->
-            emit_meters ~dest
+        Option.iter
+          (fun dest ->
+            write_sections ~what:"wrote timeline" dest
+              ~render:Dpm_sim.Timeline.summary
+              ~export:(fun ~csv ->
+                if csv then Dpm_sim.Timeline.write_csv
+                else Dpm_sim.Timeline.write_jsonl)
+              (List.filter_map
+                 (fun (s, _) ->
+                   Option.map Dpm_sim.Timeline.contents (List.assoc_opt s sinks))
+                 shown))
+          timeline;
+        Option.iter
+          (fun dest ->
+            write_sections ~what:"wrote power-meter samples" dest
+              ~render:(fun (scheme, _, m) ->
+                Printf.sprintf "== %s ==\n%s" scheme (Dpm_sim.Meter.summary m))
+              ~export:(fun ~csv (scheme, program, m) ->
+                (if csv then Dpm_sim.Meter.write_csv
+                 else Dpm_sim.Meter.write_jsonl)
+                  (Dpm_sim.Meter.to_section ~scheme ~program m))
               (List.filter_map
                  (fun (s, (r : Dpm_sim.Result.t)) ->
                    Option.map
                      (fun m ->
-                       ( Dpm_core.Scheme.name s,
-                         r.Dpm_sim.Result.program,
-                         m ))
+                       (Dpm_core.Scheme.name s, r.Dpm_sim.Result.program, m))
                      (List.assoc_opt s meters))
-                 shown));
+                 shown))
+          meter;
         (if histograms then
            let rendered =
              Dpm_util.Telemetry.(histogram_report global)
@@ -659,13 +627,11 @@ let timeline_cmd =
 
 let compile_cmd =
   let run name version =
-    let spec, p, plan = workload name in
-    let p, plan = Dpm_compiler.Pipeline.transform version p plan in
+    let setup, (p, plan) = bench_job name version in
     let compiled =
       Dpm_compiler.Pipeline.compile ~scheme:Dpm_compiler.Insertion.Drpm
-        ~noise:spec.Dpm_workloads.Suite.noise
-        ~cache_blocks:Dpm_workloads.Suite.cache_blocks
-        ~specs:Dpm_sim.Config.default.Dpm_sim.Config.specs p plan
+        ~noise:setup.noise ~seed:setup.seed ~cache_blocks:setup.cache_blocks
+        ~specs:setup.sim.Dpm_sim.Config.specs p plan
     in
     print_string (Dpm_ir.Printer.program compiled.Dpm_compiler.Pipeline.program);
     Printf.printf "\n# %d power-management decisions\n"
@@ -687,18 +653,15 @@ let disk_arg =
 
 let dap_cmd =
   let run name disk version =
-    let spec, p, plan = workload name in
-    let p, plan = Dpm_compiler.Pipeline.transform version p plan in
+    let setup, (p, plan) = bench_job name version in
     let activities =
-      Dpm_compiler.Access.of_program_cached
-        ~cache_blocks:Dpm_workloads.Suite.cache_blocks p plan
+      Dpm_compiler.Access.of_program_cached ~cache_blocks:setup.cache_blocks
+        p plan
     in
     let est =
-      Dpm_compiler.Estimate.profile
-        ~cache_blocks:Dpm_workloads.Suite.cache_blocks
-        ~specs:Dpm_sim.Config.default.Dpm_sim.Config.specs p plan
+      Dpm_compiler.Estimate.profile ~cache_blocks:setup.cache_blocks
+        ~specs:setup.sim.Dpm_sim.Config.specs p plan
     in
-    ignore spec;
     let dap = Dpm_compiler.Dap.build activities est in
     Format.printf "@[<v>%a@]@." (Dpm_compiler.Dap.pp_disk activities)
       (dap, disk);
@@ -713,10 +676,9 @@ let dap_cmd =
 
 let transform_cmd =
   let run name version =
-    let _, p, plan = workload name in
-    let p', plan' = Dpm_compiler.Pipeline.transform version p plan in
-    print_string (Dpm_ir.Printer.program p');
-    Format.printf "@.%a@." Dpm_layout.Plan.pp plan';
+    let _, (p, plan) = bench_job name version in
+    print_string (Dpm_ir.Printer.program p);
+    Format.printf "@.%a@." Dpm_layout.Plan.pp plan;
     0
   in
   Cmd.v
@@ -731,10 +693,20 @@ let trace_cmd =
     let doc = "File to save the trace to (omit to print a summary)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
   in
+  (* The trace a benchmark job replays: generated through the job
+     setup's cache, so [simulate --trace-file] of a saved trace gives
+     [simulate -b]'s Base, TPM, ITPM, DRPM and IDRPM rows. *)
   let run name version out =
-    let _, p, plan = workload name in
-    let p, plan = Dpm_compiler.Pipeline.transform version p plan in
-    let trace = Dpm_trace.Generate.run p plan in
+    let setup, (p, plan) = bench_job name version in
+    let trace =
+      Dpm_trace.Generate.run
+        ~config:
+          {
+            Dpm_trace.Generate.default_config with
+            cache_blocks = setup.cache_blocks;
+          }
+        p plan
+    in
     (match out with
     | Some path ->
         Dpm_trace.Trace.save trace path;
@@ -760,34 +732,18 @@ let trace_cmd =
 
 let figure_cmd =
   let fig_arg =
-    let doc = "Figure/table id (table1 table2 table3 fig3..fig8 fig13 ablation-closed)." in
+    let doc =
+      "Figure/table id: "
+      ^ String.concat ", " (List.map fst Dpm_core.Figures.catalogue)
+      ^ "."
+    in
     Arg.(non_empty & pos_all string [] & info [] ~doc ~docv:"ID")
   in
   let run inst ids =
-    let available =
-      [
-        ("table1", Dpm_core.Figures.table1);
-        ("table2", Dpm_core.Figures.table2);
-        ("fig3", Dpm_core.Figures.fig3);
-        ("fig4", Dpm_core.Figures.fig4);
-        ("table3", Dpm_core.Figures.table3);
-        ("fig5", Dpm_core.Figures.fig5);
-        ("fig6", Dpm_core.Figures.fig6);
-        ("fig7", Dpm_core.Figures.fig7);
-        ("fig8", Dpm_core.Figures.fig8);
-        ("fig13", Dpm_core.Figures.fig13);
-        ("ext", Dpm_core.Figures.extensions);
-        ("ext-shared", Dpm_core.Figures.shared_subsystem);
-        ("ablation-knobs", Dpm_core.Figures.knob_ablation);
-        ("ablation-closed", Dpm_core.Figures.closed_loop_ablation);
-        ("fault-sweep", Dpm_core.Figures.fault_sweep);
-        ("fig3-degraded", fun () -> Dpm_core.Figures.degraded_grid ());
-      ]
-    in
     let rc =
       List.fold_left
         (fun rc id ->
-          match List.assoc_opt id available with
+          match List.assoc_opt id Dpm_core.Figures.catalogue with
           | Some f ->
               print_string (Dpm_core.Figures.traced id f).Dpm_core.Figures.rendered;
               print_newline ();
@@ -834,25 +790,13 @@ let report_cmd =
               msgs;
             1
         | Ok () ->
-            let text = Dpm_util.Json.to_string ~indent:1 doc ^ "\n" in
-            (if out = "-" then print_string text
-             else begin
-               let oc = open_out out in
-               output_string oc text;
-               close_out oc;
-               Dpm_util.Log.info ~scope:"dpmsim"
-                 ~kv:[ ("file", out) ]
-                 "wrote run report"
-             end);
-            (match md with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Dpm_core.Report.markdown doc);
-                close_out oc;
-                Dpm_util.Log.info ~scope:"dpmsim"
-                  ~kv:[ ("file", path) ]
-                  "wrote markdown digest");
+            write ~what:"wrote run report" out (fun oc ->
+                output_string oc (json_text doc));
+            Option.iter
+              (fun path ->
+                write ~what:"wrote markdown digest" path (fun oc ->
+                    output_string oc (Dpm_core.Report.markdown doc)))
+              md;
             finish_instrumentation inst;
             0)
   in
@@ -956,61 +900,32 @@ let aggregate_cmd =
     Arg.(value & opt (some string) None & info [ "md" ] ~doc ~docv:"FILE")
   in
   let run paths out md =
-    let expand path =
-      if Sys.file_exists path && Sys.is_directory path then begin
-        let entries = Sys.readdir path in
-        Array.sort compare entries;
-        Ok (List.map (Filename.concat path) (Array.to_list entries))
-      end
-      else if Sys.file_exists path then Ok [ path ]
-      else Error (path ^ ": no such file or directory")
-    in
-    let files, errors =
-      List.fold_left
-        (fun (fs, es) p ->
-          match expand p with
-          | Ok l -> (fs @ l, es)
-          | Error m -> (fs, m :: es))
-        ([], []) paths
-    in
-    if errors <> [] then begin
-      List.iter
-        (fun m -> Dpm_util.Log.error ~scope:"aggregate" m)
-        (List.rev errors);
-      2
-    end
-    else begin
-      let agg = Dpm_core.Aggregate.of_files files in
-      let doc = Dpm_core.Aggregate.to_json agg in
-      match Dpm_core.Aggregate.validate doc with
-      | Error msgs ->
-          List.iter (fun m -> Dpm_util.Log.error ~scope:"aggregate" m) msgs;
-          1
-      | Ok () ->
-          print_string (Dpm_core.Aggregate.render agg);
-          (match out with
-          | None -> ()
-          | Some "-" ->
-              print_newline ();
-              print_string (Dpm_util.Json.to_string ~indent:1 doc ^ "\n")
-          | Some path ->
-              let oc = open_out path in
-              output_string oc (Dpm_util.Json.to_string ~indent:1 doc ^ "\n");
-              close_out oc;
-              Dpm_util.Log.info ~scope:"aggregate"
-                ~kv:[ ("file", path) ]
-                "wrote dpm-agg/1 document");
-          (match md with
-          | None -> ()
-          | Some path ->
-              let oc = open_out path in
-              output_string oc (Dpm_core.Aggregate.markdown agg);
-              close_out oc;
-              Dpm_util.Log.info ~scope:"aggregate"
-                ~kv:[ ("file", path) ]
-                "wrote markdown dashboard");
-          0
-    end
+    match Dpm_core.Aggregate.of_paths paths with
+    | Error m ->
+        Dpm_util.Log.error ~scope:"aggregate" m;
+        2
+    | Ok agg -> (
+        let doc = Dpm_core.Aggregate.to_json agg in
+        match Dpm_core.Aggregate.validate doc with
+        | Error msgs ->
+            List.iter (fun m -> Dpm_util.Log.error ~scope:"aggregate" m) msgs;
+            1
+        | Ok () ->
+            print_string (Dpm_core.Aggregate.render agg);
+            Option.iter
+              (fun dest ->
+                write ~scope:"aggregate" ~what:"wrote dpm-agg/1 document" dest
+                  (fun oc ->
+                    (* On stdout, a blank line after the dashboard. *)
+                    if dest = "-" then output_char oc '\n';
+                    output_string oc (json_text doc)))
+              out;
+            Option.iter
+              (fun path ->
+                write ~scope:"aggregate" ~what:"wrote markdown dashboard" path
+                  (fun oc -> output_string oc (Dpm_core.Aggregate.markdown agg)))
+              md;
+            0)
   in
   Cmd.v
     (Cmd.info "aggregate"
@@ -1028,13 +943,11 @@ let aggregate_cmd =
 let sweep_cmd =
   let axes_arg =
     let doc =
-      "Axes to sweep: $(b,;)-separated $(b,axis=v1,v2,...) clauses over \
-       tpm-threshold, drpm-lower, drpm-upper, drpm-window, \
-       drpm-idle-interval, drpm-floor-depth, queue-depth, \
-       pm-call-overhead, pre-activation-lead, sched — e.g. \
-       $(b,\"tpm-threshold=4,15.2;drpm-lower=0.02,0.08\") or \
-       $(b,\"sched=fcfs,sstf,scan;queue-depth=8,32\") (the categorical \
-       $(b,sched) axis takes scheduler names)."
+      "Axes to sweep: $(b,;)-separated $(b,axis=v1,v2,...) clauses over "
+      ^ String.concat ", " (List.map Dpm_sim.Config.knob_name Dpm_sim.Config.knobs)
+      ^ " — e.g. $(b,\"tpm-threshold=4,15.2;drpm-lower=0.02,0.08\") or \
+         $(b,\"sched=fcfs,sstf,scan;queue-depth=8,32\") (the categorical \
+         $(b,sched) axis takes scheduler names)."
     in
     Arg.(
       required & opt (some string) None & info [ "axes" ] ~doc ~docv:"AXES")
@@ -1072,12 +985,6 @@ let sweep_cmd =
     let doc = "Also render the sweep report as markdown to this file." in
     Arg.(value & opt (some string) None & info [ "md" ] ~doc ~docv:"FILE")
   in
-  let write_file path text =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc text)
-  in
   (* The replay gate: a persisted winning spec must reproduce its cell's
      numbers bit-for-bit ("%.17g" captures the exact doubles). *)
   let row_fingerprint results =
@@ -1109,24 +1016,20 @@ let sweep_cmd =
                 List.iter (fun m -> Dpm_util.Log.error ~scope:"sweep" m) msgs;
                 1
             | Ok () ->
-                (match md with
-                | None -> ()
-                | Some path ->
-                    write_file path (Dpm_core.Sweep.markdown outcome);
-                    Dpm_util.Log.info ~scope:"sweep"
-                      ~kv:[ ("file", path) ]
-                      "wrote markdown report");
+                Option.iter
+                  (fun path ->
+                    write ~scope:"sweep" ~what:"wrote markdown report" path
+                      (fun oc ->
+                        output_string oc (Dpm_core.Sweep.markdown outcome)))
+                  md;
                 let rc = ref 0 in
                 (match output_dir with
                 | None -> ()
                 | Some dir ->
                     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                    let json_path = Filename.concat dir "sweep.json" in
-                    write_file json_path
-                      (Dpm_util.Json.to_string ~indent:1 doc ^ "\n");
-                    Dpm_util.Log.info ~scope:"sweep"
-                      ~kv:[ ("file", json_path) ]
-                      "wrote dpm-sweep/1 document";
+                    write ~scope:"sweep" ~what:"wrote dpm-sweep/1 document"
+                      (Filename.concat dir "sweep.json")
+                      (fun oc -> output_string oc (json_text doc));
                     List.iter
                       (fun (_, (cell : Dpm_core.Sweep.cell), _) ->
                         let w = cell.Dpm_core.Sweep.workload in
@@ -1406,20 +1309,13 @@ let submit_cmd =
                           (Filename.basename file);
                         print_report_table report;
                         if meter <> None then check_meters ~acc report;
-                        (match out_dir with
-                        | None -> ()
-                        | Some dir ->
-                            let path =
-                              Filename.concat dir
-                                (Printf.sprintf "job-%d.report.json" id)
-                            in
-                            let oc = open_out path in
-                            Fun.protect
-                              ~finally:(fun () -> close_out_noerr oc)
-                              (fun () ->
-                                output_string oc
-                                  (Dpm_util.Json.to_string ~indent:1 report);
-                                output_char oc '\n'))))
+                        Option.iter
+                          (fun dir ->
+                            write ~scope:"submit" ~what:"wrote run report"
+                              (Filename.concat dir
+                                 (Printf.sprintf "job-%d.report.json" id))
+                              (fun oc -> output_string oc (json_text report)))
+                          out_dir))
               specs;
             (if shutdown_f then
                match Dpm_core.Service.Net.shutdown client with

@@ -319,14 +319,21 @@ let of_files paths =
   List.iter (classify t) paths;
   t
 
-let of_dir dir =
-  match Sys.readdir dir with
-  | entries ->
-      Array.sort compare entries;
-      Ok
-        (of_files
-           (List.map (Filename.concat dir) (Array.to_list entries)))
-  | exception Sys_error m -> Error m
+let of_paths paths =
+  let files path =
+    if not (Sys.file_exists path) then
+      Error (path ^ ": no such file or directory")
+    else if Sys.is_directory path then
+      match Sys.readdir path with
+      | entries ->
+          Array.sort compare entries;
+          Ok (List.map (Filename.concat path) (Array.to_list entries))
+      | exception Sys_error m -> Error m
+    else Ok [ path ]
+  in
+  Result.map
+    (fun l -> of_files (List.concat l))
+    (Dpm_util.Kv.all files paths)
 
 let sources t = List.rev t.srcs
 

@@ -14,8 +14,8 @@
     Reports and meters stay separate sections of the document — a run
     that produced both a report and a meter file is {e not} counted
     twice anywhere.  Files that parse as neither schema are skipped and
-    listed with a reason, never fatal; only an unreadable directory is
-    an error. *)
+    listed with a reason, never fatal; only a missing path or an
+    unreadable directory is an error. *)
 
 type t
 (** An aggregate over a set of source files. *)
@@ -23,18 +23,18 @@ type t
 val schema_version : string
 (** ["dpm-agg/1"]. *)
 
-val of_files : string list -> t
-(** Classify and fold the given files: a [.json] file whose [schema] is
+val of_paths : string list -> (t, string) result
+(** Classify and fold the given files, and each given directory's
+    entries sorted by name, in order: a [.json] file whose [schema] is
     [dpm-report/1] joins the reports section, a [.jsonl] file whose
     first line is a [dpm-meter/1] header joins the meters section,
     anything else (spec files, aggregate outputs, malformed documents)
     is recorded as skipped with a reason.  A report with a field this
     module reads missing or mistyped is skipped whole, naming the field
-    (["skipped: schemes[1].energy_j: expected a number"]). *)
-
-val of_dir : string -> (t, string) result
-(** {!of_files} over the directory's regular files, sorted by name.
-    [Error] only when the directory itself cannot be read. *)
+    (["skipped: schemes[1].energy_j: expected a number"]).  [Error]
+    names the first path that does not exist
+    (["PATH: no such file or directory"]) or a directory that cannot be
+    read. *)
 
 val sources : t -> (string * string) list
 (** [(path, classification)] per input file, in processing order —

@@ -509,23 +509,22 @@ let traced id f =
     ~args:(fun () -> [ ("figure", id) ])
     Dpm_util.Telemetry.global "figure.build" f
 
-let all () =
-  List.map
-    (fun (id, f) -> traced id f)
-    [
-      ("table1", table1);
-      ("table2", table2);
-      ("fig3", fig3);
-      ("fig4", fig4);
-      ("table3", table3);
-      ("fig5", fig5);
-      ("fig6", fig6);
-      ("fig7", fig7);
-      ("fig8", fig8);
-      ("fig13", fig13);
-      ("extensions", extensions);
-      ("shared", shared_subsystem);
-      ("knobs", knob_ablation);
-      ("closed-loop", closed_loop_ablation);
-      ("faults", fault_sweep);
-    ]
+let catalogue =
+  [
+    ("table1", table1);
+    ("table2", table2);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("table3", table3);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig13", fig13);
+    ("ext", extensions);
+    ("ext-shared", shared_subsystem);
+    ("ablation-knobs", knob_ablation);
+    ("ablation-closed", closed_loop_ablation);
+    ("fault-sweep", fault_sweep);
+    ("fig3-degraded", fun () -> degraded_grid ());
+  ]

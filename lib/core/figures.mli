@@ -85,9 +85,12 @@ val degraded_grid : ?faults:Dpm_sim.Fault.spec -> unit -> figure
 val traced : string -> (unit -> figure) -> figure
 (** [traced id f] builds [f ()] under a [figure.build] telemetry span
     annotated with [id] — one parent per figure in a [--trace] export,
-    with the grid's pool tasks underneath.  {!all} and the drivers
-    ([dpmsim figure], the benchmark harness) route through it. *)
+    with the grid's pool tasks underneath.  [dpmsim figure] and the
+    benchmark harness route through it. *)
 
-val all : unit -> figure list
-(** Everything above, in paper order (the ablations and fault sweep
-    last). *)
+val catalogue : (string * (unit -> figure)) list
+(** Every figure above by its CLI id, in paper order (the extensions,
+    ablations and fault figures last): [table1] [table2] [fig3] [fig4]
+    [table3] [fig5]..[fig8] [fig13] [ext] [ext-shared] [ablation-knobs]
+    [ablation-closed] [fault-sweep] [fig3-degraded] (the
+    {!degraded_grid} default storm).  The one list of figure ids. *)

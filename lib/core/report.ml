@@ -110,8 +110,6 @@ let histogram_rows tele =
         ])
     (Telemetry.histograms tele)
 
-let mode_name = function `Open -> "open" | `Closed -> "closed"
-
 (* Assemble a dpm-report/1 document from already-executed results.  The
    shape is identical however the run happened — CLI report command,
    sweep cell, or service job — only the collector inputs differ: the
@@ -142,7 +140,8 @@ let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t) ?telemetry
     [
       ("schema", Json.Str schema_version);
       ("benchmark", Json.Str label);
-      ("mode", Json.Str (mode_name mode));
+      ( "mode",
+        Json.Str (fst (List.find (fun (_, m) -> m = mode) Run.modes)) );
       ("transform", Json.Str (Dpm_compiler.Pipeline.version_name version));
       ("faults", Json.Str (Sim.Fault.to_string faults));
       ("sched", Json.Str (Sim.Config.sched_name sim.Sim.Config.sched));
@@ -162,9 +161,6 @@ let document ~label ~mode ~version ~faults ~(sim : Sim.Config.t) ?telemetry
 
 let of_spec spec =
   let ( let* ) = Result.bind in
-  let* schemes = Run.schemes_of spec in
-  let sinks = List.map (fun s -> (s, Sim.Timeline.sink ())) schemes in
-  let spec = Run.with_timeline (fun s -> List.assoc_opt s sinks) spec in
   (* The stage table and the histograms both live on the process-wide
      collector; switch them on for the duration and restore the flags
      afterwards (recording is observational, so leaving earlier contents
@@ -179,7 +175,9 @@ let of_spec spec =
     Telemetry.set_enabled tele was_enabled;
     Telemetry.set_histograms tele had_histos
   in
-  let* results = Fun.protect ~finally:restore (fun () -> Run.exec_all spec) in
+  let* results, sinks, _ =
+    Fun.protect ~finally:restore (fun () -> Run.observe spec)
+  in
   let* label, setup = Run.describe spec in
   Ok
     (document ~label ~mode:setup.Experiment.mode

@@ -44,10 +44,9 @@ val document :
     The document shape is identical either way. *)
 
 val of_spec : Run.spec -> (Dpm_util.Json.t, Run.error) result
-(** The one report entry point: execute the spec with per-scheme
-    timeline sinks and {!Dpm_util.Telemetry.global}'s stage table and
-    histograms enabled (both switches restored afterwards), and build
-    its document.  Recording is observational, so the simulated numbers
+(** The one report entry point: {!Run.observe} the spec with
+    {!Dpm_util.Telemetry.global}'s stage table and histograms enabled
+    (both switches restored afterwards), and build its document.  Recording is observational, so the simulated numbers
     are the ones every other entry point produces.  [dpmsim report]
     passes a spec with [Base] joined (it anchors the normalized
     columns); a daemon job is the same value reported without the

@@ -38,8 +38,6 @@ let error_message = function
   | Shutting_down -> "service is shutting down"
   | Protocol_error m -> "protocol error: " ^ m
 
-let pp_error fmt e = Format.pp_print_string fmt (error_message e)
-
 type spec = {
   workload : workload;
   schemes : string list;
@@ -212,6 +210,31 @@ let describe s =
   let* () = validate s in
   Ok (workload_label s.workload, s.setup)
 
+let observe ?(run = exec_all) ?meter ?on_sample s =
+  let* schemes = schemes_of s in
+  let sinks = List.map (fun scheme -> (scheme, Sim.Timeline.sink ())) schemes in
+  let cfg = s.setup.Experiment.sim in
+  let meters =
+    match meter with
+    | None -> []
+    | Some resolution ->
+        List.map
+          (fun (scheme, sink) ->
+            let on_sample =
+              Option.map (fun f -> f ~scheme:(Scheme.name scheme)) on_sample
+            in
+            let m =
+              Sim.Meter.create ~resolution ~specs:cfg.Sim.Config.specs
+                ~fleet:cfg.Sim.Config.fleet ?on_sample ()
+            in
+            Sim.Meter.attach m sink;
+            (scheme, m))
+          sinks
+  in
+  let* results = run (with_timeline (fun sc -> List.assoc_opt sc sinks) s) in
+  List.iter (fun (_, m) -> Sim.Meter.finish m) meters;
+  Ok (results, sinks, meters)
+
 (* --- dpm-spec/1: serializable run specs ---
 
    A spec (minus its observational timeline sinks and minus [Program]
@@ -225,6 +248,16 @@ let describe s =
 module Json = Dpm_util.Json
 
 let spec_schema_version = "dpm-spec/1"
+
+(* The numeric knobs, keyed by their name with [_]: the [sim] object's
+   fields between the explicit [sched] and [retain_busy]. *)
+let numeric_knobs =
+  let key k =
+    String.map (function '-' -> '_' | c -> c) (Sim.Config.knob_name k)
+  in
+  List.filter_map
+    (fun k -> if Sim.Config.value_names k = [] then Some (key k, k) else None)
+    Sim.Config.knobs
 
 let config_to_json (c : Sim.Config.t) =
   Json.Obj
@@ -244,21 +277,15 @@ let config_to_json (c : Sim.Config.t) =
     @ (match c.Sim.Config.sched with
       | Sim.Config.Fcfs -> []
       | s -> [ ("sched", Json.Str (Sim.Config.sched_name s)) ])
-    @ [
-      ( "tpm_threshold",
-        match c.Sim.Config.tpm_threshold with
-        | None -> Json.Null
-        | Some t -> Json.Float t );
-      ("drpm_lower", Json.Float c.Sim.Config.drpm_lower);
-      ("drpm_upper", Json.Float c.Sim.Config.drpm_upper);
-      ("drpm_window", Json.Int c.Sim.Config.drpm_window);
-      ("drpm_idle_interval", Json.Float c.Sim.Config.drpm_idle_interval);
-      ("drpm_floor_depth", Json.Int c.Sim.Config.drpm_floor_depth);
-      ("queue_depth", Json.Int c.Sim.Config.queue_depth);
-      ("pm_call_overhead", Json.Float c.Sim.Config.pm_call_overhead);
-      ("pre_activation_lead", Json.Float c.Sim.Config.pre_activation_lead);
-      ("retain_busy", Json.Bool c.Sim.Config.retain_busy);
-    ])
+    @ List.map
+        (fun (key, k) ->
+          ( key,
+            match Sim.Config.get k c with
+            | None -> Json.Null
+            | Some v when Sim.Config.integral k -> Json.Int (int_of_float v)
+            | Some v -> Json.Float v ))
+        numeric_knobs
+    @ [ ("retain_busy", Json.Bool c.Sim.Config.retain_busy) ])
 
 let config_of_json ~at j =
   let resolve name =
@@ -295,57 +322,55 @@ let config_of_json ~at j =
         | Some v -> Ok v
         | None -> Error (Printf.sprintf "unknown scheduler %S" s))
   in
-  let* tpm_threshold =
-    match Json.member "tpm_threshold" j with
-    | Some Json.Null -> Ok None
-    | _ -> Json.number ~at "tpm_threshold" j
+  (* A knob that is unset by default (tpm_threshold: break-even) reads
+     [null] as unset. *)
+  let* settings =
+    Dpm_util.Kv.all
+      (fun (key, k) ->
+        let* v =
+          match Json.member key j with
+          | Some Json.Null when Sim.Config.get k Sim.Config.default = None ->
+              Ok None
+          | _ when Sim.Config.integral k ->
+              Result.map (Option.map float_of_int) (Json.integer ~at key j)
+          | _ -> Json.number ~at key j
+        in
+        Ok (Option.map (fun v -> (k, v)) v))
+      numeric_knobs
   in
-  let* drpm_lower = Json.number ~at "drpm_lower" j in
-  let* drpm_upper = Json.number ~at "drpm_upper" j in
-  let* drpm_window = Json.integer ~at "drpm_window" j in
-  let* drpm_idle_interval = Json.number ~at "drpm_idle_interval" j in
-  let* drpm_floor_depth = Json.integer ~at "drpm_floor_depth" j in
-  let* queue_depth = Json.integer ~at "queue_depth" j in
-  let* pm_call_overhead = Json.number ~at "pm_call_overhead" j in
-  let* pre_activation_lead = Json.number ~at "pre_activation_lead" j in
   let* retain_busy = Json.boolean ~at "retain_busy" j in
-  (* [Config.make] enforces the invariants; a violation is a bad
+  (* [Config.update] enforces the invariants; a violation is a bad
      document, not an exception. *)
   match
-    Sim.Config.make ~specs ~fleet ~sched ?tpm_threshold ?drpm_lower
-      ?drpm_upper ?drpm_window ?drpm_idle_interval ?drpm_floor_depth
-      ?queue_depth ?pm_call_overhead ?pre_activation_lead ?retain_busy ()
+    Sim.Config.update
+      (List.filter_map Fun.id settings)
+      (Sim.Config.make ~specs ~fleet ~sched ?retain_busy ())
   with
   | c -> Ok c
   | exception Invalid_argument m -> Error m
 
-let mode_name = function `Open -> "open" | `Closed -> "closed"
-
-let mode_of_name = function
-  | "open" -> Some `Open
-  | "closed" -> Some `Closed
-  | _ -> None
-
-let core_name = function `Fast -> "fast" | `Reference -> "reference"
-
-let core_of_name = function
-  | "fast" -> Some `Fast
-  | "reference" -> Some `Reference
-  | _ -> None
-
-let all_versions =
-  Dpm_compiler.Pipeline.all_versions @ [ Dpm_compiler.Pipeline.TL_ALL_DL ]
+let modes = [ ("open", `Open); ("closed", `Closed) ]
+let cores = [ ("fast", `Fast); ("reference", `Reference) ]
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
 
 let version_of_name name =
-  List.find_opt
-    (fun v -> String.equal (Dpm_compiler.Pipeline.version_name v) name)
-    all_versions
+  match String.lowercase_ascii name with
+  | "lfdl" -> Some Dpm_compiler.Pipeline.LF_DL
+  | "tldl" -> Some Dpm_compiler.Pipeline.TL_DL
+  | n ->
+      List.find_opt
+        (fun v ->
+          String.equal
+            (String.lowercase_ascii (Dpm_compiler.Pipeline.version_name v))
+            n)
+        (Dpm_compiler.Pipeline.all_versions
+        @ [ Dpm_compiler.Pipeline.TL_ALL_DL ])
 
 let setup_to_json (setup : Experiment.setup) =
   Json.Obj
     [
       ("sim", config_to_json setup.Experiment.sim);
-      ("mode", Json.Str (mode_name setup.Experiment.mode));
+      ("mode", Json.Str (name_in modes setup.Experiment.mode));
       ("cache_blocks", Json.Int setup.Experiment.cache_blocks);
       ("noise", Json.Float setup.Experiment.noise);
       ("seed", Json.Int setup.Experiment.seed);
@@ -355,7 +380,7 @@ let setup_to_json (setup : Experiment.setup) =
       ("faults", Json.Str (Sim.Fault.to_string setup.Experiment.faults));
       ("stream", Json.Bool setup.Experiment.stream);
       ("batch", Json.Int setup.Experiment.batch);
-      ("core", Json.Str (core_name setup.Experiment.core));
+      ("core", Json.Str (name_in cores setup.Experiment.core));
     ]
 
 (* The one reader of setup fields: those present in [j] replace their
@@ -384,9 +409,9 @@ let setup_fields ~at (base : Experiment.setup) j =
     | None -> Ok base.sim
     | Some c -> malformed (config_of_json ~at:(at ^ "sim.") c)
   in
-  let* mode = enum "mode" mode_of_name base.mode in
+  let* mode = enum "mode" (fun n -> List.assoc_opt n modes) base.mode in
   let* version = enum "version" version_of_name base.version in
-  let* core = enum "core" core_of_name base.core in
+  let* core = enum "core" (fun n -> List.assoc_opt n cores) base.core in
   let* faults = malformed (Json.text ~at "faults" j) in
   let* faults =
     match faults with

@@ -62,9 +62,6 @@ type error =
 val error_message : error -> string
 (** Human-readable message, listing the valid names where relevant. *)
 
-val pp_error : Format.formatter -> error -> unit
-(** Prints {!error_message}. *)
-
 val error_to_json : error -> Dpm_util.Json.t
 (** Machine-readable form: [{"error": <kind>, ...fields,
     "message": <error_message>}].  Used verbatim as the service's error
@@ -140,6 +137,39 @@ val exec : spec -> (Dpm_sim.Result.t, error) result
 (** [exec s] is {!exec_all} reduced to the first requested scheme's
     result — the common single-scheme call. *)
 
+val observe :
+  ?run:(spec -> ((Scheme.t * Dpm_sim.Result.t) list, error) result) ->
+  ?meter:float ->
+  ?on_sample:(scheme:string -> Dpm_sim.Meter.sample -> unit) ->
+  spec ->
+  ( (Scheme.t * Dpm_sim.Result.t) list
+    * (Scheme.t * Dpm_sim.Timeline.sink) list
+    * (Scheme.t * Dpm_sim.Meter.t) list,
+    error )
+  result
+(** The observed run: {!exec_all} (or [run], the daemon's test seam) of
+    the spec with one timeline sink per scheme attached and, with
+    [meter] (seconds per window), one power meter per sink, whose
+    [on_sample] fires live with the scheme's name.  Returns the results,
+    the sinks and the finished meters, in scheme order.  Recording is
+    observational: the results are {!exec_all}'s. *)
+
+(** {1 Setting names}
+
+    One name table per setup enum, read by the [dpm-spec/1] codec, the
+    reports and the CLI. *)
+
+val modes : (string * Dpm_sim.Engine.mode) list
+(** [["open"; "closed"]]. *)
+
+val cores : (string * Dpm_sim.Engine.core) list
+(** [["fast"; "reference"]]. *)
+
+val version_of_name : string -> Dpm_compiler.Pipeline.version option
+(** A transformation version by its {!Dpm_compiler.Pipeline.version_name}
+    (["Orig"], ["LF"], ["TL"], ["LF+DL"], ["TL+DL"], ["TLall+DL"]),
+    case-insensitive; ["lfdl"] and ["tldl"] also name [LF_DL]/[TL_DL]. *)
+
 (** {1 Serializable specs — schema [dpm-spec/1]}
 
     Everything but the observational [timeline] sinks round-trips
@@ -147,8 +177,10 @@ val exec : spec -> (Dpm_sim.Result.t, error) result
     path or open-loop descriptor — in-memory [Program]s are rejected),
     the scheme names and the whole setup (simulator configuration,
     faults in the {!Dpm_sim.Fault} CLI syntax, mode, version, stream,
-    batch, core).  Floats print with [%.17g], so [of_json] of a written
-    document reproduces the run bit-for-bit. *)
+    batch, core).  The simulator configuration's numeric fields are the
+    {!Dpm_sim.Config.knobs}, keyed by name with [_] for [-].  Floats
+    print with [%.17g], so [of_json] of a written document reproduces
+    the run bit-for-bit. *)
 
 val spec_schema_version : string
 (** ["dpm-spec/1"]. *)

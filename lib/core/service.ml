@@ -12,7 +12,6 @@ type outcome = {
   label : string;
   results : (Scheme.t * Sim.Result.t) list;
   report : Json.t;
-  meters : (string * Sim.Meter.section) list;
 }
 
 type stats = { queued : int; running : int; completed : int; rejected : int }
@@ -47,39 +46,19 @@ type t = {
 
 let capacity t = t.queue
 
-(* Execute one job: attach observational timeline sinks (and meters, for
-   metered jobs) to the spec, run it through the service's runner
-   (default [Run.exec_all] — which is what makes daemon runs
-   bit-identical to direct execution), and assemble the dpm-report/1
-   document.  No shared collectors: the report must be a function of the
-   job alone, concurrent neighbours notwithstanding. *)
+(* Execute one job: observe the spec (timeline sinks, and meters for
+   metered jobs) through the service's runner (default [Run.exec_all] —
+   which is what makes daemon runs bit-identical to direct execution),
+   and assemble the dpm-report/1 document.  No shared collectors: the
+   report must be a function of the job alone, concurrent neighbours
+   notwithstanding. *)
 let execute t job =
   let ( let* ) = Result.bind in
-  let* schemes = Run.schemes_of job.spec in
-  let sinks = List.map (fun s -> (s, Sim.Timeline.sink ())) schemes in
-  let spec = Run.with_timeline (fun s -> List.assoc_opt s sinks) job.spec in
-  let cfg = Run.sim_config spec in
-  let meters =
-    match job.meter with
-    | None -> []
-    | Some resolution ->
-        List.map
-          (fun (s, sink) ->
-            let scheme = Scheme.name s in
-            let on_sample =
-              Option.map (fun f sample -> f ~scheme sample) job.on_sample
-            in
-            let m =
-              Sim.Meter.create ~resolution ~specs:cfg.Sim.Config.specs
-                ~fleet:cfg.Sim.Config.fleet ?on_sample ()
-            in
-            Sim.Meter.attach m sink;
-            (s, m))
-          sinks
+  let* results, sinks, _ =
+    Run.observe ~run:t.runner ?meter:job.meter ?on_sample:job.on_sample
+      job.spec
   in
-  let* results = t.runner spec in
-  List.iter (fun (_, m) -> Sim.Meter.finish m) meters;
-  let* label, setup = Run.describe spec in
+  let* label, setup = Run.describe job.spec in
   let report =
     Report.document ~label ~mode:setup.Experiment.mode
       ~version:setup.Experiment.version ~faults:setup.Experiment.faults
@@ -87,14 +66,7 @@ let execute t job =
       ~timeline_of:(fun s -> Sim.Timeline.contents (List.assoc s sinks))
       results
   in
-  let meters =
-    List.map
-      (fun (s, m) ->
-        let scheme = Scheme.name s in
-        (scheme, Sim.Meter.to_section ~scheme ~program:label m))
-      meters
-  in
-  Ok { job = job.id; label; results; report; meters }
+  Ok { job = job.id; label; results; report }
 
 let rec worker_loop t =
   Mutex.lock t.mutex;

@@ -12,12 +12,13 @@
     their replay closes each meter window, so a shared fleet's live
     power is one subscription rather than a post-hoc file merge.
 
-    Determinism: a job is executed by [Run.exec_all] of its spec with
-    observational timeline sinks attached, so every daemon run is
-    bit-identical to a direct [Run.exec_all] of the same spec, whatever
-    the queue pressure or worker interleaving (pinned by
-    [test/test_serve.ml]: N parallel submits over a depth-limited queue
-    produce byte-identical reports to serial execution).  Job ids are
+    Determinism: a job is executed by {!Run.observe} of its spec
+    (observational timeline sinks, and meters for metered jobs), so
+    every daemon run is bit-identical to a direct [Run.exec_all] of the
+    same spec, whatever the queue pressure or worker interleaving
+    (pinned by [test/test_serve.ml]: N parallel submits over a
+    depth-limited queue produce byte-identical reports to serial
+    execution).  Job ids are
     assigned in admission order.
 
     {!Net} wraps the same service in a line-framed JSON protocol over a
@@ -31,9 +32,6 @@ type outcome = {
   label : string;  (** The spec's workload label ({!Run.workload_label}). *)
   results : (Scheme.t * Dpm_sim.Result.t) list;
   report : Dpm_util.Json.t;  (** The [dpm-report/1] document. *)
-  meters : (string * Dpm_sim.Meter.section) list;
-      (** Per-scheme [dpm-meter/1] sections, in scheme order; empty for
-          unmetered jobs. *)
 }
 
 type stats = {
@@ -58,8 +56,9 @@ val create :
     worker picks it up before the next submission.  [retry_after]
     (default 1 s) is the hint carried by [Queue_full] rejections.
     [runner] replaces the job executor (default [Run.exec_all]) — a test
-    seam for deterministic backpressure scenarios; the service still
-    attaches its sinks and meters to the spec it passes the runner.
+    seam for deterministic backpressure scenarios, passed to
+    {!Run.observe} as its [run]; the spec the runner gets carries the
+    job's sinks and meters.
     Raises [Invalid_argument] on a negative queue depth or non-positive
     [domains]/[retry_after]. *)
 

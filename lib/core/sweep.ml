@@ -16,131 +16,77 @@ module Pool = Dpm_util.Pool
 
 let schema_version = "dpm-sweep/1"
 
-type axis =
-  | Tpm_threshold of float list
-  | Drpm_lower of float list
-  | Drpm_upper of float list
-  | Drpm_window of int list
-  | Drpm_idle_interval of float list
-  | Drpm_floor_depth of int list
-  | Queue_depth of int list
-  | Pm_call_overhead of float list
-  | Pre_activation_lead of float list
-  | Sched of Sim.Config.sched list
+type axis = { name : string; values : float list }
 
-let axis_name = function
-  | Tpm_threshold _ -> "tpm-threshold"
-  | Drpm_lower _ -> "drpm-lower"
-  | Drpm_upper _ -> "drpm-upper"
-  | Drpm_window _ -> "drpm-window"
-  | Drpm_idle_interval _ -> "drpm-idle-interval"
-  | Drpm_floor_depth _ -> "drpm-floor-depth"
-  | Queue_depth _ -> "queue-depth"
-  | Pm_call_overhead _ -> "pm-call-overhead"
-  | Pre_activation_lead _ -> "pre-activation-lead"
-  | Sched _ -> "sched"
-
-(* The scheduler axis rides the float-valued grid as an index into
-   [Config.sched_names] (stable order); rendering turns it back into
-   the canonical name. *)
-let sched_index s =
-  let rec go i = function
-    | [] -> invalid_arg "Sweep: unregistered scheduler"
-    | (_, v) :: tl -> if v = s then i else go (i + 1) tl
-  in
-  go 0 Sim.Config.sched_names
-
-let sched_of_index i =
-  match List.nth_opt Sim.Config.sched_names i with
-  | Some (_, s) -> s
-  | None -> invalid_arg "Sweep: scheduler index out of range"
-
-let axis_values = function
-  | Tpm_threshold vs
-  | Drpm_lower vs
-  | Drpm_upper vs
-  | Drpm_idle_interval vs
-  | Pm_call_overhead vs
-  | Pre_activation_lead vs ->
-      vs
-  | Drpm_window vs | Drpm_floor_depth vs | Queue_depth vs ->
-      List.map float_of_int vs
-  | Sched vs -> List.map (fun s -> float_of_int (sched_index s)) vs
-
-(* One grid coordinate: (canonical axis name, value) in axis order.
-   Integer-valued axes carry their value as a float for uniformity; the
-   appliers truncate back. *)
+(* One grid coordinate: (knob name, value) in axis order. *)
 type point = (string * float) list
 
-let apply_setting config (name, v) =
-  match name with
-  | "tpm-threshold" -> Sim.Config.with_tpm_threshold (Some v) config
-  | "drpm-lower" -> Sim.Config.with_drpm_lower v config
-  | "drpm-upper" -> Sim.Config.with_drpm_upper v config
-  | "drpm-window" -> Sim.Config.with_drpm_window (int_of_float v) config
-  | "drpm-idle-interval" -> Sim.Config.with_drpm_idle_interval v config
-  | "drpm-floor-depth" ->
-      Sim.Config.with_drpm_floor_depth (int_of_float v) config
-  | "queue-depth" -> Sim.Config.with_queue_depth (int_of_float v) config
-  | "pm-call-overhead" -> Sim.Config.with_pm_call_overhead v config
-  | "pre-activation-lead" -> Sim.Config.with_pre_activation_lead v config
-  | "sched" -> Sim.Config.with_sched (sched_of_index (int_of_float v)) config
-  | _ -> invalid_arg ("Sweep.apply: unknown axis " ^ name)
+let find_knob name =
+  List.find_opt
+    (fun k -> String.equal (Sim.Config.knob_name k) name)
+    Sim.Config.knobs
 
-let apply config (p : point) = List.fold_left apply_setting config p
+let apply config (p : point) =
+  Sim.Config.update
+    (List.map
+       (fun (name, v) ->
+         match find_knob name with
+         | Some k -> (k, v)
+         | None -> invalid_arg ("Sweep.apply: unknown axis " ^ name))
+       p)
+    config
 
 let expand axes =
   List.fold_right
-    (fun axis tails ->
-      let name = axis_name axis in
+    (fun { name; values } tails ->
       List.concat_map
         (fun v -> List.map (fun tail -> (name, v) :: tail) tails)
-        (axis_values axis))
+        values)
     axes [ [] ]
 
 (* CLI format: ";"-separated "axis=v1,v2,..." clauses, e.g.
    "tpm-threshold=4,15.2;drpm-lower=0.02,0.08". *)
 let axes_of_string s =
-  let ( let* ) = Result.bind in
   let module Kv = Dpm_util.Kv in
   let axis (name, rest) =
-    let tokens = String.split_on_char ',' rest in
-    let floats make = Result.map make (Kv.all (Kv.float name) tokens)
-    and ints make = Result.map make (Kv.all (Kv.int name) tokens) in
-    match name with
-    | "tpm-threshold" -> floats (fun v -> Tpm_threshold v)
-    | "drpm-lower" -> floats (fun v -> Drpm_lower v)
-    | "drpm-upper" -> floats (fun v -> Drpm_upper v)
-    | "drpm-window" -> ints (fun v -> Drpm_window v)
-    | "drpm-idle-interval" -> floats (fun v -> Drpm_idle_interval v)
-    | "drpm-floor-depth" -> ints (fun v -> Drpm_floor_depth v)
-    | "queue-depth" -> ints (fun v -> Queue_depth v)
-    | "pm-call-overhead" -> floats (fun v -> Pm_call_overhead v)
-    | "pre-activation-lead" -> floats (fun v -> Pre_activation_lead v)
-    | "sched" ->
-        Kv.all
-          (fun tok ->
-            let tok = String.trim tok in
-            match Sim.Config.sched_of_name_opt tok with
-            | Some s -> Ok s
-            | None -> Error (Printf.sprintf "sched: unknown scheduler %S" tok))
-          tokens
-        |> Result.map (fun v -> Sched v)
-    | _ ->
+    let value k tok =
+      match Sim.Config.value_names k with
+      | [] when Sim.Config.integral k ->
+          Result.map float_of_int (Kv.int name tok)
+      | [] -> Kv.float name tok
+      | names ->
+          Option.to_result
+            ~none:
+              (Printf.sprintf "%s: unknown value %S (expected one of: %s)" name
+                 (String.trim tok) (String.concat ", " names))
+            (Sim.Config.value_of_name k tok)
+    in
+    match find_knob name with
+    | Some k ->
+        Result.map
+          (fun values -> { name; values })
+          (Kv.all (value k) (String.split_on_char ',' rest))
+    | None ->
         Error
-          (Printf.sprintf
-             "unknown axis %S (expected one of: tpm-threshold, drpm-lower, \
-              drpm-upper, drpm-window, drpm-idle-interval, drpm-floor-depth, \
-              queue-depth, pm-call-overhead, pre-activation-lead, sched)"
-             name)
+          (Printf.sprintf "unknown axis %S (expected one of: %s)" name
+             (String.concat ", "
+                (List.map Sim.Config.knob_name Sim.Config.knobs)))
   in
-  let* clauses = Kv.pairs ~sep:';' s in
-  Kv.all axis clauses
+  Result.bind (Kv.pairs ~sep:';' s) (Kv.all axis)
 
-let value_to_string n v =
-  if String.equal n "sched" then
-    Sim.Config.sched_name (sched_of_index (int_of_float v))
-  else Printf.sprintf "%g" v
+(* Reports show a categorical knob's value by name. *)
+let value_names name =
+  Option.fold ~none:[] ~some:Sim.Config.value_names (find_knob name)
+
+let value_to_string name v =
+  match value_names name with
+  | [] -> Printf.sprintf "%g" v
+  | names -> List.nth names (int_of_float v)
+
+let value_json name v =
+  match value_names name with
+  | [] -> Json.Float v
+  | _ -> Json.Str (value_to_string name v)
 
 let setting_to_string (n, v) =
   Printf.sprintf "%s=%s" n (value_to_string n v)
@@ -276,8 +222,7 @@ let sensitivity outcome =
     List.filter (fun s -> s <> Scheme.Base) outcome.schemes
   in
   List.concat_map
-    (fun axis ->
-      let name = axis_name axis in
+    (fun { name; values } ->
       List.map
         (fun v ->
           let cells =
@@ -304,21 +249,13 @@ let sensitivity outcome =
               report_schemes
           in
           (name, v, means))
-        (axis_values axis))
+        values)
     outcome.axes
 
 (* --- Reports --- *)
 
 let point_json (p : point) =
-  Json.Obj
-    (List.map
-       (fun (n, v) ->
-         if String.equal n "sched" then
-           ( n,
-             Json.Str
-               (Sim.Config.sched_name (sched_of_index (int_of_float v))) )
-         else (n, Json.Float v))
-       p)
+  Json.Obj (List.map (fun (n, v) -> (n, value_json n v)) p)
 
 let to_json outcome =
   let scheme_row cell (scheme, (r : Sim.Result.t)) =
@@ -341,22 +278,11 @@ let to_json outcome =
       ( "axes",
         Json.Arr
           (List.map
-             (fun axis ->
+             (fun { name; values } ->
                Json.Obj
                  [
-                   ("axis", Json.Str (axis_name axis));
-                   ( "values",
-                     match axis with
-                     | Sched vs ->
-                         Json.Arr
-                           (List.map
-                              (fun s -> Json.Str (Sim.Config.sched_name s))
-                              vs)
-                     | _ ->
-                         Json.Arr
-                           (List.map
-                              (fun v -> Json.Float v)
-                              (axis_values axis)) );
+                   ("axis", Json.Str name);
+                   ("values", Json.Arr (List.map (value_json name) values));
                  ])
              outcome.axes) );
       ( "schemes",
@@ -477,13 +403,10 @@ let render outcome =
        (String.concat ","
           (List.map Scheme.name outcome.schemes)));
   List.iter
-    (fun axis ->
+    (fun { name; values } ->
       Buffer.add_string b
-        (Printf.sprintf "  axis %-19s %s\n" (axis_name axis)
-           (String.concat ", "
-              (List.map
-                 (value_to_string (axis_name axis))
-                 (axis_values axis)))))
+        (Printf.sprintf "  axis %-19s %s\n" name
+           (String.concat ", " (List.map (value_to_string name) values))))
     outcome.axes;
   Buffer.add_string b "\nBest configuration per workload x scheme:\n";
   Buffer.add_string b
@@ -534,13 +457,10 @@ let markdown outcome =
        (String.concat ", " outcome.workloads)
        (String.concat ", " (List.map Scheme.name outcome.schemes)));
   List.iter
-    (fun axis ->
+    (fun { name; values } ->
       Buffer.add_string b
-        (Printf.sprintf "- axis `%s`: %s\n" (axis_name axis)
-           (String.concat ", "
-              (List.map
-                 (value_to_string (axis_name axis))
-                 (axis_values axis)))))
+        (Printf.sprintf "- axis `%s`: %s\n" name
+           (String.concat ", " (List.map (value_to_string name) values))))
     outcome.axes;
   Buffer.add_string b "\n## Best configuration\n\n";
   Buffer.add_string b

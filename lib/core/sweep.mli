@@ -17,42 +17,20 @@
     {!Run.spec} — persisting it with {!Run.to_file} and re-running it
     must reproduce the winning row bit-for-bit. *)
 
-type axis =
-  | Tpm_threshold of float list  (** Fixed TPM threshold, seconds. *)
-  | Drpm_lower of float list  (** DRPM lower degradation tolerance. *)
-  | Drpm_upper of float list  (** DRPM upper degradation tolerance. *)
-  | Drpm_window of int list  (** DRPM averaging window, requests. *)
-  | Drpm_idle_interval of float list
-      (** DRPM idle-controller base interval, seconds. *)
-  | Drpm_floor_depth of int list
-      (** RPM-drift floor depth (DRPM idle control and the Adaptive
-          policy's parking level). *)
-  | Queue_depth of int list  (** Per-disk queue depth. *)
-  | Pm_call_overhead of float list
-      (** Per-directive overhead, seconds (compiler-managed schemes). *)
-  | Pre_activation_lead of float list
-      (** Extra pre-activation guard band, seconds. *)
-  | Sched of Dpm_sim.Config.sched list
-      (** Per-disk request-scheduling discipline. *)
-
-val axis_name : axis -> string
-(** Canonical kebab-case name (the CLI/JSON vocabulary):
-    ["tpm-threshold"], ["drpm-lower"], ["drpm-upper"], ["drpm-window"],
-    ["drpm-idle-interval"], ["drpm-floor-depth"], ["queue-depth"],
-    ["pm-call-overhead"], ["pre-activation-lead"], ["sched"]. *)
-
-val axis_values : axis -> float list
-(** The grid values, integer axes widened to floats.  The categorical
-    [Sched] axis is encoded as the float index of each discipline in
-    [Dpm_sim.Config.sched_names]; reports render it back by name. *)
+type axis = { name : string; values : float list }
+(** A grid over one {!Dpm_sim.Config.knobs} entry, by its kebab-case
+    name (["tpm-threshold"], ..., ["sched"]).  An integral knob's values
+    are whole floats; the categorical [sched] knob's are indices into
+    {!Dpm_sim.Config.sched_names}, which reports render back by name. *)
 
 type point = (string * float) list
-(** One grid coordinate: [(axis_name, value)] pairs in axis order. *)
+(** One grid coordinate: [(knob name, value)] pairs in axis order. *)
 
 val apply : Dpm_sim.Config.t -> point -> Dpm_sim.Config.t
-(** Fold the point's settings over a configuration with the
-    [Config.with_*] updaters.  Raises [Invalid_argument] on an unknown
-    axis name (points built by {!expand} are always valid). *)
+(** {!Dpm_sim.Config.update} with the point's settings: every knob is
+    set before the invariants are checked, so a valid point is valid in
+    any axis order.  Raises [Invalid_argument] on an unknown axis name
+    or an invalid point. *)
 
 val expand : axis list -> point list
 (** Cartesian product; [expand [] = [[]]] (one empty point). *)
@@ -62,8 +40,9 @@ val axes_of_string : string -> (axis list, string) result
     e.g. ["tpm-threshold=4,15.2;drpm-lower=0.02,0.08"], read through
     {!Dpm_util.Kv}.  Integer axes take integral values (["8.0"] reads as
     8; ["10.5"] is an error naming the axis); the [sched] axis takes
-    scheduler names (["sched=fcfs,sstf,scan"]).  Unknown axes, empty
-    values and malformed numbers produce a readable error. *)
+    scheduler names (["sched=fcfs,sstf,scan"]).  Unknown axes (the error
+    lists the knob names), empty values and malformed numbers produce a
+    readable error. *)
 
 val point_to_string : point -> string
 (** ["tpm-threshold=4, drpm-lower=0.02"] — for tables and logs. *)

@@ -16,10 +16,14 @@ let sched_names =
 
 let sched_name s = fst (List.find (fun (_, v) -> v = s) sched_names)
 
-let sched_of_name_opt name =
+(* A categorical value's spelling, normalized for lookup: case and
+   surrounding blanks don't matter, and "clook" is "c-look". *)
+let canonical name =
   match String.lowercase_ascii (String.trim name) with
-  | "clook" -> Some Clook (* spelling alias; canonical name is "c-look" *)
-  | n -> List.assoc_opt n sched_names
+  | "clook" -> "c-look"
+  | n -> n
+
+let sched_of_name_opt name = List.assoc_opt (canonical name) sched_names
 
 type t = {
   specs : Dpm_disk.Specs.t;
@@ -38,7 +42,7 @@ type t = {
 }
 
 (* Single choke point for configuration invariants: every constructor
-   ([make] and each [with_*]) funnels through [check], so an invalid
+   ([make], [update] and each [with_*]) funnels through [check], so an invalid
    knob combination is rejected at construction time no matter which
    path built it (CLI, sweep axis, wire spec, literal in a test). *)
 let check t =
@@ -123,23 +127,74 @@ let model t ~disk =
 
 let homogeneous t =
   Array.for_all (fun m -> m = t.specs) t.fleet
-let with_tpm_threshold tpm_threshold t = check { t with tpm_threshold }
-let with_drpm_lower drpm_lower t = check { t with drpm_lower }
-let with_drpm_upper drpm_upper t = check { t with drpm_upper }
-let with_drpm_window drpm_window t = check { t with drpm_window }
 
 let with_drpm_idle_interval drpm_idle_interval t =
   check { t with drpm_idle_interval }
 
-let with_drpm_floor_depth drpm_floor_depth t =
-  check { t with drpm_floor_depth }
-
 let with_queue_depth queue_depth t = check { t with queue_depth }
 
-let with_pm_call_overhead pm_call_overhead t =
-  check { t with pm_call_overhead }
+(* The sweepable knobs, declared once: a sweep axis and a dpm-spec/1
+   [sim] field are both a knob's name and a float value.  [set] skips
+   [check]; [update] runs it once, after every setting, so whether a
+   combination is valid does not depend on the order it is listed in. *)
+type knob = {
+  name : string;
+  integral : bool;
+  values : string list;
+  get : t -> float option;
+  set : float -> t -> t;
+}
 
-let with_pre_activation_lead pre_activation_lead t =
-  check { t with pre_activation_lead }
+let knob ?(integral = false) ?(values = []) name get set =
+  { name; integral; values; get; set }
 
-let with_retain_busy retain_busy t = check { t with retain_busy }
+let knobs =
+  [
+    knob "tpm-threshold"
+      (fun t -> t.tpm_threshold)
+      (fun v t -> { t with tpm_threshold = Some v });
+    knob "drpm-lower"
+      (fun t -> Some t.drpm_lower)
+      (fun v t -> { t with drpm_lower = v });
+    knob "drpm-upper"
+      (fun t -> Some t.drpm_upper)
+      (fun v t -> { t with drpm_upper = v });
+    knob ~integral:true "drpm-window"
+      (fun t -> Some (float t.drpm_window))
+      (fun v t -> { t with drpm_window = truncate v });
+    knob "drpm-idle-interval"
+      (fun t -> Some t.drpm_idle_interval)
+      (fun v t -> { t with drpm_idle_interval = v });
+    knob ~integral:true "drpm-floor-depth"
+      (fun t -> Some (float t.drpm_floor_depth))
+      (fun v t -> { t with drpm_floor_depth = truncate v });
+    knob ~integral:true "queue-depth"
+      (fun t -> Some (float t.queue_depth))
+      (fun v t -> { t with queue_depth = truncate v });
+    knob "pm-call-overhead"
+      (fun t -> Some t.pm_call_overhead)
+      (fun v t -> { t with pm_call_overhead = v });
+    knob "pre-activation-lead"
+      (fun t -> Some t.pre_activation_lead)
+      (fun v t -> { t with pre_activation_lead = v });
+    (* Categorical: the value is the scheduler's index in [sched_names]. *)
+    knob ~integral:true ~values:(List.map fst sched_names) "sched"
+      (fun t ->
+        Option.map float
+          (List.find_index (fun (_, s) -> s = t.sched) sched_names))
+      (fun v t ->
+        match List.nth_opt sched_names (truncate v) with
+        | Some (_, sched) -> { t with sched }
+        | None -> invalid_arg "Config: sched index out of range");
+  ]
+
+let knob_name k = k.name
+let integral k = k.integral
+let value_names k = k.values
+let get k t = k.get t
+
+let value_of_name k name =
+  Option.map float (List.find_index (String.equal (canonical name)) k.values)
+
+let update settings t =
+  check (List.fold_left (fun t (k, v) -> k.set v t) t settings)

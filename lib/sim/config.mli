@@ -1,8 +1,8 @@
 (** Simulator configuration.
 
     The record is {e private}: every field is meaningful to read (and
-    pattern-match), but construction must go through {!make} or the
-    [with_*] updaters over {!default}.  Bare record literals and
+    pattern-match), but construction must go through {!make}, {!update}
+    or the [with_*] updaters over {!default}.  Bare record literals and
     [{ c with ... }] functional update are deprecated and no longer
     type-check outside this module — the builders are the single place
     where configuration invariants (queue depth and window >= 1, DRPM
@@ -25,7 +25,8 @@ val sched_names : (string * sched) list
 
 val sched_name : sched -> string
 val sched_of_name_opt : string -> sched option
-(** Case-insensitive, whitespace-trimmed lookup. *)
+(** Case-insensitive, whitespace-trimmed lookup; ["clook"] is
+    ["c-look"]. *)
 
 type t = private {
   specs : Dpm_disk.Specs.t;
@@ -113,7 +114,8 @@ val make :
 val with_specs : Dpm_disk.Specs.t -> t -> t
 val with_fleet : Dpm_disk.Specs.t array -> t -> t
 val with_sched : sched -> t -> t
-val with_tpm_threshold : float option -> t -> t
+val with_drpm_idle_interval : float -> t -> t
+val with_queue_depth : int -> t -> t
 
 val model : t -> disk:int -> Dpm_disk.Specs.t
 (** The model serving [disk]: [fleet.(disk mod length)], or [specs] when
@@ -124,12 +126,40 @@ val homogeneous : t -> bool
     fleet entry structurally equal to it) — the configurations whose
     replays must stay byte-identical with the pre-fleet engine. *)
 
-val with_drpm_lower : float -> t -> t
-val with_drpm_upper : float -> t -> t
-val with_drpm_window : int -> t -> t
-val with_drpm_idle_interval : float -> t -> t
-val with_drpm_floor_depth : int -> t -> t
-val with_queue_depth : int -> t -> t
-val with_pm_call_overhead : float -> t -> t
-val with_pre_activation_lead : float -> t -> t
-val with_retain_busy : bool -> t -> t
+(** {1 Sweepable knobs}
+
+    The ten fields a sweep axis or a [dpm-spec/1] [sim] field may set,
+    each declared once with its name and its value as a float.  Both
+    readers are generic over this table. *)
+
+type knob
+
+val knobs : knob list
+(** In order: [tpm-threshold], [drpm-lower], [drpm-upper],
+    [drpm-window], [drpm-idle-interval], [drpm-floor-depth],
+    [queue-depth], [pm-call-overhead], [pre-activation-lead], then the
+    categorical [sched]. *)
+
+val knob_name : knob -> string
+(** Kebab-case: the sweep axis name, and with [_] for [-] the
+    [dpm-spec/1] key. *)
+
+val integral : knob -> bool
+(** The field is an integer (or, for [sched], an index). *)
+
+val value_names : knob -> string list
+(** A categorical knob's values, value [i] named by the [i]-th entry
+    ({!sched_names} for [sched]); [[]] for a numeric knob. *)
+
+val value_of_name : knob -> string -> float option
+(** A categorical value by name, spelled as {!sched_of_name_opt}
+    accepts. *)
+
+val get : knob -> t -> float option
+(** The knob's value; [None] only for an unset [tpm-threshold]
+    (break-even). *)
+
+val update : (knob * float) list -> t -> t
+(** Set every knob, in order, then check the invariants once: a valid
+    combination is valid in any order.  An integral knob truncates its
+    value.  Raises [Invalid_argument] like {!make}. *)

@@ -371,9 +371,6 @@ let finalize t ~at = advance t (max at (settle_time t))
 let energy t = t.hot.(ix_total_energy)
 let busy_intervals t = List.rev t.busy_rev
 
-let busy_time t =
-  List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0.0 t.busy_rev
-
 let requests_served t = t.served
 let transition_count t = t.transitions
 let spin_down_count t = t.spin_downs

@@ -84,7 +84,7 @@ val create :
     observational and never alters the accounting.  [retain_busy]
     (default true) keeps the per-request busy-interval list behind
     {!busy_intervals}; turning it off bounds a replay's memory (see
-    {!Dpm_sim.Config}) at the cost of {!busy_intervals}/{!busy_time}
+    {!Dpm_sim.Config}) at the cost of {!busy_intervals}
     returning empty. *)
 
 val id : t -> int
@@ -158,7 +158,6 @@ val energy : t -> float
 val busy_intervals : t -> (float * float) list
 (** Sorted service intervals. *)
 
-val busy_time : t -> float
 val requests_served : t -> int
 val transition_count : t -> int
 (** RPM modulations begun. *)

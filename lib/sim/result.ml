@@ -30,12 +30,6 @@ let no_faults =
 
 let fault_events f = f.read_retries + f.remaps + f.spin_up_recoveries + f.redirects
 
-let faults_summary f =
-  Printf.sprintf
-    "retries %d (+%.3f s), remaps %d, spin-up recoveries %d, redirects %d, failed disks %d"
-    f.read_retries f.retry_delay f.remaps f.spin_up_recoveries f.redirects
-    f.failed_disks
-
 type t = {
   scheme : string;
   program : string;

@@ -32,9 +32,6 @@ val fault_events : fault_stats -> int
 (** Total injected-fault events (retries + remaps + recoveries +
     redirects); 0 iff the run was fault-free. *)
 
-val faults_summary : fault_stats -> string
-(** One-line human-readable counter summary. *)
-
 type t = {
   scheme : string;
   program : string;

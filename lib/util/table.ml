@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   title : string;
   columns : (string * align) list;
-  mutable rows : row list; (* reverse order *)
+  mutable rows : string list list; (* reverse order *)
 }
 
 let create ~title ~columns = { title; columns; rows = [] }
@@ -13,18 +11,11 @@ let create ~title ~columns = { title; columns; rows = [] }
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: wrong number of cells";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let headers = List.map fst t.columns in
-  let all_cell_rows =
-    headers
-    :: List.filter_map
-         (function Cells c -> Some c | Rule -> None)
-         (List.rev t.rows)
-  in
+  let rows = List.rev t.rows in
   let ncols = List.length t.columns in
   let widths = Array.make ncols 0 in
   let note_widths cells =
@@ -32,7 +23,7 @@ let render t =
       (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c)
       cells
   in
-  List.iter note_widths all_cell_rows;
+  List.iter note_widths (headers :: rows);
   let pad i s =
     let w = widths.(i) in
     let n = w - String.length s in
@@ -63,16 +54,9 @@ let render t =
   Buffer.add_string buf ("== " ^ t.title ^ " ==\n");
   emit_cells headers;
   rule ();
-  List.iter
-    (function Cells c -> emit_cells c | Rule -> rule ())
-    (List.rev t.rows);
+  List.iter emit_cells rows;
   Buffer.contents buf
-
-let print t =
-  print_string (render t);
-  print_newline ()
 
 let cell_int n = string_of_int n
 let cell_f x = Printf.sprintf "%.2f" x
 let cell_f3 x = Printf.sprintf "%.3f" x
-let cell_pct x = Printf.sprintf "%.1f%%" x

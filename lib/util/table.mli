@@ -15,9 +15,6 @@ val add_row : t -> string list -> unit
 (** Appends a row; the row must have exactly as many cells as there are
     columns (raises [Invalid_argument] otherwise). *)
 
-val add_rule : t -> unit
-(** Appends a horizontal rule. *)
-
 val render : t -> string
 (** Renders with a box of [-] rules and [|]-free spacing, e.g.:
 {v
@@ -27,9 +24,6 @@ col-a   col-b
 x       1.00
 v} *)
 
-val print : t -> unit
-(** [render] followed by [print_string] and a newline flush. *)
-
 val cell_int : int -> string
 (** Integer cell. *)
 
@@ -38,6 +32,3 @@ val cell_f : float -> string
 
 val cell_f3 : float -> string
 (** Numeric cell with three decimals. *)
-
-val cell_pct : float -> string
-(** Percentage cell with one decimal, e.g. ["46.0%"]. *)

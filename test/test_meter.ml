@@ -503,7 +503,7 @@ let test_aggregate () =
       in
       write "report.corrupt.json" (Json.to_string corrupt);
       let agg =
-        match Aggregate.of_dir dir with
+        match Aggregate.of_paths [ dir ] with
         | Ok a -> a
         | Error m -> Alcotest.fail m
       in

@@ -31,9 +31,9 @@ let test_expand () =
     (List.length (Sweep.expand []));
   let axes =
     [
-      Sweep.Tpm_threshold [ 4.0; 8.0; 15.2 ];
-      Sweep.Drpm_lower [ 0.02; 0.08 ];
-      Sweep.Drpm_window [ 10; 30 ];
+      { Sweep.name = "tpm-threshold"; values = [ 4.0; 8.0; 15.2 ] };
+      { Sweep.name = "drpm-lower"; values = [ 0.02; 0.08 ] };
+      { Sweep.name = "drpm-window"; values = [ 10.0; 30.0 ] };
     ]
   in
   let points = Sweep.expand axes in
@@ -50,7 +50,12 @@ let test_expand () =
 
 let test_axes_of_string () =
   (match Sweep.axes_of_string "tpm-threshold=4,8; drpm-window=10" with
-  | Ok [ Sweep.Tpm_threshold [ 4.0; 8.0 ]; Sweep.Drpm_window [ 10 ] ] -> ()
+  | Ok
+      [
+        { Sweep.name = "tpm-threshold"; values = [ 4.0; 8.0 ] };
+        { Sweep.name = "drpm-window"; values = [ 10.0 ] };
+      ] ->
+      ()
   | Ok _ -> Alcotest.fail "parsed into the wrong axes"
   | Error m -> Alcotest.fail m);
   let is_error s =
@@ -65,7 +70,7 @@ let test_axes_of_string () =
   Alcotest.(check bool) "non-integral integer axis rejected" true
     (is_error "drpm-window=10.5");
   match Sweep.axes_of_string "drpm-window=8.0" with
-  | Ok [ Sweep.Drpm_window [ 8 ] ] -> ()
+  | Ok [ { Sweep.name = "drpm-window"; values = [ 8.0 ] } ] -> ()
   | Ok _ -> Alcotest.fail "integral spelling misread"
   | Error m -> Alcotest.fail m
 
@@ -101,9 +106,30 @@ let test_invalid_points_rejected () =
           Alcotest.(check bool) (label ^ " names the point") true (contains m needle)
       | Error e -> Alcotest.failf "%s: %s" label (Run.error_message e))
     [
-      ("queue depth 0", Sweep.Queue_depth [ 0 ], "queue-depth=0");
-      ("drpm lower nan", Sweep.Drpm_lower [ Float.nan ], "drpm-lower=nan");
+      ("queue depth 0", { Sweep.name = "queue-depth"; values = [ 0.0 ] }, "queue-depth=0");
+      ( "drpm lower nan",
+        { Sweep.name = "drpm-lower"; values = [ Float.nan ] },
+        "drpm-lower=nan" );
     ]
+
+(* A point is valid or not whatever order its axes are listed in: a
+   lower DRPM tolerance above the default upper one runs when the
+   point's own upper bound exceeds it, and both orders give the same
+   cell. *)
+let test_axis_order_irrelevant () =
+  let cell axes =
+    match
+      Sweep.run ~schemes:[ Scheme.Base; Scheme.Drpm ] ~axes
+        ~workloads:[ "galgel" ] ()
+    with
+    | Ok { Sweep.cells = [ c ]; _ } -> c.Sweep.results
+    | Ok _ -> Alcotest.fail "expected one cell"
+    | Error e -> Alcotest.fail (Run.error_message e)
+  in
+  let lower = { Sweep.name = "drpm-lower"; values = [ 0.2 ] }
+  and upper = { Sweep.name = "drpm-upper"; values = [ 0.3 ] } in
+  Alcotest.(check bool) "lower-first cell = upper-first cell" true
+    (cell [ lower; upper ] = cell [ upper; lower ])
 
 (* --- dpm-spec/1 round-trip --- *)
 
@@ -435,7 +461,10 @@ let test_adaptive_never_worse_than_base () =
 (* --- The sweep driver --- *)
 
 let smoke_axes =
-  [ Sweep.Tpm_threshold [ 4.0; 15.2 ]; Sweep.Drpm_lower [ 0.02; 0.08 ] ]
+  [
+    { Sweep.name = "tpm-threshold"; values = [ 4.0; 15.2 ] };
+    { Sweep.name = "drpm-lower"; values = [ 0.02; 0.08 ] };
+  ]
 
 let smoke_schemes = [ Scheme.Base; Scheme.Tpm; Scheme.Adaptive ]
 
@@ -545,6 +574,8 @@ let suite =
         Alcotest.test_case "apply settings" `Quick test_apply;
         Alcotest.test_case "invalid points rejected" `Quick
           test_invalid_points_rejected;
+        Alcotest.test_case "axis order does not decide validity" `Quick
+          test_axis_order_irrelevant;
       ] );
     ( "sweep.spec",
       [
