@@ -29,135 +29,19 @@ let print_figure name f =
   print_string figure.Figures.rendered;
   print_newline ()
 
-(* --- Streaming-vs-materialized memory/throughput comparison ---
-
-   A synthetic workload ~10× the largest figure-grid input (wupwise's
-   ~24.6k requests): one 256 MB array of 4096 stripe units swept 64
-   times through the default 1024-unit LRU cache, so every sweep misses
-   on every unit — 262,144 I/O events.  The materialized path builds
-   that whole event array before replaying; the streaming path fuses
-   generate→replay in O(batch) chunks.  Both replays run with
-   [retain_busy = false] (the engine's bounded-memory knob), and the
-   results must be structurally identical.
-
-   [Gc.top_heap_words] is process-monotonic, so the streaming phase runs
-   FIRST and each phase's peak is the delta it adds — which is why this
-   mode leads the default all-run and should come first in a manual
-   figure list if its numbers are to mean anything. *)
-
+(* The synthetic workload of the throughput gate, ~10× the largest
+   figure-grid input (wupwise's ~24.6k requests): one 256 MB array of
+   4096 stripe units swept 64 times through the default 1024-unit LRU
+   cache, so every sweep misses on every unit — 262,144 I/O events. *)
 let stream_source =
   {|# stream-synthetic: cache-thrashing sweeps, 262144 IOs
 array G[512][64] : 8192
 for s = 1 to 64 { for i = 0 to 511 { for j = 0 to 63 { use G[i][j] work 400 } } }
 |}
 
-(* The JSON snapshot's "stream" section, filled by [stream_mode]. *)
-let stream_section : (string * Dpm_util.Json.t) list ref = ref []
-
-let vm_hwm_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> None
-  | ic ->
-      let rec scan () =
-        match input_line ic with
-        | exception End_of_file -> None
-        | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              String.sub line 6 (String.length line - 6)
-              |> String.trim
-              |> fun s ->
-              Scanf.sscanf_opt s "%d" (fun kb -> kb)
-            else scan ()
-      in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
-
-let stream_mode () =
-  let open Dpm_util.Json in
-  let p = Dpm_ir.Parser.program ~name:"stream-synthetic" stream_source in
-  let plan = Dpm_workloads.Suite.default_plan p in
-  let config = Dpm_sim.Config.make ~retain_busy:false () in
-  let t_total0 = Telemetry.now () in
-  Gc.compact ();
-  let heap0 = (Gc.quick_stat ()).Gc.top_heap_words in
-  let t0 = Telemetry.now () in
-  let r_stream =
-    Dpm_sim.Engine.run_stream ~config Dpm_sim.Policy.base
-      (Dpm_trace.Generate.stream p plan)
-  in
-  let stream_s = Telemetry.now () -. t0 in
-  let heap1 = (Gc.quick_stat ()).Gc.top_heap_words in
-  let t1 = Telemetry.now () in
-  let trace = Dpm_trace.Generate.run p plan in
-  let r_mat = Dpm_sim.Engine.run ~config Dpm_sim.Policy.base trace in
-  let mat_s = Telemetry.now () -. t1 in
-  let heap2 = (Gc.quick_stat ()).Gc.top_heap_words in
-  timings := ("stream", Telemetry.now () -. t_total0) :: !timings;
-  let word = Sys.word_size / 8 in
-  let stream_bytes = (heap1 - heap0) * word in
-  let mat_bytes = (heap2 - heap1) * word in
-  let requests = Dpm_sim.Result.requests r_mat in
-  let rps s = float_of_int requests /. s in
-  let identical = r_stream = r_mat in
-  (* O(batch), not O(trace): the fused pipeline must peak in a fraction
-     of the materialized path's memory. *)
-  let bounded = mat_bytes > 0 && stream_bytes * 4 <= mat_bytes in
-  print_endline
-    "== Streaming vs materialized (synthetic 262144-request workload) ==";
-  Printf.printf "  %-13s %12s %14s %14s\n" "path" "time(s)" "requests/s"
-    "peak-heap(MB)";
-  Printf.printf "  %-13s %12.3f %14.0f %14.2f\n" "streaming" stream_s
-    (rps stream_s)
-    (float_of_int stream_bytes /. 1048576.0);
-  Printf.printf "  %-13s %12.3f %14.0f %14.2f\n" "materialized" mat_s
-    (rps mat_s)
-    (float_of_int mat_bytes /. 1048576.0);
-  (match vm_hwm_kb () with
-  | Some kb -> Printf.printf "  process VmHWM: %d kB\n" kb
-  | None -> ());
-  Printf.printf "  results identical: %b, memory bounded (<=1/4): %b\n"
-    identical bounded;
-  stream_section :=
-    [
-      ( "stream",
-        Obj
-          [
-            ("requests", Int requests);
-            ("batch", Int Dpm_trace.Trace.Stream.default_batch);
-            ( "streaming",
-              Obj
-                [
-                  ("seconds", Float stream_s);
-                  ("requests_per_s", Float (rps stream_s));
-                  ("peak_heap_bytes", Int stream_bytes);
-                ] );
-            ( "materialized",
-              Obj
-                [
-                  ("seconds", Float mat_s);
-                  ("requests_per_s", Float (rps mat_s));
-                  ("peak_heap_bytes", Int mat_bytes);
-                ] );
-            ("identical", Bool identical);
-            ("bounded", Bool bounded);
-          ] );
-    ];
-  if identical && bounded then 0
-  else begin
-    Dpm_util.Log.error ~scope:"bench"
-      ~kv:
-        [
-          ("identical", string_of_bool identical);
-          ("bounded", string_of_bool bounded);
-          ("stream_bytes", string_of_int stream_bytes);
-          ("mat_bytes", string_of_int mat_bytes);
-        ]
-      "streaming equivalence/memory assertion failed";
-    1
-  end
-
 (* --- Fast-core throughput gate ---
 
-   Replays the same 262k-request synthetic workload through both engine
+   Replays the 262k-request synthetic workload through both engine
    cores — the row-at-a-time reference body and the specialized
    structure-of-arrays loop — for one policy of each specialization
    kind.  Reports events/sec, the fast/reference speedup, and the fast
@@ -501,10 +385,9 @@ let figures_arg =
   let doc =
     "Figures/tables to regenerate (default: all plus the \
      micro-benchmarks).  $(b,micro) selects the Bechamel \
-     micro-benchmarks; $(b,stream) the streaming-vs-materialized \
-     memory/throughput comparison (run it first — or alone — for \
-     meaningful peak-heap deltas); $(b,throughput) the fast-vs-reference \
-     replay-core comparison with allocation accounting."
+     micro-benchmarks; $(b,throughput) the fast-vs-reference \
+     replay-core comparison with allocation accounting; $(b,sweep) the \
+     auto-tuning sweep gate."
   in
   Arg.(value & pos_all string [] & info [] ~doc ~docv:"FIGURE")
 
@@ -572,10 +455,7 @@ let run names domains metrics json trace log_level baseline =
   let rc =
     match names with
     | [] ->
-        (* stream first: its peak-heap deltas need a fresh process
-           baseline (see [stream_mode]). *)
-        let rc = stream_mode () in
-        let rc = max rc (throughput_mode ~baseline ()) in
+        let rc = throughput_mode ~baseline () in
         let rc = max rc (sweep_mode ()) in
         List.iter (fun (name, f) -> print_figure name f) Figures.catalogue;
         micro ();
@@ -587,7 +467,6 @@ let run names domains metrics json trace log_level baseline =
               micro ();
               rc
             end
-            else if String.equal name "stream" then max rc (stream_mode ())
             else if String.equal name "throughput" then
               max rc (throughput_mode ~baseline ())
             else if String.equal name "sweep" then max rc (sweep_mode ())
@@ -603,7 +482,7 @@ let run names domains metrics json trace log_level baseline =
                         ("figure", name);
                         ( "available",
                           String.concat " " (List.map fst Figures.catalogue)
-                          ^ " stream throughput sweep micro" );
+                          ^ " throughput sweep micro" );
                       ]
                     "unknown figure";
                   2)
@@ -620,7 +499,7 @@ let run names domains metrics json trace log_level baseline =
   | Some path ->
       let doc =
         Dpm_core.Report.bench_snapshot
-          ~extra:(!stream_section @ !throughput_section @ !sweep_section)
+          ~extra:(!throughput_section @ !sweep_section)
           ~figures:(List.rev !timings) ()
       in
       (match Dpm_core.Report.validate_bench doc with

@@ -285,10 +285,11 @@ let trace_file_workload_arg =
 
 let stream_arg =
   let doc =
-    "Fused streaming pipeline: each scheme's replay pulls trace chunks \
-     straight out of the generator (or the file parser, with \
-     $(b,--trace-file)) in O(batch) peak memory instead of materializing \
-     the whole trace first.  Results are byte-identical either way."
+    "Read a trace file ($(b,--trace-file), or an $(b,--open-loop) file \
+     source) chunk by chunk for each scheme's replay, in O(batch) trace \
+     memory, instead of loading it once.  A generated trace is built \
+     once whatever this flag says.  Results are byte-identical either \
+     way."
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 
@@ -1190,62 +1191,36 @@ let submit_cmd =
     let doc = "After the last job, ask the daemon to drain and exit." in
     Arg.(value & flag & info [ "shutdown" ] ~doc)
   in
-  (* One scheme row of the results table, straight from the report
-     document — same format string as [print_results_table], so a
-     daemon-run table diffs cleanly against `dpmsim simulate`'s. *)
-  let print_report_table report =
-    let num k j =
-      Option.value ~default:Float.nan
-        (Option.bind (Dpm_util.Json.member k j) Dpm_util.Json.to_float)
-    in
+  (* The results table from the decoded report — same format string as
+     [print_results_table], so a daemon-run table diffs cleanly against
+     `dpmsim simulate`'s. *)
+  let print_report_table (report : Dpm_core.Report.t) =
     Printf.printf "%-8s %12s %10s %8s %8s\n" "scheme" "energy(J)" "time(s)"
       "E/base" "T/base";
     List.iter
-      (fun row ->
-        Printf.printf "%-8s %12.2f %10.2f %8.3f %8.3f\n"
-          (Option.value ~default:"?"
-             (Option.bind
-                (Dpm_util.Json.member "scheme" row)
-                Dpm_util.Json.to_str))
-          (num "energy_j" row) (num "exec_time_s" row) (num "energy_norm" row)
-          (num "time_norm" row))
-      (Option.value ~default:[]
-         (Option.bind
-            (Dpm_util.Json.member "schemes" report)
-            Dpm_util.Json.to_list))
+      (fun (row : Dpm_core.Report.scheme_row) ->
+        Printf.printf "%-8s %12.2f %10.2f %8.3f %8.3f\n" row.scheme
+          row.energy_j row.exec_time_s row.energy_norm row.time_norm)
+      report.schemes
   in
   (* Client-side integral of the streamed samples, per scheme, in
      arrival order — the wire carries %.17g floats, so this reproduces
      the daemon's own integral bit-for-bit. *)
-  let check_meters ~acc report =
+  let check_meters ~acc (report : Dpm_core.Report.t) =
     List.iter
-      (fun row ->
-        let scheme =
-          Option.value ~default:"?"
-            (Option.bind
-               (Dpm_util.Json.member "scheme" row)
-               Dpm_util.Json.to_str)
-        in
-        let energy =
-          Option.value ~default:Float.nan
-            (Option.bind
-               (Dpm_util.Json.member "energy_j" row)
-               Dpm_util.Json.to_float)
-        in
+      (fun (row : Dpm_core.Report.scheme_row) ->
+        let energy = row.energy_j in
         let integral, samples =
-          Option.value ~default:(0.0, 0) (Hashtbl.find_opt acc scheme)
+          Option.value ~default:(0.0, 0) (Hashtbl.find_opt acc row.scheme)
         in
         let rel =
           if energy = 0.0 then abs_float integral
           else abs_float (integral -. energy) /. energy
         in
         Printf.printf "meter %-8s samples=%d integral=%.2f J energy=%.2f J %s\n"
-          scheme samples integral energy
+          row.scheme samples integral energy
           (if rel <= 1e-6 then "ok" else "MISMATCH"))
-      (Option.value ~default:[]
-         (Option.bind
-            (Dpm_util.Json.member "schemes" report)
-            Dpm_util.Json.to_list))
+      report.schemes
   in
   let run inst socket port specs meter out_dir shutdown_f =
     let address = address_of ~socket ~port in
@@ -1307,8 +1282,15 @@ let submit_cmd =
                     | Ok (id, report) ->
                         Printf.printf "== job %d: %s ==\n" id
                           (Filename.basename file);
-                        print_report_table report;
-                        if meter <> None then check_meters ~acc report;
+                        (match Dpm_core.Report.decode report with
+                        | Ok decoded ->
+                            print_report_table decoded;
+                            if meter <> None then check_meters ~acc decoded
+                        | Error m ->
+                            Dpm_util.Log.error ~scope:"submit"
+                              ~kv:[ ("spec", file) ]
+                              ("malformed report: " ^ m);
+                            rc := 1);
                         Option.iter
                           (fun dir ->
                             write ~scope:"submit" ~what:"wrote run report"

@@ -7,15 +7,6 @@ let schema_version = "dpm-agg/1"
 
 (* --- accumulators --- *)
 
-type fault_acc = {
-  mutable read_retries : int;
-  mutable retry_delay : float;
-  mutable remaps : int;
-  mutable spin_up_recoveries : int;
-  mutable redirects : int;
-  mutable failed_disks : int;
-}
-
 type scheme_acc = {
   mutable runs : int;
   mutable energy : float;
@@ -24,7 +15,7 @@ type scheme_acc = {
   mutable norm_max : float;
   mutable requests : int;
   mutable invariants_ok : bool;
-  fa : fault_acc;
+  mutable faults : Dpm_sim.Result.fault_stats;
 }
 
 type meter_scheme_acc = {
@@ -83,87 +74,27 @@ let assoc_or key fresh slot =
 
 (* --- report ingest --- *)
 
-(* A report is decoded whole before anything of it is ingested: a field
-   Aggregate reads that is missing or mistyped skips the file, naming
-   the field's path. *)
-exception Bad_field of string
-
-let need read at k j =
-  match Json.required read ~at k j with
-  | Ok x -> x
-  | Error m -> raise (Bad_field m)
-
-type scheme_row = {
-  name : string;
-  energy : float;
-  norm : float;
-  requests : int;
-  ok : bool;
-  faults : fault_acc;
-}
-
-let decode_scheme i s =
-  let at = Printf.sprintf "schemes[%d]." i in
-  let name = need Json.text at "scheme" s in
-  let energy = need Json.number at "energy_j" s in
-  let norm = need Json.number at "energy_norm" s in
-  let requests = need Json.integer at "requests" s in
-  let ok =
-    need Json.boolean (at ^ "timeline.") "invariants_ok"
-      (need Json.obj at "timeline" s)
-  in
-  let f = need Json.obj at "faults" s and at = at ^ "faults." in
-  let read_retries = need Json.integer at "read_retries" f in
-  let retry_delay = need Json.number at "retry_delay_s" f in
-  let remaps = need Json.integer at "remaps" f in
-  let spin_up_recoveries = need Json.integer at "spin_up_recoveries" f in
-  let redirects = need Json.integer at "redirects" f in
-  let failed_disks = need Json.integer at "failed_disks" f in
+let add_faults (a : Dpm_sim.Result.fault_stats)
+    (b : Dpm_sim.Result.fault_stats) =
   {
-    name;
-    energy;
-    norm;
-    requests;
-    ok;
-    faults =
-      {
-        read_retries;
-        retry_delay;
-        remaps;
-        spin_up_recoveries;
-        redirects;
-        failed_disks;
-      };
+    Dpm_sim.Result.read_retries = a.read_retries + b.read_retries;
+    retry_delay = a.retry_delay +. b.retry_delay;
+    remaps = a.remaps + b.remaps;
+    spin_up_recoveries = a.spin_up_recoveries + b.spin_up_recoveries;
+    redirects = a.redirects + b.redirects;
+    failed_disks = a.failed_disks + b.failed_disks;
   }
 
-let decode_histogram i h =
-  let at = Printf.sprintf "histograms[%d]." i in
-  let name = need Json.text at "name" h in
-  match Histo.of_json (need Json.obj at "buckets" h) with
-  | Ok histo -> (name, histo)
-  | Error e -> raise (Bad_field (Printf.sprintf "%sbuckets: %s" at e))
-
-let decode_report doc =
-  match
-    let benchmark = need Json.text "" "benchmark" doc in
-    let rows = List.mapi decode_scheme (need Json.array "" "schemes" doc) in
-    let histos =
-      List.mapi decode_histogram (need Json.array "" "histograms" doc)
-    in
-    (benchmark, rows, histos)
-  with
-  | report -> Ok report
-  | exception Bad_field m -> Error m
-
-let ingest_report t (benchmark, rows, histos) =
+let ingest_report t (report : Report.t) =
   t.report_files <- t.report_files + 1;
+  let benchmark = report.Report.benchmark in
   if benchmark <> "" && not (List.mem benchmark t.benchmarks) then
     t.benchmarks <- benchmark :: t.benchmarks;
   List.iter
-    (fun r ->
+    (fun (r : Report.scheme_row) ->
       let slot = ref t.schemes in
       let acc =
-        assoc_or r.name
+        assoc_or r.scheme
           (fun () ->
             {
               runs = 0;
@@ -173,42 +104,27 @@ let ingest_report t (benchmark, rows, histos) =
               norm_max = neg_infinity;
               requests = 0;
               invariants_ok = true;
-              fa =
-                {
-                  read_retries = 0;
-                  retry_delay = 0.0;
-                  remaps = 0;
-                  spin_up_recoveries = 0;
-                  redirects = 0;
-                  failed_disks = 0;
-                };
+              faults = Dpm_sim.Result.no_faults;
             })
           slot
       in
       t.schemes <- !slot;
       acc.runs <- acc.runs + 1;
-      acc.energy <- acc.energy +. r.energy;
-      acc.norm_sum <- acc.norm_sum +. r.norm;
-      if r.norm < acc.norm_min then acc.norm_min <- r.norm;
-      if r.norm > acc.norm_max then acc.norm_max <- r.norm;
+      acc.energy <- acc.energy +. r.energy_j;
+      acc.norm_sum <- acc.norm_sum +. r.energy_norm;
+      if r.energy_norm < acc.norm_min then acc.norm_min <- r.energy_norm;
+      if r.energy_norm > acc.norm_max then acc.norm_max <- r.energy_norm;
       acc.requests <- acc.requests + r.requests;
-      if not r.ok then acc.invariants_ok <- false;
-      let f = r.faults in
-      acc.fa.read_retries <- acc.fa.read_retries + f.read_retries;
-      acc.fa.retry_delay <- acc.fa.retry_delay +. f.retry_delay;
-      acc.fa.remaps <- acc.fa.remaps + f.remaps;
-      acc.fa.spin_up_recoveries <-
-        acc.fa.spin_up_recoveries + f.spin_up_recoveries;
-      acc.fa.redirects <- acc.fa.redirects + f.redirects;
-      acc.fa.failed_disks <- acc.fa.failed_disks + f.failed_disks)
-    rows;
+      if not r.invariants_ok then acc.invariants_ok <- false;
+      acc.faults <- add_faults acc.faults r.faults)
+    report.Report.schemes;
   List.iter
     (fun (name, histo) ->
       let slot = ref t.histos in
       let into = assoc_or name Histo.create slot in
       t.histos <- !slot;
       Histo.merge_into ~into histo)
-    histos
+    report.Report.histograms
 
 (* --- meter ingest --- *)
 
@@ -273,7 +189,7 @@ let classify_json t path =
   | Ok doc -> (
       match Option.bind (Json.member "schema" doc) Json.to_str with
       | Some s when s = Report.schema_version -> (
-          match decode_report doc with
+          match Report.decode doc with
           | Ok report ->
               ingest_report t report;
               "report"
@@ -353,16 +269,7 @@ let scheme_row (name, a) =
       ("energy_norm_max", Json.Float (zero_if_inf a.norm_max));
       ("requests", Json.Int a.requests);
       ("invariants_ok", Json.Bool a.invariants_ok);
-      ( "faults",
-        Json.Obj
-          [
-            ("read_retries", Json.Int a.fa.read_retries);
-            ("retry_delay_s", Json.Float a.fa.retry_delay);
-            ("remaps", Json.Int a.fa.remaps);
-            ("spin_up_recoveries", Json.Int a.fa.spin_up_recoveries);
-            ("redirects", Json.Int a.fa.redirects);
-            ("failed_disks", Json.Int a.fa.failed_disks);
-          ] );
+      ("faults", Report.fault_json a.faults);
     ]
 
 let histo_row (name, h) =
@@ -670,8 +577,18 @@ let validate doc =
   (match (reports, meters) with
   | Some r, Some m ->
       let files s = Option.value ~default:0 (Option.bind (Json.member "files" s) Json.to_int) in
-      if files r = 0 && files m = 0 then
+      if files r = 0 && files m = 0 then begin
+        (* Say why each input was passed over before failing. *)
+        List.iter
+          (fun src ->
+            let field k = Option.bind (Json.member k src) Json.to_str in
+            match (field "path", field "kind") with
+            | Some path, Some kind -> err "%s: %s" path kind
+            | _ -> ())
+          (Option.value ~default:[]
+             (Option.bind (Json.member "sources" doc) Json.to_list));
         err "no dpm-report/1 or dpm-meter/1 inputs were aggregated"
+      end
   | _ -> ());
   (match reports with
   | Some r ->

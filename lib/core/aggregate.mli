@@ -29,8 +29,8 @@ val of_paths : string list -> (t, string) result
     [dpm-report/1] joins the reports section, a [.jsonl] file whose
     first line is a [dpm-meter/1] header joins the meters section,
     anything else (spec files, aggregate outputs, malformed documents)
-    is recorded as skipped with a reason.  A report with a field this
-    module reads missing or mistyped is skipped whole, naming the field
+    is recorded as skipped with a reason.  A report is read by
+    {!Report.decode}; one it refuses is skipped whole, naming the field
     (["skipped: schemes[1].energy_j: expected a number"]).  [Error]
     names the first path that does not exist
     (["PATH: no such file or directory"]) or a directory that cannot be
@@ -56,4 +56,7 @@ val markdown : t -> string
 val validate : Dpm_util.Json.t -> (unit, string list) result
 (** Structural check of a [dpm-agg/1] document: schema tag, the
     [reports]/[meters] sections present, at least one source counted.
-    [dpmsim aggregate] validates its own output before writing it. *)
+    When no input was aggregated, the errors first list each source as
+    ["PATH: skipped: REASON"], then say so.  [dpmsim aggregate]
+    validates its own output before writing it and prints every
+    error. *)

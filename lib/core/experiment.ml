@@ -61,20 +61,20 @@ let compile_cm setup scheme ischeme analysis =
         ~serve_slow:(match setup.mode with `Open -> true | `Closed -> false)
         ~specs:setup.sim.Sim.Config.specs analysis)
 
-(* Non-streaming setups materialize the trace once and hand out slices
-   of it; [setup.stream] trades that sharing for a fresh producer per
-   call in O(batch) peak memory. *)
+(* [whole] runs once, on the first call; every call slices the shared
+   trace. *)
+let shared setup whole =
+  let trace = lazy (whole ()) in
+  fun () -> Trace.Trace.Stream.of_trace ~batch:setup.batch (Lazy.force trace)
+
+(* A trace file is read chunk by chunk per replay under [setup.stream]
+   (O(batch) trace memory), else loaded once and shared. *)
 let source setup ~fresh ~whole =
   if setup.stream then fun () -> fresh ~batch:setup.batch
-  else
-    let trace = lazy (whole ()) in
-    fun () -> Trace.Trace.Stream.of_trace ~batch:setup.batch (Lazy.force trace)
+  else shared setup whole
 
 let generated setup p plan =
-  let config = gen_config setup in
-  source setup
-    ~fresh:(fun ~batch -> Trace.Generate.stream ~config ~batch p plan)
-    ~whole:(fun () -> Trace.Generate.run ~config p plan)
+  shared setup (fun () -> Trace.Generate.run ~config:(gen_config setup) p plan)
 
 (* The one per-scheme body.  Every replay consumes a fresh stream from
    [source]; [cm] yields the stream a compiler-managed scheme replays;

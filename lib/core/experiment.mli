@@ -3,7 +3,8 @@
     replay it under the scheme's policy, and report energy and execution
     time.  {!run_all} and {!replay_all} share one per-scheme body (one
     place maps a scheme to its policy) and differ only in where the
-    streams come from; {!source} is the one stream-or-materialize choice.
+    streams come from: {!generated} builds a program's trace once, and
+    {!source} is the one stream-or-load choice for trace files.
     Drivers handling user input go through {!Run}, whose [spec] carries a
     {!setup}. *)
 
@@ -19,11 +20,11 @@ type setup = {
           ({!Dpm_sim.Fault.none} disables it; oracle schemes inherit the
           faulted Base replay's counters). *)
   stream : bool;
-      (** Fused generate→replay: each scheme's replay pulls chunks
-          straight out of the loop-nest walk (O(batch) peak memory on
-          the trace side) instead of slicing a shared materialized
-          trace.  Results are byte-identical either way; streaming
-          trades the one-shared-generation saving for bounded memory. *)
+      (** How a trace file is read ({!source}): chunk by chunk, once
+          per replay (O(batch) trace memory), or loaded once and shared
+          by every replay.  A generated trace is always built once
+          ({!generated}), so the setting applies to trace files only.
+          Results are byte-identical either way. *)
   batch : int;  (** Stream chunk size in events. *)
   core : Dpm_sim.Engine.core;
       (** Replay core for every replayed scheme ([`Fast] by default;
@@ -60,11 +61,13 @@ val source :
   whole:(unit -> Dpm_trace.Trace.t) ->
   unit ->
   Dpm_trace.Trace.Stream.t
-(** [source setup ~fresh ~whole] yields a fresh stream per call.  Under
-    [setup.stream] every call is a new [fresh] producer (regenerate or
-    re-parse, O(batch) memory); otherwise [whole] runs once, on the
-    first call, and each call slices the shared trace.  Results are
-    byte-identical either way. *)
+(** The one stream-or-load choice for a trace file: [source setup
+    ~fresh ~whole] yields a fresh stream per call.  Under
+    [setup.stream] every call is a new [fresh] reader
+    ({!Dpm_trace.Trace.Stream.of_file}, O(batch) memory); otherwise
+    [whole] ({!Dpm_trace.Trace.load}) runs once, on the first call, and
+    each call slices the shared trace.  Results are byte-identical
+    either way. *)
 
 val generated :
   setup ->
@@ -72,8 +75,10 @@ val generated :
   Dpm_layout.Plan.t ->
   unit ->
   Dpm_trace.Trace.Stream.t
-(** {!source} over the program's generated trace ([Generate.stream] /
-    [Generate.run] with the setup's cache). *)
+(** The program's generated trace ([Generate.run] with the setup's
+    cache), built once, on the first call; each call hands out a fresh
+    {!Dpm_trace.Trace.Stream.of_trace} slice of it, whatever
+    [setup.stream] says. *)
 
 val run :
   ?setup:setup ->

@@ -303,56 +303,118 @@ let markdown doc =
     (rows "stages" doc);
   Buffer.contents buf
 
-(* --- validation --- *)
+(* --- the one reader --- *)
+
+type scheme_row = {
+  scheme : string;
+  energy_j : float;
+  exec_time_s : float;
+  energy_norm : float;
+  time_norm : float;
+  requests : int;
+  faults : Sim.Result.fault_stats;
+  invariants_ok : bool;
+}
+
+type t = {
+  benchmark : string;
+  schemes : scheme_row list;
+  histograms : (string * Dpm_util.Histo.t) list;
+  stages : (string * float * int) list;
+}
+
+(* A document is decoded whole: the first field that is missing or
+   mistyped fails it, naming the field's path.  Fields are read in
+   document order, so the error is deterministic. *)
+exception Bad_field of string
+
+let need read at k j =
+  match Json.required read ~at k j with
+  | Ok x -> x
+  | Error m -> raise (Bad_field m)
+
+let decode_scheme i s =
+  let at = Printf.sprintf "schemes[%d]." i in
+  let num k = need Json.number at k s and int k = need Json.integer at k s in
+  let scheme = need Json.text at "scheme" s in
+  let energy_j = num "energy_j" in
+  let exec_time_s = num "exec_time_s" in
+  let energy_norm = num "energy_norm" in
+  let time_norm = num "time_norm" in
+  let requests = int "requests" in
+  let faults =
+    let f = need Json.obj at "faults" s and at = at ^ "faults." in
+    let int k = need Json.integer at k f in
+    let read_retries = int "read_retries" in
+    let retry_delay = need Json.number at "retry_delay_s" f in
+    let remaps = int "remaps" in
+    let spin_up_recoveries = int "spin_up_recoveries" in
+    let redirects = int "redirects" in
+    let failed_disks = int "failed_disks" in
+    {
+      Sim.Result.read_retries;
+      retry_delay;
+      remaps;
+      spin_up_recoveries;
+      redirects;
+      failed_disks;
+    }
+  in
+  let invariants_ok =
+    need Json.boolean (at ^ "timeline.") "invariants_ok"
+      (need Json.obj at "timeline" s)
+  in
+  {
+    scheme;
+    energy_j;
+    exec_time_s;
+    energy_norm;
+    time_norm;
+    requests;
+    faults;
+    invariants_ok;
+  }
+
+let decode_histogram i h =
+  let at = Printf.sprintf "histograms[%d]." i in
+  let name = need Json.text at "name" h in
+  match Dpm_util.Histo.of_json (need Json.obj at "buckets" h) with
+  | Ok histo -> (name, histo)
+  | Error e -> raise (Bad_field (Printf.sprintf "%sbuckets: %s" at e))
+
+let decode_stage i st =
+  let at = Printf.sprintf "stages[%d]." i in
+  let stage = need Json.text at "stage" st in
+  let calls = need Json.integer at "calls" st in
+  (stage, need Json.number at "total_s" st, calls)
+
+let decode doc =
+  let items k decode_item = List.mapi decode_item (need Json.array "" k doc) in
+  match
+    let schema = need Json.text "" "schema" doc in
+    if schema <> schema_version then
+      raise
+        (Bad_field
+           (Printf.sprintf "schema: %S, expected %S" schema schema_version));
+    let benchmark = need Json.text "" "benchmark" doc in
+    let schemes = items "schemes" decode_scheme in
+    let histograms = items "histograms" decode_histogram in
+    { benchmark; schemes; histograms; stages = items "stages" decode_stage }
+  with
+  | report -> Ok report
+  | exception Bad_field m -> Error m
 
 let validate doc =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  (match Option.bind (Json.member "schema" doc) Json.to_str with
-  | Some s when s = schema_version -> ()
-  | Some s -> err "schema is %S, expected %S" s schema_version
-  | None -> err "missing schema tag");
-  (match Option.bind (Json.member "benchmark" doc) Json.to_str with
-  | Some _ -> ()
-  | None -> err "missing benchmark");
-  (match Option.bind (Json.member "schemes" doc) Json.to_list with
-  | None -> err "missing schemes array"
-  | Some [] -> err "schemes array is empty"
-  | Some schemes ->
-      List.iteri
-        (fun i s ->
-          let num k =
-            match Option.bind (Json.member k s) Json.to_float with
-            | Some _ -> ()
-            | None -> err "scheme %d: missing numeric %s" i k
-          in
-          num "energy_j";
-          num "exec_time_s";
-          num "energy_norm";
-          num "time_norm";
-          (match Option.bind (Json.member "faults" s) (Json.member "read_retries") with
-          | Some _ -> ()
-          | None -> err "scheme %d: missing fault counters" i);
-          match
-            Option.bind
-              (Option.bind (Json.member "timeline" s)
-                 (Json.member "invariants_ok"))
-              Json.to_bool
-          with
-          | Some true -> ()
-          | Some false -> err "scheme %d: timeline invariants failed" i
-          | None -> err "scheme %d: missing timeline verdict" i)
-        schemes);
-  (* Histograms and stages may be empty — service-built documents carry
-     none (the process-wide collector is shared across concurrent
-     jobs) — but the arrays must be present. *)
-  (match Option.bind (Json.member "histograms" doc) Json.to_list with
-  | Some _ -> ()
-  | None -> err "missing histograms array");
-  (match Option.bind (Json.member "stages" doc) Json.to_list with
-  | Some _ -> ()
-  | None -> err "missing stages array");
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+  match decode doc with
+  | Error m -> Error [ m ]
+  | Ok { schemes = []; _ } -> Error [ "schemes: empty array" ]
+  | Ok r -> (
+      match List.filter (fun row -> not row.invariants_ok) r.schemes with
+      | [] -> Ok ()
+      | failed ->
+          Error
+            (List.map (fun row -> row.scheme ^ ": timeline invariants failed")
+               failed))
 
 (* --- benchmark snapshots --- *)
 

@@ -9,7 +9,7 @@
     verdict, the registered latency/queue/gap histograms (each row with
     its mergeable {!Dpm_util.Histo.to_json} buckets), and the flat stage
     timings and counters.  The same document renders as a markdown
-    digest ({!markdown}) and validates structurally ({!validate}) — the
+    digest ({!markdown}), decodes ({!decode}) and validates ({!validate}) — the
     golden check in [make report-check] compares its
     {!Dpm_util.Json.schema_outline}, so values may change freely while
     the shape is pinned.
@@ -43,6 +43,10 @@ val document :
     jobs, and a job's response must be a function of the job alone.
     The document shape is identical either way. *)
 
+val fault_json : Dpm_sim.Result.fault_stats -> Dpm_util.Json.t
+(** A scheme row's [faults] object (the dpm-agg/1 per-scheme sums use
+    it too). *)
+
 val of_spec : Run.spec -> (Dpm_util.Json.t, Run.error) result
 (** The one report entry point: {!Run.observe} the spec with
     {!Dpm_util.Telemetry.global}'s stage table and histograms enabled
@@ -57,11 +61,34 @@ val markdown : Dpm_util.Json.t -> string
     (scheme table, fault counters, histogram quantiles, stage timings).
     Total: unknown fields are skipped, missing ones render as [-]. *)
 
+type scheme_row = {
+  scheme : string;
+  energy_j : float;
+  exec_time_s : float;
+  energy_norm : float;
+  time_norm : float;
+  requests : int;
+  faults : Dpm_sim.Result.fault_stats;
+  invariants_ok : bool;  (** The row's [timeline.invariants_ok]. *)
+}
+
+type t = {
+  benchmark : string;
+  schemes : scheme_row list;
+  histograms : (string * Dpm_util.Histo.t) list;  (** Name, [buckets]. *)
+  stages : (string * float * int) list;  (** Name, total seconds, calls. *)
+}
+
+val decode : Dpm_util.Json.t -> (t, string) result
+(** The one reader of a {!schema_version} document ({!validate},
+    [dpmsim aggregate] and [dpmsim submit] go through it): the schema
+    tag and every field above, the first missing or mistyped one being
+    the error, named by its path (["schemes[1].requests: missing"]).
+    The histogram and stage arrays may be empty, not absent. *)
+
 val validate : Dpm_util.Json.t -> (unit, string list) result
-(** Structural check: schema tag, non-empty scheme array, required
-    numeric fields per scheme, timeline invariant verdicts present,
-    histogram/stage arrays present (possibly empty — service documents
-    carry no collector sections).  Used by [dpmsim report-check]. *)
+(** {!decode}, then the verdicts: at least one scheme, and every
+    scheme's timeline invariants ok.  Used by [dpmsim report-check]. *)
 
 val bench_snapshot :
   ?extra:(string * Dpm_util.Json.t) list ->
@@ -71,6 +98,6 @@ val bench_snapshot :
 (** [bench_snapshot ~figures ()] packages per-figure wall-clock seconds
     with {!Dpm_util.Telemetry.global}'s stage and counter tables as a
     {!bench_schema_version} document.  [extra] fields are appended verbatim (the harness's
-    streaming-vs-materialized memory comparison rides along there). *)
+    throughput and sweep sections ride along there). *)
 
 val validate_bench : Dpm_util.Json.t -> (unit, string list) result

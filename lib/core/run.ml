@@ -109,11 +109,31 @@ let check_setup (setup : Experiment.setup) =
     bad "noise must be finite and >= 0 (got %g)" setup.noise
   else Ok ()
 
+(* ITPM and IDRPM are derived from the Base replay's busy intervals,
+   which [retain_busy = false] leaves empty. *)
+let check_oracles s =
+  let oracle name =
+    match Scheme.of_name_opt name with
+    | Some (Scheme.Itpm | Scheme.Idrpm) -> true
+    | Some _ | None -> false
+  in
+  if
+    s.setup.Experiment.sim.Sim.Config.retain_busy
+    || not (List.exists oracle s.schemes)
+  then Ok ()
+  else
+    Error
+      (Malformed_spec
+         "setup.sim.retain_busy: must be true when the schemes include ITPM \
+          or IDRPM (the oracles are derived from the Base replay's busy \
+          intervals)")
+
 let validate s =
   match Sim.Fault.validate s.setup.Experiment.faults with
   | Error m -> Error (Invalid_faults m)
   | Ok _ -> (
       let* () = check_setup s.setup in
+      let* () = check_oracles s in
       match s.workload with
       | Benchmark name when find_bench name = None ->
           Error (Unknown_benchmark name)

@@ -95,6 +95,10 @@ val spec :
     replaces its field of the base, once, here ([sim] replaces the whole
     simulator configuration: the sweep harness injects its per-point
     configs this way without disturbing the calibrated noise).
+    [stream] applies to trace files only — a [Trace_file] workload and
+    an [Open_loop] workload's file sources are read chunk by chunk per
+    replay rather than loaded once ({!Experiment.source}); a generated
+    trace is built once either way.
     [scheme_names] (resolved by {!schemes_of}, checked at {!exec} time)
     takes precedence over [schemes].  [timeline] supplies a per-scheme
     {!Dpm_sim.Timeline.sink} (as in [Experiment.run_all]); the caller
@@ -108,9 +112,11 @@ val workload_label : workload -> string
 val describe : spec -> (string * Experiment.setup, error) result
 (** The workload label and the setup this spec runs under, once the
     fault spec, the setup invariants ([batch >= 1], [cache_blocks >= 0],
-    a finite [noise >= 0]; else {!Malformed_spec}) and the benchmark
-    name validate — what a report header or a service log needs without
-    executing anything. *)
+    a finite [noise >= 0], and [sim.retain_busy] on when the schemes
+    include ITPM or IDRPM, which are derived from the Base replay's busy
+    intervals; else {!Malformed_spec} naming the field) and the
+    benchmark name validate — what a report header or a service log
+    needs without executing anything.  {!exec_all} checks the same. *)
 
 val with_timeline :
   (Scheme.t -> Dpm_sim.Timeline.sink option) -> spec -> spec

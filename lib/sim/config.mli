@@ -78,9 +78,11 @@ type t = private {
   retain_busy : bool;
       (** Record per-request busy intervals in [Result.t] (default).
           They are O(requests) — the one per-request allocation a replay
-          keeps — so bounded-memory streaming runs (the bench's memory
-          mode) turn this off; oracles and idle-gap analyses need it
-          on. *)
+          keeps — so a bounded-memory replay of a streamed trace file
+          turns this off.  The oracle schemes need it on: ITPM and
+          IDRPM are derived from the Base replay's busy intervals
+          ({!Oracle}), so a run spec with this off and ITPM or IDRPM
+          among its schemes is refused ([Run]'s [Malformed_spec]). *)
 }
 
 val default : t

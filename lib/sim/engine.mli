@@ -51,9 +51,10 @@ val run_stream :
     core entry point; {!run} is the materialized wrapper over it.  The
     per-event body is independent of chunking, so the result is
     byte-identical to replaying the materialized trace whatever the
-    stream's batch size.  Peak memory is O(batch) on the trace side;
-    with a fused producer ({!Dpm_trace.Generate.stream}) generation and
-    replay interleave so the whole pipeline is bounded.  The stream's
+    stream's batch size.  Peak memory is O(batch) on the trace side
+    when the stream is read from a file
+    ({!Dpm_trace.Trace.Stream.of_file}); the result's busy intervals
+    stay O(requests) unless [config.retain_busy] is off.  The stream's
     [nblocks] is forced only when [faults] is a non-zero spec (the bad
     regions are drawn over that address space), and its [tail_think]
     only after exhaustion.  The stream is consumed: a second replay

@@ -25,23 +25,8 @@ val default_config : config
     given [~cache_blocks]. *)
 
 val run : ?config:config -> Dpm_ir.Program.t -> Dpm_layout.Plan.t -> Trace.t
-(** Generates the trace for one run.  Raises [Not_found] if the
-    program references arrays missing from the plan.  Wall time is
-    recorded under the [trace.gen] span and the event count under the
-    [trace.events] counter of {!Dpm_util.Telemetry.global} (no-ops
-    unless enabled). *)
-
-val stream :
-  ?config:config ->
-  ?batch:int ->
-  Dpm_ir.Program.t ->
-  Dpm_layout.Plan.t ->
-  Trace.Stream.t
-(** Fused producer: the same loop-nest walk as {!run} (identical LRU
-    cache state, cost model and emission order) suspended every [batch]
-    events and resumed by the consumer's pull — generation and replay
-    interleave in O(batch) peak memory.  The stream's [tail_think]
-    becomes available at exhaustion; its [nblocks] re-runs the walk
-    with a max-tracking sink when forced (fault-injected replays only).
-    The [trace.events] counter is bumped once, when the producer
-    finishes. *)
+(** Generates the trace for one run: the walk's events are encoded
+    straight into the trace's column store ({!Trace.build}).  Raises [Not_found] if the program references arrays missing from
+    the plan.  Wall time is recorded under the [trace.gen] span and the
+    event count under the [trace.events] counter of
+    {!Dpm_util.Telemetry.global} (no-ops unless enabled). *)

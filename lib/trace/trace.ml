@@ -181,8 +181,8 @@ module Chunk = struct
 end
 
 (* The one check a trace passes before anything replays it, shared by
-   [make] (and [Stream.to_trace]) and the file reader: [None] when the
-   header or row is replayable, else why not. *)
+   [make] (and [build], [Stream.to_trace]) and the file reader: [None]
+   when the header or row is replayable, else why not. *)
 let header_error ~ndisks ~tail =
   if ndisks <= 0 then Some "non-positive disk count"
   else if ndisks > max_disks then
@@ -229,6 +229,31 @@ let make ?(tail_think = 0.0) ~program ~ndisks events =
   let store = Chunk.alloc (List.length events) in
   List.iter (Chunk.push store) events;
   of_store ~program ~ndisks ~tail_think store
+
+(* The rows of [chunks], newest chunk first, copied in order into one
+   exactly sized store. *)
+let concat chunks =
+  let store =
+    Chunk.alloc (List.fold_left (fun n c -> n + Chunk.length c) 0 chunks)
+  in
+  List.iter (Chunk.append store) (List.rev chunks);
+  store
+
+(* Rows land in fixed-size chunks as they are emitted; the one copy into
+   the exact store happens when the producer returns. *)
+let build_chunk = 4096
+
+let build ~program ~ndisks produce =
+  let full = ref [] and buf = ref (Chunk.alloc build_chunk) in
+  let emit e =
+    if Chunk.length !buf = build_chunk then begin
+      full := !buf :: !full;
+      buf := Chunk.alloc build_chunk
+    end;
+    Chunk.push !buf e
+  in
+  let tail_think = produce ~emit in
+  of_store ~program ~ndisks ~tail_think (concat (!buf :: !full))
 
 let program t = t.program
 let ndisks t = t.ndisks
@@ -301,8 +326,6 @@ let max_block_rows =
   fold_rows (fun acc c i ->
       if is_io c i then max acc (Chunk.block c i + 1) else acc)
 
-let max_nblocks_chunk acc events = max_block_rows acc (Chunk.of_events events)
-
 module Stream = struct
   module Chunk = Chunk
 
@@ -371,55 +394,6 @@ module Stream = struct
           pos := p + len;
           Some (Chunk.sub tr.store p len)
         end)
-
-  (* --- Push-to-pull inversion via effects ---
-
-     A producer written as a plain [emit]-calling loop (the trace
-     generator's loop-nest walk) fills one chunk and is suspended each
-     time it is full, then resumed by the consumer's next pull — so
-     generation and replay interleave with only one chunk live. *)
-
-  type _ Effect.t += Yield : unit Effect.t
-
-  let of_push ?(batch = default_batch) ~nblocks ~program ~ndisks produce =
-    if batch <= 0 then invalid_arg "Trace.Stream.of_push: non-positive batch";
-    let buf = Chunk.create batch and tail = ref None in
-    let emit e =
-      Chunk.push buf e;
-      if Chunk.length buf = batch then begin
-        Effect.perform Yield;
-        (* Resumed by the next pull: the consumer is done with it. *)
-        Chunk.clear buf
-      end
-    in
-    let resume = ref (fun () -> None) in
-    let open Effect.Deep in
-    let start () =
-      match_with
-        (fun () ->
-          tail := Some (produce ~emit);
-          if Chunk.length buf > 0 then Effect.perform Yield;
-          None)
-        ()
-        {
-          retc = Fun.id;
-          exnc = raise;
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Yield ->
-                  Some
-                    (fun (k : (a, Chunk.t option) continuation) ->
-                      resume := (fun () -> continue k ());
-                      Some buf)
-              | _ -> None);
-        }
-    in
-    resume := start;
-    make ~batch
-      ~tail:(lazy (Option.get !tail))
-      ~nblocks ~program ~ndisks
-      (fun () -> !resume ())
 
   (* --- Incremental parse of the line-oriented trace format --- *)
 
@@ -497,12 +471,8 @@ module Stream = struct
           copy :: acc)
         [] s
     in
-    let store =
-      Chunk.alloc (List.fold_left (fun n c -> n + Chunk.length c) 0 chunks)
-    in
-    List.iter (Chunk.append store) (List.rev chunks);
     of_store ~program:s.program ~ndisks:s.ndisks ~tail_think:(tail_think s)
-      store
+      (concat chunks)
 end
 
 let load path = Stream.to_trace (Stream.of_file path)

@@ -9,11 +9,13 @@
     There is one representation between trace producers and the
     simulator: the structure-of-arrays column chunk ({!Stream.Chunk}).
     [t] is the fully materialized form — the whole run in one exactly
-    sized column store — which whole-trace tools (Table 2 counts,
-    {!without_pm}, {!save}) need; {!events} decodes it to records on
-    demand.  The replay engine consumes {!Stream.t}, a pull of chunks,
-    so fused generate→replay pipelines run in O(batch) peak memory;
-    {!Stream.of_trace} hands out zero-copy views of a trace's store. *)
+    sized column store — which the generator fills ({!build}) and
+    whole-trace tools (Table 2 counts, {!without_pm}, {!save}) read;
+    {!events} decodes it to records on demand.  The replay engine
+    consumes {!Stream.t}, a pull of chunks: {!Stream.of_trace} hands out
+    zero-copy views of a trace's store, and {!Stream.of_file} parses a
+    trace file chunk by chunk, so a file replays in O(batch) trace
+    memory. *)
 
 exception Parse_error of string
 (** Malformed trace file; the message carries [path:line:] context. *)
@@ -39,6 +41,16 @@ val make :
     IO's disk in [0, ndisks) with block and bytes >= 0, a directive's
     disk in [0, ndisks) and a [Set_rpm] level >= 0 (a level above a
     disk's top still clamps at replay). *)
+
+val build :
+  program:string -> ndisks:int -> (emit:(Request.event -> unit) -> float) -> t
+(** [build ~program ~ndisks produce] runs the push-style producer
+    [produce ~emit] once and keeps every emitted row, in order, in one
+    exactly sized column store; [produce]'s return value is the tail
+    think time.  Rows are encoded as they are emitted (no event list is
+    built) and validated as {!make} validates them: for the same events
+    and tail, the result equals [make ~tail_think ~program ~ndisks
+    events]. *)
 
 val program : t -> string
 val ndisks : t -> int
@@ -78,12 +90,6 @@ val load : string -> t
 (** Inverse of {!save}: materializes {!Stream.of_file}.  Raises
     {!Parse_error} (with file/line context) on malformed files. *)
 
-val max_nblocks_chunk : int -> Request.event array -> int
-(** [max_nblocks_chunk acc events] folds the highest IO block number + 1
-    over [events], starting from [acc] — the stripe-unit address space
-    fault plans are drawn over, and what every stream's {!Stream.nblocks}
-    gives for the rows it yields. *)
-
 (** Pull-based, batched request streams.
 
     A stream is one pull of successive non-empty {!Chunk.t}s (bounded
@@ -95,8 +101,7 @@ val max_nblocks_chunk : int -> Request.event array -> int
 
     A consumer reads a chunk fully before it pulls the same stream
     again: {!of_trace} hands out views of the trace's store, while
-    {!of_file}, {!of_push} and the open-loop merge refill one buffer in
-    place. *)
+    {!of_file} and the open-loop merge refill one buffer in place. *)
 module Stream : sig
   (** Structure-of-arrays event chunks — the one representation between
       trace producers and the simulator.
@@ -201,19 +206,6 @@ module Stream : sig
   (** Zero-copy views of a trace's column store.  [tail_think] and
       [nblocks] come for free. *)
 
-  val of_push :
-    ?batch:int ->
-    nblocks:int Lazy.t ->
-    program:string ->
-    ndisks:int ->
-    (emit:(Request.event -> unit) -> float) ->
-    t
-  (** Invert a push-style producer: [produce ~emit] is run as a
-      coroutine (OCaml effects) that encodes into one chunk and is
-      suspended every [batch] emitted events, then resumed on demand.
-      Its return value becomes the stream's [tail_think], available
-      once the stream is exhausted. *)
-
   val of_file : ?batch:int -> string -> t
   (** Incremental parse of the {!save} line format into one chunk,
       refilled in place.  The header is read eagerly (so metadata is
@@ -251,5 +243,5 @@ module Stream : sig
 
   val tail_think : t -> float
   (** Raises [Invalid_argument] if the stream's tail is not yet known —
-      for {!of_push} streams that is before exhaustion. *)
+      for an open-loop merge that is before exhaustion. *)
 end

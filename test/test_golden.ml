@@ -1,12 +1,13 @@
-(* Golden-file regression tests: the rendered Table 2 and Figure 3/4
-   series are compared byte-for-byte against test/golden/*.expected on
-   every `dune runtest`, so a perf refactor that silently changes the
-   physics (energy, time, request counts) fails loudly.
+(* Golden-file regression tests: every figure of [Figures.catalogue]
+   (Table 2, Figures 3/4 and the other thirteen) is rendered and
+   compared byte-for-byte against test/golden/<id>.expected on every
+   `dune runtest`, so a perf refactor that silently changes the physics
+   (energy, time, request counts) fails loudly.
 
-   To regenerate after an intentional physics change:
-     dune exec bench/main.exe -- table2 fig3 fig4
-   and paste each table (including the trailing blank line) into the
-   matching golden/<id>.expected.
+   To regenerate one after an intentional physics change (the command
+   prints one newline after the table, which the golden omits):
+     dune exec bin/dpmsim.exe -- figure ID | head -c -1 \
+       > test/golden/ID.expected
 
    The front-half golden (golden/front_half.expected) pins compile and
    trace generation bit-for-bit.  Every run writes the rendered digests
@@ -438,9 +439,8 @@ let test_timeline_analyses () =
    files, and three open-loop descriptors over the two files.  Each
    stream line digests every row (think as %h, then the integer
    columns) and prints the tail (%h) and the block-address space, at
-   batch 1, 7 and 4096, for [Stream.of_trace], [Stream.of_file],
-   [Generate.stream] and the merge over [of_file] and over [of_trace]
-   tenants.  Each replay line prints %h energy, %h execution time and
+   batch 1, 7 and 4096, for [Stream.of_trace], [Stream.of_file] and the
+   merge over [of_file] and over [of_trace] tenants.  Each replay line prints %h energy, %h execution time and
    requests from [Run.exec_all] on a descriptor, for every queue
    discipline with and without the fault spec of `make fault-check`,
    and for FCFS also on the reference core and streamed.  Every run
@@ -459,15 +459,12 @@ let trace_layer_rendered () =
   let config =
     { Generate.cost = Dpm_ir.Cost.default; cache_blocks = Suite.cache_blocks }
   in
-  let programs =
+  let traces =
     List.map
       (fun name ->
         let p, plan = Dpm_core.Experiment.workload (Suite.find name) in
-        (name, p, plan))
+        (name, Generate.run ~config p plan))
       [ "swim"; "galgel" ]
-  in
-  let traces =
-    List.map (fun (name, p, plan) -> (name, Generate.run ~config p plan)) programs
   in
   let files =
     List.map
@@ -521,12 +518,6 @@ let trace_layer_rendered () =
           (Printf.sprintf "of_file %s batch=%d" name batch)
           (Stream.of_file ~batch path))
       files;
-    List.iter
-      (fun (name, p, plan) ->
-        stream_line
-          (Printf.sprintf "generate %s batch=%d" name batch)
-          (Generate.stream ~config ~batch p plan))
-      programs;
     List.iter
       (fun d ->
         let plan = Openloop.plan (load d) ~nsources:2 in
@@ -600,20 +591,17 @@ let test_trace_layer () =
       (Printf.sprintf "missing golden file %s (run from test/ with dune)" path);
   Alcotest.(check string) "trace layer matches golden" (read_file path) rendered
 
-let test_table2 () = check_golden "table2" (Figures.table2 ())
-let test_fig3 () = check_golden "fig3" (Figures.fig3 ())
-let test_fig4 () = check_golden "fig4" (Figures.fig4 ())
-
 let suite =
   [
     ( "golden",
-      [
-        Alcotest.test_case "table2" `Slow test_table2;
-        Alcotest.test_case "fig3" `Slow test_fig3;
-        Alcotest.test_case "fig4" `Slow test_fig4;
-        Alcotest.test_case "run_many" `Quick test_run_many;
-        Alcotest.test_case "front half" `Slow test_front_half;
-        Alcotest.test_case "timeline analyses" `Slow test_timeline_analyses;
-        Alcotest.test_case "trace layer" `Slow test_trace_layer;
-      ] );
+      List.map
+        (fun (id, f) ->
+          Alcotest.test_case id `Slow (fun () -> check_golden id (f ())))
+        Figures.catalogue
+      @ [
+          Alcotest.test_case "run_many" `Quick test_run_many;
+          Alcotest.test_case "front half" `Slow test_front_half;
+          Alcotest.test_case "timeline analyses" `Slow test_timeline_analyses;
+          Alcotest.test_case "trace layer" `Slow test_trace_layer;
+        ] );
   ]

@@ -597,6 +597,129 @@ let test_aggregate () =
          in
          find 0))
 
+(* dpm-report/1 has one reader, [Report.decode]: a document it refuses
+   fails report-check naming the field, and aggregate skips the file
+   with the same message.  Each mutation changes one field of a real
+   report. *)
+let galgel_report =
+  lazy
+    (match
+       Dpm_core.Report.of_spec
+         (Dpm_core.Run.spec
+            ~schemes:[ Scheme.Base; Scheme.Cmdrpm ]
+            (Dpm_core.Run.Benchmark "galgel"))
+     with
+    | Ok doc -> doc
+    | Error e ->
+        Alcotest.failf "report failed: %s" (Dpm_core.Run.error_message e))
+
+(* [field k f j]: object [j] with field [k] replaced by [f v], or
+   dropped when [f v] is [None]; [nth i f a]: array [a] with element
+   [i] replaced by [f]. *)
+let field k f = function
+  | Dpm_util.Json.Obj fields ->
+      Dpm_util.Json.Obj
+        (List.filter_map
+           (fun (k', v) ->
+             if k' = k then Option.map (fun v -> (k', v)) (f v)
+             else Some (k', v))
+           fields)
+  | j -> j
+
+let nth i f = function
+  | Dpm_util.Json.Arr l ->
+      Dpm_util.Json.Arr (List.mapi (fun j v -> if j = i then f v else v) l)
+  | j -> j
+
+let report_mutations =
+  let module Json = Dpm_util.Json in
+  let in_array k i f = field k (fun a -> Some (nth i f a)) in
+  let set v _ = Some v in
+  [
+    ( "requests-less.json",
+      "schemes[1].requests:",
+      in_array "schemes" 1 (field "requests" (fun _ -> None)) );
+    ( "scheme-number.json",
+      "schemes[0].scheme:",
+      in_array "schemes" 0 (field "scheme" (set (Json.Int 7))) );
+    ( "bad-buckets.json",
+      "histograms[0].buckets:",
+      in_array "histograms" 0
+        (field "buckets"
+           (fun b ->
+             Some
+               (field "buckets"
+                  (set (Json.Arr [ Json.Arr [ Json.Int (-1) ] ]))
+                  b))) );
+    ( "remaps-string.json",
+      "schemes[1].faults.remaps:",
+      in_array "schemes" 1
+        (field "faults" (fun f -> Some (field "remaps" (set (Json.Str "0")) f)))
+    );
+  ]
+
+let with_dir f =
+  let dir = Filename.temp_file "dpm_agg" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let write_doc dir name doc =
+  Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+      output_string oc (Dpm_util.Json.to_string doc))
+
+let test_report_one_reader () =
+  let module Aggregate = Dpm_core.Aggregate in
+  let report = Lazy.force galgel_report in
+  Alcotest.(check bool) "the unmutated report validates" true
+    (Dpm_core.Report.validate report = Ok ());
+  with_dir (fun dir ->
+      let expected =
+        List.map
+          (fun (name, path, mutate) ->
+            let doc = mutate report in
+            write_doc dir name doc;
+            match Dpm_core.Report.validate doc with
+            | Ok () -> Alcotest.failf "%s: report-check accepted it" name
+            | Error [ m ] ->
+                Alcotest.(check string) (name ^ ": names its path") path
+                  (String.sub m 0 (min (String.length m) (String.length path)));
+                (Filename.concat dir name, "skipped: " ^ m)
+            | Error ms -> Alcotest.failf "%s: %s" name (String.concat "; " ms))
+          report_mutations
+      in
+      match Aggregate.of_paths [ dir ] with
+      | Error m -> Alcotest.fail m
+      | Ok agg ->
+          Alcotest.(check (list (pair string string)))
+            "aggregate skips each with report-check's message"
+            (List.sort compare expected)
+            (Aggregate.sources agg))
+
+(* With nothing aggregated, the dashboard's errors say why each input
+   was skipped before saying that nothing was aggregated. *)
+let test_aggregate_all_skipped () =
+  let module Aggregate = Dpm_core.Aggregate in
+  let _, _, drop_requests = List.hd report_mutations in
+  with_dir (fun dir ->
+      write_doc dir "r.json" (drop_requests (Lazy.force galgel_report));
+      match Aggregate.of_paths [ dir ] with
+      | Error m -> Alcotest.fail m
+      | Ok agg ->
+          Alcotest.(check (result unit (list string)))
+            "every skip reason, then the verdict"
+            (Error
+               [
+                 Filename.concat dir "r.json"
+                 ^ ": skipped: schemes[1].requests: missing";
+                 "no dpm-report/1 or dpm-meter/1 inputs were aggregated";
+               ])
+            (Aggregate.validate (Aggregate.to_json agg)))
+
 let suite =
   [
     ( "meter",
@@ -636,5 +759,9 @@ let suite =
       [
         Alcotest.test_case "fleet dashboard over report + meter files" `Quick
           test_aggregate;
+        Alcotest.test_case "one dpm-report/1 reader" `Quick
+          test_report_one_reader;
+        Alcotest.test_case "all inputs skipped: reasons listed" `Quick
+          test_aggregate_all_skipped;
       ] );
   ]

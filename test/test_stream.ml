@@ -49,31 +49,6 @@ let test_of_trace_chunking () =
   Alcotest.(check (list int)) "chunk sizes" [ 3; 3; 2 ] (List.rev !sizes);
   Alcotest.(check bool) "exhaustion latched" true (Stream.next s = None)
 
-let test_of_push_coroutine () =
-  let produce ~emit =
-    List.iter emit sample_events;
-    0.75
-  in
-  let s =
-    Stream.of_push ~batch:2 ~nblocks:(lazy 18) ~program:"push" ~ndisks:4
-      produce
-  in
-  Alcotest.check_raises "tail unknown before exhaustion"
-    (Invalid_argument
-       "Trace.Stream.tail_think: unknown until the stream is exhausted")
-    (fun () -> ignore (Stream.tail_think s));
-  let got = ref [] in
-  Stream.iter (fun e -> got := e :: !got) s;
-  Alcotest.(check int) "all events" (List.length sample_events)
-    (List.length !got);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "same order" (Request.to_line a)
-        (Request.to_line b))
-    sample_events (List.rev !got);
-  Alcotest.(check (float 1e-9)) "tail from producer return" 0.75
-    (Stream.tail_think s)
-
 let test_to_trace_roundtrip () =
   let t = sample_trace () in
   List.iter
@@ -84,31 +59,55 @@ let test_to_trace_roundtrip () =
         (Trace.tail_think t'))
     [ 1; 3; 4096 ]
 
-let simple_program () =
-  Parser.program ~name:"gen"
-    {|
-array A[32] : 8192
-array B[32] : 8192
-for t = 1 to 2 {
-  for i = 0 to 31 { B[i] = A[i] work 1000 }
-}
-|}
-
-let test_generate_stream_matches_run () =
-  let p = simple_program () in
-  let plan = Plan.uniform ~ndisks:8 p in
-  let t = Generate.run p plan in
+(* [Trace.build] keeps a producer's rows exactly as [Trace.make] keeps
+   the same list: with nothing emitted, across the fixed-size chunks it
+   encodes into, and rejecting the same unreplayable rows. *)
+let test_build_matches_make () =
+  let build events tail =
+    Trace.build ~program:"b" ~ndisks:4 (fun ~emit ->
+        List.iter emit events;
+        tail)
+  in
+  let same label events =
+    let built = build events 0.75
+    and made = Trace.make ~tail_think:0.75 ~program:"b" ~ndisks:4 events in
+    Alcotest.(check int) (label ^ ": rows") (Trace.event_count made)
+      (Trace.event_count built);
+    Alcotest.(check (list string)) (label ^ ": same rows") (lines made)
+      (lines built);
+    Alcotest.(check bool) (label ^ ": same decoded events") true
+      (Trace.events made = Trace.events built);
+    Alcotest.(check (float 0.0)) (label ^ ": tail from producer return")
+      (Trace.tail_think made) (Trace.tail_think built);
+    Alcotest.(check string) (label ^ ": program") (Trace.program made)
+      (Trace.program built);
+    Alcotest.(check int) (label ^ ": ndisks") (Trace.ndisks made)
+      (Trace.ndisks built)
+  in
+  same "empty" [];
+  same "sample" sample_events;
+  let sample = Array.of_list sample_events in
+  same "9000 rows"
+    (List.init 9000 (fun i -> sample.(i mod Array.length sample)));
+  let rejection f =
+    match f () with
+    | (_ : Trace.t) -> None
+    | exception Invalid_argument m -> Some m
+  in
   List.iter
-    (fun batch ->
-      let s = Generate.stream ~batch p plan in
-      Alcotest.(check int) "nblocks matches scan"
-        (Trace.max_nblocks_chunk 0 (Trace.events t))
-        (Stream.nblocks s);
-      let t' = Stream.to_trace s in
-      Alcotest.(check (list string)) "same events" (lines t) (lines t');
-      Alcotest.(check (float 1e-9)) "same tail" (Trace.tail_think t)
-        (Trace.tail_think t'))
-    [ 1; 7; 4096 ]
+    (fun (label, events, tail) ->
+      let made =
+        rejection (fun () ->
+            Trace.make ~tail_think:tail ~program:"b" ~ndisks:4 events)
+      in
+      Alcotest.(check bool) (label ^ ": make rejects") true (made <> None);
+      Alcotest.(check (option string)) (label ^ ": build rejects alike") made
+        (rejection (fun () -> build events tail)))
+    [
+      ("disk out of range", [ Gen.io ~disk:7 () ], 0.0);
+      ("negative think", sample_events @ [ Gen.io ~think:(-1.0) () ], 0.0);
+      ("nan tail", sample_events, Float.nan);
+    ]
 
 (* --- Incremental file parsing --- *)
 
@@ -328,43 +327,71 @@ for i = 0 to 23 { use B[i] work 600000000 }
   in
   (p, Plan.uniform ~ndisks:8 p)
 
+(* [stream] chooses how a trace file is read: streamed chunk by chunk
+   per replay, at any batch and on any domain count, every scheme's
+   result equals the load-once replay's.  The file holds the
+   CMDRPM-compiled phased trace, so the CM schemes replay its
+   directives.  A generated trace is built once whatever [stream] says,
+   which [run_all] pins alongside. *)
 let test_experiment_stream_equiv () =
   let p, plan = phased_workload () in
-  List.iter
-    (fun faults ->
-      let materialized =
-        Experiment.run_all ~setup:(Experiment.make_setup ~faults ()) p plan
-      in
-      let streamed_per_batch =
-        Pool.map ~domains:4
-          (fun batch ->
-            Experiment.run_all
-              ~setup:(Experiment.make_setup ~faults ~stream:true ~batch ())
-              p plan)
-          [ 1; 7; 4096 ]
-      in
-      let single_domain =
-        Pool.map ~domains:1
-          (fun batch ->
-            Experiment.run_all
-              ~setup:(Experiment.make_setup ~faults ~stream:true ~batch ())
-              p plan)
-          [ 7 ]
-      in
+  let compiled =
+    Dpm_compiler.Pipeline.compile ~scheme:Dpm_compiler.Insertion.Drpm
+      ~specs:Config.default.Config.specs p plan
+  in
+  let trace = Generate.run compiled.Dpm_compiler.Pipeline.program plan in
+  Alcotest.(check bool) "the file carries directives" true
+    (Trace.pm_count trace > 0);
+  with_temp_file (Trace.save trace) (fun path ->
       List.iter
-        (fun streamed ->
-          Alcotest.(check int) "seven schemes" (List.length materialized)
-            (List.length streamed);
-          List.iter2
-            (fun (s, r_m) (s', r_s) ->
-              Alcotest.(check string) "same scheme order" (Scheme.name s)
-                (Scheme.name s');
-              Alcotest.(check bool)
-                (Scheme.name s ^ ": streaming result byte-identical")
-                true (r_m = r_s))
-            materialized streamed)
-        (streamed_per_batch @ single_domain))
-    [ Fault.none; fault_spec ]
+        (fun faults ->
+          let replay ?(stream = false) ?batch () =
+            match
+              Run.exec_all
+                (Run.spec ~faults ~stream ?batch (Run.Trace_file path))
+            with
+            | Ok rs -> rs
+            | Error e -> Alcotest.fail (Run.error_message e)
+          in
+          let materialized = replay () in
+          let streamed_per_batch =
+            Pool.map ~domains:4
+              (fun batch -> replay ~stream:true ~batch ())
+              [ 1; 7; 4096 ]
+          in
+          let single_domain =
+            Pool.map ~domains:1
+              (fun batch -> replay ~stream:true ~batch ())
+              [ 7 ]
+          in
+          let generated =
+            Experiment.run_all ~setup:(Experiment.make_setup ~faults ()) p plan
+          in
+          let generated_stream =
+            Experiment.run_all
+              ~setup:(Experiment.make_setup ~faults ~stream:true ~batch:7 ())
+              p plan
+          in
+          List.iter
+            (fun (reference, runs) ->
+              List.iter
+                (fun streamed ->
+                  Alcotest.(check int) "seven schemes"
+                    (List.length reference) (List.length streamed);
+                  List.iter2
+                    (fun (s, r_m) (s', r_s) ->
+                      Alcotest.(check string) "same scheme order"
+                        (Scheme.name s) (Scheme.name s');
+                      Alcotest.(check bool)
+                        (Scheme.name s ^ ": streaming result byte-identical")
+                        true (r_m = r_s))
+                    reference streamed)
+                runs)
+            [
+              (materialized, streamed_per_batch @ single_domain);
+              (generated, [ generated_stream ]);
+            ])
+        [ Fault.none; fault_spec ])
 
 (* --- Run facade: Trace_file workload --- *)
 
@@ -415,10 +442,8 @@ let suite =
     ( "stream.producers",
       [
         Alcotest.test_case "of_trace chunking" `Quick test_of_trace_chunking;
-        Alcotest.test_case "of_push coroutine" `Quick test_of_push_coroutine;
         Alcotest.test_case "to_trace round-trip" `Quick test_to_trace_roundtrip;
-        Alcotest.test_case "generate stream ≡ run" `Quick
-          test_generate_stream_matches_run;
+        Alcotest.test_case "build ≡ make" `Quick test_build_matches_make;
         Alcotest.test_case "of_file round-trip" `Quick test_of_file_roundtrip;
         Alcotest.test_case "of_file errors" `Quick test_of_file_errors;
         Alcotest.test_case "of_file rejects unreplayable lines" `Quick

@@ -348,7 +348,46 @@ let test_spec_rejections () =
       ("batch 0", [ ("batch", Json.Int 0) ]);
       ("cache_blocks -5", [ ("cache_blocks", Json.Int (-5)) ]);
       ("noise -1", [ ("noise", Json.Int (-1)) ]);
-    ]
+    ];
+  (* ITPM and IDRPM are derived from the Base replay's busy intervals:
+     a spec that drops them is refused before any work when it asks for
+     either oracle, naming the setting, and runs otherwise. *)
+  let lean schemes =
+    match
+      Run.of_json
+        (doc
+           [
+             ("schemes", Json.Arr (List.map (fun n -> Json.Str n) schemes));
+             ( "setup",
+               Json.Obj
+                 [ ("sim", Json.Obj [ ("retain_busy", Json.Bool false) ]) ]
+             );
+           ])
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "lean spec: %s" (Run.error_message e)
+  in
+  let field = "setup.sim.retain_busy:" in
+  List.iter
+    (fun schemes ->
+      let s = lean schemes in
+      List.iter
+        (fun (entry, result) ->
+          match result with
+          | Error (Run.Malformed_spec m) ->
+              Alcotest.(check string)
+                (String.concat "," schemes ^ " " ^ entry)
+                field
+                (String.sub m 0 (min (String.length m) (String.length field)))
+          | Ok () -> Alcotest.failf "%s: retain_busy false accepted" entry
+          | Error e -> Alcotest.failf "%s: %s" entry (Run.error_message e))
+        [
+          ("describe", Result.map ignore (Run.describe s));
+          ("exec_all", Result.map ignore (Run.exec_all s));
+        ])
+    [ [ "Base"; "ITPM" ]; [ "IDRPM" ] ];
+  Alcotest.(check bool) "retain_busy false without an oracle" true
+    (Result.is_ok (Run.describe (lean [ "Base"; "TPM"; "CMDRPM" ])))
 
 (* Documents written before the whole setup was carry top-level
    overrides; the reader folds them exactly as [Run.spec]'s labelled
