@@ -44,12 +44,15 @@ for s = 1 to 64 { for i = 0 to 511 { for j = 0 to 63 { use G[i][j] work 400 } } 
    Replays the 262k-request synthetic workload through both engine
    cores — the row-at-a-time reference body and the specialized
    structure-of-arrays loop — for one policy of each specialization
-   kind.  Reports events/sec, the fast/reference speedup, and the fast
-   core's minor-heap allocations per event (Gc.minor_words deltas), and
-   asserts the two cores return structurally identical results.  With
-   [--baseline FILE] it additionally compares against committed floors
-   (see test/golden/bench_baseline.json) and fails on a >25%
-   events/sec or speedup regression — the `make perf-check` CI gate. *)
+   kind, under the default configuration (every replay keeps its busy
+   intervals), then prices the two oracles over each core's Base
+   result.  Reports events/sec, the fast/reference speedup, and the
+   fast side's minor-heap allocations per event (Gc.minor_words
+   deltas), and asserts the two sides return structurally identical
+   results.  With [--baseline FILE] it additionally compares against
+   committed floors (see test/golden/bench_baseline.json) and fails on
+   a >25% events/sec or speedup regression — the `make perf-check` CI
+   gate. *)
 
 let throughput_section : (string * Dpm_util.Json.t) list ref = ref []
 
@@ -60,7 +63,7 @@ let throughput_mode ~baseline () =
   let trace = Dpm_trace.Generate.run p plan in
   let events = Dpm_trace.Trace.event_count trace in
   let ndisks = Dpm_trace.Trace.ndisks trace in
-  let config = Dpm_sim.Config.make ~retain_busy:false () in
+  let config = Dpm_sim.Config.default in
   (* Policies are created fresh per replay: the reactive ones (DRPM)
      carry mutable controller state that must not leak across runs.
      The scheduler rows replay Base under each non-FCFS discipline:
@@ -117,11 +120,35 @@ let throughput_mode ~baseline () =
       Dpm_sim.Engine.run_stream ~config ~core (policy ())
         (Dpm_trace.Trace.Stream.of_trace trace)
   in
-  let time_runs n ?meter config core policy =
+  (* Each row times one run on either core.  The oracle rows (ITPM,
+     IDRPM) price the Base result of the row's core, replayed once
+     up front: the oracle has one implementation, so their "speedup"
+     only compares two timings of it, and "identical" checks it over
+     the two cores' Base results.  Their events are the trace's. *)
+  let bases =
+    lazy
+      ( replay config `Reference (fun () -> Dpm_sim.Policy.base),
+        replay config `Fast (fun () -> Dpm_sim.Policy.base) )
+  in
+  let oracle price core =
+    let on_ref, on_fast = Lazy.force bases in
+    price (match core with `Reference -> on_ref | `Fast -> on_fast)
+  in
+  let rows_to_time =
+    List.map
+      (fun (name, config, meter, policy) ->
+        (name, fun core -> replay ~meter config core policy))
+      schemes
+    @ [
+        ("ITPM", oracle (fun base -> Dpm_sim.Oracle.itpm ~config base));
+        ("IDRPM", oracle (fun base -> Dpm_sim.Oracle.idrpm ~config base));
+      ]
+  in
+  let time_runs n run core =
     let t0 = Telemetry.now () in
-    let last = ref (replay ?meter config core policy) in
+    let last = ref (run core) in
     for _ = 2 to n do
-      last := replay ?meter config core policy
+      last := run core
     done;
     ((Telemetry.now () -. t0) /. float_of_int n, !last)
   in
@@ -133,13 +160,13 @@ let throughput_mode ~baseline () =
   let all_identical = ref true in
   let rows =
     List.map
-      (fun (name, config, meter, policy) ->
+      (fun (name, run) ->
         (* Warm both cores once (page in the trace, settle the GC). *)
-        ignore (replay ~meter config `Reference policy);
-        ignore (replay ~meter config `Fast policy);
-        let ref_s, r_ref = time_runs 2 ~meter config `Reference policy in
+        ignore (run `Reference);
+        ignore (run `Fast);
+        let ref_s, r_ref = time_runs 2 run `Reference in
         let minor0 = Gc.minor_words () in
-        let fast_s, r_fast = time_runs 10 ~meter config `Fast policy in
+        let fast_s, r_fast = time_runs 10 run `Fast in
         let minor1 = Gc.minor_words () in
         let identical = r_ref = r_fast in
         if not identical then all_identical := false;
@@ -159,7 +186,7 @@ let throughput_mode ~baseline () =
               ("minor_words_per_event", Float words_per_event);
               ("identical", Bool identical);
             ] ))
-      schemes
+      rows_to_time
   in
   timings := ("throughput", Telemetry.now () -. t_total0) :: !timings;
   throughput_section :=

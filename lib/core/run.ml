@@ -109,31 +109,11 @@ let check_setup (setup : Experiment.setup) =
     bad "noise must be finite and >= 0 (got %g)" setup.noise
   else Ok ()
 
-(* ITPM and IDRPM are derived from the Base replay's busy intervals,
-   which [retain_busy = false] leaves empty. *)
-let check_oracles s =
-  let oracle name =
-    match Scheme.of_name_opt name with
-    | Some (Scheme.Itpm | Scheme.Idrpm) -> true
-    | Some _ | None -> false
-  in
-  if
-    s.setup.Experiment.sim.Sim.Config.retain_busy
-    || not (List.exists oracle s.schemes)
-  then Ok ()
-  else
-    Error
-      (Malformed_spec
-         "setup.sim.retain_busy: must be true when the schemes include ITPM \
-          or IDRPM (the oracles are derived from the Base replay's busy \
-          intervals)")
-
 let validate s =
   match Sim.Fault.validate s.setup.Experiment.faults with
   | Error m -> Error (Invalid_faults m)
   | Ok _ -> (
       let* () = check_setup s.setup in
-      let* () = check_oracles s in
       match s.workload with
       | Benchmark name when find_bench name = None ->
           Error (Unknown_benchmark name)
@@ -270,7 +250,7 @@ module Json = Dpm_util.Json
 let spec_schema_version = "dpm-spec/1"
 
 (* The numeric knobs, keyed by their name with [_]: the [sim] object's
-   fields between the explicit [sched] and [retain_busy]. *)
+   fields after the explicit [specs], [fleet] and [sched]. *)
 let numeric_knobs =
   let key k =
     String.map (function '-' -> '_' | c -> c) (Sim.Config.knob_name k)
@@ -304,8 +284,7 @@ let config_to_json (c : Sim.Config.t) =
             | None -> Json.Null
             | Some v when Sim.Config.integral k -> Json.Int (int_of_float v)
             | Some v -> Json.Float v ))
-        numeric_knobs
-    @ [ ("retain_busy", Json.Bool c.Sim.Config.retain_busy) ])
+        numeric_knobs)
 
 let config_of_json ~at j =
   let resolve name =
@@ -358,13 +337,15 @@ let config_of_json ~at j =
         Ok (Option.map (fun v -> (k, v)) v))
       numeric_knobs
   in
-  let* retain_busy = Json.boolean ~at "retain_busy" j in
+  (* Documents written before busy intervals were always kept may carry
+     a boolean [retain_busy]; it is type-checked and ignored. *)
+  let* (_ : bool option) = Json.boolean ~at "retain_busy" j in
   (* [Config.update] enforces the invariants; a violation is a bad
      document, not an exception. *)
   match
     Sim.Config.update
       (List.filter_map Fun.id settings)
-      (Sim.Config.make ~specs ~fleet ~sched ?retain_busy ())
+      (Sim.Config.make ~specs ~fleet ~sched ())
   with
   | c -> Ok c
   | exception Invalid_argument m -> Error m

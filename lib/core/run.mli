@@ -111,11 +111,9 @@ val workload_label : workload -> string
 
 val describe : spec -> (string * Experiment.setup, error) result
 (** The workload label and the setup this spec runs under, once the
-    fault spec, the setup invariants ([batch >= 1], [cache_blocks >= 0],
-    a finite [noise >= 0], and [sim.retain_busy] on when the schemes
-    include ITPM or IDRPM, which are derived from the Base replay's busy
-    intervals; else {!Malformed_spec} naming the field) and the
-    benchmark name validate — what a report header or a service log
+    fault spec, the setup invariants ([batch >= 1], [cache_blocks >= 0]
+    and a finite [noise >= 0]; else {!Malformed_spec} naming the field)
+    and the benchmark name validate — what a report header or a service log
     needs without executing anything.  {!exec_all} checks the same. *)
 
 val with_timeline :

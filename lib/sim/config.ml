@@ -38,7 +38,6 @@ type t = {
   queue_depth : int;
   pm_call_overhead : float;
   pre_activation_lead : float;
-  retain_busy : bool;
 }
 
 (* Single choke point for configuration invariants: every constructor
@@ -84,7 +83,6 @@ let default =
     queue_depth = 32;
     pm_call_overhead = 2.0e-6;
     pre_activation_lead = 0.0;
-    retain_busy = true;
   }
 
 let make ?(specs = default.specs) ?(fleet = default.fleet)
@@ -95,8 +93,7 @@ let make ?(specs = default.specs) ?(fleet = default.fleet)
     ?(drpm_floor_depth = default.drpm_floor_depth)
     ?(queue_depth = default.queue_depth)
     ?(pm_call_overhead = default.pm_call_overhead)
-    ?(pre_activation_lead = default.pre_activation_lead)
-    ?(retain_busy = default.retain_busy) () =
+    ?(pre_activation_lead = default.pre_activation_lead) () =
   check
     {
       specs;
@@ -111,7 +108,6 @@ let make ?(specs = default.specs) ?(fleet = default.fleet)
       queue_depth;
       pm_call_overhead;
       pre_activation_lead;
-      retain_busy;
     }
 
 let with_specs specs t = check { t with specs }

@@ -75,14 +75,6 @@ type t = private {
           estimated window end).  0 reproduces the paper's placement;
           the sweep harness uses this axis to trade spin-up misses
           against shortened low-power residency. *)
-  retain_busy : bool;
-      (** Record per-request busy intervals in [Result.t] (default).
-          They are O(requests) — the one per-request allocation a replay
-          keeps — so a bounded-memory replay of a streamed trace file
-          turns this off.  The oracle schemes need it on: ITPM and
-          IDRPM are derived from the Base replay's busy intervals
-          ({!Oracle}), so a run spec with this off and ITPM or IDRPM
-          among its schemes is refused ([Run]'s [Malformed_spec]). *)
 }
 
 val default : t
@@ -103,7 +95,6 @@ val make :
   ?queue_depth:int ->
   ?pm_call_overhead:float ->
   ?pre_activation_lead:float ->
-  ?retain_busy:bool ->
   unit ->
   t
 (** {!default} with fields overridden ([tpm_threshold] stays [None] —

@@ -36,17 +36,17 @@ type t = {
   specs : Specs.t;
   disk_id : int;
   recorder : Timeline.sink option;
-  retain_busy : bool;
   mutable phase : phase;
   hot : float array;
-  mutable busy_rev : (float * float) list;
+  mutable busy : Float.Array.t;
+  mutable nbusy : int;
   mutable served : int;
   mutable transitions : int;
   mutable spin_downs : int;
   residency : float array;
   mutable standby_time : float;
   mutable trans_time : float;
-  mutable failed : bool;
+  mutable killed_at : float option;
   idle_power : float array;
   active_power : float array;
   svc_base : float array;
@@ -56,27 +56,27 @@ type t = {
 (* The per-level tables are computed through the exact same
    [Power]/[Service] calls the general path makes per request, so a
    table lookup yields bit-identical floats to recomputing. *)
-let create ?recorder ?(retain_busy = true) specs ~id =
+let create ?recorder specs ~id =
   let levels = Rpm.num_levels specs in
   {
     specs;
     disk_id = id;
     recorder;
-    retain_busy;
     phase = Ready (Rpm.max_level specs);
     hot =
       (let h = Array.make 6 0.0 in
        h.(ix_svc_bytes) <- -1.0;
        h.(ix_svc_level) <- -1.0;
        h);
-    busy_rev = [];
+    busy = Float.Array.create 0;
+    nbusy = 0;
     served = 0;
     transitions = 0;
     spin_downs = 0;
     residency = Array.make levels 0.0;
     standby_time = 0.0;
     trans_time = 0.0;
-    failed = false;
+    killed_at = None;
     idle_power = Array.init levels (fun l -> Power.idle specs ~level:l);
     active_power = Array.init levels (fun l -> Power.active specs ~level:l);
     svc_base =
@@ -85,9 +85,25 @@ let create ?recorder ?(retain_busy = true) specs ~id =
     svc_denom = Array.init levels (fun l -> Service.transfer_denom specs ~level:l);
   }
 
+(* The busy column holds interleaved (start, end) pairs in
+   [busy.(0) .. busy.(nbusy - 1)].  [busy_slot] reserves the next pair
+   and returns its index; the caller stores both floats itself.  An
+   out-of-line [push t a b] would box both floats at every call (see
+   [fbuf] in fastpath.ml), so the floats never cross a call: a
+   reservation takes the record and returns an int. *)
+let busy_slot t =
+  let n = t.nbusy in
+  if n + 2 > Float.Array.length t.busy then begin
+    let grown = Float.Array.create (max 64 (2 * n)) in
+    Float.Array.blit t.busy 0 grown 0 n;
+    t.busy <- grown
+  end;
+  t.nbusy <- n + 2;
+  n
+
 let id t = t.disk_id
 let phase t = t.phase
-let is_failed t = t.failed
+let is_failed t = match t.killed_at with Some _ -> true | None -> false
 
 let level t =
   match t.phase with
@@ -155,7 +171,7 @@ let emit_span t ph t0 t1 =
 let record t ~at mark = emit t (Timeline.Mark { disk = t.disk_id; t = at; mark })
 
 let rec advance t now =
-  if t.failed then ()
+  if is_failed t then ()
   else if now <= t.hot.(ix_last_update) then resolve_instant t
   else
     match t.phase with
@@ -228,7 +244,7 @@ let settle_time t =
 let rec set_level t ~now target =
   (* Operations requested in the past (e.g. a directive issued while the
      disk still drains a queue) take effect at the disk's own clock. *)
-  if t.failed then ()
+  if is_failed t then ()
   else
   let now = max now t.hot.(ix_last_update) in
   advance t now;
@@ -251,7 +267,7 @@ let rec set_level t ~now target =
   | Standby | Spinning_down _ -> ()
 
 let rec spin_down t ~now =
-  if t.failed then ()
+  if is_failed t then ()
   else
   let now = max now t.hot.(ix_last_update) in
   advance t now;
@@ -265,7 +281,7 @@ let rec spin_down t ~now =
       spin_down t ~now:finish
 
 let rec spin_up t ~now =
-  if t.failed then ()
+  if is_failed t then ()
   else
   let now = max now t.hot.(ix_last_update) in
   advance t now;
@@ -294,7 +310,7 @@ let rec ready_at t now =
       ready_at t finish
 
 let serve t ~now ~bytes =
-  if t.failed then max now t.hot.(ix_last_update)
+  if is_failed t then max now t.hot.(ix_last_update)
   else begin
     let now = max now t.hot.(ix_last_update) in
     advance t now;
@@ -314,14 +330,16 @@ let serve t ~now ~bytes =
            bytes;
          });
     t.hot.(ix_last_update) <- completion;
-    if t.retain_busy then t.busy_rev <- (start, completion) :: t.busy_rev;
+    let i = busy_slot t in
+    Float.Array.unsafe_set t.busy i start;
+    Float.Array.unsafe_set t.busy (i + 1) completion;
     t.served <- t.served + 1;
     t.hot.(ix_idle_start) <- completion;
     completion
   end
 
 let occupy t ~now ~seconds =
-  if t.failed || seconds <= 0.0 then max now t.hot.(ix_last_update)
+  if is_failed t || seconds <= 0.0 then max now t.hot.(ix_last_update)
   else begin
     let now = max now t.hot.(ix_last_update) in
     advance t now;
@@ -333,13 +351,15 @@ let occupy t ~now ~seconds =
       (Timeline.Occupy
          { disk = t.disk_id; level = lvl; t0 = start; t1 = finish });
     t.hot.(ix_last_update) <- finish;
-    if t.retain_busy then t.busy_rev <- (start, finish) :: t.busy_rev;
+    let i = busy_slot t in
+    Float.Array.unsafe_set t.busy i start;
+    Float.Array.unsafe_set t.busy (i + 1) finish;
     t.hot.(ix_idle_start) <- finish;
     finish
   end
 
 let abort_spin_up t ~now ~fraction =
-  if t.failed then max now t.hot.(ix_last_update)
+  if is_failed t then max now t.hot.(ix_last_update)
   else begin
     let now = max now t.hot.(ix_last_update) in
     advance t now;
@@ -360,16 +380,18 @@ let abort_spin_up t ~now ~fraction =
   end
 
 let fail t ~at =
-  if not t.failed then begin
+  if not (is_failed t) then begin
     advance t (max at t.hot.(ix_last_update));
-    record t ~at:t.hot.(ix_last_update) Timeline.Killed;
-    t.failed <- true
+    let at = t.hot.(ix_last_update) in
+    record t ~at Timeline.Killed;
+    t.killed_at <- Some at
   end
 
 let finalize t ~at = advance t (max at (settle_time t))
 
 let energy t = t.hot.(ix_total_energy)
-let busy_intervals t = List.rev t.busy_rev
+let killed_at t = t.killed_at
+let busy_intervals t = Float.Array.sub t.busy 0 t.nbusy
 
 let requests_served t = t.served
 let transition_count t = t.transitions

@@ -23,7 +23,6 @@ type t = {
   specs : Dpm_disk.Specs.t;
   disk_id : int;
   recorder : Timeline.sink option;
-  retain_busy : bool;
   mutable phase : phase;
   hot : float array;
       (** The three per-request mutable floats, indexed by
@@ -32,14 +31,19 @@ type t = {
           float array rather than as record fields because a float
           field of a mixed record boxes on every write, and these are
           written per served request on the replay fast path. *)
-  mutable busy_rev : (float * float) list;
+  mutable busy : Float.Array.t;
+      (** Service intervals as interleaved (start, end) pairs, in
+          [busy.(0) .. busy.(nbusy - 1)], grown by {!busy_slot}: an
+          unboxed column, so recording a request allocates nothing. *)
+  mutable nbusy : int;
   mutable served : int;
   mutable transitions : int;
   mutable spin_downs : int;
   residency : float array;
   mutable standby_time : float;
   mutable trans_time : float;
-  mutable failed : bool;
+  mutable killed_at : float option;
+      (** When {!fail} froze the disk ([None] while it is alive). *)
   idle_power : float array;
       (** Per-level {!Dpm_disk.Power.idle}, precomputed at {!create}
           through the very same calls the general path makes per
@@ -72,20 +76,17 @@ val ix_svc_bytes : int
 val ix_svc_level : int
 val ix_svc_quot : int
 
-val create :
-  ?recorder:Timeline.sink ->
-  ?retain_busy:bool ->
-  Dpm_disk.Specs.t ->
-  id:int ->
-  t
+val create : ?recorder:Timeline.sink -> Dpm_disk.Specs.t -> id:int -> t
 (** A disk starts ready at full speed at time 0.  With a [recorder],
     every charged residency span, service interval and aborted spin-up
     is also emitted as a {!Timeline} event; recording is strictly
-    observational and never alters the accounting.  [retain_busy]
-    (default true) keeps the per-request busy-interval list behind
-    {!busy_intervals}; turning it off bounds a replay's memory (see
-    {!Dpm_sim.Config}) at the cost of {!busy_intervals}
-    returning empty. *)
+    observational and never alters the accounting. *)
+
+val busy_slot : t -> int
+(** Reserve the next (start, end) pair of [busy], growing the column
+    when full, and return the index of its start; the caller stores
+    both floats.  Only ints cross the call, so the floats stay
+    unboxed. *)
 
 val id : t -> int
 val phase : t -> phase
@@ -141,9 +142,14 @@ val fail : t -> at:float -> unit
     state machine — every later operation ({!advance}, {!serve},
     {!set_level}, {!spin_down}, {!spin_up}, {!occupy}) becomes a no-op,
     so a dead disk stops drawing power and serving requests.  The replay
-    engine redirects its load to the surviving disks. *)
+    engine redirects its load to the surviving disks.  The kill time
+    ({!killed_at}) is [at], or the end of the service in progress if
+    that is later: every busy interval ends by it. *)
 
 val is_failed : t -> bool
+
+val killed_at : t -> float option
+(** The kill time, once {!fail} has frozen the disk. *)
 
 val record : t -> at:float -> Timeline.mark -> unit
 (** Append a point event (fault signature, applied directive) to this
@@ -155,8 +161,9 @@ val finalize : t -> at:float -> unit
 (** {2 Statistics} *)
 
 val energy : t -> float
-val busy_intervals : t -> (float * float) list
-(** Sorted service intervals. *)
+val busy_intervals : t -> Float.Array.t
+(** The service intervals so far, as an exactly sized copy of the busy
+    column: (start, end) pairs interleaved, sorted by start. *)
 
 val requests_served : t -> int
 val transition_count : t -> int

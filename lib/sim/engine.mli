@@ -53,12 +53,13 @@ val run_stream :
     byte-identical to replaying the materialized trace whatever the
     stream's batch size.  Peak memory is O(batch) on the trace side
     when the stream is read from a file
-    ({!Dpm_trace.Trace.Stream.of_file}); the result's busy intervals
-    stay O(requests) unless [config.retain_busy] is off.  The stream's
-    [nblocks] is forced only when [faults] is a non-zero spec (the bad
-    regions are drawn over that address space), and its [tail_think]
-    only after exhaustion.  The stream is consumed: a second replay
-    needs a fresh stream. *)
+    ({!Dpm_trace.Trace.Stream.of_file}); the result still keeps every
+    request's busy interval, as two unboxed floats in its disk's
+    column ([Result.disk_stats.busy], which the oracles read).  The
+    stream's [nblocks] is forced only when [faults] is a non-zero spec
+    (the bad regions are drawn over that address space), and its
+    [tail_think] only after exhaustion.  The stream is consumed: a
+    second replay needs a fresh stream. *)
 
 val run_many_stream :
   ?config:Config.t ->

@@ -56,7 +56,7 @@ let supported ~config = config.Config.sched = Config.Fcfs
 let serve_fast (st : Disk_state.t) ~fbuf ~bytes =
   match st.phase with
   | Disk_state.Ready lvl
-    when (not st.failed)
+    when (match st.killed_at with None -> true | Some _ -> false)
          && (match st.recorder with None -> true | Some _ -> false) ->
       let hot = st.Disk_state.hot in
       let now = Array.unsafe_get fbuf 0 in
@@ -94,7 +94,9 @@ let serve_fast (st : Disk_state.t) ~fbuf ~bytes =
       Array.unsafe_set st.residency lvl
         (Array.unsafe_get st.residency lvl +. service);
       Array.unsafe_set hot Disk_state.ix_last_update completion;
-      if st.retain_busy then st.busy_rev <- (now, completion) :: st.busy_rev;
+      let slot = Disk_state.busy_slot st in
+      Float.Array.unsafe_set st.Disk_state.busy slot now;
+      Float.Array.unsafe_set st.Disk_state.busy (slot + 1) completion;
       st.served <- st.served + 1;
       Array.unsafe_set hot Disk_state.ix_idle_start completion;
       Array.unsafe_set fbuf 0 completion

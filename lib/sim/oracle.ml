@@ -13,21 +13,6 @@ type phase =
       plan : Power.gap_plan;
     }
 
-(* Group a disk's (start, completion) service intervals into bursts
-   separated by at least [burst_threshold] of idleness. *)
-let bursts_of_busy busy =
-  let rec go current acc = function
-    | [] -> List.rev (List.rev current :: acc)
-    | (a, b) :: rest -> (
-        match current with
-        | [] -> go [ (a, b) ] acc rest
-        | (_, prev_b) :: _ ->
-            if a -. prev_b >= burst_threshold then
-              go [ (a, b) ] (List.rev current :: acc) rest
-            else go ((a, b) :: current) acc rest)
-  in
-  match busy with [] -> [] | _ -> go [] [] busy
-
 (* The oracle's schedule is the exact optimum of a dynamic program over
    (phase, level): bursts hold one level for their whole extent (a disk
    cannot modulate mid-stream), gaps may dip to any intermediate level
@@ -51,35 +36,43 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
         /. float_of_int (Rpm.rpm_of_level specs level))
   in
   let seek = specs.Specs.avg_seek in
-  (* Total service time of a burst at a level.  A level keeps the burst
-     work-conserving on average when this demand fits the burst's span
-     (plus a little of the following gap for the tail) — intra-burst
-     jitter is absorbed by the disk queue, so the constraint is on
-     throughput, not on each request's own slack. *)
-  let demand requests level =
-    List.fold_left
-      (fun acc (a, b) -> acc +. (seek +. ((b -. a -. seek) *. scale.(level))))
-      0.0 requests
-  in
   let busy = base.Result.disks.(disk).Result.busy in
-  let exec = base.Result.exec_time in
-  let bursts = Array.of_list (bursts_of_busy busy) in
-  (* Phase skeletons covering [0, exec]. *)
+  let horizon = Result.horizon base ~disk in
+  let start k = Float.Array.get busy (2 * k)
+  and stop k = Float.Array.get busy ((2 * k) + 1) in
+  (* Total service time of the burst of intervals [first .. last] at a
+     level.  A level keeps the burst work-conserving on average when
+     this demand fits the burst's span (plus a little of the following
+     gap for the tail) — intra-burst jitter is absorbed by the disk
+     queue, so the constraint is on throughput, not on each request's
+     own slack. *)
+  let demand first last level =
+    let acc = ref 0.0 in
+    for k = first to last do
+      acc := !acc +. (seek +. ((stop k -. start k -. seek) *. scale.(level)))
+    done;
+    !acc
+  in
+  (* Phase skeletons covering [0, horizon] (a dead disk's schedule ends
+     at its kill), in one pass over the busy column: a burst is the
+     index range [first, last] of intervals each starting less than
+     [burst_threshold] after its predecessor ends. *)
   let skeleton = ref [] in
   let cursor = ref 0.0 in
-  Array.iteri
-    (fun i requests ->
-      let first = fst (List.hd requests) in
-      let last = snd (List.hd (List.rev requests)) in
-      let next_start =
-        if i + 1 < Array.length bursts then fst (List.hd bursts.(i + 1))
-        else exec
-      in
-      if first > !cursor then skeleton := `Gap (!cursor, first) :: !skeleton;
-      skeleton := `Burst (requests, first, last, 0.25 *. (next_start -. last)) :: !skeleton;
-      cursor := last)
-    bursts;
-  if exec > !cursor then skeleton := `Gap (!cursor, exec) :: !skeleton;
+  let n = Float.Array.length busy / 2 in
+  let first = ref 0 in
+  for k = 1 to n do
+    if k = n || start k -. stop (k - 1) >= burst_threshold then begin
+      let lo = start !first and hi = stop (k - 1) in
+      let next_start = if k < n then start k else horizon in
+      if lo > !cursor then skeleton := `Gap (!cursor, lo) :: !skeleton;
+      skeleton :=
+        `Burst (!first, k - 1, lo, hi, 0.25 *. (next_start -. hi)) :: !skeleton;
+      cursor := hi;
+      first := k
+    end
+  done;
+  if horizon > !cursor then skeleton := `Gap (!cursor, horizon) :: !skeleton;
   let skeleton = List.rev !skeleton in
   (* DP forward pass.  dp.(l) = cheapest cost of ending the phases so
      far at level l. *)
@@ -93,13 +86,13 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
   List.iter
     (fun phase ->
       match phase with
-      | `Burst (requests, first, last, tail_slack) ->
+      | `Burst (i, j, first, last, tail_slack) ->
           let span = last -. first in
           let service = Array.make nlevels Float.nan in
           let dp' = Array.make nlevels inf in
           for l = 0 to nlevels - 1 do
             if dp.(l) < inf then begin
-              let s = demand requests l in
+              let s = demand i j l in
               service.(l) <- s;
               if l = top || s <= span +. tail_slack then begin
                 let e =
@@ -111,7 +104,7 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
             end
           done;
           Array.blit dp' 0 dp 0 nlevels;
-          trace_back := `Burst_choice (requests, service) :: !trace_back
+          trace_back := `Burst_choice (i, j, service) :: !trace_back
       | `Gap (lo, hi) ->
           let gap = hi -. lo in
           let dp' = Array.make nlevels inf in
@@ -140,10 +133,10 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
   List.iter
     (fun step ->
       match step with
-      | `Burst_choice (requests, service) ->
+      | `Burst_choice (i, j, service) ->
           let l = !level in
           let service =
-            if Float.is_nan service.(l) then demand requests l else service.(l)
+            if Float.is_nan service.(l) then demand i j l else service.(l)
           in
           result := `Burst_at (l, service) :: !result
       | `Gap_choice (lo, hi, from_of) ->
@@ -157,8 +150,8 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
   let rec emit skel recon =
     match (skel, recon) with
     | [], [] -> []
-    | `Burst (_, first, last, _) :: skel', `Burst_at (level, service) :: recon'
-      ->
+    | `Burst (_, _, first, last, _) :: skel',
+      `Burst_at (level, service) :: recon' ->
         Burst { span = (first, last); level; service } :: emit skel' recon'
     | `Gap (lo, hi) :: skel', `Gap_at (_, _, from_level, to_level) :: recon' ->
         Gap
@@ -276,6 +269,11 @@ let idrpm ?(config = Config.default) ?timeline (base : Result.t) =
                     hi
                 end)
           (phases ~config base ~disk:disk_id);
+        Option.iter
+          (fun t ->
+            emit_opt timeline
+              (Timeline.Mark { disk = disk_id; t; mark = Timeline.Killed }))
+          d.Result.killed_at;
         {
           Result.energy = !energy;
           busy = d.Result.busy;
@@ -285,6 +283,7 @@ let idrpm ?(config = Config.default) ?timeline (base : Result.t) =
           level_residency = residency;
           standby_time = 0.0;
           transition_time = !trans_time;
+          killed_at = d.Result.killed_at;
         })
       base.Result.disks
   in
@@ -316,16 +315,6 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
       (fun disk_id (d : Result.disk_stats) ->
         let specs = Config.model config ~disk:disk_id in
         let top = Rpm.max_level specs in
-        let busy_time =
-          List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0.0 d.Result.busy
-        in
-        let active_energy = Power.active specs ~level:top *. busy_time in
-        let residency = Array.make (Rpm.num_levels specs) 0.0 in
-        residency.(top) <- busy_time;
-        let gap_energy = ref 0.0 in
-        let spin_downs = ref 0 in
-        let standby_time = ref 0.0 in
-        let trans_time = ref 0.0 in
         (* With a sink, collect the disk's events, then emit them
            chronologically: the pre-activation scan over the log is
            order-sensitive (a spin-up must precede the service that
@@ -337,20 +326,32 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
           if recording && t1 > t0 then
             record (Timeline.Span { disk = disk_id; state; t0; t1 })
         in
-        if recording then
-          List.iter
-            (fun (a, b) ->
-              record
-                (Timeline.Service
-                   {
-                     disk = disk_id;
-                     level = top;
-                     arrival = a;
-                     t0 = a;
-                     t1 = b;
-                     bytes = 0;
-                   }))
-            d.Result.busy;
+        let busy = d.Result.busy in
+        let busy_time = ref 0.0 in
+        for k = 0 to (Float.Array.length busy / 2) - 1 do
+          let a = Float.Array.get busy (2 * k)
+          and b = Float.Array.get busy ((2 * k) + 1) in
+          busy_time := !busy_time +. (b -. a);
+          if recording then
+            record
+              (Timeline.Service
+                 {
+                   disk = disk_id;
+                   level = top;
+                   arrival = a;
+                   t0 = a;
+                   t1 = b;
+                   bytes = 0;
+                 })
+        done;
+        let busy_time = !busy_time in
+        let active_energy = Power.active specs ~level:top *. busy_time in
+        let residency = Array.make (Rpm.num_levels specs) 0.0 in
+        residency.(top) <- busy_time;
+        let gap_energy = ref 0.0 in
+        let spin_downs = ref 0 in
+        let standby_time = ref 0.0 in
+        let trans_time = ref 0.0 in
         List.iter
           (fun (lo, hi) ->
             let plan = Power.best_tpm_plan specs (hi -. lo) in
@@ -388,6 +389,12 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
               record_span (Timeline.Ready top) lo hi
             end)
           (Result.idle_gaps base ~disk:disk_id);
+        if recording then
+          Option.iter
+            (fun t ->
+              record
+                (Timeline.Mark { disk = disk_id; t; mark = Timeline.Killed }))
+            d.Result.killed_at;
         (match timeline with
         | None -> ()
         | Some sink ->
@@ -413,6 +420,7 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
           level_residency = residency;
           standby_time = !standby_time;
           transition_time = !trans_time;
+          killed_at = d.Result.killed_at;
         })
       base.Result.disks
   in

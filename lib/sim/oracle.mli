@@ -3,7 +3,10 @@
     The paper's ideal versions assume "an oracle predictor for detecting
     idle periods", acting optimally with perfectly timed transitions — so
     they never perturb the timeline.  Both are computed in closed form
-    from a Base replay.
+    from a Base replay's busy intervals.  A disk that a whole-disk
+    failure froze in that replay is priced only up to its kill
+    ({!Result.horizon}), and its analytic timeline lane ends there with
+    a [Killed] mark.
 
     ITPM serves every request at full speed and gives every idle gap the
     energy-optimal spin-down decision ({!Dpm_disk.Power.best_tpm_plan}).

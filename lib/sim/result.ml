@@ -1,12 +1,13 @@
 type disk_stats = {
   energy : float;
-  busy : (float * float) list;
+  busy : Float.Array.t;
   requests : int;
   transitions : int;
   spin_downs : int;
   level_residency : float array;
   standby_time : float;
   transition_time : float;
+  killed_at : float option;
 }
 
 type fault_stats = {
@@ -42,11 +43,39 @@ type t = {
 
 let requests t = Array.fold_left (fun n d -> n + d.requests) 0 t.disks
 
+let horizon t ~disk =
+  match t.disks.(disk).killed_at with
+  | Some k when k < t.exec_time -> k
+  | Some _ | None -> t.exec_time
+
+(* One pass over the sorted busy column: overlapping or touching pairs
+   merge into a run [lo, hi), and the gap before each run is emitted as
+   the run closes.  Comparisons are [Stdlib.min]/[max]'s, so every
+   bound is the float the merge-then-complement algebra produces. *)
 let idle_gaps t ~disk =
-  let stats = t.disks.(disk) in
-  let busy = Dpm_util.Interval.of_list stats.busy in
-  Dpm_util.Interval.to_list
-    (Dpm_util.Interval.complement ~lo:0.0 ~hi:t.exec_time busy)
+  let busy = t.disks.(disk).busy and horizon = horizon t ~disk in
+  let gaps = ref [] and cursor = ref 0.0 in
+  let run_lo = ref 0.0 and run_hi = ref 0.0 and in_run = ref false in
+  let close_run () =
+    let upto = if !run_lo <= horizon then !run_lo else horizon in
+    if upto > !cursor then gaps := (!cursor, upto) :: !gaps;
+    if !run_hi > !cursor then cursor := !run_hi
+  in
+  for k = 0 to (Float.Array.length busy / 2) - 1 do
+    let lo = Float.Array.get busy (2 * k)
+    and hi = Float.Array.get busy ((2 * k) + 1) in
+    if hi > lo then
+      if !in_run && lo <= !run_hi then (if hi > !run_hi then run_hi := hi)
+      else begin
+        if !in_run then close_run ();
+        run_lo := lo;
+        run_hi := hi;
+        in_run := true
+      end
+  done;
+  if !in_run then close_run ();
+  if horizon > !cursor then gaps := (!cursor, horizon) :: !gaps;
+  List.rev !gaps
 
 let normalized_energy t ~base = Dpm_util.Stats.ratio t.energy base.energy
 

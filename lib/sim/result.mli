@@ -5,7 +5,9 @@
 
 type disk_stats = {
   energy : float;
-  busy : (float * float) list;  (** Service intervals, sorted. *)
+  busy : Float.Array.t;
+      (** Service intervals as interleaved (start, end) pairs — pair [k]
+          is [busy.(2k)], [busy.(2k+1)] — sorted by start. *)
   requests : int;
   transitions : int;  (** RPM modulations. *)
   spin_downs : int;
@@ -13,6 +15,10 @@ type disk_stats = {
   standby_time : float;
   transition_time : float;
       (** Seconds spent modulating, spinning down or spinning up. *)
+  killed_at : float option;
+      (** When a whole-disk failure froze the disk (fault injection),
+          else [None].  A dead disk neither serves nor draws power, so
+          its busy intervals all end by then. *)
 }
 
 (** What fault injection did to the run (all zero without it). *)
@@ -49,9 +55,15 @@ type t = {
 
 val requests : t -> int
 
+val horizon : t -> disk:int -> float
+(** The end of the disk's part in the run: its kill time when a
+    whole-disk failure froze it before [exec_time], else [exec_time]. *)
+
 val idle_gaps : t -> disk:int -> (float * float) list
-(** Complement of the disk's busy intervals over [\[0, exec_time)] —
-    the idle periods an oracle can exploit. *)
+(** Complement of the disk's busy intervals over [\[0, horizon)] — the
+    idle periods an oracle can exploit: sorted, non-empty and separated
+    by busy time (touching or overlapping intervals merge, zero-width
+    ones are ignored). *)
 
 val normalized_energy : t -> base:t -> float
 val normalized_time : t -> base:t -> float

@@ -79,8 +79,7 @@ let create ~config ~mode ~fault ~timeline ~obs policy ~ndisks =
     tops = Array.map Rpm.max_level models;
     disks =
       Array.init ndisks (fun id ->
-          Disk_state.create ?recorder:timeline
-            ~retain_busy:config.Config.retain_busy models.(id) ~id);
+          Disk_state.create ?recorder:timeline models.(id) ~id);
     backlog = Array.make ndisks 0.0;
     depth;
     recent = Array.init ndisks (fun _ -> Array.make depth 0.0);
@@ -149,6 +148,7 @@ let finish s ~program ~clock =
           level_residency = Disk_state.level_residency st;
           standby_time = Disk_state.standby_residency st;
           transition_time = Disk_state.transition_residency st;
+          killed_at = Disk_state.killed_at st;
         })
       s.disks
   in

@@ -464,9 +464,10 @@ let check_lane ~report ~tol ~s_end ~analytic ~top disk lane =
     items;
   if analytic then begin
     (* Oracle-reconstructed logs: monotone starts and full coverage of
-       [0, sim_end]; service may overlap the tail slack, and a direct
-       modulation charged on top of a too-short gap at the head of the
-       run may be back-dated before t = 0. *)
+       [0, sim_end], or of [0, kill] for a disk a [Killed] mark froze;
+       service may overlap the tail slack, and a direct modulation
+       charged on top of a too-short gap at the head of the run may be
+       back-dated before t = 0. *)
     let sorted =
       List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) items
     in
@@ -483,8 +484,14 @@ let check_lane ~report ~tol ~s_end ~analytic ~top disk lane =
           Float.max edge t1)
         0.0 sorted
     in
-    if covered < s_end -. tol && items <> [] then
-      err disk "coverage ends at %g, before sim end %g" covered s_end
+    match !killed with
+    | Some k ->
+        if Float.abs (covered -. k) > tol && items <> [] then
+          err disk "coverage ends at %g but the disk was killed at %g"
+            covered k
+    | None ->
+        if covered < s_end -. tol && items <> [] then
+          err disk "coverage ends at %g, before sim end %g" covered s_end
   end
   else begin
     (* Engine logs: spans are exactly contiguous from 0 and every

@@ -190,8 +190,9 @@ val check :
     levels match the surrounding ready level, a disk reaches [sim_end]
     unless a [Killed] mark froze it, and spin-up always completes at the
     top level.  For analytic (oracle) logs: monotone starts, well-formed
-    spans, and full coverage of [0, sim_end] (service is allowed to
-    overlap the tail slack the oracle grants it).
+    spans, and full coverage of [0, sim_end], or of exactly [0, kill]
+    for a disk a [Killed] mark froze (service is allowed to overlap the
+    tail slack the oracle grants it).
 
     Per-queue legality, both modes: on any one disk [Service] intervals
     never overlap, and [Dispatch] marks must replay under their queue

@@ -181,9 +181,8 @@ let test_histograms_equal () =
 (* --- Allocation regression: the zero-allocation claim --- *)
 
 let words_per_event core policy trace =
-  let config = Config.make ~retain_busy:false () in
   let replay () =
-    ignore (Engine.run_stream ~config ~core policy (Stream.of_trace trace))
+    ignore (Engine.run_stream ~core policy (Stream.of_trace trace))
   in
   replay ();
   (* warm: SoA memoization, minor heap shape *)

@@ -219,11 +219,83 @@ let test_idrpm_head_gap_backdated_ramp () =
     [ 1e-5; 1e-4; 1e-3; 0.2; 0.5; 1.0; 2.0; 5.0 ];
   Alcotest.(check bool) "some width back-dates the ramp" true !backdated
 
+(* A whole-disk failure freezes the Base replay's disk from its kill
+   on (no service, no power), so the oracles price that disk only up to
+   the kill.  Under the fault smoke's spec (swim, disk 0 dead at 30 s)
+   neither oracle spends more than Base, and each analytic log closes
+   the dead disk's lane with a [Killed] mark where its coverage ends,
+   checks clean and reintegrates to the reported energy. *)
+let test_oracles_stop_at_kill () =
+  let module Run = Dpm_core.Run in
+  let module Scheme = Dpm_core.Scheme in
+  let faults =
+    match
+      Dpm_sim.Fault.of_string
+        "seed=7,read=0.01,bad=0.005,spinfail=0.25,fail=0@30"
+    with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  let sinks =
+    List.map (fun s -> (s, Timeline.sink ())) Scheme.[ Itpm; Idrpm ]
+  in
+  match
+    Run.exec_all
+      (Run.spec
+         ~schemes:Scheme.[ Base; Itpm; Idrpm ]
+         ~faults
+         ~timeline:(fun s -> List.assoc_opt s sinks)
+         (Run.Benchmark "swim"))
+  with
+  | Error e -> Alcotest.fail (Run.error_message e)
+  | Ok results ->
+      let base = List.assoc Scheme.Base results in
+      let kill =
+        match base.Result.disks.(0).Result.killed_at with
+        | Some k -> k
+        | None -> Alcotest.fail "disk 0 survived the Base replay"
+      in
+      Alcotest.(check bool) "killed before the run ends" true
+        (kill < base.Result.exec_time);
+      List.iter
+        (fun (scheme, sink) ->
+          let name = Scheme.name scheme in
+          let r = List.assoc scheme results in
+          (* To rounding: where ITPM keeps every gap at full speed, as
+             swim's short gaps make it, it sums Base's energy in another
+             order.  Pricing the dead disk's gaps cost 21 J (0.8%). *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %.17g J <= Base %.17g J" name r.Result.energy
+               base.Result.energy)
+            true
+            (r.Result.energy <= base.Result.energy *. (1.0 +. 1e-9));
+          let tl = Timeline.contents sink in
+          (match Timeline.check tl with
+          | Ok () -> ()
+          | Error es -> Alcotest.failf "%s: %s" name (String.concat "; " es));
+          let e = Timeline.reintegrate tl in
+          Alcotest.(check bool)
+            (name ^ " reintegrates")
+            true
+            (close e.Timeline.total r.Result.energy);
+          Alcotest.(check bool)
+            (name ^ " marks the kill")
+            true
+            (List.exists
+               (function
+                 | Timeline.Mark { disk = 0; t; mark = Timeline.Killed } ->
+                     t = kill
+                 | _ -> false)
+               (Timeline.events tl)))
+        sinks
+
 let suite =
   [
     ( "oracle",
       [
         Alcotest.test_case "phases tile the run" `Quick test_phases_tile_the_run;
+        Alcotest.test_case "oracles stop at a dead disk" `Quick
+          test_oracles_stop_at_kill;
         Alcotest.test_case "gap plans match idle gaps" `Quick
           test_gap_plans_match_idle_gaps;
         Alcotest.test_case "predictions exact" `Quick

@@ -215,6 +215,100 @@ let test_result_idle_gaps () =
     (r.Result.exec_time -. (2.0 *. service))
     total
 
+(* [Result.idle_gaps] is one indexed merge-and-complement pass over the
+   busy column; it must return exactly the gaps of the list algebra
+   (test/interval_ref.ml) it replaced. *)
+let reference_gaps (r : Result.t) ~disk =
+  let busy = r.Result.disks.(disk).Result.busy in
+  let pairs =
+    List.init (Float.Array.length busy / 2) (fun k ->
+        (Float.Array.get busy (2 * k), Float.Array.get busy ((2 * k) + 1)))
+  in
+  Interval_ref.complement ~lo:0.0 ~hi:(Result.horizon r ~disk)
+    (Interval_ref.normalize pairs)
+
+let result_of_busy ~exec_time busy =
+  {
+    Result.scheme = "Base";
+    program = "gaps";
+    exec_time;
+    energy = 0.0;
+    disks =
+      [|
+        {
+          Result.energy = 0.0;
+          busy;
+          requests = Float.Array.length busy / 2;
+          transitions = 0;
+          spin_downs = 0;
+          level_residency = [||];
+          standby_time = 0.0;
+          transition_time = 0.0;
+          killed_at = None;
+        };
+      |];
+    gap_choices = [];
+    faults = Result.no_faults;
+  }
+
+(* Sorted busy columns: each pair starts where its predecessor ends
+   (touching), inside it (overlapping), or after an idle gap, and is
+   zero-width one time in three.  The run ends at the last end or
+   after it. *)
+let busy_column_gen =
+  QCheck2.Gen.(
+    let step =
+      triple (int_range 0 2) (float_bound_exclusive 3.0) (int_range 0 2)
+    in
+    map2
+      (fun steps tail ->
+        let s = ref 0.0 and e = ref 0.0 and pairs = ref [] in
+        List.iter
+          (fun (kind, x, w) ->
+            let start =
+              match kind with
+              | 0 -> !e
+              | 1 -> !s +. ((!e -. !s) *. x /. 3.0)
+              | _ -> !e +. x
+            in
+            let stop = if w = 0 then start else start +. (x /. 2.0) +. 0.01 in
+            s := start;
+            e := Float.max !e stop;
+            pairs := stop :: start :: !pairs)
+          steps;
+        let busy = Float.Array.of_list (List.rev !pairs) in
+        let exec_time = if tail < 1.0 then !e else !e +. tail in
+        (busy, exec_time))
+      (list_size (int_bound 12) step)
+      (float_bound_exclusive 4.0))
+
+let qcheck_idle_gaps_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"result: idle_gaps = complement (normalize busy)" busy_column_gen
+    (fun (busy, exec_time) ->
+      let r = result_of_busy ~exec_time busy in
+      Result.idle_gaps r ~disk:0 = reference_gaps r ~disk:0)
+
+let test_idle_gaps_suite_reference () =
+  List.iter
+    (fun (spec : Dpm_workloads.Suite.spec) ->
+      let name = spec.Dpm_workloads.Suite.name in
+      match
+        Dpm_core.Run.exec
+          (Dpm_core.Run.spec ~scheme_names:[ "Base" ]
+             (Dpm_core.Run.Benchmark name))
+      with
+      | Error e -> Alcotest.failf "%s: %s" name (Dpm_core.Run.error_message e)
+      | Ok base ->
+          Array.iteri
+            (fun disk _ ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s disk %d" name disk)
+                true
+                (Result.idle_gaps base ~disk = reference_gaps base ~disk))
+            base.Result.disks)
+    Dpm_workloads.Suite.all
+
 (* --- Multiprogrammed replay --- *)
 
 let total_requests (r : Result.t) =
@@ -419,13 +513,18 @@ let qcheck_busy_intervals_sorted_disjoint =
       let r = Engine.run Policy.base trace in
       Array.for_all
         (fun (d : Result.disk_stats) ->
-          let rec ok = function
-            | (a1, b1) :: ((a2, _) :: _ as rest) ->
-                a1 <= b1 && b1 <= a2 && ok rest
-            | [ (a, b) ] -> a <= b
-            | [] -> true
+          let busy = d.Result.busy in
+          let n = Float.Array.length busy in
+          (* Each pair is well formed and ends before the next starts. *)
+          let rec ok k =
+            k >= n
+            || Float.Array.get busy k <= Float.Array.get busy (k + 1)
+               && (k + 2 >= n
+                  || Float.Array.get busy (k + 1)
+                     <= Float.Array.get busy (k + 2))
+               && ok (k + 2)
           in
-          ok d.Result.busy)
+          n mod 2 = 0 && ok 0)
         r.Result.disks)
 
 let suite =
@@ -459,6 +558,8 @@ let suite =
         Alcotest.test_case "run_many mismatch" `Quick test_run_many_rejects_mismatch;
         Alcotest.test_case "run_many shared" `Quick test_run_many_shares_subsystem;
         Alcotest.test_case "idle gaps" `Quick test_result_idle_gaps;
+        Alcotest.test_case "idle gaps = reference on the suite" `Quick
+          test_idle_gaps_suite_reference;
       ] );
     ( "sim.policy",
       [
@@ -477,6 +578,7 @@ let suite =
           qcheck_oracles_never_lose;
           qcheck_closed_never_faster;
           qcheck_busy_intervals_sorted_disjoint;
+          qcheck_idle_gaps_reference;
         ] );
     ( "sim.oracle",
       [

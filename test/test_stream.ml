@@ -294,25 +294,6 @@ let qcheck_multiprogram_equiv =
           r_m = r_s)
         [ 1; 7; 4096 ])
 
-let test_retain_busy_off_equivalent () =
-  let trace = sample_trace () in
-  let lean = Config.make ~retain_busy:false () in
-  let r = Engine.run Policy.base trace in
-  let r' = Engine.run ~config:lean Policy.base trace in
-  Alcotest.(check (float 1e-12)) "same energy" r.Result.energy r'.Result.energy;
-  Alcotest.(check (float 1e-12)) "same exec time" r.Result.exec_time
-    r'.Result.exec_time;
-  Array.iter
-    (fun ds ->
-      Alcotest.(check int) "busy intervals dropped" 0
-        (List.length ds.Result.busy))
-    r'.Result.disks;
-  Array.iteri
-    (fun d ds ->
-      Alcotest.(check int) "same request count" ds.Result.requests
-        r'.Result.disks.(d).Result.requests)
-    r.Result.disks
-
 (* --- Experiment-level equivalence: all seven schemes, 1 vs 4 domains --- *)
 
 let phased_workload () =
@@ -453,8 +434,6 @@ let suite =
       [
         q qcheck_engine_equiv;
         q qcheck_multiprogram_equiv;
-        Alcotest.test_case "retain_busy off" `Quick
-          test_retain_busy_off_equivalent;
       ] );
     ( "stream.experiment",
       [

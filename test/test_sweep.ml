@@ -216,7 +216,7 @@ let test_spec_roundtrip_full () =
         (Config.make ~tpm_threshold:7.5 ~drpm_lower:0.03 ~drpm_upper:0.2
            ~drpm_window:12 ~drpm_idle_interval:0.75 ~drpm_floor_depth:6
            ~queue_depth:16 ~pm_call_overhead:0.002 ~pre_activation_lead:0.1
-           ~retain_busy:false ())
+           ())
       ~mode:`Closed ~version:Dpm_compiler.Pipeline.TL_DL ~faults:Gen.fault_spec
       ~stream:true ~batch:64 ~core:`Reference (Run.Benchmark "swim")
   in
@@ -348,46 +348,52 @@ let test_spec_rejections () =
       ("batch 0", [ ("batch", Json.Int 0) ]);
       ("cache_blocks -5", [ ("cache_blocks", Json.Int (-5)) ]);
       ("noise -1", [ ("noise", Json.Int (-1)) ]);
-    ];
-  (* ITPM and IDRPM are derived from the Base replay's busy intervals:
-     a spec that drops them is refused before any work when it asks for
-     either oracle, naming the setting, and runs otherwise. *)
-  let lean schemes =
-    match
-      Run.of_json
-        (doc
-           [
-             ("schemes", Json.Arr (List.map (fun n -> Json.Str n) schemes));
-             ( "setup",
-               Json.Obj
-                 [ ("sim", Json.Obj [ ("retain_busy", Json.Bool false) ]) ]
-             );
-           ])
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "lean spec: %s" (Run.error_message e)
+    ]
+
+(* Documents written while busy intervals could be switched off carry
+   a boolean "setup.sim.retain_busy".  Every replay now keeps them, so
+   the field is read, type-checked and ignored: such a document runs,
+   oracles included, exactly as it would without the field. *)
+let test_spec_retain_busy_ignored () =
+  let doc schemes sim =
+    Json.Obj
+      [
+        ("schema", Json.Str "dpm-spec/1");
+        ( "workload",
+          Json.Obj
+            [ ("kind", Json.Str "benchmark"); ("name", Json.Str "galgel") ] );
+        ("schemes", Json.Arr (List.map (fun n -> Json.Str n) schemes));
+        ("setup", Json.Obj [ ("sim", Json.Obj sim) ]);
+      ]
   in
-  let field = "setup.sim.retain_busy:" in
+  let run schemes sim =
+    match Run.of_json (doc schemes sim) with
+    | Error e -> Alcotest.failf "read: %s" (Run.error_message e)
+    | Ok s -> (
+        match Run.exec_all s with
+        | Ok results -> results
+        | Error e -> Alcotest.failf "run: %s" (Run.error_message e))
+  in
   List.iter
     (fun schemes ->
-      let s = lean schemes in
+      let label = String.concat "," schemes in
+      let plain = run schemes [] in
       List.iter
-        (fun (entry, result) ->
-          match result with
-          | Error (Run.Malformed_spec m) ->
-              Alcotest.(check string)
-                (String.concat "," schemes ^ " " ^ entry)
-                field
-                (String.sub m 0 (min (String.length m) (String.length field)))
-          | Ok () -> Alcotest.failf "%s: retain_busy false accepted" entry
-          | Error e -> Alcotest.failf "%s: %s" entry (Run.error_message e))
-        [
-          ("describe", Result.map ignore (Run.describe s));
-          ("exec_all", Result.map ignore (Run.exec_all s));
-        ])
+        (fun flag ->
+          let older = run schemes [ ("retain_busy", Json.Bool flag) ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, retain_busy %b: same results" label flag)
+            true (older = plain))
+        [ false; true ])
     [ [ "Base"; "ITPM" ]; [ "IDRPM" ] ];
-  Alcotest.(check bool) "retain_busy false without an oracle" true
-    (Result.is_ok (Run.describe (lean [ "Base"; "TPM"; "CMDRPM" ])))
+  (* A present field still has to be a boolean. *)
+  match Run.of_json (doc [ "ITPM" ] [ ("retain_busy", Json.Str "yes") ]) with
+  | Error (Run.Malformed_spec m) ->
+      let want = "setup.sim.retain_busy: expected" in
+      Alcotest.(check string) "names the field" want
+        (String.sub m 0 (min (String.length m) (String.length want)))
+  | Ok _ -> Alcotest.fail "retain_busy \"yes\" accepted"
+  | Error e -> Alcotest.fail (Run.error_message e)
 
 (* Documents written before the whole setup was carry top-level
    overrides; the reader folds them exactly as [Run.spec]'s labelled
@@ -625,6 +631,8 @@ let suite =
           test_spec_rejections;
         Alcotest.test_case "legacy top-level fields" `Quick
           test_spec_legacy_fields;
+        Alcotest.test_case "older retain_busy documents still read" `Quick
+          test_spec_retain_busy_ignored;
       ] );
     ( "sweep.adaptive",
       [

@@ -1,8 +1,9 @@
-(* Tests for Dpm_util: Rng, Stats, Interval, Units, Table. *)
+(* Tests for Dpm_util (Rng, Stats, Units, Table) and for the reference
+   interval algebra the idle-gap tests compare against. *)
 
 module Rng = Dpm_util.Rng
 module Stats = Dpm_util.Stats
-module Interval = Dpm_util.Interval
+module Interval = Interval_ref
 module Units = Dpm_util.Units
 module Table = Dpm_util.Table
 
@@ -99,34 +100,27 @@ let test_stats_accumulator () =
   check_float "min" 1.0 (Stats.acc_min a);
   check_float "max" 3.0 (Stats.acc_max a)
 
-(* --- Interval --- *)
+(* --- Interval reference (test/interval_ref.ml) ---
+
+   The merge-then-complement algebra [Result.idle_gaps] is checked
+   against; these cases pin the reference itself. *)
 
 let test_interval_normalize () =
-  let s = Interval.of_list [ (3.0, 4.0); (1.0, 2.0); (1.5, 3.5) ] in
-  Alcotest.(check int) "merged" 1 (Interval.count s);
+  let s = Interval.normalize [ (3.0, 4.0); (1.0, 2.0); (1.5, 3.5) ] in
+  Alcotest.(check int) "merged" 1 (List.length s);
   check_float "measure" 3.0 (Interval.measure s)
 
 let test_interval_empty_pairs_dropped () =
-  let s = Interval.of_list [ (2.0, 2.0); (5.0, 1.0) ] in
-  Alcotest.(check bool) "empty" true (Interval.is_empty s)
+  let s = Interval.normalize [ (2.0, 2.0); (5.0, 1.0) ] in
+  Alcotest.(check bool) "empty" true (s = [])
 
 let test_interval_complement () =
-  let s = Interval.of_list [ (1.0, 2.0); (3.0, 4.0) ] in
+  let s = Interval.normalize [ (1.0, 2.0); (3.0, 4.0) ] in
   let c = Interval.complement ~lo:0.0 ~hi:5.0 s in
-  Alcotest.(check int) "three gaps" 3 (Interval.count c);
+  Alcotest.(check int) "three gaps" 3 (List.length c);
   check_float "gap measure" 3.0 (Interval.measure c)
 
-let test_interval_mem () =
-  let s = Interval.singleton 1.0 2.0 in
-  Alcotest.(check bool) "inside" true (Interval.mem s 1.5);
-  Alcotest.(check bool) "lo closed" true (Interval.mem s 1.0);
-  Alcotest.(check bool) "hi open" false (Interval.mem s 2.0)
-
-let test_interval_gaps_longer_than () =
-  let s = Interval.of_list [ (0.0, 1.0); (2.0, 5.0) ] in
-  Alcotest.(check int) "one long" 1 (List.length (Interval.gaps_longer_than 2.0 s))
-
-(* qcheck: interval algebra laws *)
+(* qcheck: interval algebra laws, over pairs inside [0, 110). *)
 
 let pair_list_gen =
   QCheck2.Gen.(
@@ -134,24 +128,12 @@ let pair_list_gen =
       (map2 (fun a b -> (a, a +. b)) (float_bound_exclusive 100.0)
          (float_bound_exclusive 10.0)))
 
-let qcheck_interval_union_measure =
-  QCheck2.Test.make ~count:200 ~name:"interval: measure(a U b) <= measure a + measure b"
-    QCheck2.Gen.(pair pair_list_gen pair_list_gen)
-    (fun (la, lb) ->
-      let a = Interval.of_list la and b = Interval.of_list lb in
-      Interval.measure (Interval.union a b)
-      <= Interval.measure a +. Interval.measure b +. 1e-9)
-
 let qcheck_interval_complement_involution =
   QCheck2.Test.make ~count:200
     ~name:"interval: complement of complement restores measure"
     pair_list_gen
     (fun l ->
-      let s =
-        Interval.inter
-          (Interval.of_list l)
-          (Interval.singleton 0.0 200.0)
-      in
+      let s = Interval.normalize l in
       let c = Interval.complement ~lo:0.0 ~hi:200.0 s in
       let cc = Interval.complement ~lo:0.0 ~hi:200.0 c in
       Float.abs (Interval.measure cc -. Interval.measure s) < 1e-6)
@@ -160,11 +142,11 @@ let qcheck_interval_partition =
   QCheck2.Test.make ~count:200
     ~name:"interval: s and complement partition the domain" pair_list_gen
     (fun l ->
-      let s =
-        Interval.inter (Interval.of_list l) (Interval.singleton 0.0 200.0)
-      in
+      let s = Interval.normalize l in
       let c = Interval.complement ~lo:0.0 ~hi:200.0 s in
-      Interval.is_empty (Interval.inter s c)
+      (* Together they merge into the whole domain, and their measures
+         add up to it, so they cannot overlap. *)
+      Interval.normalize (s @ c) = [ (0.0, 200.0) ]
       && Float.abs (Interval.measure s +. Interval.measure c -. 200.0) < 1e-6)
 
 (* --- Units --- *)
@@ -228,9 +210,6 @@ let suite =
         Alcotest.test_case "normalize" `Quick test_interval_normalize;
         Alcotest.test_case "drop empties" `Quick test_interval_empty_pairs_dropped;
         Alcotest.test_case "complement" `Quick test_interval_complement;
-        Alcotest.test_case "mem" `Quick test_interval_mem;
-        Alcotest.test_case "gaps filter" `Quick test_interval_gaps_longer_than;
-        q qcheck_interval_union_measure;
         q qcheck_interval_complement_involution;
         q qcheck_interval_partition;
       ] );
