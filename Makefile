@@ -178,19 +178,22 @@ ledger-check: ledger-runs
 # Replay-core differential on real traces: the six committed
 # compiler-inserted traces (perfbench/data, read-only; 1,344 directives
 # between them) replay through the CLI on the fast and the reference
-# core, with and without the fault spec, and both the results table and
-# the %.17g timeline JSONL must be byte-identical across cores.  The
-# qcheck suite and perf-check only see synthetic traces.  The same
-# traces then replay merged: perfbench's 4-tenant open-loop descriptor,
-# under the fault spec, on both cores, materialized and streamed; the
-# four results tables and the four timeline JSONL files must all match.
+# core under every queue discipline, with and without the fault spec,
+# and both the results table and the %.17g timeline JSONL must be
+# byte-identical across cores.  The qcheck suite and perf-check only
+# see synthetic traces.  The same traces then replay merged:
+# perfbench's 4-tenant open-loop descriptor, under every discipline,
+# with and without the fault spec, on both cores, materialized and
+# streamed; per discipline and fault setting, the four results tables
+# and the four timeline JSONL files must all match.
+CORE_SCHEDS = fcfs sstf scan c-look sstf-remap
 core-check: build
-	set -e; for t in perfbench/data/*.trc; do \
-	  b=_build/core_$$(basename $$t .trc); \
+	set -e; for t in perfbench/data/*.trc; do for s in $(CORE_SCHEDS); do \
+	  b=_build/core_$$(basename $$t .trc).$$s; \
 	  for core in fast reference; do \
-	    _build/default/bin/dpmsim.exe simulate --trace-file $$t \
+	    _build/default/bin/dpmsim.exe simulate --trace-file $$t --sched $$s \
 	      --core $$core --timeline $$b.$$core.jsonl > $$b.$$core.out; \
-	    _build/default/bin/dpmsim.exe simulate --trace-file $$t \
+	    _build/default/bin/dpmsim.exe simulate --trace-file $$t --sched $$s \
 	      --core $$core --faults "$(FAULT_SPEC)" \
 	      --timeline $$b.$$core.faults.jsonl > $$b.$$core.faults.out; \
 	  done; \
@@ -198,20 +201,23 @@ core-check: build
 	    cmp $$b.fast.$$f $$b.reference.$$f; \
 	  done; \
 	  rm -f $$b.*.jsonl; \
-	done
-	set -e; b=_build/core_merge; \
+	done; done
+	set -e; \
 	load="rate=0.05,jobs=4,zipf=0.5,seed=4,sources=$$(ls perfbench/data/*.trc | paste -sd: -)"; \
-	for v in fast reference fast-stream reference-stream; do \
-	  _build/default/bin/dpmsim.exe simulate --open-loop "$$load" \
-	    -s Base,TPM,DRPM,CMDRPM --faults "$(FAULT_SPEC)" \
-	    --core $${v%-stream} $$(case $$v in *-stream) echo --stream;; esac) \
-	    --timeline $$b.$$v.jsonl > $$b.$$v.out; \
-	done; \
-	for v in reference fast-stream reference-stream; do \
-	  cmp $$b.fast.out $$b.$$v.out; \
-	  cmp $$b.fast.jsonl $$b.$$v.jsonl; \
-	done; \
-	rm -f $$b.*.jsonl
+	for s in $(CORE_SCHEDS); do for faults in "$(FAULT_SPEC)" ""; do \
+	  b=_build/core_merge.$$s$${faults:+.faults}; \
+	  for v in fast reference fast-stream reference-stream; do \
+	    _build/default/bin/dpmsim.exe simulate --open-loop "$$load" \
+	      -s Base,TPM,DRPM,CMDRPM --sched $$s --faults "$$faults" \
+	      --core $${v%-stream} $$(case $$v in *-stream) echo --stream;; esac) \
+	      --timeline $$b.$$v.jsonl > $$b.$$v.out; \
+	  done; \
+	  for v in reference fast-stream reference-stream; do \
+	    cmp $$b.fast.out $$b.$$v.out; \
+	    cmp $$b.fast.jsonl $$b.$$v.jsonl; \
+	  done; \
+	  rm -f $$b.*.jsonl; \
+	done; done
 
 # Scheduler smoke: every request-scheduling discipline replays the same
 # faulty mixed-fleet workload (a fast 36Z15 round-robined with a flash

@@ -67,9 +67,9 @@ let throughput_mode ~baseline () =
   (* Policies are created fresh per replay: the reactive ones (DRPM)
      carry mutable controller state that must not leak across runs.
      The scheduler rows replay Base under each non-FCFS discipline:
-     both cores route through the deferred-dispatch engine there, so
-     their speedup hovers around 1.0 — the floor guards the scheduler's
-     absolute events/sec, not a fast-core ratio. *)
+     the fast core's deferred-dispatch loop against the reference
+     body's, so their speedup floor gates that loop like the FCFS rows
+     gate the eager one. *)
   let sched cfg s = Dpm_sim.Config.with_sched s cfg in
   (* The Base+meter row replays Base with a timeline sink and a
      streaming power meter attached — the gate on the meter's own

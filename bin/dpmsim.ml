@@ -299,7 +299,7 @@ let batch_arg =
 
 let core_arg =
   let doc =
-    "Replay core: $(b,fast) (default) runs the specialized      structure-of-arrays loop under the FCFS scheduler;      $(b,reference) forces the row-at-a-time reference body.       Results are byte-identical — $(b,reference) is the differential      oracle and escape hatch."
+    "Replay core: $(b,fast) (default) runs the specialized      structure-of-arrays loops under every scheduling discipline;      $(b,reference) forces the row-at-a-time reference body.       Results are byte-identical — $(b,reference) is the differential      oracle and escape hatch."
   in
   Arg.(
     value

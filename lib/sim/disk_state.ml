@@ -90,11 +90,13 @@ let create ?recorder specs ~id =
    and returns its index; the caller stores both floats itself.  An
    out-of-line [push t a b] would box both floats at every call (see
    [fbuf] in fastpath.ml), so the floats never cross a call: a
-   reservation takes the record and returns an int. *)
+   reservation takes the record and returns an int.  The result keeps
+   the column as it stands, so growth zero-fills the slack: two equal
+   replays leave structurally equal columns. *)
 let busy_slot t =
   let n = t.nbusy in
   if n + 2 > Float.Array.length t.busy then begin
-    let grown = Float.Array.create (max 64 (2 * n)) in
+    let grown = Float.Array.make (max 64 (2 * n)) 0.0 in
     Float.Array.blit t.busy 0 grown 0 n;
     t.busy <- grown
   end;
@@ -391,8 +393,6 @@ let finalize t ~at = advance t (max at (settle_time t))
 
 let energy t = t.hot.(ix_total_energy)
 let killed_at t = t.killed_at
-let busy_intervals t = Float.Array.sub t.busy 0 t.nbusy
-
 let requests_served t = t.served
 let transition_count t = t.transitions
 let spin_down_count t = t.spin_downs

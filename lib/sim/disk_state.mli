@@ -33,8 +33,9 @@ type t = {
           written per served request on the replay fast path. *)
   mutable busy : Float.Array.t;
       (** Service intervals as interleaved (start, end) pairs, in
-          [busy.(0) .. busy.(nbusy - 1)], grown by {!busy_slot}: an
-          unboxed column, so recording a request allocates nothing. *)
+          [busy.(0) .. busy.(nbusy - 1)], sorted by start, grown by
+          {!busy_slot}: an unboxed column, so recording a request
+          allocates nothing.  The slack past [nbusy] is zero. *)
   mutable nbusy : int;
   mutable served : int;
   mutable transitions : int;
@@ -84,9 +85,9 @@ val create : ?recorder:Timeline.sink -> Dpm_disk.Specs.t -> id:int -> t
 
 val busy_slot : t -> int
 (** Reserve the next (start, end) pair of [busy], growing the column
-    when full, and return the index of its start; the caller stores
-    both floats.  Only ints cross the call, so the floats stay
-    unboxed. *)
+    (zero-filled) when full, and return the index of its start; the
+    caller stores both floats.  Only ints cross the call, so the floats
+    stay unboxed. *)
 
 val id : t -> int
 val phase : t -> phase
@@ -161,9 +162,6 @@ val finalize : t -> at:float -> unit
 (** {2 Statistics} *)
 
 val energy : t -> float
-val busy_intervals : t -> Float.Array.t
-(** The service intervals so far, as an exactly sized copy of the busy
-    column: (start, end) pairs interleaved, sorted by start. *)
 
 val requests_served : t -> int
 val transition_count : t -> int

@@ -36,9 +36,7 @@ let observed ~config ~mode ~faults ~timeline ~ndisks ~nblocks
 let run_stream ?(config = Config.default) ?(mode = `Open)
     ?(faults = Fault.none) ?timeline ?(core = `Fast) policy stream =
   let replay =
-    match core with
-    | `Fast when Fastpath.supported ~config -> Fastpath.replay
-    | `Fast | `Reference -> Sched.replay
+    match core with `Fast -> Fastpath.replay | `Reference -> Sched.replay
   in
   observed ~config ~mode ~faults ~timeline
     ~ndisks:(Stream.ndisks stream)

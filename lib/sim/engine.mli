@@ -28,10 +28,9 @@ type mode = [ `Open | `Closed ]
 
 type core = [ `Fast | `Reference ]
 (** Replay core selection.  [`Fast] (the default) runs the specialized
-    structure-of-arrays loop ({!Fastpath}) for every policy under the
-    FCFS scheduler, falling back to the reference body for the deferred
-    disciplines;
-    [`Reference] forces the reference body in {!Sched}, which reads the
+    structure-of-arrays loops ({!Fastpath}) for every policy under
+    every queue discipline;
+    [`Reference] forces the reference bodies in {!Sched}, which read the
     same chunk rows one accessor call at a time.  The two
     produce byte-identical results — energies, execution times, fault
     counters, gap choices, timelines, telemetry histograms — which the

@@ -28,10 +28,14 @@ let make () =
       }
   else None
 
-(* Queue depth seen by a request: completions in the ring still in the
-   future at its arrival time, i.e. requests in flight on that disk. *)
-let arrival o ~ring ~arrival =
-  let outstanding = ref 0 in
+(* Queue depth seen by a request: the [queued] requests still waiting
+   in its disk's deferred queue, plus the completions in the ring still
+   in the future at its arrival time — the requests issued to that disk
+   and not yet done (under FCFS every request issues on arrival, so
+   [queued] is 0; under a deferred discipline the ring holds at most the
+   one in service). *)
+let arrival o ~ring ~queued ~arrival =
+  let outstanding = ref queued in
   Array.iter (fun c -> if c > arrival then incr outstanding) ring;
   Dpm_util.Histo.add o.qdepth (float_of_int !outstanding)
 
@@ -43,8 +47,8 @@ let service o ~fault ~retries_before ~response =
       Dpm_util.Histo.add o.retries
         (float_of_int (Fault.retries_so_far fs - retries_before))
 
-let observe_arrival obs ~ring ~arrival:at =
-  match obs with None -> () | Some o -> arrival o ~ring ~arrival:at
+let observe_arrival obs ~ring ~queued ~arrival:at =
+  match obs with None -> () | Some o -> arrival o ~ring ~queued ~arrival:at
 
 let observe_service obs ~fault ~retries_before ~response =
   match obs with
@@ -52,8 +56,8 @@ let observe_service obs ~fault ~retries_before ~response =
   | Some o -> service o ~fault ~retries_before ~response
 
 (* Scheduler dispatch: queue wait and absolute head travel.  Only the
-   Sched replay calls this, so legacy runs keep these histograms empty
-   and [flush] never registers them. *)
+   deferred disciplines call this, so FCFS runs keep these histograms
+   empty and [flush] never registers them. *)
 let observe_dispatch obs ~wait ~seek_blocks =
   match obs with
   | None -> ()

@@ -14,16 +14,19 @@ val make : unit -> t option
 (** [Some] fresh histograms when the global telemetry collector has
     histograms enabled, [None] otherwise. *)
 
-val arrival : t -> ring:float array -> arrival:float -> unit
-(** Record the queue depth seen by a request arriving at [arrival]:
-    completions in [ring] still in the future at that time. *)
+val arrival : t -> ring:float array -> queued:int -> arrival:float -> unit
+(** Record the queue depth seen by a request arriving at [arrival]: the
+    [queued] requests waiting in its disk's deferred queue (0 under
+    FCFS, which issues every request on arrival) plus the completions
+    in [ring] still in the future at that time. *)
 
 val service :
   t -> fault:Fault.state option -> retries_before:int -> response:float -> unit
 (** Record one request's response time, and (under fault injection) its
     transient-retry count as the delta from [retries_before]. *)
 
-val observe_arrival : t option -> ring:float array -> arrival:float -> unit
+val observe_arrival :
+  t option -> ring:float array -> queued:int -> arrival:float -> unit
 (** {!arrival} with the [None] check inside — the reference body's
     per-event call shape. *)
 
@@ -37,8 +40,8 @@ val observe_service :
 val observe_dispatch : t option -> wait:float -> seek_blocks:int -> unit
 (** Record one scheduler dispatch: the queue wait (dispatch − arrival,
     seconds) and the absolute head travel in stripe units.  Only the
-    {!Sched} replay calls this, so legacy FCFS runs keep these
-    histograms empty and {!flush} never registers them. *)
+    deferred disciplines call this, so FCFS runs keep these histograms
+    empty and {!flush} never registers them. *)
 
 val retries_before : t option -> Fault.state option -> int
 (** Retry counter sample before a serve, or 0 when either is off. *)

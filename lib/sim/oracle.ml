@@ -36,7 +36,7 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
         /. float_of_int (Rpm.rpm_of_level specs level))
   in
   let seek = specs.Specs.avg_seek in
-  let busy = base.Result.disks.(disk).Result.busy in
+  let { Result.busy; nbusy; _ } = base.Result.disks.(disk) in
   let horizon = Result.horizon base ~disk in
   let start k = Float.Array.get busy (2 * k)
   and stop k = Float.Array.get busy ((2 * k) + 1) in
@@ -59,7 +59,7 @@ let phases ?(config = Config.default) (base : Result.t) ~disk =
      [burst_threshold] after its predecessor ends. *)
   let skeleton = ref [] in
   let cursor = ref 0.0 in
-  let n = Float.Array.length busy / 2 in
+  let n = nbusy / 2 in
   let first = ref 0 in
   for k = 1 to n do
     if k = n || start k -. stop (k - 1) >= burst_threshold then begin
@@ -277,6 +277,7 @@ let idrpm ?(config = Config.default) ?timeline (base : Result.t) =
         {
           Result.energy = !energy;
           busy = d.Result.busy;
+          nbusy = d.Result.nbusy;
           requests = d.Result.requests;
           transitions = !transitions;
           spin_downs = 0;
@@ -328,7 +329,7 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
         in
         let busy = d.Result.busy in
         let busy_time = ref 0.0 in
-        for k = 0 to (Float.Array.length busy / 2) - 1 do
+        for k = 0 to (d.Result.nbusy / 2) - 1 do
           let a = Float.Array.get busy (2 * k)
           and b = Float.Array.get busy ((2 * k) + 1) in
           busy_time := !busy_time +. (b -. a);
@@ -414,6 +415,7 @@ let itpm ?(config = Config.default) ?timeline (base : Result.t) =
         {
           Result.energy = active_energy +. !gap_energy;
           busy = d.Result.busy;
+          nbusy = d.Result.nbusy;
           requests = d.Result.requests;
           transitions = 0;
           spin_downs = !spin_downs;

@@ -1,6 +1,7 @@
 type disk_stats = {
   energy : float;
   busy : Float.Array.t;
+  nbusy : int;
   requests : int;
   transitions : int;
   spin_downs : int;
@@ -53,7 +54,7 @@ let horizon t ~disk =
    the run closes.  Comparisons are [Stdlib.min]/[max]'s, so every
    bound is the float the merge-then-complement algebra produces. *)
 let idle_gaps t ~disk =
-  let busy = t.disks.(disk).busy and horizon = horizon t ~disk in
+  let { busy; nbusy; _ } = t.disks.(disk) and horizon = horizon t ~disk in
   let gaps = ref [] and cursor = ref 0.0 in
   let run_lo = ref 0.0 and run_hi = ref 0.0 and in_run = ref false in
   let close_run () =
@@ -61,7 +62,7 @@ let idle_gaps t ~disk =
     if upto > !cursor then gaps := (!cursor, upto) :: !gaps;
     if !run_hi > !cursor then cursor := !run_hi
   in
-  for k = 0 to (Float.Array.length busy / 2) - 1 do
+  for k = 0 to (nbusy / 2) - 1 do
     let lo = Float.Array.get busy (2 * k)
     and hi = Float.Array.get busy ((2 * k) + 1) in
     if hi > lo then

@@ -7,7 +7,10 @@ type disk_stats = {
   energy : float;
   busy : Float.Array.t;
       (** Service intervals as interleaved (start, end) pairs — pair [k]
-          is [busy.(2k)], [busy.(2k+1)] — sorted by start. *)
+          is [busy.(2k)], [busy.(2k+1)] — sorted by start: the replay's
+          own column, of which only the first [nbusy] floats count (the
+          slack past them is zero). *)
+  nbusy : int;  (** Floats of [busy] in use: twice the interval count. *)
   requests : int;
   transitions : int;  (** RPM modulations. *)
   spin_downs : int;

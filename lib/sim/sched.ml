@@ -1,13 +1,15 @@
 (* Per-disk bounded request queues with pluggable service order.
 
-   This module owns the reference replay body.  Under FCFS (the
-   default) requests are served eagerly in trace order — the exact
-   pre-fleet engine loop, kept byte-identical for homogeneous
-   configurations — while the other disciplines defer each request into
-   its disk's bounded queue and dispatch by policy: SSTF (shortest seek
-   first), SCAN (elevator), C-LOOK (circular), and a bad-sector-aware
-   SSTF that prices remapped blocks at their post-remap position in the
-   spare pool past the data blocks.
+   This module owns the reference replay bodies, the differential
+   reference that {!Fastpath}'s two loops re-implement and
+   [core:`Reference] runs.  Under FCFS (the default) requests are
+   served eagerly in trace order — the exact pre-fleet engine loop,
+   kept byte-identical for homogeneous configurations — while the other
+   disciplines defer each request into its disk's bounded queue and
+   dispatch by policy: SSTF (shortest seek first), SCAN (elevator),
+   C-LOOK (circular), and a bad-sector-aware SSTF that prices remapped
+   blocks at their post-remap position in the spare pool past the data
+   blocks.
 
    The deferred machinery is exact, not approximate: a dispatch fires
    at max(disk free, earliest queued arrival), requests that have not
@@ -141,7 +143,8 @@ let finish s ~program ~clock =
       (fun st ->
         {
           Result.energy = Disk_state.energy st;
-          busy = Disk_state.busy_intervals st;
+          busy = st.Disk_state.busy;
+          nbusy = st.Disk_state.nbusy;
           requests = Disk_state.requests_served st;
           transitions = Disk_state.transition_count st;
           spin_downs = Disk_state.spin_down_count st;
@@ -196,7 +199,7 @@ let fcfs_step s clock c i =
     let ring = s.recent.(d) and pos = s.recent_pos.(d) in
     if ring.(pos) > !clock then clock := ring.(pos);
     let arrival = !clock in
-    Observe.observe_arrival s.obs ~ring ~arrival;
+    Observe.observe_arrival s.obs ~ring ~queued:0 ~arrival;
     let issue = max arrival s.backlog.(d) in
     s.policy.Policy.catch_up st ~now:issue;
     let before = Observe.retries_before s.obs s.fault in
@@ -404,7 +407,8 @@ let replay ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
               if t > !clock then clock := t
             done;
             let arrival = !clock in
-            Observe.observe_arrival obs ~ring:s.recent.(d) ~arrival;
+            Observe.observe_arrival obs ~ring:s.recent.(d)
+              ~queued:pend_n.(d) ~arrival;
             enqueue d ~arrival ~block:(Chunk.block c i) ~bytes;
             let nominal =
               Service.request_time s.models.(d) ~level:s.tops.(d) ~bytes

@@ -1,7 +1,9 @@
 (** Per-disk bounded request queues with pluggable service order.
 
-    This module owns the reference replay body that {!Engine.run_stream}
-    dispatches to.  The discipline comes from {!Config.t.sched}:
+    This module owns the reference replay bodies that
+    {!Engine.run_stream} runs under [core:`Reference], and that
+    {!Fastpath} re-implements for the default fast core, byte for byte
+    in results.  The discipline comes from {!Config.t.sched}:
 
     - [Fcfs] (default) — requests issue eagerly in trace order, the
       exact legacy engine loop.  Homogeneous configurations replay
@@ -22,7 +24,8 @@
     dispatch emits a {!Timeline.Dispatch} mark, so {!Timeline.check} can
     independently replay the discipline's choices, and feeds the
     [sim.sched.wait_s]/[sim.sched.seek_blocks] histograms via
-    {!Observe.observe_dispatch}. *)
+    {!Observe.observe_dispatch}; the [sim.queue_depth] an arrival sees
+    counts the requests queued ahead of it plus the one in service. *)
 
 type t = Config.sched = Fcfs | Sstf | Scan | Clook | Sstf_remap
 
@@ -100,6 +103,7 @@ val replay :
   Dpm_trace.Trace.Stream.t ->
   Result.t
 (** The reference replay under [config.sched], heterogeneous-fleet
-    aware (per-disk models via {!Config.model}).  Engine-internal:
-    callers should go through {!Engine.run_stream}, which adds fault
-    setup, observation flushing and telemetry around this. *)
+    aware (per-disk models via {!Config.model}): the differential
+    reference behind [core:`Reference].  Engine-internal: callers
+    should go through {!Engine.run_stream}, which adds fault setup,
+    observation flushing and telemetry around this. *)

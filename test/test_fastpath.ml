@@ -56,15 +56,17 @@ let hooked_directive_policies config ~ndisks =
 let policies config ~ndisks =
   builtin_policies config ~ndisks @ hooked_directive_policies config ~ndisks
 
-let replay_pair ?(config = Config.default) ~faults ~batch mk trace =
+let replay_pair ?(config = Config.default) ?(mode = `Open) ~faults ~batch mk
+    trace =
   let sink_r = Timeline.sink () and sink_f = Timeline.sink () in
   let r_ref =
-    Engine.run_stream ~config ~faults ~timeline:sink_r ~core:`Reference
+    Engine.run_stream ~config ~mode ~faults ~timeline:sink_r ~core:`Reference
       (mk ())
       (Stream.of_trace ~batch trace)
   in
   let r_fast =
-    Engine.run_stream ~config ~faults ~timeline:sink_f ~core:`Fast (mk ())
+    Engine.run_stream ~config ~mode ~faults ~timeline:sink_f ~core:`Fast
+      (mk ())
       (Stream.of_trace ~batch trace)
   in
   ( (r_ref, Timeline.events (Timeline.contents sink_r)),
@@ -72,41 +74,81 @@ let replay_pair ?(config = Config.default) ~faults ~batch mk trace =
 
 (* --- The core differential property --- *)
 
-(* The fleet varies too: the specialized loop reads per-disk service
-   tables and nominal-time caches, and heterogeneous fleets (FCFS, so
-   the fast path genuinely engages) must not break the differential. *)
+(* Whether some disk dispatched a request before one that had arrived
+   earlier: its discipline really reordered the queue. *)
+let reordered events =
+  let last = Hashtbl.create 4 in
+  List.exists
+    (function
+      | Timeline.Mark { disk; mark = Timeline.Dispatch { arrival; _ }; _ } ->
+          let earlier =
+            match Hashtbl.find_opt last disk with
+            | Some a -> arrival < a
+            | None -> false
+          in
+          Hashtbl.replace last disk arrival;
+          earlier
+      | _ -> false)
+    events
+
+let reorderings = ref 0
+
+(* The configuration varies too: every discipline (the deferred ones
+   replay through the queue columns and cached dispatch times), queue
+   depths 1-48 and fleets (per-disk service tables and nominal-time
+   caches), in both replay modes. *)
 let qcheck_core_equiv =
   QCheck2.Test.make ~count:25
     ~name:
       "fastpath: core:`Fast ≡ core:`Reference (policies × batches × faults × \
-       fleets)"
-    QCheck2.Gen.(tup2 Gen.gen_trace Gen.gen_fleet)
-    (fun (trace, fleet) ->
-      let config = Config.with_fleet fleet Config.default in
+       configs × modes)"
+    ~print:(fun (trace, config) ->
+      Printf.sprintf "%d events, %s"
+        (Array.length (Trace.events trace))
+        (Gen.config_print config))
+    QCheck2.Gen.(tup2 Gen.gen_trace Gen.gen_config)
+    (fun (trace, config) ->
       let ndisks = Trace.ndisks trace in
       List.for_all
-        (fun (_, mk) ->
+        (fun mode ->
           List.for_all
-            (fun batch ->
+            (fun (_, mk) ->
               List.for_all
-                (fun faults ->
-                  let (r_r, tl_r), (r_f, tl_f) =
-                    replay_pair ~config ~faults ~batch mk trace
-                  in
-                  r_r = r_f && tl_r = tl_f
-                  && r_r.Result.faults = r_f.Result.faults)
-                [ Fault.none; Gen.fault_spec ])
-            [ 1; 7; 4096 ])
-        (policies config ~ndisks))
+                (fun batch ->
+                  List.for_all
+                    (fun faults ->
+                      let (r_r, tl_r), (r_f, tl_f) =
+                        replay_pair ~config ~mode ~faults ~batch mk trace
+                      in
+                      if reordered tl_f then incr reorderings;
+                      r_r = r_f && tl_r = tl_f
+                      && r_r.Result.faults = r_f.Result.faults)
+                    [ Fault.none; Gen.fault_spec ])
+                [ 1; 7; 4096 ])
+            (policies config ~ndisks))
+        [ `Open; `Closed ])
 
-(* [Fastpath.replay] itself, with no fallback to the reference body:
-   it raises on a configuration it cannot replay. *)
+(* The property, seeded per run like every [QCheck_alcotest] case
+   (QCHECK_SEED, QCHECK_LONG), then a check on what it drew: the
+   committed traces never queue under Base, so the generated cases must
+   — some replay has to dispatch out of arrival order. *)
+let test_core_equiv =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_core_equiv in
+  Alcotest.test_case name speed (fun () ->
+      reorderings := 0;
+      run ();
+      Alcotest.(check bool)
+        (Printf.sprintf "generated cases reorder a queue (%d replays did)"
+           !reorderings)
+        true (!reorderings > 0))
+
+(* [Fastpath.replay] itself, not through the engine. *)
 let fast_direct policy trace =
   Fastpath.replay ~config:Config.default ~mode:`Open ~fault:None
     ~timeline:None ~obs:None policy (Stream.of_trace trace)
 
-(* Every policy shape replays on the fast core (no fallback) and
-   matches the reference body. *)
+(* Every policy shape replays on the fast core and matches the
+   reference body. *)
 let check_fast_direct policies =
   let trace = Gen.sample_trace () in
   List.iter
@@ -118,15 +160,11 @@ let check_fast_direct policies =
         (fast_direct (mk ()) trace = r_ref))
     (policies Config.default ~ndisks:(Trace.ndisks trace))
 
-(* The Hooked + directives shapes, which [Fastpath.supported] used to
-   reject: they now replay on the fast core. *)
+(* The Hooked + directives shapes replay on the fast core too. *)
 let test_unsupported_shape_falls_back () =
   check_fast_direct hooked_directive_policies
 
-let test_supported_shapes () =
-  Alcotest.(check bool) "FCFS supported" true
-    (Fastpath.supported ~config:Config.default);
-  check_fast_direct builtin_policies
+let test_supported_shapes () = check_fast_direct builtin_policies
 
 (* --- Experiment level: all seven schemes, both cores, 1 vs 4 domains --- *)
 
@@ -158,9 +196,29 @@ let test_experiment_core_equiv () =
 
 (* --- Telemetry histograms: the fast core feeds the same streams --- *)
 
+(* [bursts] bursts of [per_burst] reads round-robin over four disks at
+   scattered blocks, each after an idle gap longer than TPM's
+   threshold: under TPM every burst queues behind a spin-up. *)
+let bursts_trace ~bursts ~per_burst =
+  let events =
+    List.init (bursts * per_burst) (fun i ->
+        Gen.io
+          ~think:(if i mod per_burst = 0 then 40.0 else 0.0005)
+          ~disk:(i mod 4)
+          ~block:(i * 37 mod 64)
+          ())
+  in
+  Trace.make ~tail_think:0.5 ~program:"bursts" ~ndisks:4 events
+
 let test_histograms_equal () =
-  let trace = Gen.busy_trace ~think:0.02 ~n:200 ~ndisks:4 () in
-  let capture core =
+  (* A busy stretch, then a burst behind a spin-up. *)
+  let trace =
+    Trace.make ~tail_think:0.5 ~program:"busy+burst" ~ndisks:4
+      (Array.to_list
+         (Trace.events (Gen.busy_trace ~think:0.02 ~n:200 ~ndisks:4 ()))
+      @ Array.to_list (Trace.events (bursts_trace ~bursts:1 ~per_burst:40)))
+  in
+  let capture config core =
     let t = Telemetry.global in
     Telemetry.reset t;
     Telemetry.set_histograms t true;
@@ -170,19 +228,41 @@ let test_histograms_equal () =
         Telemetry.reset t)
       (fun () ->
         ignore
-          (Engine.run_stream ~core (Policy.tpm Config.default)
+          (Engine.run_stream ~config ~core (Policy.tpm config)
              (Stream.of_trace trace));
         Telemetry.histograms t)
   in
-  let h_ref = capture `Reference and h_fast = capture `Fast in
-  Alcotest.(check bool) "histograms present" true (h_ref <> []);
-  Alcotest.(check bool) "identical histograms" true (h_ref = h_fast)
+  List.iter
+    (fun sched ->
+      let config = Config.with_sched sched Config.default in
+      let name = Config.sched_name sched in
+      let h_ref = capture config `Reference
+      and h_fast = capture config `Fast in
+      Alcotest.(check bool) (name ^ ": histograms present") true (h_ref <> []);
+      Alcotest.(check bool) (name ^ ": identical histograms") true
+        (h_ref = h_fast);
+      if sched <> Config.Fcfs then begin
+        Alcotest.(check bool) (name ^ ": dispatch histograms present") true
+          (List.mem_assoc "sim.sched.wait_s" h_ref
+          && List.mem_assoc "sim.sched.seek_blocks" h_ref);
+        (* The burst waits in the queue, not in the completion ring:
+           the depth a request sees counts the requests queued ahead of
+           it. *)
+        let depth =
+          Dpm_util.Histo.max_value (List.assoc "sim.queue_depth" h_ref)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: queue depth above 1 behind a spin-up (max %g)"
+             name depth)
+          true (depth > 1.0)
+      end)
+    (List.map snd Config.sched_names)
 
 (* --- Allocation regression: the zero-allocation claim --- *)
 
-let words_per_event core policy trace =
+let words_per_event ?(config = Config.default) core policy trace =
   let replay () =
-    ignore (Engine.run_stream ~core policy (Stream.of_trace trace))
+    ignore (Engine.run_stream ~config ~core policy (Stream.of_trace trace))
   in
   replay ();
   (* warm: SoA memoization, minor heap shape *)
@@ -210,6 +290,28 @@ let test_allocation_regression () =
       ("tpm", Policy.tpm Config.default);
       ("cm_drpm", Policy.cm_drpm);
     ];
+  (* The deferred disciplines, over bursts that queue behind TPM's
+     spin-ups: the queue columns, the cached dispatch times and the
+     picks allocate nothing either.  (Each spin-down and spin-up cycle
+     costs TPM a few hundred words on either loop, hence long
+     bursts.) *)
+  let bursts = bursts_trace ~bursts:10 ~per_burst:2000 in
+  List.iter
+    (fun sched ->
+      let config = Config.with_sched sched Config.default in
+      List.iter
+        (fun (name, policy) ->
+          let w = words_per_event ~config `Fast policy bursts in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s allocates ~0/event (got %.3f)"
+               (Config.sched_name sched) name w)
+            true (w < 1.0))
+        [
+          ("base", Policy.base);
+          ("tpm", Policy.tpm config);
+          ("cm_drpm", Policy.cm_drpm);
+        ])
+    [ Config.Sstf; Config.Scan; Config.Clook; Config.Sstf_remap ];
   (* Hooked policies cross a closure boundary per served request, which
      boxes the float arguments: bounded, but not zero.  The reference
      core's per-event record decoding sits far above both. *)
@@ -309,11 +411,10 @@ let test_of_file_soa_matches_load () =
         [ 1; 3; 4096 ])
 
 let suite =
-  let q = QCheck_alcotest.to_alcotest in
   [
     ( "fastpath.differential",
       [
-        q qcheck_core_equiv;
+        test_core_equiv;
         Alcotest.test_case "unsupported shape falls back" `Quick
           test_unsupported_shape_falls_back;
         Alcotest.test_case "built-in policies supported" `Quick

@@ -27,7 +27,6 @@ module Policy = Dpm_sim.Policy
 module Config = Dpm_sim.Config
 module Sched = Dpm_sim.Sched
 module Fault = Dpm_sim.Fault
-module Fastpath = Dpm_sim.Fastpath
 module Timeline = Dpm_sim.Timeline
 module Result = Dpm_sim.Result
 module Specs = Dpm_disk.Specs
@@ -244,19 +243,14 @@ let test_sstf_serves_outlier () =
             (String.concat "; " msgs))
     [ Sched.Sstf; Sched.Scan; Sched.Clook; Sched.Sstf_remap ]
 
-(* --- Fastpath fallback matrix --- *)
+(* --- Both cores under every discipline --- *)
 
 let test_fastpath_fallback () =
   List.iter
     (fun sched ->
       let config = Config.with_sched sched Config.default in
-      let supported = Fastpath.supported ~config in
-      Alcotest.(check bool)
-        (Config.sched_name sched ^ " fastpath support")
-        (sched = Config.Fcfs) supported;
       (* Whatever the discipline, asking for the fast core must not
-         change the answer: non-FCFS falls back to the deferred
-         engine. *)
+         change the answer. *)
       let trace = Gen.busy_trace ~think:0.01 ~n:50 ~ndisks:4 () in
       let r_ref =
         replay ~config ~core:`Reference ~faults:Gen.fault_spec ~batch:8

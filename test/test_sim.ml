@@ -219,9 +219,9 @@ let test_result_idle_gaps () =
    busy column; it must return exactly the gaps of the list algebra
    (test/interval_ref.ml) it replaced. *)
 let reference_gaps (r : Result.t) ~disk =
-  let busy = r.Result.disks.(disk).Result.busy in
+  let { Result.busy; nbusy; _ } = r.Result.disks.(disk) in
   let pairs =
-    List.init (Float.Array.length busy / 2) (fun k ->
+    List.init (nbusy / 2) (fun k ->
         (Float.Array.get busy (2 * k), Float.Array.get busy ((2 * k) + 1)))
   in
   Interval_ref.complement ~lo:0.0 ~hi:(Result.horizon r ~disk)
@@ -238,6 +238,7 @@ let result_of_busy ~exec_time busy =
         {
           Result.energy = 0.0;
           busy;
+          nbusy = Float.Array.length busy;
           requests = Float.Array.length busy / 2;
           transitions = 0;
           spin_downs = 0;
@@ -513,8 +514,7 @@ let qcheck_busy_intervals_sorted_disjoint =
       let r = Engine.run Policy.base trace in
       Array.for_all
         (fun (d : Result.disk_stats) ->
-          let busy = d.Result.busy in
-          let n = Float.Array.length busy in
+          let busy = d.Result.busy and n = d.Result.nbusy in
           (* Each pair is well formed and ends before the next starts. *)
           let rec ok k =
             k >= n
