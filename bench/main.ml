@@ -363,6 +363,13 @@ let micro () =
   let specs = Dpm_sim.Config.default.Dpm_sim.Config.specs in
   let trace = Dpm_trace.Generate.run program plan in
   let source = spec.Dpm_workloads.Suite.source () in
+  let cost = Dpm_trace.Generate.default_config.Dpm_trace.Generate.cost
+  and cache_blocks = Dpm_trace.Generate.default_config.cache_blocks in
+  let log = Dpm_trace.Walk.log ~cost ~cache_blocks program plan in
+  let cmdrpm =
+    Dpm_compiler.Pipeline.compile ~scheme:Dpm_compiler.Insertion.Drpm ~specs
+      program plan
+  in
   let tests =
     [
       Test.make ~name:"parse-galgel"
@@ -376,6 +383,16 @@ let micro () =
              ignore (Dpm_compiler.Estimate.profile ~specs program plan)));
       Test.make ~name:"trace-generation"
         (Staged.stage (fun () -> ignore (Dpm_trace.Generate.run program plan)));
+      Test.make ~name:"walk-log"
+        (Staged.stage (fun () ->
+             ignore (Dpm_trace.Walk.log ~cost ~cache_blocks program plan)));
+      (* A CM trace as a job derives it: from the existing log. *)
+      Test.make ~name:"cm-trace-splice"
+        (Staged.stage (fun () ->
+             ignore
+               (Dpm_trace.Generate.of_log
+                  (Dpm_trace.Walk.splice log
+                     cmdrpm.Dpm_compiler.Pipeline.points))));
       Test.make ~name:"replay-base"
         (Staged.stage (fun () ->
              ignore (Dpm_sim.Engine.run Dpm_sim.Policy.base trace)));

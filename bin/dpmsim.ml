@@ -655,13 +655,13 @@ let disk_arg =
 let dap_cmd =
   let run name disk version =
     let setup, (p, plan) = bench_job name version in
-    let activities =
-      Dpm_compiler.Access.of_program_cached ~cache_blocks:setup.cache_blocks
-        p plan
+    let log =
+      Dpm_trace.Walk.log ~cost:Dpm_ir.Cost.default
+        ~cache_blocks:setup.cache_blocks p plan
     in
+    let activities = Dpm_compiler.Access.of_log log in
     let est =
-      Dpm_compiler.Estimate.profile ~cache_blocks:setup.cache_blocks
-        ~specs:setup.sim.Dpm_sim.Config.specs p plan
+      Dpm_compiler.Estimate.of_log ~specs:setup.sim.Dpm_sim.Config.specs log
     in
     let dap = Dpm_compiler.Dap.build activities est in
     Format.printf "@[<v>%a@]@." (Dpm_compiler.Dap.pp_disk activities)
@@ -790,13 +790,13 @@ let report_cmd =
               (fun m -> Dpm_util.Log.error ~scope:"report" m)
               msgs;
             1
-        | Ok () ->
+        | Ok report ->
             write ~what:"wrote run report" out (fun oc ->
                 output_string oc (json_text doc));
             Option.iter
               (fun path ->
                 write ~what:"wrote markdown digest" path (fun oc ->
-                    output_string oc (Dpm_core.Report.markdown doc)))
+                    output_string oc (Dpm_core.Report.markdown report)))
               md;
             finish_instrumentation inst;
             0)
@@ -850,7 +850,7 @@ let report_check_cmd =
     | Ok doc -> (
         match Dpm_core.Report.validate doc with
         | Error msgs -> fail "report-check" msgs
-        | Ok () -> (
+        | Ok _ -> (
             if schema then
               List.iter print_endline (Dpm_util.Json.schema_outline doc);
             match trace with

@@ -37,11 +37,10 @@ let of_counts ~item ~var ~lo ~step counts =
     miss_counts = counts;
   }
 
-let of_program_cached
-    ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
-    (p : Ir.Program.t) plan =
+let of_log log =
+  let plan = Dpm_trace.Walk.plan log in
   let ndisks = Layout.Plan.ndisks plan in
-  let items = Dpm_trace.Walk.items p in
+  let items = Dpm_trace.Walk.items (Dpm_trace.Walk.program log) in
   let counts =
     Array.map
       (fun (i : Dpm_trace.Walk.item) -> Array.make_matrix ndisks i.slots 0)
@@ -49,17 +48,21 @@ let of_program_cached
   in
   let ord = ref 0 in
   let (_ : int) =
-    Dpm_trace.Walk.run ~cost:Ir.Cost.default ~cache_blocks
+    Dpm_trace.Walk.iter log
       ~iteration:(fun ~cycles:_ ~item:_ ~ordinal ~iter:_ -> ord := ordinal)
       ~miss:(fun ~cycles:_ ~item ~array ~unit ~kind:_ ->
         let c = counts.(item).(Layout.Plan.unit_disk plan array unit) in
         c.(!ord) <- c.(!ord) + 1)
       ~call:(fun ~cycles:_ _ -> ())
-      p plan
   in
   List.init (Array.length items) (fun item ->
       let { Dpm_trace.Walk.var; lo; step; slots = _ } = items.(item) in
       of_counts ~item ~var ~lo ~step counts.(item))
+
+let of_program_cached
+    ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
+    (p : Ir.Program.t) plan =
+  of_log (Dpm_trace.Walk.log ~cost:Ir.Cost.default ~cache_blocks p plan)
 
 let window_requests t ~disk ~lo ~hi =
   let cs = t.miss_counts.(disk) in

@@ -25,13 +25,17 @@ type t = {
           issues. *)
 }
 
+val of_log : Dpm_trace.Walk.log -> t list
+(** One activity record per top-level item of the logged program, in
+    order; a statement or a call is one "iteration".  Each miss of the
+    walk counts against the current outer iteration. *)
+
 val of_program_cached :
   ?cache_blocks:int -> Dpm_ir.Program.t -> Dpm_layout.Plan.t -> t list
-(** One activity record per top-level item, in order; a statement or a
-    call is one "iteration".  Each miss of the walk counts against the
-    current outer iteration.  [cache_blocks] defaults to the trace
-    generator's ({!Dpm_trace.Generate.default_config}), so the access
-    pattern and {!Estimate.profile} plan from one cache. *)
+(** {!of_log} of a fresh walk under the default cost model.
+    [cache_blocks] defaults to the trace generator's
+    ({!Dpm_trace.Generate.default_config}), so the access pattern and
+    {!Estimate.profile} plan from one cache. *)
 
 val window_requests : t -> disk:int -> lo:int -> hi:int -> int
 (** Total requests a disk receives over an inclusive ordinal range. *)

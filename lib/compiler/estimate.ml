@@ -22,16 +22,15 @@ let rebuild_starts durations =
   in
   (starts, !clock)
 
-(* A fold over the one loop-nest walk.  Cycles become seconds when a
-   slot closes (each top-level iteration start and the end) and before
-   each miss adds its full-speed service time; a call only accumulates. *)
-let profile ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
-    ~specs (p : Ir.Program.t) plan =
-  let cost = Ir.Cost.default in
+(* A fold over a walk's log.  Cycles become seconds when a slot closes
+   (each top-level iteration start and the end) and before each miss
+   adds its full-speed service time; a call only accumulates. *)
+let of_log ~specs log =
+  let cost = Dpm_trace.Walk.cost log and plan = Dpm_trace.Walk.plan log in
   let durations =
     Array.map
       (fun (i : Dpm_trace.Walk.item) -> Array.make i.slots 0.0)
-      (Dpm_trace.Walk.items p)
+      (Dpm_trace.Walk.items (Dpm_trace.Walk.program log))
   in
   let top = Dpm_disk.Rpm.max_level specs in
   let clock = ref 0.0 and pending = ref 0 in
@@ -48,7 +47,7 @@ let profile ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
     slot_start := !clock
   in
   let tail =
-    Dpm_trace.Walk.run ~cost ~cache_blocks
+    Dpm_trace.Walk.iter log
       ~iteration:(fun ~cycles ~item ~ordinal ~iter:_ ->
         close_slot cycles;
         cur_item := item;
@@ -60,11 +59,14 @@ let profile ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
           +. Dpm_disk.Service.request_time specs ~level:top
                ~bytes:(Layout.Plan.unit_bytes plan array unit))
       ~call:(fun ~cycles _ -> pending := !pending + cycles)
-      p plan
   in
   close_slot tail;
   let starts, total = rebuild_starts durations in
   { durations; starts; total }
+
+let profile ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
+    ~specs (p : Ir.Program.t) plan =
+  of_log ~specs (Dpm_trace.Walk.log ~cost:Ir.Cost.default ~cache_blocks p plan)
 
 let perturb ~noise ~seed t =
   if noise < 0.0 then invalid_arg "Estimate.perturb: negative noise";

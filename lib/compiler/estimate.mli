@@ -21,14 +21,18 @@ type t = {
   total : float;  (** Estimated whole-run time. *)
 }
 
+val of_log : specs:Dpm_disk.Specs.t -> Dpm_trace.Walk.log -> t
+(** Exact instrumented walk (the calibration run): a fold over a walk's
+    log, under the log's cost model, every miss served at full
+    speed. *)
+
 val profile :
   ?cache_blocks:int ->
   specs:Dpm_disk.Specs.t ->
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->
   t
-(** Exact instrumented walk (the calibration run): a fold over the one
-    loop-nest walk ({!Dpm_trace.Walk}) under the default cost model.
+(** {!of_log} of a fresh walk under the default cost model.
     [cache_blocks] defaults to the trace generator's
     ({!Dpm_trace.Generate.default_config}), as for
     {!Access.of_program_cached}. *)

@@ -224,43 +224,9 @@ let plan_tpm ~specs ~pm_overhead ~pre_lead (dap : Dap.t) (est : Estimate.t) =
   done;
   { decisions = List.rev !decisions; points }
 
-(* --- Code modification --- *)
-
-let split_loop (l : Ir.Loop.t) points =
-  let closed x = invalid_arg ("Insertion: unbound iterator " ^ x) in
-  let lo = Ir.Expr.eval closed l.lo and hi = Ir.Expr.eval closed l.hi in
-  let trips = if hi < lo then 0 else ((hi - lo) / l.step) + 1 in
-  let segment a b =
-    (* Iterations with ordinals in [a, b). *)
-    if b <= a then None
-    else
-      Some
-        (Ir.Loop.For
-           {
-             l with
-             lo = Ir.Expr.Const (lo + (a * l.step));
-             hi = Ir.Expr.Const (lo + ((b - 1) * l.step));
-           })
-  in
-  let nodes = ref [] in
-  let cursor = ref 0 in
-  List.iter
-    (fun p ->
-      let ord = max 0 (min p.ordinal trips) in
-      (match segment !cursor ord with
-      | Some n -> nodes := n :: !nodes
-      | None -> ());
-      cursor := max !cursor ord;
-      nodes := Ir.Loop.Call p.call :: !nodes)
-    points;
-  (match segment !cursor trips with
-  | Some n -> nodes := n :: !nodes
-  | None -> ());
-  List.rev !nodes
-
-let insert ~specs ?(pm_overhead = 2.0e-6) ?(pre_lead = 0.0)
-    ?(request_bytes = Dpm_util.Units.kib 64) ?(serve_slow = true) scheme
-    (p : Ir.Program.t) dap est =
+let plan ~specs ?(pm_overhead = 2.0e-6) ?(pre_lead = 0.0)
+    ?(request_bytes = Dpm_util.Units.kib 64) ?(serve_slow = true) scheme dap
+    (est : Estimate.t) =
   let planned =
     match scheme with
     | Tpm -> plan_tpm ~specs ~pm_overhead ~pre_lead dap est
@@ -268,22 +234,19 @@ let insert ~specs ?(pm_overhead = 2.0e-6) ?(pre_lead = 0.0)
         plan_drpm ~specs ~pm_overhead ~pre_lead ~request_bytes ~serve_slow dap
           est
   in
-  let body =
-    List.concat
-      (List.mapi
-         (fun item node ->
-           match Hashtbl.find_opt planned.points item with
-           | None -> [ node ]
-           | Some pts -> (
-               let pts =
-                 List.sort
-                   (fun a b -> compare (a.ordinal, a.rank) (b.ordinal, b.rank))
-                   pts
-               in
-               match node with
-               | Ir.Loop.For l -> split_loop l pts
-               | Ir.Loop.Stmt _ | Ir.Loop.Call _ ->
-                   List.map (fun pt -> Ir.Loop.Call pt.call) pts @ [ node ]))
-         p.Ir.Program.body)
+  let points =
+    Array.init (Array.length est.Estimate.starts) (fun item ->
+        Option.value ~default:[] (Hashtbl.find_opt planned.points item)
+        |> List.sort (fun a b ->
+               compare (a.ordinal, a.rank) (b.ordinal, b.rank))
+        |> List.map (fun pt -> (pt.ordinal, pt.call)))
   in
-  (Ir.Program.with_body p body, planned.decisions)
+  (points, planned.decisions)
+
+let insert ~specs ?pm_overhead ?pre_lead ?request_bytes ?serve_slow scheme
+    (p : Ir.Program.t) dap est =
+  let points, decisions =
+    plan ~specs ?pm_overhead ?pre_lead ?request_bytes ?serve_slow scheme dap
+      est
+  in
+  (Dpm_trace.Walk.insert_calls points p, decisions)

@@ -37,6 +37,23 @@ val preactivation_distance : t_su:float -> s:float -> t_m:float -> int
     shortest-path time through one loop iteration, and the call
     overhead. *)
 
+val plan :
+  specs:Dpm_disk.Specs.t ->
+  ?pm_overhead:float ->
+  ?pre_lead:float ->
+  ?request_bytes:int ->
+  ?serve_slow:bool ->
+  scheme ->
+  Dap.t ->
+  Estimate.t ->
+  Dpm_trace.Walk.points * decision list
+(** The planning step: the calls to insert, per top-level item of the
+    estimated program, each item's list sorted by ordinal with
+    pre-activations and serving-speed settings ahead of low-power calls
+    on one boundary; plus the decisions taken.  The same points drive
+    the rewrite ({!Dpm_trace.Walk.insert_calls}) and the derivation of
+    the rewrite's walk ({!Dpm_trace.Walk.splice}). *)
+
 val insert :
   specs:Dpm_disk.Specs.t ->
   ?pm_overhead:float ->
@@ -49,4 +66,5 @@ val insert :
   Estimate.t ->
   Dpm_ir.Program.t * decision list
 (** Plan and apply: returns the instrumented program (loops split, calls
-    inserted) plus the decisions taken. *)
+    inserted by {!Dpm_trace.Walk.insert_calls}) plus the decisions
+    taken. *)

@@ -36,6 +36,7 @@ type analysis = {
 
 type compiled = {
   program : Dpm_ir.Program.t;
+  points : Dpm_trace.Walk.points;
   decisions : Insertion.decision list;
   dap : Dap.t;
   estimate : Estimate.t;
@@ -44,19 +45,15 @@ type compiled = {
 
 let span name f = Dpm_util.Telemetry.span Dpm_util.Telemetry.global name f
 
-let analyze ?(noise = 0.0) ?(seed = 42) ?cache_blocks ~specs
-    (p : Dpm_ir.Program.t) plan =
+let analyze ?(noise = 0.0) ?(seed = 42) ~specs log =
+  let p = Dpm_trace.Walk.program log in
   Dpm_util.Telemetry.span
     ~args:(fun () -> [ ("program", p.Dpm_ir.Program.name) ])
     Dpm_util.Telemetry.global "compile.pipeline"
     (fun () ->
-      let activities =
-        span "compile.access" (fun () ->
-            Access.of_program_cached ?cache_blocks p plan)
-      in
+      let activities = span "compile.access" (fun () -> Access.of_log log) in
       let profile =
-        span "compile.estimate" (fun () ->
-            Estimate.profile ?cache_blocks ~specs p plan)
+        span "compile.estimate" (fun () -> Estimate.of_log ~specs log)
       in
       let estimate =
         if noise = 0.0 then profile else Estimate.perturb ~noise ~seed profile
@@ -66,10 +63,13 @@ let analyze ?(noise = 0.0) ?(seed = 42) ?cache_blocks ~specs
 
 let insert ~scheme ?pm_overhead ?pre_lead ?serve_slow ~specs
     { source; dap; estimate; profile } =
-  let program, decisions =
+  let program, points, decisions =
     span "compile.insert" (fun () ->
-        Insertion.insert ~specs ?pm_overhead ?pre_lead ?serve_slow scheme
-          source dap estimate)
+        let points, decisions =
+          Insertion.plan ~specs ?pm_overhead ?pre_lead ?serve_slow scheme dap
+            estimate
+        in
+        (Dpm_trace.Walk.insert_calls points source, points, decisions))
   in
   let tele = Dpm_util.Telemetry.global in
   if Dpm_util.Telemetry.histograms_enabled tele then
@@ -78,9 +78,11 @@ let insert ~scheme ?pm_overhead ?pre_lead ?serve_slow ~specs
         Dpm_util.Telemetry.observe tele "compile.idle_gap.predicted_s"
           (d.window.Dap.t_end -. d.window.Dap.t_start))
       decisions;
-  { program; decisions; dap; estimate; profile }
+  { program; points; decisions; dap; estimate; profile }
 
-let compile ~scheme ?noise ?seed ?cache_blocks ?pm_overhead ?pre_lead
-    ?serve_slow ~specs p plan =
+let compile ~scheme ?noise ?seed
+    ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
+    ?pm_overhead ?pre_lead ?serve_slow ~specs p plan =
   insert ~scheme ?pm_overhead ?pre_lead ?serve_slow ~specs
-    (analyze ?noise ?seed ?cache_blocks ~specs p plan)
+    (analyze ?noise ?seed ~specs
+       (Dpm_trace.Walk.log ~cost:Dpm_ir.Cost.default ~cache_blocks p plan))

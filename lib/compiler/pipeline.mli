@@ -44,23 +44,26 @@ type analysis = {
 val analyze :
   ?noise:float ->
   ?seed:int ->
-  ?cache_blocks:int ->
   specs:Dpm_disk.Specs.t ->
-  Dpm_ir.Program.t ->
-  Dpm_layout.Plan.t ->
+  Dpm_trace.Walk.log ->
   analysis
-(** The scheme-free front of paper Figure 1: the access analysis, the
-    exact timing profile, its perturbation by [noise] (default 0; the
-    same [seed], default 42, always gives the same estimate) and the
-    DAP.  The analysis and the profile walk the same cache:
-    [cache_blocks], by default the trace generator's
-    ({!Dpm_trace.Generate.default_config}).  Telemetry: one
-    [compile.pipeline] span over the [compile.access],
-    [compile.estimate] and [compile.dap] passes; insertion is not in
-    it. *)
+(** The scheme-free front of paper Figure 1, read off one logged walk
+    ({!Dpm_trace.Walk.log}) of the program to analyze: the access
+    analysis, the exact timing profile, its perturbation by [noise]
+    (default 0; the same [seed], default 42, always gives the same
+    estimate) and the DAP.  The analysis and the profile see the log's
+    cache, and the caller's trace can come from the same log
+    ({!Dpm_trace.Generate.of_log}).  Telemetry: one [compile.pipeline]
+    span over the [compile.access], [compile.estimate] and
+    [compile.dap] passes; insertion is not in it. *)
 
 type compiled = {
   program : Dpm_ir.Program.t;  (** With power calls inserted. *)
+  points : Dpm_trace.Walk.points;
+      (** The inserted calls, per top-level item of the source: [program]
+          is [Walk.insert_calls points source], and
+          [Walk.splice log points] derives its walk from the source's
+          log. *)
   decisions : Insertion.decision list;
   dap : Dap.t;
   estimate : Estimate.t;  (** The (perturbed) estimate planning used. *)
@@ -75,9 +78,10 @@ val insert :
   specs:Dpm_disk.Specs.t ->
   analysis ->
   compiled
-(** Power-call insertion ({!Insertion.insert}) into the analysis's
-    [source], in a [compile.insert] span of its own (a sibling of
-    [compile.pipeline], not inside it). *)
+(** Power-call insertion into the analysis's [source]: the planning
+    step ({!Insertion.plan}) and the rewrite
+    ({!Dpm_trace.Walk.insert_calls}), in a [compile.insert] span of its
+    own (a sibling of [compile.pipeline], not inside it). *)
 
 val compile :
   scheme:Insertion.scheme ->
@@ -92,4 +96,6 @@ val compile :
   Dpm_layout.Plan.t ->
   compiled
 (** The full proactive pipeline of paper Figure 1: {!insert} applied to
-    {!analyze}. *)
+    {!analyze} of one walk of the program under the default cost model,
+    with a cache of [cache_blocks], by default the trace generator's
+    ({!Dpm_trace.Generate.default_config}). *)

@@ -119,11 +119,11 @@ let ingest_report t (report : Report.t) =
       acc.faults <- add_faults acc.faults r.faults)
     report.Report.schemes;
   List.iter
-    (fun (name, histo) ->
+    (fun (h : Report.histogram) ->
       let slot = ref t.histos in
-      let into = assoc_or name Histo.create slot in
+      let into = assoc_or h.name Histo.create slot in
       t.histos <- !slot;
-      Histo.merge_into ~into histo)
+      Histo.merge_into ~into h.buckets)
     report.Report.histograms
 
 (* --- meter ingest --- *)

@@ -42,11 +42,17 @@ let transformed setup p plan =
     Telemetry.global "compile.transform"
     (fun () -> Compiler.Pipeline.transform setup.version p plan)
 
+(* The one walk of a job's program: the Base trace, the analysis and
+   every CM trace derive from its log. *)
+let walk setup p plan =
+  Trace.Walk.log ~cost:Dpm_ir.Cost.default ~cache_blocks:setup.cache_blocks p
+    plan
+
 (* The scheme-free half of a CM compile: one per program and plan,
    shared by CMTPM and CMDRPM. *)
-let analyze setup p plan =
+let analyze setup log =
   Compiler.Pipeline.analyze ~noise:setup.noise ~seed:setup.seed
-    ~cache_blocks:setup.cache_blocks ~specs:setup.sim.Sim.Config.specs p plan
+    ~specs:setup.sim.Sim.Config.specs log
 
 let compile_cm setup scheme ischeme analysis =
   Telemetry.span
@@ -132,14 +138,21 @@ let replay_schemes ?timeline ~setup ~schemes ~args ~cm source =
 
 let run_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all) p plan =
   let p, plan = transformed setup p plan in
-  let analysis = lazy (analyze setup p plan) in
+  let log = lazy (walk setup p plan) in
+  let base = shared setup (fun () -> Trace.Generate.of_log (Lazy.force log)) in
+  let analysis = lazy (analyze setup (Lazy.force log)) in
+  (* A compile that inserts no call replays the Base trace itself. *)
   let cm scheme ischeme =
     let compiled = compile_cm setup scheme ischeme (Lazy.force analysis) in
-    generated setup compiled.Compiler.Pipeline.program plan ()
+    let points = compiled.Compiler.Pipeline.points in
+    if Array.for_all (fun pts -> pts = []) points then base ()
+    else
+      Trace.Trace.Stream.of_trace ~batch:setup.batch
+        (Trace.Generate.of_log (Trace.Walk.splice (Lazy.force log) points))
   in
   replay_schemes ?timeline ~setup ~schemes
     ~args:[ ("program", p.Dpm_ir.Program.name) ]
-    ~cm (generated setup p plan)
+    ~cm base
 
 (* CM schemes replay whatever directives the external trace embeds. *)
 let replay_all ?(setup = default_setup) ?timeline ?(schemes = Scheme.all)
@@ -158,14 +171,14 @@ let overlap (a0, a1) (b0, b1) = min a1 b1 -. max a0 b0
 
 let misprediction_pct ?(setup = default_setup) p plan =
   let p, plan = transformed setup p plan in
-  let trace = Trace.Generate.run ~config:(gen_config setup) p plan in
+  let log = walk setup p plan in
+  let trace = Trace.Generate.of_log log in
   let base =
     Sim.Engine.run ~config:setup.sim ~mode:setup.mode ~faults:setup.faults
       ~core:setup.core Sim.Policy.base trace
   in
   let compiled =
-    compile_cm setup Scheme.Cmdrpm Compiler.Insertion.Drpm
-      (analyze setup p plan)
+    compile_cm setup Scheme.Cmdrpm Compiler.Insertion.Drpm (analyze setup log)
   in
   let top = Dpm_disk.Rpm.max_level setup.sim.Sim.Config.specs in
   (* Decisions are anchored at code positions; place them on the actual

@@ -3,8 +3,9 @@
     replay it under the scheme's policy, and report energy and execution
     time.  {!run_all} and {!replay_all} share one per-scheme body (one
     place maps a scheme to its policy) and differ only in where the
-    streams come from: {!generated} builds a program's trace once, and
-    {!source} is the one stream-or-load choice for trace files.
+    streams come from: {!run_all} derives every trace from one walk of
+    the program ({!Dpm_trace.Walk.log}), and {!source} is the one
+    stream-or-load choice for trace files.
     Drivers handling user input go through {!Run}, whose [spec] carries a
     {!setup}. *)
 
@@ -99,9 +100,14 @@ val run_all :
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->
   (Scheme.t * Dpm_sim.Result.t) list
-(** Run several schemes, sharing the trace generation and Base replay,
-    and one compiler analysis ({!Dpm_compiler.Pipeline.analyze}) between
-    the compiler-managed schemes, which each only insert their calls.
+(** Run several schemes over one walk of the transformed program: its
+    log, recorded on first need, yields the Base trace
+    ({!Dpm_trace.Generate.of_log}), the one compiler analysis
+    ({!Dpm_compiler.Pipeline.analyze}) the compiler-managed schemes
+    share, and each CM trace, derived by splicing that scheme's calls
+    into the log ({!Dpm_trace.Walk.splice}) — or the Base trace itself
+    when the compile inserted no call.  The Base trace and Base replay
+    are shared; the log lives for this call only.
     [timeline] supplies one sink per scheme (or [None] to skip one); the
     caller owns the sinks, so results and logs are read back
     independently.  Note the shared Base replay runs at most once: its
@@ -124,7 +130,8 @@ val replay_all :
 
 val misprediction_pct :
   ?setup:setup -> Dpm_ir.Program.t -> Dpm_layout.Plan.t -> float
-(** Table 3 metric: percentage of exploitable idle periods for which
+(** Table 3 metric, from one walk of the transformed program (its
+    Base trace and its analysis): percentage of exploitable idle periods for which
     CMDRPM's chosen RPM level differs from IDRPM's oracle choice (gaps the
     oracle exploits but the compiler misses, and compiler actions on gaps
     the oracle would leave alone, both count as mispredictions). *)

@@ -186,123 +186,6 @@ let of_spec spec =
        ~timeline_of:(fun s -> Sim.Timeline.contents (List.assoc s sinks))
        results)
 
-(* --- markdown digest --- *)
-
-let get_str k j = Option.value ~default:"-" (Option.bind (Json.member k j) Json.to_str)
-
-let get_num k j =
-  match Option.bind (Json.member k j) Json.to_float with
-  | Some f -> Printf.sprintf "%.6g" f
-  | None -> "-"
-
-let get_int k j =
-  match Option.bind (Json.member k j) Json.to_int with
-  | Some i -> string_of_int i
-  | None -> "-"
-
-let rows k j = Option.value ~default:[] (Option.bind (Json.member k j) Json.to_list)
-
-let md_table buf header row_of items =
-  Buffer.add_string buf ("| " ^ String.concat " | " header ^ " |\n");
-  Buffer.add_string buf
-    ("|" ^ String.concat "|" (List.map (fun _ -> "---") header) ^ "|\n");
-  List.iter
-    (fun item ->
-      Buffer.add_string buf ("| " ^ String.concat " | " (row_of item) ^ " |\n"))
-    items
-
-let markdown doc =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf "# dpm run report: %s\n\n" (get_str "benchmark" doc));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "- schema: %s\n- mode: %s\n- transform: %s\n- faults: `%s`\n- sched: \
-        %s\n- fleet: %s\n- domains: %s\n\n"
-       (get_str "schema" doc) (get_str "mode" doc) (get_str "transform" doc)
-       (get_str "faults" doc) (get_str "sched" doc)
-       (match get_str "fleet" doc with "" -> "(homogeneous)" | f -> f)
-       (get_int "domains" doc));
-  Buffer.add_string buf "## Schemes\n\n";
-  md_table buf
-    [ "scheme"; "energy (J)"; "time (s)"; "E/base"; "T/base"; "requests" ]
-    (fun s ->
-      [
-        get_str "scheme" s;
-        get_num "energy_j" s;
-        get_num "exec_time_s" s;
-        get_num "energy_norm" s;
-        get_num "time_norm" s;
-        get_int "requests" s;
-      ])
-    (rows "schemes" doc);
-  Buffer.add_string buf "\n## Timeline checks\n\n";
-  md_table buf
-    [ "scheme"; "sim end (s)"; "reintegrated (J)"; "energy match"; "invariants" ]
-    (fun s ->
-      let tl = Option.value ~default:Json.Null (Json.member "timeline" s) in
-      let b k =
-        match Option.bind (Json.member k tl) Json.to_bool with
-        | Some true -> "ok"
-        | Some false -> "FAIL"
-        | None -> "-"
-      in
-      [
-        get_str "scheme" s;
-        get_num "sim_end_s" tl;
-        get_num "reintegrated_energy_j" tl;
-        b "energy_match";
-        b "invariants_ok";
-      ])
-    (rows "schemes" doc);
-  (let faulty =
-     List.filter
-       (fun s ->
-         match
-           Option.bind
-             (Option.bind (Json.member "faults" s) (Json.member "read_retries"))
-             Json.to_int
-         with
-         | Some _ -> true
-         | None -> false)
-       (rows "schemes" doc)
-   in
-   Buffer.add_string buf "\n## Fault counters\n\n";
-   md_table buf
-     [ "scheme"; "retries"; "delay (s)"; "remaps"; "spinup-rec"; "redirects"; "failed" ]
-     (fun s ->
-       let f = Option.value ~default:Json.Null (Json.member "faults" s) in
-       [
-         get_str "scheme" s;
-         get_int "read_retries" f;
-         get_num "retry_delay_s" f;
-         get_int "remaps" f;
-         get_int "spin_up_recoveries" f;
-         get_int "redirects" f;
-         get_int "failed_disks" f;
-       ])
-     faulty);
-  Buffer.add_string buf "\n## Histograms\n\n";
-  md_table buf
-    [ "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ]
-    (fun h ->
-      [
-        get_str "name" h;
-        get_int "count" h;
-        get_num "mean" h;
-        get_num "p50" h;
-        get_num "p90" h;
-        get_num "p99" h;
-        get_num "max" h;
-      ])
-    (rows "histograms" doc);
-  Buffer.add_string buf "\n## Stage timings\n\n";
-  md_table buf
-    [ "stage"; "calls"; "total (s)" ]
-    (fun s -> [ get_str "stage" s; get_int "calls" s; get_num "total_s" s ])
-    (rows "stages" doc);
-  Buffer.contents buf
-
 (* --- the one reader --- *)
 
 type scheme_row = {
@@ -313,13 +196,33 @@ type scheme_row = {
   time_norm : float;
   requests : int;
   faults : Sim.Result.fault_stats;
+  sim_end_s : float;
+  reintegrated_energy_j : float;
+  energy_match : bool;
   invariants_ok : bool;
+}
+
+type histogram = {
+  name : string;
+  count : int;
+  mean : float;
+  p50 : float;
+  p90 : float;
+  p99 : float;
+  max : float;
+  buckets : Dpm_util.Histo.t;
 }
 
 type t = {
   benchmark : string;
+  mode : string;
+  transform : string;
+  faults : string;
+  sched : string;
+  fleet : string;
+  domains : int;
   schemes : scheme_row list;
-  histograms : (string * Dpm_util.Histo.t) list;
+  histograms : histogram list;
   stages : (string * float * int) list;
 }
 
@@ -360,10 +263,11 @@ let decode_scheme i s =
       failed_disks;
     }
   in
-  let invariants_ok =
-    need Json.boolean (at ^ "timeline.") "invariants_ok"
-      (need Json.obj at "timeline" s)
-  in
+  let tl = need Json.obj at "timeline" s and at = at ^ "timeline." in
+  let sim_end_s = need Json.number at "sim_end_s" tl in
+  let reintegrated_energy_j = need Json.number at "reintegrated_energy_j" tl in
+  let energy_match = need Json.boolean at "energy_match" tl in
+  let invariants_ok = need Json.boolean at "invariants_ok" tl in
   {
     scheme;
     energy_j;
@@ -372,14 +276,24 @@ let decode_scheme i s =
     time_norm;
     requests;
     faults;
+    sim_end_s;
+    reintegrated_energy_j;
+    energy_match;
     invariants_ok;
   }
 
 let decode_histogram i h =
   let at = Printf.sprintf "histograms[%d]." i in
+  let num k = need Json.number at k h in
   let name = need Json.text at "name" h in
+  let count = need Json.integer at "count" h in
+  let mean = num "mean" in
+  let p50 = num "p50" in
+  let p90 = num "p90" in
+  let p99 = num "p99" in
+  let max = num "max" in
   match Dpm_util.Histo.of_json (need Json.obj at "buckets" h) with
-  | Ok histo -> (name, histo)
+  | Ok buckets -> { name; count; mean; p50; p90; p99; max; buckets }
   | Error e -> raise (Bad_field (Printf.sprintf "%sbuckets: %s" at e))
 
 let decode_stage i st =
@@ -391,15 +305,33 @@ let decode_stage i st =
 let decode doc =
   let items k decode_item = List.mapi decode_item (need Json.array "" k doc) in
   match
-    let schema = need Json.text "" "schema" doc in
+    let text k = need Json.text "" k doc in
+    let schema = text "schema" in
     if schema <> schema_version then
       raise
         (Bad_field
            (Printf.sprintf "schema: %S, expected %S" schema schema_version));
-    let benchmark = need Json.text "" "benchmark" doc in
+    let benchmark = text "benchmark" in
+    let mode = text "mode" in
+    let transform = text "transform" in
+    let faults = text "faults" in
+    let sched = text "sched" in
+    let fleet = text "fleet" in
+    let domains = need Json.integer "" "domains" doc in
     let schemes = items "schemes" decode_scheme in
     let histograms = items "histograms" decode_histogram in
-    { benchmark; schemes; histograms; stages = items "stages" decode_stage }
+    {
+      benchmark;
+      mode;
+      transform;
+      faults;
+      sched;
+      fleet;
+      domains;
+      schemes;
+      histograms;
+      stages = items "stages" decode_stage;
+    }
   with
   | report -> Ok report
   | exception Bad_field m -> Error m
@@ -410,11 +342,95 @@ let validate doc =
   | Ok { schemes = []; _ } -> Error [ "schemes: empty array" ]
   | Ok r -> (
       match List.filter (fun row -> not row.invariants_ok) r.schemes with
-      | [] -> Ok ()
+      | [] -> Ok r
       | failed ->
           Error
             (List.map (fun row -> row.scheme ^ ": timeline invariants failed")
                failed))
+
+(* --- markdown digest --- *)
+
+let md_table buf header row_of items =
+  Buffer.add_string buf ("| " ^ String.concat " | " header ^ " |\n");
+  Buffer.add_string buf
+    ("|" ^ String.concat "|" (List.map (fun _ -> "---") header) ^ "|\n");
+  List.iter
+    (fun item ->
+      Buffer.add_string buf ("| " ^ String.concat " | " (row_of item) ^ " |\n"))
+    items
+
+let markdown r =
+  let num = Printf.sprintf "%.6g" and int = string_of_int in
+  let verdict ok = if ok then "ok" else "FAIL" in
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf (Printf.sprintf "# dpm run report: %s\n\n" r.benchmark);
+  Buffer.add_string buf
+    (Printf.sprintf
+       "- schema: %s\n- mode: %s\n- transform: %s\n- faults: `%s`\n- sched: \
+        %s\n- fleet: %s\n- domains: %d\n\n"
+       schema_version r.mode r.transform r.faults r.sched
+       (match r.fleet with "" -> "(homogeneous)" | f -> f)
+       r.domains);
+  Buffer.add_string buf "## Schemes\n\n";
+  md_table buf
+    [ "scheme"; "energy (J)"; "time (s)"; "E/base"; "T/base"; "requests" ]
+    (fun s ->
+      [
+        s.scheme;
+        num s.energy_j;
+        num s.exec_time_s;
+        num s.energy_norm;
+        num s.time_norm;
+        int s.requests;
+      ])
+    r.schemes;
+  Buffer.add_string buf "\n## Timeline checks\n\n";
+  md_table buf
+    [ "scheme"; "sim end (s)"; "reintegrated (J)"; "energy match"; "invariants" ]
+    (fun s ->
+      [
+        s.scheme;
+        num s.sim_end_s;
+        num s.reintegrated_energy_j;
+        verdict s.energy_match;
+        verdict s.invariants_ok;
+      ])
+    r.schemes;
+  Buffer.add_string buf "\n## Fault counters\n\n";
+  md_table buf
+    [ "scheme"; "retries"; "delay (s)"; "remaps"; "spinup-rec"; "redirects"; "failed" ]
+    (fun (s : scheme_row) ->
+      let f = s.faults in
+      [
+        s.scheme;
+        int f.Sim.Result.read_retries;
+        num f.Sim.Result.retry_delay;
+        int f.Sim.Result.remaps;
+        int f.Sim.Result.spin_up_recoveries;
+        int f.Sim.Result.redirects;
+        int f.Sim.Result.failed_disks;
+      ])
+    r.schemes;
+  Buffer.add_string buf "\n## Histograms\n\n";
+  md_table buf
+    [ "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ]
+    (fun h ->
+      [
+        h.name;
+        int h.count;
+        num h.mean;
+        num h.p50;
+        num h.p90;
+        num h.p99;
+        num h.max;
+      ])
+    r.histograms;
+  Buffer.add_string buf "\n## Stage timings\n\n";
+  md_table buf
+    [ "stage"; "calls"; "total (s)" ]
+    (fun (stage, total_s, calls) -> [ stage; int calls; num total_s ])
+    r.stages;
+  Buffer.contents buf
 
 (* --- benchmark snapshots --- *)
 

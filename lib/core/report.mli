@@ -8,8 +8,9 @@
     the independently re-integrated energy and the invariant-check
     verdict, the registered latency/queue/gap histograms (each row with
     its mergeable {!Dpm_util.Histo.to_json} buckets), and the flat stage
-    timings and counters.  The same document renders as a markdown
-    digest ({!markdown}), decodes ({!decode}) and validates ({!validate}) — the
+    timings and counters.  The same document decodes ({!decode}),
+    validates ({!validate}) and, decoded, renders as a markdown digest
+    ({!markdown}) — the
     golden check in [make report-check] compares its
     {!Dpm_util.Json.schema_outline}, so values may change freely while
     the shape is pinned.
@@ -56,11 +57,6 @@ val of_spec : Run.spec -> (Dpm_util.Json.t, Run.error) result
     columns); a daemon job is the same value reported without the
     shared collector (see {!document}). *)
 
-val markdown : Dpm_util.Json.t -> string
-(** Renders a report document as a human-readable markdown digest
-    (scheme table, fault counters, histogram quantiles, stage timings).
-    Total: unknown fields are skipped, missing ones render as [-]. *)
-
 type scheme_row = {
   scheme : string;
   energy_j : float;
@@ -69,26 +65,52 @@ type scheme_row = {
   time_norm : float;
   requests : int;
   faults : Dpm_sim.Result.fault_stats;
-  invariants_ok : bool;  (** The row's [timeline.invariants_ok]. *)
+  sim_end_s : float;  (** The row's [timeline.sim_end_s]. *)
+  reintegrated_energy_j : float;  (** [timeline.reintegrated_energy_j]. *)
+  energy_match : bool;  (** [timeline.energy_match]. *)
+  invariants_ok : bool;  (** [timeline.invariants_ok]. *)
+}
+
+type histogram = {
+  name : string;
+  count : int;
+  mean : float;
+  p50 : float;
+  p90 : float;
+  p99 : float;
+  max : float;
+  buckets : Dpm_util.Histo.t;  (** The mergeable [buckets]. *)
 }
 
 type t = {
   benchmark : string;
+  mode : string;
+  transform : string;
+  faults : string;
+  sched : string;
+  fleet : string;  (** Semicolon-joined model slugs; [""] when homogeneous. *)
+  domains : int;
   schemes : scheme_row list;
-  histograms : (string * Dpm_util.Histo.t) list;  (** Name, [buckets]. *)
+  histograms : histogram list;
   stages : (string * float * int) list;  (** Name, total seconds, calls. *)
 }
 
 val decode : Dpm_util.Json.t -> (t, string) result
 (** The one reader of a {!schema_version} document ({!validate},
-    [dpmsim aggregate] and [dpmsim submit] go through it): the schema
-    tag and every field above, the first missing or mistyped one being
-    the error, named by its path (["schemes[1].requests: missing"]).
-    The histogram and stage arrays may be empty, not absent. *)
+    {!markdown}'s callers, [dpmsim aggregate] and [dpmsim submit] go
+    through it): the schema tag and every field above, the first missing
+    or mistyped one being the error, named by its path
+    (["schemes[1].requests: missing"]).  The histogram and stage arrays
+    may be empty, not absent. *)
 
-val validate : Dpm_util.Json.t -> (unit, string list) result
+val validate : Dpm_util.Json.t -> (t, string list) result
 (** {!decode}, then the verdicts: at least one scheme, and every
     scheme's timeline invariants ok.  Used by [dpmsim report-check]. *)
+
+val markdown : t -> string
+(** Renders a decoded report as a human-readable markdown digest
+    (scheme table, timeline checks, fault counters, histogram quantiles,
+    stage timings). *)
 
 val bench_snapshot :
   ?extra:(string * Dpm_util.Json.t) list ->

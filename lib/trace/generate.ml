@@ -2,18 +2,19 @@ type config = { cost : Dpm_ir.Cost.model; cache_blocks : int }
 
 let default_config = { cost = Dpm_ir.Cost.default; cache_blocks = 1024 }
 
-(* Folds the one loop-nest walk into an event sink.  Cycles become
-   seconds at each request (its think time) and at the end (the tail
-   think time, which this returns). *)
-let walk ~config (p : Dpm_ir.Program.t) plan ~emit =
+(* Folds a walk's log into an event sink.  Cycles become seconds at
+   each request (its think time) and at the end (the tail think time,
+   which this returns). *)
+let fold log ~emit =
+  let cost = Walk.cost log and plan = Walk.plan log in
   let pending = ref 0 and current_iter = ref 0 in
   let think cycles =
-    let t = Dpm_ir.Cost.seconds config.cost (!pending + cycles) in
+    let t = Dpm_ir.Cost.seconds cost (!pending + cycles) in
     pending := 0;
     t
   in
   let tail =
-    Walk.run ~cost:config.cost ~cache_blocks:config.cache_blocks
+    Walk.iter log
       ~iteration:(fun ~cycles ~item:_ ~ordinal:_ ~iter ->
         pending := !pending + cycles;
         current_iter := iter)
@@ -38,20 +39,23 @@ let walk ~config (p : Dpm_ir.Program.t) plan ~emit =
               Request.Set_rpm { level; disk }
         in
         emit (Request.Pm { think = think cycles; directive }))
-      p plan
   in
   think tail
 
-let run ?(config = default_config) p plan =
+let of_log log =
   let tele = Dpm_util.Telemetry.global in
+  let name = (Walk.program log).Dpm_ir.Program.name in
   let trace =
     Dpm_util.Telemetry.span
-      ~args:(fun () -> [ ("program", p.Dpm_ir.Program.name) ])
+      ~args:(fun () -> [ ("program", name) ])
       tele "trace.gen"
       (fun () ->
-        Trace.build ~program:p.Dpm_ir.Program.name
-          ~ndisks:(Dpm_layout.Plan.ndisks plan)
-          (walk ~config p plan))
+        Trace.build ~program:name
+          ~ndisks:(Dpm_layout.Plan.ndisks (Walk.plan log))
+          (fold log))
   in
   Dpm_util.Telemetry.add tele "trace.events" (Trace.event_count trace);
   trace
+
+let run ?(config = default_config) p plan =
+  of_log (Walk.log ~cost:config.cost ~cache_blocks:config.cache_blocks p plan)

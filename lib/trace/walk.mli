@@ -18,10 +18,15 @@
     Every callback carries [cycles], the integer cycles accrued since the
     previous callback; {!run} returns those accrued after the last one.
     Consumers convert to seconds where they need to, so sums stay exact.
-    The trace generator, the reuse-aware access analysis and the timing
-    profile are folds over this walk.
 
-    Each {!run} lowers the program once into an integer kernel and
+    A job walks once: {!log} records every callback of one walk, and the
+    trace generator, the reuse-aware access analysis and the timing
+    profile are folds over that record ({!iter}).  A compiled program
+    is not walked again: its calls sit at top-level iteration
+    boundaries ({!insert_calls}), so {!splice} derives its record from
+    the source program's.
+
+    Each walk lowers the program once into an integer kernel and
     executes that: iterators live in int slots, subscripts are
     {!Dpm_ir.Expr.lower} evaluators, each reference maps its element to
     a global block through {!Dpm_layout.Plan.element_block}, each
@@ -67,3 +72,68 @@ val run :
     an array missing from the plan, the plan's [Invalid_argument] for an
     index out of range, and the unbound-iterator error above; a
     reference that never executes raises nothing. *)
+
+(** {1 The miss log} *)
+
+type log
+(** One walk, recorded: every callback of {!run} in order, four ints per
+    record (its top-level item and kind, two payload fields and its
+    integer cycles), plus the tail.  A log carries the program, plan,
+    cost model and cache size it was walked with, so a consumer reads
+    them from the log rather than being handed a possibly different
+    pair.  Two logs of the same walk are structurally equal. *)
+
+val log :
+  cost:Dpm_ir.Cost.model ->
+  cache_blocks:int ->
+  Dpm_ir.Program.t ->
+  Dpm_layout.Plan.t ->
+  log
+(** Walks the program once, as {!run} does, and records the walk; a
+    program on which {!run} raises makes [log] raise the same
+    exception.  Wall time is recorded under the [trace.walk] span of
+    {!Dpm_util.Telemetry.global} (a no-op unless enabled). *)
+
+val iter :
+  log ->
+  iteration:(cycles:int -> item:int -> ordinal:int -> iter:int -> unit) ->
+  miss:
+    (cycles:int ->
+    item:int ->
+    array:string ->
+    unit:int ->
+    kind:Request.kind ->
+    unit) ->
+  call:(cycles:int -> Dpm_ir.Loop.pm_call -> unit) ->
+  int
+(** Replays exactly the callbacks {!run} made on the logged walk, in
+    order, and returns its tail. *)
+
+val program : log -> Dpm_ir.Program.t
+val plan : log -> Dpm_layout.Plan.t
+val cost : log -> Dpm_ir.Cost.model
+
+(** {1 Calls at iteration boundaries} *)
+
+type points = (int * Dpm_ir.Loop.pm_call) list array
+(** Power-management calls to insert, per top-level item (an index past
+    the array has none): a list of [(ordinal, call)] sorted by ordinal,
+    where ordinal [k] is the boundary before the item's [k]-th outer
+    iteration.  Calls on one boundary keep their list order. *)
+
+val insert_calls : points -> Dpm_ir.Program.t -> Dpm_ir.Program.t
+(** The rewrite: each top-level loop with points is strip-mined at its
+    boundaries, ordinals clamped to [\[0, trips\]], into segments over
+    the same iterations with the calls between them as top-level items;
+    a statement's or call's points all go before it. *)
+
+val splice : log -> points -> log
+(** [splice l points] is the log a walk of
+    [insert_calls points (program l)] would record, derived without
+    walking: each boundary's calls go just before the record that
+    follows the boundary (or before the tail), the first taking that
+    record's cycles and the record keeping 0; top-level items are
+    renumbered as the rewrite numbers them, and ordinals count from
+    their segment's first iteration.  Cycles are integers, so every
+    think time derived from the spliced log equals a re-walk's bit for
+    bit. *)

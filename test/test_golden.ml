@@ -119,6 +119,8 @@ let test_run_many () =
    access analysis (runs and miss counts), the exact timing profile
    (durations and total), and the CMDRPM-compiled program's text and
    trace.  Floats print with %h, so a one-ulp drift changes a digest.
+   Each line also checks that the CMDRPM and CMTPM traces derived from
+   the program's log through [Walk.splice] equal the re-walked ones.
    Configurations: the six suite programs at Orig, galgel and mesa
    under LF+DL and TL+DL, all at the suite cache, and galgel Orig with
    caching disabled; then the other four programs under LF+DL and TL+DL
@@ -184,10 +186,30 @@ let front_half_rendered () =
     let config = { Dpm_trace.Generate.cost = Dpm_ir.Cost.default; cache_blocks } in
     let trace = Dpm_trace.Generate.run ~config p plan in
     let profile = C.Estimate.profile ~cache_blocks ~specs p plan in
-    let cm =
-      C.Pipeline.compile ~scheme:C.Insertion.Drpm ~noise:spec.Suite.noise
-        ~cache_blocks ~specs p plan
+    let compile scheme =
+      C.Pipeline.compile ~scheme ~noise:spec.Suite.noise ~cache_blocks ~specs p
+        plan
     in
+    let cm = compile C.Insertion.Drpm in
+    let cm_trace = Dpm_trace.Generate.run ~config cm.C.Pipeline.program plan in
+    (* A job derives each CM trace from the source program's one log:
+       it must equal the re-walk of the compiled program. *)
+    let log = Dpm_trace.Walk.log ~cost:Dpm_ir.Cost.default ~cache_blocks p plan in
+    let derived (c : C.Pipeline.compiled) =
+      Dpm_trace.Generate.of_log (Dpm_trace.Walk.splice log c.C.Pipeline.points)
+    in
+    let label scheme =
+      Printf.sprintf "%s %s cache=%d %s trace through the splice" name
+        (C.Pipeline.version_name version)
+        cache_blocks scheme
+    in
+    Alcotest.(check string) (label "CMDRPM") (trace_digest cm_trace)
+      (trace_digest (derived cm));
+    let cmtpm = compile C.Insertion.Tpm in
+    Alcotest.(check string) (label "CMTPM")
+      (trace_digest
+         (Dpm_trace.Generate.run ~config cmtpm.C.Pipeline.program plan))
+      (trace_digest (derived cmtpm));
     Printf.sprintf
       "%s %s cache=%d events=%d trace=%s access=%s profile=%s total=%h \
        cm=%s cm_trace=%s\n"
@@ -200,7 +222,7 @@ let front_half_rendered () =
       (profile_digest profile) profile.C.Estimate.total
       (Digest.to_hex
          (Digest.string (Dpm_ir.Printer.program cm.C.Pipeline.program)))
-      (trace_digest (Dpm_trace.Generate.run ~config cm.C.Pipeline.program plan))
+      (trace_digest cm_trace)
   in
   let c = Suite.cache_blocks in
   String.concat ""

@@ -656,6 +656,17 @@ let report_mutations =
       in_array "schemes" 1
         (field "faults" (fun f -> Some (field "remaps" (set (Json.Str "0")) f)))
     );
+    (* Fields only the markdown digest prints: it renders from the
+       decoded report, so these are decode errors too, not [-] cells. *)
+    ("mode-number.json", "mode:", field "mode" (set (Json.Int 0)));
+    ( "sim-end-string.json",
+      "schemes[0].timeline.sim_end_s:",
+      in_array "schemes" 0
+        (field "timeline" (fun tl ->
+             Some (field "sim_end_s" (set (Json.Str "1.0")) tl))) );
+    ( "p50-less.json",
+      "histograms[0].p50:",
+      in_array "histograms" 0 (field "p50" (fun _ -> None)) );
   ]
 
 let with_dir f =
@@ -676,7 +687,7 @@ let test_report_one_reader () =
   let module Aggregate = Dpm_core.Aggregate in
   let report = Lazy.force galgel_report in
   Alcotest.(check bool) "the unmutated report validates" true
-    (Dpm_core.Report.validate report = Ok ());
+    (Stdlib.Result.is_ok (Dpm_core.Report.validate report));
   with_dir (fun dir ->
       let expected =
         List.map
@@ -684,7 +695,7 @@ let test_report_one_reader () =
             let doc = mutate report in
             write_doc dir name doc;
             match Dpm_core.Report.validate doc with
-            | Ok () -> Alcotest.failf "%s: report-check accepted it" name
+            | Ok _ -> Alcotest.failf "%s: report-check accepted it" name
             | Error [ m ] ->
                 Alcotest.(check string) (name ^ ": names its path") path
                   (String.sub m 0 (min (String.length m) (String.length path)));

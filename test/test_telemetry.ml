@@ -399,9 +399,11 @@ let test_report () =
   with
   | Error e -> Alcotest.fail (Dpm_core.Run.error_message e)
   | Ok doc ->
-      (match Dpm_core.Report.validate doc with
-      | Ok () -> ()
-      | Error msgs -> Alcotest.fail (String.concat "; " msgs));
+      let report =
+        match Dpm_core.Report.validate doc with
+        | Ok report -> report
+        | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+      in
       (match Json.parse_string (Json.to_string ~indent:1 doc) with
       | Ok doc' ->
           Alcotest.(check bool) "report JSON round-trips" true (doc = doc');
@@ -410,7 +412,7 @@ let test_report () =
             (Json.schema_outline doc)
             (Json.schema_outline doc')
       | Error m -> Alcotest.fail m);
-      let md = Dpm_core.Report.markdown doc in
+      let md = Dpm_core.Report.markdown report in
       Alcotest.(check bool) "markdown names the benchmark" true
         (String.length md > 0
         &&
@@ -466,6 +468,44 @@ let test_report_collector () =
                    (names doc "histograms" "name")))
         [ (false, false); (true, false); (false, true) ])
 
+(* Walks per job, as the [--metrics] stage table counts them: a suite
+   job walks once to calibrate its untransformed program and once for
+   its job program, whose log feeds the analysis and every trace; a
+   trace-file job never walks. *)
+let test_walks_per_job () =
+  let module Run = Dpm_core.Run in
+  let t = Telemetry.global in
+  let enabled0 = Telemetry.enabled t in
+  let path = Filename.temp_file "walks" ".trc" in
+  (let p, plan = Experiment.workload (Dpm_workloads.Suite.find "galgel") in
+   Dpm_trace.Trace.save (Dpm_trace.Generate.run p plan) path);
+  let walks spec =
+    Telemetry.reset t;
+    Telemetry.set_enabled t true;
+    (match Run.exec_all spec with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Run.error_message e));
+    match
+      List.find_opt (fun (n, _, _) -> n = "trace.walk") (Telemetry.stages t)
+    with
+    | Some (_, _, calls) -> calls
+    | None -> 0
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled t enabled0;
+      Telemetry.reset t;
+      Sys.remove path)
+    (fun () ->
+      Alcotest.(check int) "seven-scheme TL+DL job" 2
+        (walks
+           (Run.spec ~version:Dpm_compiler.Pipeline.TL_DL
+              (Run.Benchmark "galgel")));
+      Alcotest.(check int) "Base-only job" 2
+        (walks (Run.spec ~schemes:[ Scheme.Base ] (Run.Benchmark "galgel")));
+      Alcotest.(check int) "trace-file job" 0
+        (walks (Run.spec (Run.Trace_file path))))
+
 let test_bench_snapshot () =
   let doc =
     Dpm_core.Report.bench_snapshot
@@ -518,5 +558,6 @@ let suite =
           test_report_collector;
         Alcotest.test_case "bench snapshot validates" `Quick
           test_bench_snapshot;
+        Alcotest.test_case "walks per job" `Quick test_walks_per_job;
       ] );
   ]

@@ -434,11 +434,16 @@ let reference_walk ~cost ~cache_blocks ~iteration ~miss ~call
 
 let walk_cost = Dpm_ir.Cost.default
 
-(* Both walks of one program, plan and cache, recorded. *)
-let both_walks ~cache_blocks p plan =
+(* The walks of one program, plan and cache, recorded: the kernel's,
+   its log replayed, and the reference walk. *)
+let walks ~cache_blocks p plan =
   ( record_walk (fun ~iteration ~miss ~call ->
         Dpm_trace.Walk.run ~cost:walk_cost ~cache_blocks ~iteration ~miss
           ~call p plan),
+    record_walk (fun ~iteration ~miss ~call ->
+        Dpm_trace.Walk.iter
+          (Dpm_trace.Walk.log ~cost:walk_cost ~cache_blocks p plan)
+          ~iteration ~miss ~call),
     record_walk (fun ~iteration ~miss ~call ->
         reference_walk ~cost:walk_cost ~cache_blocks ~iteration ~miss ~call p
           plan) )
@@ -447,6 +452,14 @@ let same_walks (got, got_end) (want, want_end) =
   List.length got = List.length want
   && List.for_all2 ( = ) got want
   && got_end = want_end
+
+(* A replayed log makes the reference walk's callbacks and returns its
+   tail; on a program the walk raises on, [Walk.log] raises the same
+   exception before any replay. *)
+let same_logged logged (want, want_end) =
+  match want_end with
+  | Ok _ -> same_walks logged (want, want_end)
+  | Error _ -> logged = ([], want_end)
 
 let show_ending = function
   | Ok tail -> Printf.sprintf "tail %d" tail
@@ -606,31 +619,35 @@ let gen_walk_plan (decls : Dpm_ir.Array_decl.t list) =
 
 (* A fixed plan per edge program: 4 disks, 8 KB stripes (every array
    here ends in a partial unit), the first array column-major. *)
+let edge_plan (p, placed) =
+  Plan.make ~ndisks:4
+    (List.mapi
+       (fun i decl ->
+         {
+           Plan.decl;
+           striping =
+             Dpm_layout.Striping.make ~start_disk:1 ~stripe_factor:3
+               ~stripe_size:(kib 8);
+           order = (if i = 0 then Plan.Col_major else Plan.Row_major);
+         })
+       (placed p))
+
 let test_walk_edges () =
   List.iter
-    (fun (p, placed) ->
-      let entries =
-        List.mapi
-          (fun i decl ->
-            {
-              Plan.decl;
-              striping =
-                Dpm_layout.Striping.make ~start_disk:1 ~stripe_factor:3
-                  ~stripe_size:(kib 8);
-              order = (if i = 0 then Plan.Col_major else Plan.Row_major);
-            })
-          (placed p)
-      in
-      let plan = Plan.make ~ndisks:4 entries in
+    (fun ((p, _) as edge) ->
+      let plan = edge_plan edge in
       List.iter
         (fun cache_blocks ->
-          let got, want = both_walks ~cache_blocks p plan in
+          let got, logged, want = walks ~cache_blocks p plan in
           let label = Printf.sprintf "%s cache=%d" p.name cache_blocks in
           Alcotest.(check int)
             (label ^ " callbacks")
             (List.length (fst want))
             (List.length (fst got));
           Alcotest.(check bool) (label ^ " same walk") true (same_walks got want);
+          Alcotest.(check bool)
+            (label ^ " same logged walk")
+            true (same_logged logged want);
           Alcotest.(check string)
             (label ^ " ending") (show_ending (snd want)) (show_ending (snd got)))
         [ 0; 1; 3; 192 ])
@@ -644,7 +661,11 @@ let test_walk_edges () =
           ~start_disk:0 ~stripe_factor:2 ~stripe_size:(kib 8); order = Plan.Row_major })
           (placed p))
     in
-    show_ending (snd (fst (both_walks ~cache_blocks:4 p plan)))
+    let got, logged, _ = walks ~cache_blocks:4 p plan in
+    Alcotest.(check string)
+      (name ^ " logged ending")
+      (show_ending (snd got)) (show_ending (snd logged));
+    show_ending (snd got)
   in
   List.iter
     (fun (name, want) -> Alcotest.(check string) name want (ending name))
@@ -672,8 +693,139 @@ let qcheck_walk_matches_reference =
       return (i, plan, cache_blocks))
     (fun (i, plan, cache_blocks) ->
       let p, _ = programs.(i) in
-      let got, want = both_walks ~cache_blocks p plan in
-      same_walks got want)
+      let got, logged, want = walks ~cache_blocks p plan in
+      same_walks got want && same_logged logged want)
+
+(* --- Splicing calls into a log --- *)
+
+(* What the splice property walks: the six suite programs under every
+   version and the walk-edge programs the walk does not raise on (their
+   fixed plans; "zerotrip" has empty loops), each at the suite cache,
+   with no cache or with a one-block cache.  Without a cache every
+   reference misses (mgrid logs 880k records against 15k at the suite
+   cache), so those two caches are drawn one time in twenty, and only
+   the suite cache's base logs are kept between cases, to keep the
+   property inside its time budget. *)
+let splice_programs =
+  let module Suite = Dpm_workloads.Suite in
+  let module Pipeline = Dpm_compiler.Pipeline in
+  let built = lazy (List.map Dpm_core.Experiment.workload Suite.all) in
+  let suite =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun version ->
+            lazy
+              (let p, plan = List.nth (Lazy.force built) k in
+               Pipeline.transform version p plan))
+          (Pipeline.TL_ALL_DL :: Pipeline.all_versions))
+      (List.init (List.length Suite.all) Fun.id)
+  in
+  let edges =
+    List.filter_map
+      (fun ((p, _) as edge) ->
+        let plan = edge_plan edge in
+        match Dpm_trace.Walk.log ~cost:walk_cost ~cache_blocks:0 p plan with
+        | _ -> Some (Lazy.from_val (p, plan))
+        | exception _ -> None)
+      walk_edge_programs
+  in
+  Array.of_list (suite @ edges)
+
+let splice_base_logs =
+  Array.map
+    (fun program ->
+      lazy
+        (let p, plan = Lazy.force program in
+         Dpm_trace.Walk.log ~cost:walk_cost ~cache_blocks:192 p plan))
+    splice_programs
+
+(* Random points for one program: about half the items get 1-3
+   boundaries with 1-3 calls each, on loops, statements and calls alike.
+   Ordinals run from -1 to the slots plus one, so the clamp is hit, and
+   each call draws a rank; a boundary's calls are ordered as the
+   planning step orders them, by (ordinal, rank), stably. *)
+let gen_points (p : Dpm_ir.Program.t) ndisks =
+  QCheck2.Gen.(
+    let call =
+      let* disk = int_bound (ndisks - 1) in
+      oneof
+        [
+          return (Dpm_ir.Loop.Spin_down disk);
+          return (Dpm_ir.Loop.Spin_up disk);
+          map (fun level -> Dpm_ir.Loop.Set_rpm { level; disk }) (int_bound 4);
+        ]
+    in
+    let item_points (i : Dpm_trace.Walk.item) =
+      let boundary =
+        let* ordinal =
+          frequency
+            [
+              (1, return (-1));
+              (1, return 0);
+              (1, return i.slots);
+              (1, return (i.slots + 1));
+              (4, int_range (-1) (i.slots + 1));
+            ]
+        in
+        list_size (int_range 1 3)
+          (map2 (fun rank call -> ((ordinal, rank), call)) (int_bound 1) call)
+      in
+      let* none = bool in
+      if none then return []
+      else
+        let* boundaries = list_size (int_range 1 3) boundary in
+        return
+          (List.concat boundaries
+          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+          |> List.map (fun ((ordinal, _), call) -> (ordinal, call)))
+    in
+    map Array.of_list
+      (flatten_l
+         (List.map item_points (Array.to_list (Dpm_trace.Walk.items p)))))
+
+let show_points points =
+  String.concat "; "
+    (List.concat
+       (List.mapi
+          (fun item pts ->
+            List.map
+              (fun (ordinal, call) ->
+                Format.asprintf "%d@%d %a" item ordinal Dpm_ir.Loop.pp_call
+                  call)
+              pts)
+          (Array.to_list points)))
+
+(* Splicing a program's points into its log gives the log a walk of the
+   rewritten program records, and the trace derived from it is the
+   rewritten program's generated trace ([Generate.run] is [of_log] of
+   that walk's log). *)
+let qcheck_splice_matches_rewalk =
+  let module Walk = Dpm_trace.Walk in
+  QCheck2.Test.make ~count:200 ~name:"walk: splice equals a re-walk"
+    ~print:(fun (k, cache_blocks, points) ->
+      let p, _ = Lazy.force splice_programs.(k) in
+      Printf.sprintf "%s cache=%d [%s]" p.Dpm_ir.Program.name cache_blocks
+        (show_points points))
+    QCheck2.Gen.(
+      let* k = int_bound (Array.length splice_programs - 1) in
+      let* cache_blocks =
+        frequency [ (38, return 192); (1, return 0); (1, return 1) ]
+      in
+      let p, plan = Lazy.force splice_programs.(k) in
+      let* points = gen_points p (Plan.ndisks plan) in
+      return (k, cache_blocks, points))
+    (fun (k, cache_blocks, points) ->
+      let p, plan = Lazy.force splice_programs.(k) in
+      let rewritten = Walk.insert_calls points p in
+      let base =
+        if cache_blocks = 192 then Lazy.force splice_base_logs.(k)
+        else Walk.log ~cost:walk_cost ~cache_blocks p plan
+      in
+      let spliced = Walk.splice base points in
+      let rewalked = Walk.log ~cost:walk_cost ~cache_blocks rewritten plan in
+      spliced = rewalked
+      && Generate.of_log spliced = Generate.of_log rewalked)
 
 (* The six suite programs, each under three seeded random plans at the
    suite cache. *)
@@ -689,8 +841,8 @@ let test_walk_suite_random_plans () =
               ~rand:(Random.State.make [| seed |])
               (gen_walk_plan p.Dpm_ir.Program.arrays)
           in
-          let got, want =
-            both_walks ~cache_blocks:Suite.cache_blocks p plan
+          let got, logged, want =
+            walks ~cache_blocks:Suite.cache_blocks p plan
           in
           let label = Printf.sprintf "%s seed %d" spec.Suite.name seed in
           Alcotest.(check int)
@@ -698,6 +850,9 @@ let test_walk_suite_random_plans () =
             (List.length (fst want))
             (List.length (fst got));
           Alcotest.(check bool) (label ^ " same walk") true (same_walks got want);
+          Alcotest.(check bool)
+            (label ^ " same logged walk")
+            true (same_logged logged want);
           Alcotest.(check string)
             (label ^ " ending") (show_ending (snd want)) (show_ending (snd got)))
         [ 1; 2; 3 ])
@@ -735,6 +890,7 @@ let suite =
         Alcotest.test_case "cycle accounting" `Slow test_walk_cycle_accounting;
         Alcotest.test_case "edge programs" `Quick test_walk_edges;
         q qcheck_walk_matches_reference;
+        q qcheck_splice_matches_rewalk;
         Alcotest.test_case "suite under random plans" `Slow
           test_walk_suite_random_plans;
       ] );
